@@ -14,6 +14,7 @@ relaxes interior nodes, coarse-to-fine.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -62,13 +63,14 @@ def lift(space: GeneralizedMinkowskiSpace, s) -> HPoint:
 
 
 def as_hpoint(space: GeneralizedMinkowskiSpace, v, tol: float = 1e-8) -> HPoint:
-    """Interpret a full vector as a point of H+ (checked)."""
+    """Interpret a full vector as a point of H+ (checked).  [v, v]^+ cancels
+    two terms of size tau^2, so tol is relative to max(1, tau^2)."""
     _require_spacetime(space)
     s, t = split(space, v)
     if t[0] <= 0:
         raise DomainError("vector lies on the lower sheet")
     q = product_plus(space, v, v)
-    if abs(q + 1.0) > tol:
+    if abs(q + 1.0) > tol * max(1.0, float(t[0]) ** 2):
         raise DomainError(f"vector is not on the imaginary unit sphere: [v,v]+ = {q}")
     return HPoint(space, s, float(t[0]))
 
@@ -177,12 +179,24 @@ def linear_path(space: GeneralizedMinkowskiSpace, a: HPoint, b: HPoint, m: int) 
     return Path.from_s_nodes(space, a.s[None, :] + ts[:, None] * (b.s - a.s)[None, :])
 
 
+@lru_cache(maxsize=8, typed=True)
+def _quadrature_grid(quad_m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Chord parameters and Simpson weights for quad_m subintervals, shared
+    read-only by every segment-length call.  Typed, so that a float quad_m
+    never reuses the grid of an int one (linspace rejects a float count)."""
+    grid = (np.linspace(0.0, 1.0, quad_m + 1), simpson_weights(quad_m))
+    for arr in grid:
+        arr.flags.writeable = False
+    return grid
+
+
 def _segment_lengths(space, seg_starts: np.ndarray, seg_deltas: np.ndarray, quad_m: int) -> np.ndarray:
     """Arc lengths of chord lifts: S runs straight from start to start+delta,
     tau follows the lift.  Velocities use a central difference of the lifted
-    tau along the chord parameter; the S velocity is the constant delta."""
+    tau along the chord parameter; the S velocity is the constant delta.
+    Simpson grid from _quadrature_grid; PathError if a velocity turns time-like."""
     s_space = space.s_space
-    sig = np.linspace(0.0, 1.0, quad_m + 1)
+    sig, weights = _quadrature_grid(quad_m)
     P = seg_starts[:, None, :] + sig[None, :, None] * seg_deltas[:, None, :]
     step = _EPS3
     off = step * seg_deltas[:, None, :]
@@ -195,7 +209,7 @@ def _segment_lengths(space, seg_starts: np.ndarray, seg_deltas: np.ndarray, quad
     if np.any(rad < floor):
         raise PathError("curve velocity left the space-like regime")
     g = np.sqrt(np.clip(rad, 0.0, None))
-    return g @ simpson_weights(quad_m)
+    return g @ weights
 
 
 def path_length(space: GeneralizedMinkowskiSpace, path: Path, quad_m: int = 4) -> float:
@@ -213,23 +227,21 @@ def _path_energy(space, s_nodes: np.ndarray, quad_m: int) -> float:
 
 
 def _energy_gradient(space, s_nodes: np.ndarray, quad_m: int, h: float = 1e-6) -> np.ndarray:
-    """Central-difference gradient of the path energy w.r.t. interior nodes,
-    batched into a single segment-length evaluation."""
-    m = s_nodes.shape[0] - 1
-    k = s_nodes.shape[1]
-    starts, deltas = [], []
-    for i in range(1, m):
-        for c in range(k):
-            for sign in (1.0, -1.0):
-                p = s_nodes[i].copy()
-                p[c] += sign * h
-                starts.append(s_nodes[i - 1])
-                deltas.append(p - s_nodes[i - 1])
-                starts.append(p)
-                deltas.append(s_nodes[i + 1] - p)
-    L = _segment_lengths(space, np.array(starts), np.array(deltas), quad_m)
-    pair = m * (L[0::2] ** 2 + L[1::2] ** 2)
-    pair = pair.reshape(m - 1, k, 2)
+    """Central-difference gradient of the path energy w.r.t. interior nodes: a
+    moved node changes only its two segments, so all 4k(m-1) perturbed ones,
+    ordered (node, coordinate, sign, left/right), take one length call."""
+    m, k = s_nodes.shape[0] - 1, s_nodes.shape[1]
+    starts, deltas = np.empty((2, m - 1, k, 2, 2, k))
+    starts[:, :, :, 0] = s_nodes[:-2, None, None, :]
+    p = starts[:, :, :, 1]  # a view; p[i, c, 0/1] is node i+1 moved by +h/-h along c
+    p[...] = s_nodes[1:-1, None, None, :]
+    diag = np.arange(k)
+    p[:, diag, 0, diag] += h
+    p[:, diag, 1, diag] -= h
+    np.subtract(p, s_nodes[:-2, None, None, :], out=deltas[:, :, :, 0])
+    np.subtract(s_nodes[2:, None, None, :], p, out=deltas[:, :, :, 1])
+    L = _segment_lengths(space, starts.reshape(-1, k), deltas.reshape(-1, k), quad_m)
+    pair = (m * (L[0::2] ** 2 + L[1::2] ** 2)).reshape(m - 1, k, 2)
     return (pair[:, :, 0] - pair[:, :, 1]) / (2.0 * h)
 
 
@@ -261,9 +273,8 @@ def _relax_simplex(space, s_nodes: np.ndarray, quad_m: int, sweeps: int, opt_tol
     for _ in range(sweeps):
         moved = 0.0
         for i in range(1, m):
-            def local(sv, i=i):
-                sub = np.vstack([s_nodes[i - 1], sv, s_nodes[i + 1]])
-                L = _segment_lengths(space, sub[:-1], sub[1:] - sub[:-1], quad_m)
+            def local(sv, lo=s_nodes[i - 1].copy(), hi=s_nodes[i + 1].copy()):
+                L = _segment_lengths(space, np.array([lo, sv]), np.array([sv - lo, hi - sv]), quad_m)
                 return float(np.sum(L * L))
 
             try:

@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
 
-from sipmink.errors import DomainError, TangentError, UnsupportedError
+from sipmink.errors import ConvergenceError, DomainError, TangentError, UnsupportedError
 from sipmink.hyperboloid import (
     HPoint,
     Path,
+    _energy_gradient,
+    _path_energy,
+    _quadrature_grid,
+    _relax_simplex,
+    _segment_lengths,
     as_hpoint,
     cosh_residual,
     ds2,
@@ -23,7 +28,7 @@ from sipmink.minkowski import (
     product_plus,
 )
 from sipmink.norms import NormSpec, norm, sip
-from sipmink.numerics import central_diff, first_diff_step, integrate
+from sipmink.numerics import DEFAULT_TOLERANCES, central_diff, first_diff_step, integrate, minimize
 from sipmink.ortho import orthogonal_companion_basis
 
 PSEUDO21 = GeneralizedMinkowskiSpace.pseudo_euclidean(2)
@@ -64,6 +69,22 @@ class TestLift:
         assert q.s == pytest.approx(p.s) and q.tau == pytest.approx(p.tau)
         with pytest.raises(DomainError):
             as_hpoint(PSEUDO21, [0.0, 0.0, -1.0])
+
+    @pytest.mark.parametrize("space", [PSEUDO21, REMARK], ids=["pseudo21", "max"])
+    @pytest.mark.parametrize("r", [1e3, 1e4, 1e5])
+    def test_as_hpoint_roundtrip_far_from_pole(self, space, r):
+        # [v,v]+ of a lifted point carries rounding of order eps * tau^2
+        p = lift(space, [r, 0.7 * r])
+        q = as_hpoint(space, p.vector)
+        assert np.array_equal(q.s, p.s) and q.tau == p.tau
+
+    @pytest.mark.parametrize("space", [PSEUDO21, REMARK], ids=["pseudo21", "max"])
+    @pytest.mark.parametrize("s", [[0.3, -0.4], [1e3, 700.0]])
+    def test_as_hpoint_rejects_sphere_of_radius_sqrt2(self, space, s):
+        v = np.sqrt(2.0) * lift(space, s).vector
+        assert product_plus(space, v, v) == pytest.approx(-2.0)
+        with pytest.raises(DomainError):
+            as_hpoint(space, v)
 
 
 class TestDirectionalDerivative:
@@ -206,6 +227,101 @@ class TestPathLength:
     def test_needs_two_segments(self):
         with pytest.raises(DomainError):
             Path.from_s_nodes(PSEUDO21, np.zeros((2, 2)))
+
+
+def _loop_energy_gradient(space, s_nodes, quad_m, h=1e-6):
+    """Reference: the gradient assembly as one Python loop per perturbation."""
+    m, k = s_nodes.shape[0] - 1, s_nodes.shape[1]
+    starts, deltas = [], []
+    for i in range(1, m):
+        for c in range(k):
+            for sign in (1.0, -1.0):
+                p = s_nodes[i].copy()
+                p[c] += sign * h
+                starts.append(s_nodes[i - 1])
+                deltas.append(p - s_nodes[i - 1])
+                starts.append(p)
+                deltas.append(s_nodes[i + 1] - p)
+    L = _segment_lengths(space, np.array(starts), np.array(deltas), quad_m)
+    pair = (m * (L[0::2] ** 2 + L[1::2] ** 2)).reshape(m - 1, k, 2)
+    return (pair[:, :, 0] - pair[:, :, 1]) / (2.0 * h)
+
+
+def _vstack_relax_sweep(space, s_nodes, quad_m, opt_tol):
+    """Reference: one node-wise simplex sweep whose local objective stacks
+    the three nodes and slices out the two segments on every evaluation."""
+    for i in range(1, s_nodes.shape[0] - 1):
+        def local(sv, i=i):
+            sub = np.vstack([s_nodes[i - 1], sv, s_nodes[i + 1]])
+            L = _segment_lengths(space, sub[:-1], sub[1:] - sub[:-1], quad_m)
+            return float(np.sum(L * L))
+
+        try:
+            best, _ = minimize(local, s_nodes[i], opt_tol=max(opt_tol, 1e-8), max_iter=300)
+        except ConvergenceError as err:
+            best = err.best_point
+        s_nodes[i] = best
+    return s_nodes
+
+
+ASSEMBLY_SPACES = pytest.mark.parametrize(
+    "space", [PSEUDO21, P3SPACE, PSEUDO31], ids=["pseudo21", "p3", "pseudo31"]
+)
+ASSEMBLY_NODES = pytest.mark.parametrize("m", [4, 7, 32])
+
+
+def _random_nodes(space, m):
+    return np.random.default_rng(1000 * m + space.k).uniform(-1.5, 1.5, (m + 1, space.k))
+
+
+class TestSolverAssembly:
+    @ASSEMBLY_SPACES
+    @ASSEMBLY_NODES
+    def test_gradient_matches_loop_reference_bitwise(self, space, m):
+        nodes = _random_nodes(space, m)
+        assert np.array_equal(_energy_gradient(space, nodes, 4), _loop_energy_gradient(space, nodes, 4))
+
+    @pytest.mark.parametrize(
+        "space", [PSEUDO21, P3SPACE, PSEUDO31, REMARK], ids=["pseudo21", "p3", "pseudo31", "max"]
+    )
+    @ASSEMBLY_NODES
+    def test_simplex_sweep_matches_vstack_reference_bitwise(self, space, m):
+        nodes = _random_nodes(space, m)
+        opt_tol = DEFAULT_TOLERANCES.opt_tol
+        got = _relax_simplex(space, nodes.copy(), 4, sweeps=1, opt_tol=opt_tol)
+        assert np.array_equal(got, _vstack_relax_sweep(space, nodes.copy(), 4, opt_tol))
+
+    @ASSEMBLY_SPACES
+    @ASSEMBLY_NODES
+    def test_gradient_against_energy_central_difference(self, space, m):
+        # independent oracle: perturb the whole path, re-evaluate the energy
+        nodes = _random_nodes(space, m)
+        g = _energy_gradient(space, nodes, 4)
+        h = 1e-6
+        fd = np.empty_like(g)
+        for i in range(1, m):
+            for c in range(space.k):
+                up, down = nodes.copy(), nodes.copy()
+                up[i, c] += h
+                down[i, c] -= h
+                fd[i - 1, c] = (_path_energy(space, up, 4) - _path_energy(space, down, 4)) / (2.0 * h)
+        assert np.max(np.abs(g - fd)) <= 1e-7 * max(1.0, float(np.max(np.abs(g))))
+
+
+class TestQuadratureGrid:
+    def test_cached_arrays_are_read_only(self):
+        sig, weights = _quadrature_grid(4)
+        assert _quadrature_grid(4)[0] is sig
+        for arr in (sig, weights):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
+    def test_odd_quadrature_rejected(self):
+        a, b = lift(PSEUDO21, [0.0, 0.5]), lift(PSEUDO21, [1.0, -0.3])
+        with pytest.raises(DomainError):
+            path_length(PSEUDO21, linear_path(PSEUDO21, a, b, 4), quad_m=3)
+        with pytest.raises(DomainError):
+            geodesic_distance(PSEUDO21, a, b, 8, quad_m=3)
 
 
 class TestGeodesicDistance:
