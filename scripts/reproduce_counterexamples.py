@@ -11,45 +11,29 @@
    yields non-parallel vectors attaining the Cauchy-Schwarz equality.
 """
 
-import numpy as np
-
-from sipmink import (
-    SipSpace,
-    SiipSpace,
-    cauchy_schwarz_witness,
-    max_norm_spacetime,
-    product_plus,
-    siip,
-    strict_convexity_witness,
-)
 from sipmink.numerics import Seed
+from sipmink.suites import stock_counterexamples
 
 
 def main():
-    plane = SiipSpace.weighted_plane()
-    u, v = np.array([1.0, 2.0]), np.array([1.0, 1.0])
-    val = siip(plane, u, v)
-    qu, qv = siip(plane, u, u), siip(plane, v, v)
+    found = stock_counterexamples(Seed(42))
+    val = found.plane_value
+    qu, qv = found.plane_squares
     print("== weighted plane product ==")
     print(f"[(1,2),(1,1)] = {val}  (= 10/3)")
     print(f"[u,u] [v,v]   = {qu} * {qv} = {qu * qv}")
-    print(f"violation     : {val}^2 = {val**2:.6f} > {qu * qv}, margin {val**2 - qu * qv:.6f}")
+    print(f"violation     : {val}^2 = {val**2:.6f} > {qu * qv}, margin {found.plane_margin:.6f}")
 
     print("\n== positive subspace of the max-norm space-time ==")
-    space = max_norm_spacetime()
-    pp = lambda a, b: product_plus(space, a, b)
-    basis = [np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.5])]
-    found = cauchy_schwarz_witness(pp, basis, Seed(42), 2000)
-    assert found is not None, "expected a violation on the plane x3 = x2/2"
-    wu, wv, margin = found
+    assert found.max_plane_witness is not None, "expected a violation on the plane x3 = x2/2"
+    wu, wv, margin = found.max_plane_witness
     print(f"u = {wu}")
     print(f"v = {wv}")
     print(f"[u,v]+^2 - [u,u]+[v,v]+ = {margin:.6f} > 0")
 
     print("\n== max norm is not strictly convex ==")
-    pair = strict_convexity_witness(SipSpace.max_norm(2), Seed(42), 2000)
-    assert pair is not None
-    x, y = pair
+    assert found.flat_witness is not None
+    x, y = found.flat_witness
     print(f"x = {x}, y = {y}: [x,y] = |x||y| = 1 with y not a positive multiple of x")
 
 

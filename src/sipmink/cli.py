@@ -21,7 +21,6 @@ import numpy as np
 from . import hyperboloid as hyp
 from . import minkowski as mink
 from . import ortho
-from .siip import SiipSpace as _SiipSpace, cauchy_schwarz_witness as _cs_witness, siip as _siip
 from .config import RunConfig, load_config
 from .errors import (
     ConvergenceError,
@@ -30,10 +29,8 @@ from .errors import (
     SipminkError,
     UsageError,
 )
-from .isometry import strict_convexity_witness
-from .norms import SipSpace
 from .numerics import Seed
-from .suites import SUITES, rows_to_csv, run_suites
+from .suites import SUITES, rows_to_csv, run_suites, stock_counterexamples
 
 _FMT = "%.17g"
 
@@ -231,26 +228,20 @@ def cmd_verify(args) -> int:
 
 def cmd_counterexample(args) -> int:
     cfg = _config(args)
-    plane = _SiipSpace.weighted_plane()
-    u, v = np.array([1.0, 2.0]), np.array([1.0, 1.0])
-    val = _siip(plane, u, v)
-    squares = _siip(plane, u, u) * _siip(plane, v, v)
+    found = stock_counterexamples(Seed(cfg.seed), cfg.tolerances)
+    qu, qv = found.plane_squares
     print("Cauchy-Schwarz fails for the weighted plane product:")
-    print(f"  [(1,2),(1,1)] = {_FMT % val} with [u,u][v,v] = {_FMT % squares}")
-    print(f"  margin = {_FMT % (val ** 2 - squares)}")
-    space = mink.max_norm_spacetime()
-    pp = lambda a, b: mink.product_plus(space, a, b)
-    basis = [np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.5])]
-    witness = _cs_witness(pp, basis, Seed(cfg.seed), 2000, cfg.tolerances)
-    if witness is None:
+    print(f"  [(1,2),(1,1)] = {_FMT % found.plane_value} with [u,u][v,v] = {_FMT % (qu * qv)}")
+    print(f"  margin = {_FMT % found.plane_margin}")
+    if found.max_plane_witness is None:
         print("max-norm space-time plane: no violation sampled")
         return 1
-    wu, wv, margin = witness
+    wu, wv, margin = found.max_plane_witness
     print("Cauchy-Schwarz fails on a positive subspace of the max-norm space-time:")
     print(f"  u = {','.join(_FMT % x for x in wu)}")
     print(f"  v = {','.join(_FMT % x for x in wv)}")
     print(f"  margin = {_FMT % margin}")
-    flat = strict_convexity_witness(SipSpace.max_norm(2), Seed(cfg.seed), 2000, cfg.tolerances)
+    flat = found.flat_witness
     if flat is not None:
         print("max norm is not strictly convex; equality witness:")
         print(f"  x = {','.join(_FMT % x for x in flat[0])}, y = {','.join(_FMT % x for x in flat[1])}")

@@ -24,8 +24,8 @@ from .minkowski import (
     product_minus,
     product_plus,
 )
-from .norms import MAX, SipSpace, norm, sip
-from .numerics import DEFAULT_TOLERANCES, ResidualTracker, Tolerances, as_seed
+from .norms import MAX, SipSpace, norm, norm_rows, sip, sip_rows
+from .numerics import DEFAULT_TOLERANCES, ResidualTracker, Tolerances, as_seed, as_uniform
 
 
 def load_matrix_csv(path: str) -> np.ndarray:
@@ -213,30 +213,33 @@ def strict_convexity_witness(
 
     The max norm has flat unit-sphere segments, found deterministically by
     pairing vectors that share their dominant coordinate; for strictly
-    convex norms the sampled search comes up empty.  Returns (x, y) or None.
+    convex norms the sampled search comes up empty.  Returns the first
+    witness pair (x, y) or None.
     """
     eq_slack = 1e-9
     parallel_gap = 1e-3
 
-    def is_witness(x, y):
-        nx, ny = norm(space, x), norm(space, y)
-        if nx == 0.0 or ny == 0.0:
-            return False
-        if abs(sip(space, x, y) - nx * ny) > eq_slack:
-            return False
-        return float(np.max(np.abs(x / nx - y / ny))) > parallel_gap
+    def is_witness(X, Y):
+        nx, ny = norm_rows(space, X), norm_rows(space, Y)
+        ok = (nx != 0.0) & (ny != 0.0)
+        ok &= ~(np.abs(sip_rows(space, X, Y) - nx * ny) > eq_slack)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gap = np.max(np.abs(X / nx[:, None] - Y / ny[:, None]), axis=1)
+        return ok & (gap > parallel_gap)
 
     if space.norm.kind == MAX and space.dim >= 2:
         x = np.zeros(space.dim)
         y = np.zeros(space.dim)
         x[0] = y[0] = 1.0
         x[1], y[1] = 0.2, 0.8
-        if is_witness(x, y):
+        if is_witness(x[None], y[None])[0]:
             return x, y
     rng = as_seed(seed).rng()
-    for _ in range(trials):
-        x = rng.uniform(-2.0, 2.0, space.dim)
-        y = rng.uniform(-2.0, 2.0, space.dim)
-        if np.any(x) and np.any(y) and is_witness(x, y):
-            return x, y
-    return None
+    draws = as_uniform(rng.random((max(trials, 0), 2 * space.dim)), -2.0, 2.0)
+    X, Y = draws[:, : space.dim], draws[:, space.dim :]
+    found = np.any(X, axis=1) & np.any(Y, axis=1)
+    found[found] = is_witness(X[found], Y[found])
+    if not np.any(found):
+        return None
+    i = int(np.argmax(found))
+    return X[i].copy(), Y[i].copy()

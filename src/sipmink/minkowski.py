@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, UnsupportedError
-from .norms import EUCLIDEAN, NormSpec, SipSpace, sip
-from .numerics import DEFAULT_TOLERANCES, Tolerances, as_seed
+from .errors import DomainError, UnsupportedError
+from .norms import EUCLIDEAN, NormSpec, SipSpace, sip, sip_rows
+from .numerics import DEFAULT_TOLERANCES, Tolerances, as_seed, check_dim
 
 
 class VectorClass(enum.Enum):
@@ -83,16 +83,9 @@ def max_norm_spacetime() -> GeneralizedMinkowskiSpace:
     return GeneralizedMinkowskiSpace(SipSpace.max_norm(2), SipSpace.euclidean(1))
 
 
-def _check_dim(space: GeneralizedMinkowskiSpace, v) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    if v.shape != (space.n,):
-        raise DimensionError(f"expected a vector of dimension {space.n}, got shape {v.shape}")
-    return v
-
-
 def split(space: GeneralizedMinkowskiSpace, v) -> tuple[np.ndarray, np.ndarray]:
     """Coordinate blocks (s, t) of v with v = s (+) t."""
-    v = _check_dim(space, v)
+    v = check_dim(v, space.n)
     return v[: space.k].copy(), v[space.k :].copy()
 
 
@@ -120,9 +113,50 @@ def product_plus(space: GeneralizedMinkowskiSpace, u, v) -> float:
     return sip(space.s_space, s1, s2) - sip(space.t_space, t1, t2)
 
 
+def product_minus_rows(space: GeneralizedMinkowskiSpace, U, V) -> np.ndarray:
+    """Row-wise ``[U[i], V[i]]^-`` of two (N, n) arrays, bit-identical to
+    :func:`product_minus` on each row."""
+    U = check_dim(U, space.n, rows=True)
+    V = check_dim(V, space.n, rows=True)
+    k = space.k
+    return sip_rows(space.s_space, U[:, :k], V[:, :k]) + sip_rows(space.t_space, U[:, k:], V[:, k:])
+
+
+def product_plus_rows(space: GeneralizedMinkowskiSpace, U, V) -> np.ndarray:
+    """Row-wise ``[U[i], V[i]]^+`` of two (N, n) arrays, bit-identical to
+    :func:`product_plus` on each row."""
+    U = check_dim(U, space.n, rows=True)
+    V = check_dim(V, space.n, rows=True)
+    k = space.k
+    return sip_rows(space.s_space, U[:, :k], V[:, :k]) - sip_rows(space.t_space, U[:, k:], V[:, k:])
+
+
+@dataclass(frozen=True)
+class BoundProduct:
+    """``[., .]^+`` (sign "+") or ``[., .]^-`` (sign "-") of one space as a
+    product handle: callable on two vectors, ``rows`` on two (N, n) arrays."""
+
+    space: GeneralizedMinkowskiSpace
+    sign: str = "+"
+
+    def __post_init__(self):
+        if self.sign not in ("+", "-"):
+            raise DomainError(f"product sign must be '+' or '-', got {self.sign!r}")
+
+    def __call__(self, u, v) -> float:
+        if self.sign == "+":
+            return product_plus(self.space, u, v)
+        return product_minus(self.space, u, v)
+
+    def rows(self, U, V) -> np.ndarray:
+        if self.sign == "+":
+            return product_plus_rows(self.space, U, V)
+        return product_minus_rows(self.space, U, V)
+
+
 def j_operator(space: GeneralizedMinkowskiSpace, v) -> np.ndarray:
     """Identity on S, negation on T; intertwines the two products."""
-    v = _check_dim(space, v)
+    v = check_dim(v, space.n)
     out = v.copy()
     out[space.k :] *= -1.0
     return out
@@ -142,7 +176,7 @@ def classify(space: GeneralizedMinkowskiSpace, v, class_tol: float | None = None
     """
     if class_tol is None:
         class_tol = DEFAULT_TOLERANCES.class_tol
-    v = _check_dim(space, v)
+    v = check_dim(v, space.n)
     q = product_plus(space, v, v)
     scale = max(1.0, product_minus(space, v, v))
     if abs(q) <= class_tol * scale:
@@ -154,7 +188,7 @@ def cone_part(space: GeneralizedMinkowskiSpace, v, class_tol: float | None = Non
     """Which sheet of the time-like double cone v lies on (space-time model)."""
     if not space.is_spacetime_model:
         raise UnsupportedError("cone decomposition needs a one-dimensional T block")
-    v = _check_dim(space, v)
+    v = check_dim(v, space.n)
     if classify(space, v, class_tol) is not VectorClass.TIME_LIKE:
         return ConePart.NOT_TIME_LIKE
     return ConePart.T_PLUS if v[-1] > 0 else ConePart.T_MINUS

@@ -7,12 +7,13 @@ through :class:`Seed`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, NumericalError
+from .errors import ConvergenceError, DimensionError, DomainError, NumericalError
 
 _EPS = float(np.finfo(float).eps)
 
@@ -60,6 +61,56 @@ class Seed:
 
 def as_seed(seed) -> Seed:
     return seed if isinstance(seed, Seed) else Seed(int(seed))
+
+
+def check_dim(x, dim: int, rows: bool = False) -> np.ndarray:
+    """``x`` as a float vector of length ``dim``, or with ``rows`` as an
+    (N, dim) array of such vectors; raises :class:`DimensionError` otherwise."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (dim,) or rows:  # a vector in the right shape costs one comparison
+        if not (rows and x.ndim == 2 and x.shape[1] == dim):
+            what = f"an (N, {dim}) array of vectors" if rows else f"a vector of dimension {dim}"
+            raise DimensionError(f"expected {what}, got shape {x.shape}")
+    return x
+
+
+def dot_rows(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Row-wise dot products ``X[i] @ Y[i]`` of two (N, dim) arrays.
+
+    One stacked 1x1 matmul per row rounds exactly as the scalar ``x @ y``;
+    ``einsum`` and ``sum(X * Y)`` can accumulate in a different order.
+    """
+    return (X[:, None, :] @ Y[:, :, None])[:, 0, 0]
+
+
+def pow_rows(base, exponent: float) -> np.ndarray:
+    """Element-wise ``base ** exponent``, rounded as the scalar ``float`` power.
+
+    numpy's array power can differ from libm ``pow`` in the last bit, and so
+    can ``x * x`` from ``x ** 2``; row kernels that must reproduce a scalar
+    computation bit for bit take their powers here.
+    """
+    return np.array([math.pow(b, exponent) for b in np.asarray(base, dtype=float).tolist()], dtype=float)
+
+
+def row_kernel(fn: Callable) -> Callable:
+    """Row-wise form of a scalar function of one or more vectors.
+
+    Built-in products and norms expose a ``rows`` method that evaluates
+    (N, dim) arrays row by row in closed form; any other callable is
+    evaluated by a loop over its scalar calls.
+    """
+    rows = getattr(fn, "rows", None)
+    if rows is not None:
+        return rows
+    return lambda *arrays: np.array([float(fn(*args)) for args in zip(*arrays)], dtype=float)
+
+
+def as_uniform(u, low: float, high: float) -> np.ndarray:
+    """Map ``rng.random`` draws onto [low, high) exactly as ``rng.uniform``
+    does, so one block of draws reproduces a sequence of ``rng.uniform``
+    calls bit for bit when laid out in their draw order."""
+    return low + (high - low) * u
 
 
 def first_diff_step(scale: float) -> float:
@@ -233,7 +284,11 @@ class AxiomReport:
 
 
 class ResidualTracker:
-    """Accumulates the max residual and its witness for one named check."""
+    """Accumulates the max residual and its witness for one named check.
+
+    A non-finite residual counts as ``inf``, so a NaN fails the check
+    instead of slipping past every comparison.
+    """
 
     def __init__(self, name: str):
         self.name = name
@@ -242,9 +297,26 @@ class ResidualTracker:
 
     def update(self, residual: float, *witness):
         residual = abs(float(residual))
+        if math.isnan(residual):
+            residual = math.inf
         if residual > self.residual:
             self.residual = residual
             self.witness = witness
+
+    def update_rows(self, residuals, *witness):
+        """Same as calling :meth:`update` once per row, in row order.
+
+        Each witness argument holds one entry per row: vectors as an
+        (N, dim) array, scalars as a length-N array.
+        """
+        r = np.abs(np.asarray(residuals, dtype=float))
+        if not r.size:
+            return
+        r[np.isnan(r)] = np.inf
+        i = int(np.argmax(r))  # the first row attaining the maximum
+        if r[i] > self.residual:
+            self.residual = float(r[i])
+            self.witness = tuple(w[i].copy() if np.ndim(w) > 1 else float(w[i]) for w in witness)
 
     def check(self, tol: float) -> Check:
         return Check(self.name, self.residual, self.witness, self.residual <= tol)

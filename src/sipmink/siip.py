@@ -26,16 +26,21 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConstantSignError, DimensionError, DomainError, UnsupportedError
-from .norms import NormSpec, norm, check_dim as _check_norm_dim
+from .errors import ConstantSignError, DomainError, UnsupportedError
+from .norms import NormSpec, norm
 from .numerics import (
     DEFAULT_TOLERANCES,
     ResidualTracker,
     Tolerances,
     as_seed,
+    as_uniform,
     build_report,
     central_diff,
+    check_dim,
+    dot_rows,
     first_diff_step,
+    pow_rows,
+    row_kernel,
     second_diff_step,
 )
 
@@ -86,12 +91,9 @@ class SiipSpace:
     def weighted_plane(cls) -> "SiipSpace":
         return cls(WEIGHTED_PLANE, 2)
 
-
-def _check_dim(space: SiipSpace, v) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    if v.shape != (space.dim,):
-        raise DimensionError(f"expected a vector of dimension {space.dim}, got shape {v.shape}")
-    return v
+    def rows(self, U, V) -> np.ndarray:
+        """Row kernel of the product: ``[U[i], V[i]]`` for (N, dim) arrays."""
+        return siip_rows(self, U, V)
 
 
 def _support(v: np.ndarray, support_tol: float) -> np.ndarray:
@@ -139,8 +141,8 @@ def _hessian(gfun: Callable, v: np.ndarray) -> np.ndarray:
 
 def siip(space: SiipSpace, u, v) -> float:
     """Evaluate the s.i.i.p. [u, v] of the given variant."""
-    u = _check_dim(space, u)
-    v = _check_dim(space, v)
+    u = check_dim(u, space.dim)
+    v = check_dim(v, space.dim)
     if space.kind == DIAGONAL:
         return float(np.sum(np.array(space.signature) * u * v))
     if space.kind == WEIGHTED_PLANE:
@@ -173,10 +175,22 @@ def siip(space: SiipSpace, u, v) -> float:
     raise DomainError(f"unknown variant {space.kind!r}")
 
 
-def _as_product(product) -> Callable[[np.ndarray, np.ndarray], float]:
-    if isinstance(product, SiipSpace):
-        return lambda u, v: siip(product, u, v)
-    return product
+def siip_rows(space: SiipSpace, U, V) -> np.ndarray:
+    """Row-wise ``[U[i], V[i]]`` of two (N, dim) arrays, bit-identical to
+    :func:`siip` on each row.
+
+    The weighted plane runs as array code; the other variants loop over
+    :func:`siip`.
+    """
+    U = check_dim(U, space.dim, rows=True)
+    V = check_dim(V, space.dim, rows=True)
+    if space.kind == WEIGHTED_PLANE:
+        x1, y1 = U.T
+        x2, y2 = V.T
+        den = x2 * x2 + 2.0 * y2 * y2
+        num = (x1 * x2 + 2.0 * y1 * y2) * (x2 * x2 + y2 * y2)
+        return np.divide(num, den, out=np.zeros(len(V)), where=den != 0.0)  # v = 0 gives 0, as in siip
+    return row_kernel(lambda u, v: siip(space, u, v))(U, V)
 
 
 def _definite_span(space: SiipSpace, product, u, v, tol: float) -> bool:
@@ -216,7 +230,7 @@ def siip_axiom_report(space: SiipSpace, seed, trials: int, tolerances: Tolerance
     if trials < 1:
         raise DomainError("trials must be at least 1")
     rng = as_seed(seed).rng()
-    product = _as_product(space)
+    product = lambda u, v: siip(space, u, v)
     basis = [_basis(space.dim, i) for i in range(space.dim)]
     add = ResidualTracker("additivity_first")
     hom1 = ResidualTracker("homogeneity_first")
@@ -255,39 +269,46 @@ def cauchy_schwarz_witness(
 ):
     """Search span(basis) for the worst Cauchy-Schwarz violation.
 
-    The subspace must look definite first: if sampled scalar squares
-    change sign (or vanish), raises :class:`ConstantSignError`.  Returns
-    ``(u, v, margin)`` with margin = [u,v]^2 - [u,u][v,v] for the worst
-    violating pair, or ``None`` when no violation was sampled.
+    ``product`` is a function of two vectors or an object with a row
+    kernel (a :class:`SiipSpace`, a bound Minkowski product).  The subspace
+    must look definite first: if sampled scalar squares change sign (or
+    vanish), raises :class:`ConstantSignError`.  Returns ``(u, v, margin)``
+    with margin = [u,v]^2 - [u,u][v,v] for the first of the worst violating
+    pairs, or ``None`` when no violation was sampled.
     """
-    fn = _as_product(product)
+    P = row_kernel(product)
     basis = [np.asarray(b, dtype=float) for b in basis]
+    if not basis:
+        return None
+    trials = max(trials, 0)  # a non-positive count samples nothing
     rng = as_seed(seed).rng()
-    sign = None
-    for _ in range(min(trials, 200)):
-        c = rng.uniform(-radius, radius, len(basis))
-        v = sum(ci * bi for ci, bi in zip(c, basis))
-        if not np.any(v):
-            continue
-        q = fn(v, v)
-        if abs(q) <= tolerances.eq_tol * max(1.0, float(v @ v)):
+    nb = len(basis)
+
+    def combine(draws):
+        C = as_uniform(draws, -radius, radius)
+        return sum(C[:, i, None] * b for i, b in enumerate(basis))  # summed from 0, as sum() did per vector
+
+    V = combine(rng.random((min(trials, 200), nb)))
+    V = V[np.any(V, axis=1)]
+    q = P(V, V)
+    vanishes = np.abs(q) <= tolerances.eq_tol * np.maximum(1.0, dot_rows(V, V))
+    flips = (q > 0) != (q[:1] > 0)
+    bad = vanishes | flips
+    if np.any(bad):
+        if vanishes[np.argmax(bad)]:
             raise ConstantSignError("sampled scalar square vanishes on the subspace")
-        if sign is None:
-            sign = q > 0
-        elif (q > 0) != sign:
-            raise ConstantSignError("sampled scalar squares change sign on the subspace")
-    best = None
-    for _ in range(trials):
-        cu = rng.uniform(-radius, radius, len(basis))
-        cv = rng.uniform(-radius, radius, len(basis))
-        u = sum(ci * bi for ci, bi in zip(cu, basis))
-        v = sum(ci * bi for ci, bi in zip(cv, basis))
-        if not (np.any(u) and np.any(v)):
-            continue
-        margin = fn(u, v) ** 2 - fn(u, u) * fn(v, v)
-        if margin > tolerances.eq_tol and (best is None or margin > best[2]):
-            best = (u, v, float(margin))
-    return best
+        raise ConstantSignError("sampled scalar squares change sign on the subspace")
+
+    draws = rng.random((trials, 2 * nb))
+    U, V = combine(draws[:, :nb]), combine(draws[:, nb:])
+    keep = np.any(U, axis=1) & np.any(V, axis=1)
+    U, V = U[keep], V[keep]
+    margin = pow_rows(P(U, V), 2.0) - P(U, U) * P(V, V)
+    violating = margin > tolerances.eq_tol
+    if not np.any(violating):
+        return None
+    i = int(np.argmax(np.where(violating, margin, -np.inf)))  # first of the largest
+    return U[i].copy(), V[i].copy(), float(margin[i])
 
 
 def normsquare_check(
@@ -326,7 +347,7 @@ def polarization_neutral_check(
     """
     if space.kind != DIAGONAL:
         raise UnsupportedError("neutrality via polarization needs a symmetric bilinear variant")
-    basis = [_check_dim(space, b) for b in basis]
+    basis = [check_dim(b, space.dim) for b in basis]
     tol = tolerances.eq_tol
     pairwise = all(
         abs(siip(space, bi, bj)) <= tol for bi in basis for bj in basis

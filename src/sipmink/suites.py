@@ -32,7 +32,7 @@ from .norms import (
     sip,
     sip_axiom_report,
 )
-from .numerics import ResidualTracker, Seed, as_seed
+from .numerics import DEFAULT_TOLERANCES, ResidualTracker, Seed, Tolerances, as_seed
 
 _FMT = "%.17g"
 
@@ -107,7 +107,7 @@ def suite_siip_axioms(cfg: RunConfig) -> list[CheckRow]:
     homogeneity in the second, real finite squares, sampled nondegeneracy."""
     space = cfg.space()
     rng = as_seed(cfg.seed).rng()
-    pp = lambda u, v: mink.product_plus(space, u, v)
+    pp = mink.BoundProduct(space, "+")
     add = ResidualTracker("additivity_first")
     hom1 = ResidualTracker("homogeneity_first")
     hom2 = ResidualTracker("homogeneity_second")
@@ -173,7 +173,7 @@ def suite_theorem2(cfg: RunConfig) -> list[CheckRow]:
 def suite_lemma2(cfg: RunConfig) -> list[CheckRow]:
     """The auxiliary product of the configured space is itself an s.i.p."""
     space = cfg.space()
-    pm = lambda u, v: mink.product_minus(space, u, v)
+    pm = mink.BoundProduct(space, "-")
     report = product_axiom_report(pm, space.n, Seed(cfg.seed), cfg.trials, cfg.tolerances)
     closed = all(b.norm.kind in ("euclidean", "pnorm", "max") for _, b in _blocks(cfg))
     tol = cfg.tolerances.eq_tol if closed else cfg.tolerances.fd_tol
@@ -250,7 +250,7 @@ def suite_lemma4(cfg: RunConfig) -> list[CheckRow]:
     rng = as_seed(cfg.seed).rng()
     ortho_track = ResidualTracker("frame_orthogonality")
     span_track = ResidualTracker("companion_in_span")
-    pp = lambda x, y: mink.product_plus(space, x, y)
+    pp = mink.BoundProduct(space, "+")
     for _ in range(25):
         v = hyp.lift(space, _sample_s(rng, space))
         frame = hyp.tangent_frame(space, v)
@@ -285,7 +285,7 @@ def suite_theorem10(cfg: RunConfig) -> list[CheckRow]:
     if not space.is_spacetime_model:
         return [CheckRow("theorem10", "not_applicable", True, 0.0, "needs a space-time model")]
     rng = as_seed(cfg.seed).rng()
-    pp = lambda x, y: mink.product_plus(space, x, y)
+    pp = mink.BoundProduct(space, "+")
     min_square = np.inf
     witness = ""
     for _ in range(100):
@@ -548,61 +548,80 @@ def suite_orthogonality(cfg: RunConfig) -> list[CheckRow]:
     return rows
 
 
-def suite_counterexamples(cfg: RunConfig) -> list[CheckRow]:
-    """Inverted-expectation suites: the violations must be found."""
-    rows = []
+@dataclass(frozen=True)
+class Counterexamples:
+    """The stock negative results, each computed once for the
+    ``counterexamples`` suite, the ``counterexample`` command and
+    ``scripts/reproduce_counterexamples.py``."""
+
+    plane_value: float  # [(1,2), (1,1)] of the weighted plane: 10/3
+    plane_squares: tuple  # [u,u] and [v,v] of that pair
+    plane_margin: float  # [u,v]^2 - [u,u][v,v]: 10/9
+    plane_witness: tuple | None  # seeded search of the weighted plane (always Seed(3))
+    max_plane_witness: tuple | None  # positive plane x3 = x2/2 of the max-norm space-time
+    flat_witness: tuple | None  # flat piece of the max-norm unit sphere
+    pnorm_flat_witness: tuple | None  # None: the p=3 norm is strictly convex
+
+
+def stock_counterexamples(seed, tolerances: Tolerances = DEFAULT_TOLERANCES) -> Counterexamples:
     plane = _SiipSpace.weighted_plane()
     u, v = np.array([1.0, 2.0]), np.array([1.0, 1.0])
-    val = _siip(plane, u, v)
-    rows.append(CheckRow("counterexamples", "plane_value", abs(val - 10.0 / 3.0) <= 1e-12, abs(val - 10.0 / 3.0), "[(1,2),(1,1)]"))
-    margin = val**2 - _siip(plane, u, u) * _siip(plane, v, v)
-    rows.append(CheckRow("counterexamples", "plane_margin", abs(margin - 10.0 / 9.0) <= 1e-9, abs(margin - 10.0 / 9.0)))
-    basis2 = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
-    witness = _cs_witness(plane, basis2, Seed(3), 2000, cfg.tolerances)
+    value = _siip(plane, u, v)
+    squares = (_siip(plane, u, u), _siip(plane, v, v))
+    plane_basis = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
+    max_plane = mink.BoundProduct(mink.max_norm_spacetime(), "+")
+    max_basis = [np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.5])]
+    return Counterexamples(
+        plane_value=value,
+        plane_squares=squares,
+        plane_margin=value**2 - squares[0] * squares[1],
+        plane_witness=_cs_witness(plane, plane_basis, Seed(3), 2000, tolerances),
+        max_plane_witness=_cs_witness(max_plane, max_basis, seed, 2000, tolerances),
+        flat_witness=iso.strict_convexity_witness(SipSpace.max_norm(2), seed, 2000, tolerances),
+        pnorm_flat_witness=iso.strict_convexity_witness(SipSpace.pnorm(3.0, 2), seed, 2000, tolerances),
+    )
+
+
+def suite_counterexamples(cfg: RunConfig) -> list[CheckRow]:
+    """Inverted-expectation suites: the violations must be found."""
+    found = stock_counterexamples(Seed(cfg.seed), cfg.tolerances)
+    val, margin = found.plane_value, found.plane_margin
+    witness = found.plane_witness
     ok = witness is not None and witness[2] >= 10.0 / 9.0
-    rows.append(
+    max_witness = found.max_plane_witness
+    flat, none_found = found.flat_witness, found.pnorm_flat_witness
+    return [
+        CheckRow("counterexamples", "plane_value", abs(val - 10.0 / 3.0) <= 1e-12, abs(val - 10.0 / 3.0), "[(1,2),(1,1)]"),
+        CheckRow("counterexamples", "plane_margin", abs(margin - 10.0 / 9.0) <= 1e-9, abs(margin - 10.0 / 9.0)),
         CheckRow(
             "counterexamples",
             "plane_witness_found",
             ok,
             witness[2] if witness else 0.0,
             _fmt_vec(witness[0]) if witness else "no violation found",
-        )
-    )
-    space = mink.max_norm_spacetime()
-    pp = lambda a, b: mink.product_plus(space, a, b)
-    basis = [np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.5])]
-    witness = _cs_witness(pp, basis, Seed(cfg.seed), 2000, cfg.tolerances)
-    rows.append(
+        ),
         CheckRow(
             "counterexamples",
             "max_plane_witness_found",
-            witness is not None,
-            witness[2] if witness else 0.0,
-            _fmt_vec(witness[0]) if witness else "no violation found",
-        )
-    )
-    flat = iso.strict_convexity_witness(SipSpace.max_norm(2), Seed(cfg.seed), 2000, cfg.tolerances)
-    rows.append(
+            max_witness is not None,
+            max_witness[2] if max_witness else 0.0,
+            _fmt_vec(max_witness[0]) if max_witness else "no violation found",
+        ),
         CheckRow(
             "counterexamples",
             "max_norm_flat_witness",
             flat is not None,
             0.0,
             _fmt_vec(flat[0]) if flat else "no witness",
-        )
-    )
-    none_found = iso.strict_convexity_witness(SipSpace.pnorm(3.0, 2), Seed(cfg.seed), 2000, cfg.tolerances)
-    rows.append(
+        ),
         CheckRow(
             "counterexamples",
             "pnorm_strictly_convex",
             none_found is None,
             0.0,
             "" if none_found is None else _fmt_vec(none_found[0]),
-        )
-    )
-    return rows
+        ),
+    ]
 
 
 SUITES = {
