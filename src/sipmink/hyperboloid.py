@@ -194,21 +194,29 @@ def _segment_lengths(space, seg_starts: np.ndarray, seg_deltas: np.ndarray, quad
     """Arc lengths of chord lifts: S runs straight from start to start+delta,
     tau follows the lift.  Velocities use a central difference of the lifted
     tau along the chord parameter; the S velocity is the constant delta.
-    Simpson grid from _quadrature_grid; PathError if a velocity turns time-like."""
-    s_space = space.s_space
+    Simpson grid from _quadrature_grid; PathError if a velocity turns time-like.
+    The shifted points and the deltas share one norm_batch call and the steps
+    after it run on the stacked arrays: on the two-segment batches of the
+    node-wise relaxation, each numpy call costs more than its arithmetic."""
     sig, weights = _quadrature_grid(quad_m)
+    n, nq = seg_deltas.shape[0], sig.size
     P = seg_starts[:, None, :] + sig[None, :, None] * seg_deltas[:, None, :]
     step = _EPS3
     off = step * seg_deltas[:, None, :]
-    tau_p = np.sqrt(1.0 + norm_batch(s_space, P + off) ** 2)
-    tau_m = np.sqrt(1.0 + norm_batch(s_space, P - off) ** 2)
-    dtau = (tau_p - tau_m) / (2.0 * step)
-    speed2 = norm_batch(s_space, seg_deltas) ** 2
+    rows = np.empty((2 * n * nq + n, seg_deltas.shape[1]))
+    shifted = rows[: 2 * n * nq].reshape(2, *P.shape)
+    np.add(P, off, out=shifted[0])
+    np.subtract(P, off, out=shifted[1])
+    rows[2 * n * nq :] = seg_deltas
+    sq = norm_batch(space.s_space, rows) ** 2
+    tau = np.sqrt(1.0 + sq[: 2 * n * nq]).reshape(2, n, nq)  # the lift at P+off, then at P-off
+    dtau = (tau[0] - tau[1]) / (2.0 * step)
+    speed2 = sq[2 * n * nq :]
     rad = speed2[:, None] - dtau**2
-    floor = -1e-11 * max(1.0, float(np.max(speed2, initial=0.0)))
-    if np.any(rad < floor):
+    floor = -1e-11 * max(1.0, float(np.maximum.reduce(speed2, initial=0.0)))
+    if (rad < floor).any():
         raise PathError("curve velocity left the space-like regime")
-    g = np.sqrt(np.clip(rad, 0.0, None))
+    g = np.sqrt(np.maximum(rad, 0.0))
     return g @ weights
 
 
@@ -273,9 +281,15 @@ def _relax_simplex(space, s_nodes: np.ndarray, quad_m: int, sweeps: int, opt_tol
     for _ in range(sweeps):
         moved = 0.0
         for i in range(1, m):
-            def local(sv, lo=s_nodes[i - 1].copy(), hi=s_nodes[i + 1].copy()):
-                L = _segment_lengths(space, np.array([lo, sv]), np.array([sv - lo, hi - sv]), quad_m)
-                return float(np.sum(L * L))
+            starts, deltas = np.empty((2, 2, s_nodes.shape[1]))  # rewritten by every evaluation
+            starts[0] = s_nodes[i - 1]
+
+            def local(sv, starts=starts, deltas=deltas, hi=s_nodes[i + 1].copy()):
+                starts[1] = sv
+                np.subtract(sv, starts[0], out=deltas[0])
+                np.subtract(hi, sv, out=deltas[1])
+                L = _segment_lengths(space, starts, deltas, quad_m)
+                return float(np.add.reduce(L * L))
 
             try:
                 best, _ = minimize(local, s_nodes[i], opt_tol=max(opt_tol, 1e-8), max_iter=300)

@@ -187,7 +187,7 @@ def norm_batch(space, X: np.ndarray) -> np.ndarray:
     if spec.kind == PNORM:
         return np.sum(np.abs(X) ** spec.p, axis=-1) ** (1.0 / spec.p)
     if spec.kind == MAX:
-        return np.max(np.abs(X), axis=-1)
+        return np.maximum.reduce(np.abs(X), axis=-1)
     return np.array([float(spec.gauge(row)) for row in X.reshape(-1, spec.dim)]).reshape(X.shape[:-1])
 
 

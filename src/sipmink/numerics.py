@@ -125,7 +125,7 @@ def second_diff_step(scale: float) -> float:
 
 def _finite(value: float, what: str) -> float:
     value = float(value)
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise NumericalError(f"non-finite value in {what}: {value!r}")
     return value
 
@@ -194,12 +194,12 @@ def minimize(
     fv = np.array([_finite(f(v), "minimize") for v in sim])
 
     for _ in range(max_iter):
-        order = np.argsort(fv, kind="stable")
+        order = fv.argsort(kind="stable")
         sim, fv = sim[order], fv[order]
-        diam = float(np.max(np.abs(sim[1:] - sim[0]))) if n else 0.0
+        diam = float(np.maximum.reduce(np.abs(sim[1:] - sim[0]), axis=None)) if n else 0.0
         if diam < opt_tol:
             return sim[0].copy(), float(fv[0])
-        centroid = sim[:-1].mean(axis=0)
+        centroid = np.add.reduce(sim[:-1], axis=0) / n  # the mean, as np.mean computes it, minus its wrapper
         xr = centroid + (centroid - sim[-1])
         fr = _finite(f(xr), "minimize")
         if fr < fv[0]:

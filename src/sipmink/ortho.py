@@ -24,7 +24,7 @@ from .errors import (
     UnsupportedError,
 )
 from .minkowski import GeneralizedMinkowskiSpace, embed, product_plus
-from .norms import MAX, NormSpec, SipSpace, norm, norm_batch, sip, sip_matrix
+from .norms import MAX, NormSpec, SipSpace, norm, norm_batch, norm_rows, sip, sip_matrix
 from .numerics import DEFAULT_TOLERANCES, Tolerances, as_seed, minimize
 
 
@@ -65,12 +65,13 @@ def birkhoff_margin(space, x, y, opt_tol: float = DEFAULT_TOLERANCES.opt_tol):
         return norm(space, xh + float(t) * yh)
 
     grid = np.linspace(-8.0, 8.0, 33)
-    vals = [f(t) for t in grid]
-    t0 = float(grid[int(np.argmin(vals))])
+    vals = norm_rows(space, xh[None, :] + grid[:, None] * yh[None, :])  # f on every grid point
+    i0 = int(np.argmin(vals))
+    t0 = float(grid[i0])
     pt, val = minimize(lambda t: f(t[0]), np.array([t0]), opt_tol=opt_tol, max_iter=500)
     best_t, best_v = float(pt[0]), float(val)
-    if min(vals) < best_v:
-        best_t, best_v = t0, float(min(vals))
+    if vals[i0] < best_v:
+        best_t, best_v = t0, float(vals[i0])
     return nx * best_v, best_t * nx / ny
 
 
@@ -336,7 +337,7 @@ def pythagorean_subspace_scan(norm_spec: NormSpec, resolution: int = 360):
     n = U.shape[0]
     worst = np.zeros((n, n))
     scales = [0.25, 0.5, 1.0, 2.0, -0.25, -0.5, -1.0, -2.0]
-    for lam in scales:
+    for lam in scales[:4]:  # (-lam, -mu) gives -D, whose norms are the same
         for mu in scales:
             D = lam * U[:, None, :] - mu * U[None, :, :]
             nd = norm_batch(norm_spec, D.reshape(-1, 2)).reshape(n, n)

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from sipmink.errors import ConvergenceError, DomainError, TangentError, UnsupportedError
+from sipmink.errors import ConvergenceError, DomainError, PathError, TangentError, UnsupportedError
 from sipmink.hyperboloid import (
+    _EPS3,
     HPoint,
     Path,
     _energy_gradient,
@@ -27,7 +28,7 @@ from sipmink.minkowski import (
     max_norm_spacetime,
     product_plus,
 )
-from sipmink.norms import NormSpec, norm, sip
+from sipmink.norms import NormSpec, norm, norm_batch, sip
 from sipmink.numerics import DEFAULT_TOLERANCES, central_diff, first_diff_step, integrate, minimize
 from sipmink.ortho import orthogonal_companion_basis
 
@@ -35,6 +36,9 @@ PSEUDO21 = GeneralizedMinkowskiSpace.pseudo_euclidean(2)
 PSEUDO31 = GeneralizedMinkowskiSpace.pseudo_euclidean(3)
 REMARK = max_norm_spacetime()
 P3SPACE = GeneralizedMinkowskiSpace.from_norms(NormSpec.pnorm(3.0, 2), NormSpec.euclidean(1))
+GAUGE_SPACE = GeneralizedMinkowskiSpace.from_norms(
+    NormSpec.custom_gauge(lambda v: float(abs(v[0]) + 2.0 * abs(v[1])), 2), NormSpec.euclidean(1)
+)
 
 
 def hyperbolic_distance(space, a, b):
@@ -272,6 +276,54 @@ ASSEMBLY_NODES = pytest.mark.parametrize("m", [4, 7, 32])
 
 def _random_nodes(space, m):
     return np.random.default_rng(1000 * m + space.k).uniform(-1.5, 1.5, (m + 1, space.k))
+
+
+def _three_call_segment_lengths(space, seg_starts, seg_deltas, quad_m):
+    """Reference: the chord-lift lengths with one norm_batch call each for the
+    forward-shifted points, the backward-shifted points and the deltas."""
+    s_space = space.s_space
+    sig, weights = _quadrature_grid(quad_m)
+    P = seg_starts[:, None, :] + sig[None, :, None] * seg_deltas[:, None, :]
+    step = _EPS3
+    off = step * seg_deltas[:, None, :]
+    tau_p = np.sqrt(1.0 + norm_batch(s_space, P + off) ** 2)
+    tau_m = np.sqrt(1.0 + norm_batch(s_space, P - off) ** 2)
+    dtau = (tau_p - tau_m) / (2.0 * step)
+    speed2 = norm_batch(s_space, seg_deltas) ** 2
+    rad = speed2[:, None] - dtau**2
+    floor = -1e-11 * max(1.0, float(np.max(speed2, initial=0.0)))
+    if np.any(rad < floor):
+        raise PathError("curve velocity left the space-like regime")
+    g = np.sqrt(np.clip(rad, 0.0, None))
+    return g @ weights
+
+
+class TestSegmentLengths:
+    @pytest.mark.parametrize(
+        "space", [PSEUDO21, P3SPACE, REMARK, GAUGE_SPACE], ids=["euclidean", "p3", "max", "gauge"]
+    )
+    # 1 and 2 segments (a node-wise local objective), 4k(m-1) at m=32 (an energy gradient)
+    @pytest.mark.parametrize("segments", [1, 2, 4 * 2 * 31])
+    @pytest.mark.parametrize("quad_m", [4, 8])
+    def test_matches_three_call_reference_bitwise(self, space, segments, quad_m):
+        rng = np.random.default_rng(7 * segments + quad_m)
+        starts = rng.uniform(-1.5, 1.5, (segments, 2))
+        deltas = rng.uniform(-0.4, 0.4, (segments, 2))
+        got = _segment_lengths(space, starts, deltas, quad_m)
+        assert np.array_equal(got, _three_call_segment_lengths(space, starts, deltas, quad_m))
+
+    @pytest.mark.parametrize("segments", [1, 3])
+    def test_time_like_chord_raises_the_same_path_error(self, segments):
+        # a short radial chord far out: the central difference of the lift
+        # makes its velocity time-like
+        starts = np.tile([[0.5, 0.0]], (segments, 1))
+        deltas = np.tile([[0.1, 0.2]], (segments, 1))
+        starts[-1], deltas[-1] = [1e5, 0.0], [0.1, 0.0]
+        with pytest.raises(PathError) as ref:
+            _three_call_segment_lengths(PSEUDO21, starts, deltas, 4)
+        with pytest.raises(PathError) as err:
+            _segment_lengths(PSEUDO21, starts, deltas, 4)
+        assert str(err.value) == str(ref.value)
 
 
 class TestSolverAssembly:

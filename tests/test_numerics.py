@@ -6,6 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sipmink.errors import ConvergenceError, DomainError, NumericalError
+from sipmink.hyperboloid import _segment_lengths
+from sipmink.minkowski import max_norm_spacetime
 from sipmink.numerics import (
     Seed,
     Tolerances,
@@ -125,6 +127,106 @@ class TestMinimize:
             minimize(lambda x: float(x @ x), np.array([5.0, 5.0]), max_iter=3)
         assert err.value.best_point is not None
         assert err.value.best_value is not None
+
+
+def _reference_minimize(f, x0, opt_tol=1e-7, max_iter=2000):
+    """Reference: the Nelder-Mead descent with numpy's isfinite, mean and max."""
+
+    def finite(value):
+        value = float(value)
+        if not np.isfinite(value):
+            raise NumericalError(f"non-finite value in minimize: {value!r}")
+        return value
+
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    n = x0.size
+    edge = 0.1 * max(1.0, float(np.linalg.norm(x0)))
+    sim = np.empty((n + 1, n))
+    sim[0] = x0
+    for i in range(n):
+        sim[i + 1] = x0
+        sim[i + 1, i] += edge
+    fv = np.array([finite(f(v)) for v in sim])
+    for _ in range(max_iter):
+        order = np.argsort(fv, kind="stable")
+        sim, fv = sim[order], fv[order]
+        diam = float(np.max(np.abs(sim[1:] - sim[0]))) if n else 0.0
+        if diam < opt_tol:
+            return sim[0].copy(), float(fv[0])
+        centroid = sim[:-1].mean(axis=0)
+        xr = centroid + (centroid - sim[-1])
+        fr = finite(f(xr))
+        if fr < fv[0]:
+            xe = centroid + 2.0 * (centroid - sim[-1])
+            fe = finite(f(xe))
+            if fe < fr:
+                sim[-1], fv[-1] = xe, fe
+            else:
+                sim[-1], fv[-1] = xr, fr
+        elif fr < fv[-2]:
+            sim[-1], fv[-1] = xr, fr
+        else:
+            inside = fr >= fv[-1]
+            xc = centroid + 0.5 * ((sim[-1] if inside else xr) - centroid)
+            fc = finite(f(xc))
+            if fc < min(fr, fv[-1]):
+                sim[-1], fv[-1] = xc, fc
+            else:
+                sim[1:] = sim[0] + 0.5 * (sim[1:] - sim[0])
+                fv[1:] = [finite(f(v)) for v in sim[1:]]
+    best = int(np.argmin(fv))
+    raise ConvergenceError("budget", best_point=sim[best].copy(), best_value=float(fv[best]))
+
+
+def _two_segment_max_objective():
+    """The node-wise local objective of the max-norm geodesic relaxation."""
+    space = max_norm_spacetime()
+    lo, hi = np.array([0.3673, -0.8078]), np.array([-0.2391, 0.2903])
+
+    def local(sv):
+        L = _segment_lengths(space, np.array([lo, sv]), np.array([sv - lo, hi - sv]), 4)
+        return float(np.sum(L * L))
+
+    return local
+
+
+REFERENCE_OBJECTIVES = pytest.mark.parametrize(
+    "f, x0",
+    [
+        (lambda x: float(x @ x), [1.0, 1.0]),
+        (lambda x: max(abs(1 + x[0]), abs(x[0])), [0.0]),
+        (_two_segment_max_objective(), [0.1, -0.3]),
+    ],
+    ids=["quadratic-bowl", "max-norm-section", "two-segment-max"],
+)
+
+
+class TestMinimizeMatchesReference:
+    @REFERENCE_OBJECTIVES
+    def test_same_point_and_value(self, f, x0):
+        pt, val = minimize(f, np.array(x0), opt_tol=1e-8, max_iter=300)
+        ref_pt, ref_val = _reference_minimize(f, np.array(x0), opt_tol=1e-8, max_iter=300)
+        assert np.array_equal(pt, ref_pt) and val == ref_val
+
+    @REFERENCE_OBJECTIVES
+    def test_budget_exhaustion_carries_the_same_best(self, f, x0):
+        with pytest.raises(ConvergenceError) as err:
+            minimize(f, np.array(x0), max_iter=5)
+        with pytest.raises(ConvergenceError) as ref:
+            _reference_minimize(f, np.array(x0), max_iter=5)
+        assert np.array_equal(err.value.best_point, ref.value.best_point)
+        assert err.value.best_value == ref.value.best_value
+
+    @pytest.mark.parametrize(
+        "f",
+        [lambda x: float("nan"), lambda x: float(x @ x) if x[0] > 0.9 else math.nan],
+        ids=["at-start", "mid-descent"],
+    )
+    def test_nan_objective_raises(self, f):
+        with pytest.raises(NumericalError):
+            _reference_minimize(f, np.array([1.0, 1.0]))
+        with pytest.raises(NumericalError):
+            minimize(f, np.array([1.0, 1.0]))
 
 
 class TestSampleVectors:

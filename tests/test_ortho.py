@@ -3,10 +3,11 @@ import pytest
 
 from sipmink.errors import DegenerateError, DomainError, NeutralPivotError
 from sipmink.minkowski import GeneralizedMinkowskiSpace, max_norm_spacetime, product_plus
-from sipmink.norms import NormSpec, SipSpace, norm, sip
-from sipmink.numerics import Seed
+from sipmink.norms import NormSpec, SipSpace, norm, norm_batch, sip
+from sipmink.numerics import Seed, minimize
 from sipmink.ortho import (
     OrthoRelation,
+    _unit_vectors,
     auerbach_basis_2d,
     birkhoff_margin,
     gram_determinant,
@@ -234,7 +235,57 @@ class TestMinkowskiAuerbach:
             minkowski_auerbach(space)
 
 
+def _loop_birkhoff_margin(space, x, y, opt_tol=1e-7):
+    """Reference: birkhoff_margin with one scalar norm call per seed-grid point."""
+    nx, ny = norm(space, x), norm(space, y)
+    if nx == 0.0 or ny == 0.0:
+        return nx, 0.0
+    xh, yh = x / nx, y / ny
+
+    def f(t):
+        return norm(space, xh + float(t) * yh)
+
+    grid = np.linspace(-8.0, 8.0, 33)
+    vals = [f(t) for t in grid]
+    t0 = float(grid[int(np.argmin(vals))])
+    pt, val = minimize(lambda t: f(t[0]), np.array([t0]), opt_tol=opt_tol, max_iter=500)
+    best_t, best_v = float(pt[0]), float(val)
+    if min(vals) < best_v:
+        best_t, best_v = t0, float(min(vals))
+    return nx * best_v, best_t * nx / ny
+
+
+class TestBirkhoffSeedGrid:
+    @pytest.mark.parametrize(
+        "space",
+        [E2, MAX2, P3, NormSpec.custom_gauge(lambda v: float(abs(v[0]) + 2.0 * abs(v[1])), 2)],
+        ids=["euclidean", "max", "p3", "gauge"],
+    )
+    def test_matches_scalar_loop_reference_bitwise(self, space, rng):
+        pairs = [rng.uniform(-2.0, 2.0, (2, 2)) for _ in range(20)]
+        pairs += [np.array([[1.0, 0.0], [1.0, 1.0]]), np.array([[0.0, 1.0], [0.0, 0.0]])]  # a tie, a zero
+        for x, y in pairs:
+            assert birkhoff_margin(space, x, y) == _loop_birkhoff_margin(space, x, y)
+
+
 class TestPythagoreanScan:
+    @pytest.mark.parametrize(
+        "spec",
+        [NormSpec.euclidean(2), NormSpec.max_norm(2), NormSpec.pnorm(3.0, 2), NormSpec.pnorm(4.0, 2)],
+        ids=["euclidean", "max", "p3", "p4"],
+    )
+    @pytest.mark.parametrize("resolution", [90, 120, 360])
+    def test_negated_scales_give_the_same_residuals(self, spec, resolution):
+        # the scan skips (-lam, -mu): it must give -D and the same norms bitwise
+        U = _unit_vectors(spec, np.linspace(0.0, np.pi, resolution, endpoint=False))
+        for lam in (0.25, 0.5, 1.0, 2.0):
+            for mu in (0.25, 0.5, 1.0, 2.0, -0.25, -0.5, -1.0, -2.0):
+                D = (lam * U[:, None, :] - mu * U[None, :, :]).reshape(-1, 2)
+                neg = (-lam * U[:, None, :] - -mu * U[None, :, :]).reshape(-1, 2)
+                assert np.array_equal(neg, -D)
+                assert np.array_equal(norm_batch(spec, neg), norm_batch(spec, D))
+
+
     def test_euclidean_finds_perpendicular_pair(self):
         found = pythagorean_subspace_scan(NormSpec.euclidean(2), 360)
         assert found is not None
