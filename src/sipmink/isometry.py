@@ -20,12 +20,12 @@ from .minkowski import (
     GeneralizedMinkowskiSpace,
     VectorClass,
     classify,
-    j_operator,
-    product_minus,
+    product_minus_rows,
     product_plus,
+    product_plus_rows,
 )
-from .norms import MAX, SipSpace, norm, norm_rows, sip, sip_rows
-from .numerics import DEFAULT_TOLERANCES, ResidualTracker, Tolerances, as_seed, as_uniform
+from .norms import MAX, SipSpace, norm_rows, sip_rows
+from .numerics import DEFAULT_TOLERANCES, ResidualTracker, Tolerances, as_seed, as_uniform, matvec_rows
 
 
 def load_matrix_csv(path: str) -> np.ndarray:
@@ -97,18 +97,19 @@ def isometry_report(
     F = require_invertible(F, tolerances.eq_tol)
     if F.shape[0] != space.n:
         raise DomainError("matrix dimension does not match the space")
+    if trials < 1:
+        raise DomainError("trials must be at least 1")
     rng = as_seed(seed).rng()
+    draws = as_uniform(rng.random((trials, 2 * space.n)), -1.5, 1.5)  # v then w, per trial
+    V, W = draws[:, : space.n], draws[:, space.n :]
+    FV, FW = matvec_rows(F, V), matvec_rows(F, W)
+    JW, JFW = W.copy(), FW.copy()
+    JW[:, space.k :] *= -1.0  # j_operator on each row
+    JFW[:, space.k :] *= -1.0
     prod = ResidualTracker("product")
     adj = ResidualTracker("adjoint")
-    for _ in range(trials):
-        v = rng.uniform(-1.5, 1.5, space.n)
-        w = rng.uniform(-1.5, 1.5, space.n)
-        prod.update(product_plus(space, F @ v, F @ w) - product_plus(space, v, w), v, w)
-        adj.update(
-            product_minus(space, F @ v, j_operator(space, F @ w)) - product_minus(space, v, j_operator(space, w)),
-            v,
-            w,
-        )
+    prod.update_rows(product_plus_rows(space, FV, FW) - product_plus_rows(space, V, W), V, W)
+    adj.update_rows(product_minus_rows(space, FV, JFW) - product_minus_rows(space, V, JW), V, W)
     e_n = np.zeros(space.n)
     e_n[-1] = 1.0
     img = F @ e_n
@@ -190,16 +191,18 @@ def distance_preservation_check(
 def sip_preservation_residual(space: SipSpace, F: np.ndarray, seed, trials: int):
     """(max |[Fx,Fy]-[x,y]|, max ||Fx|-|x||) over samples: a map preserving
     the (unique, smooth-norm) s.i.p. preserves the norm, and conversely."""
+    if trials < 1:
+        raise DomainError("trials must be at least 1")
     F = np.asarray(F, dtype=float)
     rng = as_seed(seed).rng()
-    sip_res = 0.0
-    norm_res = 0.0
-    for _ in range(trials):
-        x = rng.uniform(-1.5, 1.5, space.dim)
-        y = rng.uniform(-1.5, 1.5, space.dim)
-        sip_res = max(sip_res, abs(sip(space, F @ x, F @ y) - sip(space, x, y)))
-        norm_res = max(norm_res, abs(norm(space, F @ x) - norm(space, x)))
-    return sip_res, norm_res
+    draws = as_uniform(rng.random((trials, 2 * space.dim)), -1.5, 1.5)  # x then y, per trial
+    X, Y = draws[:, : space.dim], draws[:, space.dim :]
+    FX = matvec_rows(F, X)
+    sip_res = ResidualTracker("sip")
+    norm_res = ResidualTracker("norm")
+    sip_res.update_rows(sip_rows(space, FX, matvec_rows(F, Y)) - sip_rows(space, X, Y))
+    norm_res.update_rows(norm_rows(space, FX) - norm_rows(space, X))
+    return sip_res.residual, norm_res.residual
 
 
 def strict_convexity_witness(

@@ -20,10 +20,11 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError, UnsupportedError
 from .norms import EUCLIDEAN, NormSpec, SipSpace, sip, sip_rows
-from .numerics import DEFAULT_TOLERANCES, Tolerances, as_seed, check_dim
+from .numerics import DEFAULT_TOLERANCES, Tolerances, as_seed, as_uniform, check_dim
 
 
 class VectorClass(enum.Enum):
@@ -184,6 +185,21 @@ def classify(space: GeneralizedMinkowskiSpace, v, class_tol: float | None = None
     return VectorClass.SPACE_LIKE if q > 0 else VectorClass.TIME_LIKE
 
 
+_CLASSES = np.array([VectorClass.TIME_LIKE, VectorClass.LIGHT_LIKE, VectorClass.SPACE_LIKE], dtype=object)
+
+
+def classify_rows(space: GeneralizedMinkowskiSpace, V, class_tol: float | None = None) -> np.ndarray:
+    """:func:`classify` of each row of an (N, n) array, as an object array
+    of :class:`VectorClass` members (compare with ``==``)."""
+    if class_tol is None:
+        class_tol = DEFAULT_TOLERANCES.class_tol
+    V = check_dim(V, space.n, rows=True)
+    q = product_plus_rows(space, V, V)
+    scale = np.maximum(1.0, product_minus_rows(space, V, V))
+    code = np.where(np.abs(q) <= class_tol * scale, 1, np.where(q > 0, 2, 0))
+    return _CLASSES[code]
+
+
 def cone_part(space: GeneralizedMinkowskiSpace, v, class_tol: float | None = None) -> ConePart:
     """Which sheet of the time-like double cone v lies on (space-time model)."""
     if not space.is_spacetime_model:
@@ -216,30 +232,72 @@ def cone_convexity_check(
     Draws pairs a, b in T+ by rejection, mixes them with a random weight,
     and records any mixture that leaves T+.  Also checks that classification
     is invariant under nonzero scaling.
+
+    A trial draws, in this order: candidates for a (n draws each) until one
+    lies in T+, the same for b, the weight mu, the scale |lam|, its sign and
+    v (n draws).  The draws come in blocks of ``rng.random``, which continue
+    the stream bit for bit; the candidate at every offset of a block is
+    classified in one call, and only the rejection walk over offsets runs
+    per trial.
     """
     if not space.is_spacetime_model:
         raise UnsupportedError("cone decomposition needs a one-dimensional T block")
+    if trials < 1:
+        raise DomainError("trials must be at least 1")
     rng = as_seed(seed).rng()
     tol = tolerances.class_tol
+    n = space.n
+    tail = 3 + n  # mu, |lam|, sign, v
+    block = trials * (10 * n + tail)  # 1.4-1.7 times what the stock 2+1 spaces use
+    start = 0  # stream offset of draws[0]
+    draws = np.empty(0)
+    candidates = np.empty((0, n))
+    in_tplus: list = []
+    picked = ([], [], [])  # stream offsets of a, b and the tail of each trial
+    rows = []  # their rows, copied out before the draws behind the walk are dropped
 
-    def sample_tplus() -> np.ndarray:
+    def copy_out():
+        a, b, t = (np.asarray(offsets, dtype=np.intp) - start for offsets in picked)
+        rows.append((candidates[a], candidates[b], draws[t[:, None] + np.arange(tail)]))
+        for offsets in picked:
+            offsets.clear()
+
+    def extend(keep_from: int):
+        # keeps memory bounded however many candidates the sampler rejects
+        nonlocal start, draws, candidates, in_tplus
+        copy_out()
+        draws = np.concatenate([draws[keep_from - start :], rng.random(block)])
+        start = keep_from
+        candidates = as_uniform(sliding_window_view(draws, n), -1.0, 1.0)
+        candidates[:, -1] = np.abs(candidates[:, -1]) + 0.05
+        timelike = classify_rows(space, candidates, tol) == VectorClass.TIME_LIKE
+        in_tplus = (timelike & (candidates[:, -1] > 0)).tolist()
+
+    def sample_tplus(p: int) -> int:
         while True:
-            v = rng.uniform(-1.0, 1.0, space.n)
-            v[-1] = abs(v[-1]) + 0.05
-            if cone_part(space, v, tol) is ConePart.T_PLUS:
-                return v
+            if p - start >= len(in_tplus):
+                extend(p)
+            if in_tplus[p - start]:
+                return p
+            p += n
 
-    convexity = []
-    scaling = []
+    p = 0
     for _ in range(trials):
-        a = sample_tplus()
-        b = sample_tplus()
-        mu = float(rng.uniform(0.0, 1.0))
-        mix = mu * a + (1.0 - mu) * b
-        if cone_part(space, mix, tol) is not ConePart.T_PLUS:
-            convexity.append((a, b, mu))
-        lam = float(rng.uniform(0.1, 3.0)) * (1.0 if rng.uniform() < 0.5 else -1.0)
-        v = rng.uniform(-1.5, 1.5, space.n)
-        if classify(space, lam * v, tol) is not classify(space, v, tol):
-            scaling.append((v, lam))
-    return ConeReport(trials, tuple(convexity), tuple(scaling))
+        picked[0].append(sample_tplus(p))
+        picked[1].append(sample_tplus(picked[0][-1] + n))
+        t = picked[1][-1] + n
+        if t + tail > start + len(draws):
+            extend(t)
+        picked[2].append(t)
+        p = t + tail
+    copy_out()
+    A, B, T = (np.concatenate(parts) for parts in zip(*rows))
+    mu = as_uniform(T[:, 0], 0.0, 1.0)
+    lam = as_uniform(T[:, 1], 0.1, 3.0) * np.where(T[:, 2] < 0.5, 1.0, -1.0)
+    V = as_uniform(T[:, 3:], -1.5, 1.5)
+    mix = mu[:, None] * A + (1.0 - mu)[:, None] * B
+    left = (classify_rows(space, mix, tol) != VectorClass.TIME_LIKE) | ~(mix[:, -1] > 0)
+    rescaled = classify_rows(space, lam[:, None] * V, tol) != classify_rows(space, V, tol)
+    convexity = tuple((A[i].copy(), B[i].copy(), float(mu[i])) for i in np.flatnonzero(left))
+    scaling = tuple((V[i].copy(), float(lam[i])) for i in np.flatnonzero(rescaled))
+    return ConeReport(trials, convexity, scaling)

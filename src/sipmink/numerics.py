@@ -25,7 +25,9 @@ class Tolerances:
     eq_tol    equality residuals of closed-form identities
     fd_tol    residuals involving finite differences
     opt_tol   minimizer convergence (simplex diameter)
-    class_tol light-like classification band, relative to the definite square
+    class_tol light-like classification band, relative to the definite square;
+              below 1, since |[v,v]^+| <= [v,v]^- makes a band of 1 or more
+              call every vector light-like
     """
 
     eq_tol: float = 1e-9
@@ -39,6 +41,8 @@ class Tolerances:
                 raise DomainError(f"{name} must be strictly positive")
         if not self.fd_tol > self.eq_tol:
             raise DomainError("fd_tol must exceed eq_tol")
+        if not self.class_tol < 1:
+            raise DomainError("class_tol must be below 1: a wider band calls every vector light-like")
 
 
 DEFAULT_TOLERANCES = Tolerances()
@@ -81,6 +85,15 @@ def dot_rows(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     ``einsum`` and ``sum(X * Y)`` can accumulate in a different order.
     """
     return (X[:, None, :] @ Y[:, :, None])[:, 0, 0]
+
+
+def matvec_rows(F: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Row-wise products ``F @ V[i]`` of a square matrix and an (N, dim) array.
+
+    One stacked matrix-vector product per row rounds exactly as the single
+    ``F @ v``; ``V @ F.T`` can accumulate in a different order.
+    """
+    return (F[None] @ V[:, :, None])[:, :, 0]
 
 
 def pow_rows(base, exponent: float) -> np.ndarray:

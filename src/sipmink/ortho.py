@@ -332,17 +332,28 @@ def pythagorean_subspace_scan(norm_spec: NormSpec, resolution: int = 360):
         raise UnsupportedError("the scan covers two-dimensional norms")
     if resolution < 90:
         raise DomainError("resolution must be at least 90")
-    thetas = np.linspace(0.0, np.pi, resolution, endpoint=False)
-    U = _unit_vectors(norm_spec, thetas)
-    n = U.shape[0]
-    worst = np.zeros((n, n))
-    scales = [0.25, 0.5, 1.0, 2.0, -0.25, -0.5, -1.0, -2.0]
-    for lam in scales[:4]:  # (-lam, -mu) gives -D, whose norms are the same
-        for mu in scales:
-            D = lam * U[:, None, :] - mu * U[None, :, :]
-            nd = norm_batch(norm_spec, D.reshape(-1, 2)).reshape(n, n)
-            worst = np.maximum(worst, np.abs(lam * lam + mu * mu - nd * nd))
+    U = _unit_vectors(norm_spec, np.linspace(0.0, np.pi, resolution, endpoint=False))
+    worst = _pythagorean_residuals(norm_spec, U)
     i, j = np.unravel_index(int(np.argmin(worst)), worst.shape)
     if worst[i, j] <= 1e-6:
         return U[i], U[j]
     return None
+
+
+def _pythagorean_residuals(norm_spec: NormSpec, U: np.ndarray) -> np.ndarray:
+    """worst[i, j]: the largest |lam^2 + mu^2 - |lam U[i] - mu U[j]|^2| over
+    lam, mu in +-{1/4, 1/2, 1, 2}.
+
+    (-lam, -mu) gives -D, whose norms are the same, and (mu, lam) gives
+    -D.T; so 20 of the 64 scale pairs cover all, with the transpose of
+    the maximum taken at the end.
+    """
+    n = U.shape[0]
+    worst = np.zeros((n, n))
+    scales = (0.25, 0.5, 1.0, 2.0)
+    for a, lam in enumerate(scales):
+        for mu in (s * m for m in scales[a:] for s in (1.0, -1.0)):
+            D = lam * U[:, None, :] - mu * U[None, :, :]
+            nd = norm_batch(norm_spec, D.reshape(-1, 2)).reshape(n, n)
+            worst = np.maximum(worst, np.abs(lam * lam + mu * mu - nd * nd))
+    return np.maximum(worst, worst.T)

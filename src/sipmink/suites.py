@@ -22,7 +22,7 @@ from . import minkowski as mink
 from . import ortho
 from .siip import SiipSpace as _SiipSpace, cauchy_schwarz_witness as _cs_witness, siip as _siip
 from .config import RunConfig
-from .errors import NeutralPivotError
+from .errors import DomainError, NeutralPivotError
 from .norms import (
     NormSpec,
     SipSpace,
@@ -32,7 +32,7 @@ from .norms import (
     sip,
     sip_axiom_report,
 )
-from .numerics import DEFAULT_TOLERANCES, ResidualTracker, Seed, Tolerances, as_seed
+from .numerics import DEFAULT_TOLERANCES, ResidualTracker, Seed, Tolerances, as_seed, as_uniform, matvec_rows
 
 _FMT = "%.17g"
 
@@ -106,27 +106,32 @@ def suite_siip_axioms(cfg: RunConfig) -> list[CheckRow]:
     """Minkowski product: additivity/homogeneity in the first argument,
     homogeneity in the second, real finite squares, sampled nondegeneracy."""
     space = cfg.space()
-    rng = as_seed(cfg.seed).rng()
-    pp = mink.BoundProduct(space, "+")
+    if cfg.trials < 1:
+        raise DomainError("trials must be at least 1")
+    n = space.n
+    draws = as_seed(cfg.seed).rng().random((cfg.trials, 3 * n + 1))  # x, y, v, lam per trial
+    X, Y, V = (as_uniform(draws[:, i * n : (i + 1) * n], -1.5, 1.5) for i in range(3))
+    lam = as_uniform(draws[:, 3 * n], -3.0, 3.0)
+    keep = np.any(V, axis=1)  # trials with v = 0 are skipped
+    X, Y, V, lam = X[keep], Y[keep], V[keep], lam[keep]
+    lam_col = lam[:, None]
+    P = mink.BoundProduct(space, "+").rows
     add = ResidualTracker("additivity_first")
     hom1 = ResidualTracker("homogeneity_first")
     hom2 = ResidualTracker("homogeneity_second")
     sq = ResidualTracker("square_real")
     nondeg = ResidualTracker("nondegeneracy")
-    basis = [np.eye(space.n)[i] for i in range(space.n)]
     tol = cfg.tolerances.eq_tol
-    for _ in range(cfg.trials):
-        x, y, v = (rng.uniform(-1.5, 1.5, space.n) for _ in range(3))
-        lam = float(rng.uniform(-3.0, 3.0))
-        if not np.any(v):
-            continue
-        add.update(pp(x + y, v) - pp(x, v) - pp(y, v), x, y, v)
-        hom1.update(pp(lam * x, v) - lam * pp(x, v), lam, x, v)
-        hom2.update(pp(x, lam * v) - lam * pp(x, v), lam, x, v)
-        q = pp(v, v)
-        sq.update(0.0 if np.isfinite(q) else np.inf, v)
-        if abs(q) <= tol and all(abs(pp(b, v)) <= tol for b in basis):
-            nondeg.update(1.0, v)
+    pxv = P(X, V)
+    q = P(V, V)
+    add.update_rows(P(X + Y, V) - pxv - P(Y, V), X, Y, V)
+    hom1.update_rows(P(lam_col * X, V) - lam * pxv, lam, X, V)
+    hom2.update_rows(P(X, lam_col * V) - lam * pxv, lam, X, V)
+    sq.update_rows(np.where(np.isfinite(q), 0.0, np.inf), V)
+    degenerate = np.abs(q) <= tol
+    for b in np.eye(n):
+        degenerate &= np.abs(P(np.broadcast_to(b, V.shape), V)) <= tol
+    nondeg.update_rows(np.where(degenerate, 1.0, 0.0), V)
     rows = []
     for t in (add, hom1, hom2, sq, nondeg):
         rows.append(
@@ -405,14 +410,10 @@ def suite_isometry(cfg: RunConfig) -> list[CheckRow]:
         resid = float(np.max(np.abs(J @ F.T @ J @ F - np.eye(space.n))))
         rows.append(CheckRow("isometry", "adjoint_matrix_identity", resid <= 1e-8, resid))
         # classification preserved by the boost
-        rng = as_seed(cfg.seed).rng()
-        mismatches = 0
-        for _ in range(min(cfg.trials, 200)):
-            v = rng.uniform(-1.5, 1.5, space.n)
-            if mink.classify(space, F @ v, cfg.tolerances.class_tol) is not mink.classify(
-                space, v, cfg.tolerances.class_tol
-            ):
-                mismatches += 1
+        V = as_uniform(as_seed(cfg.seed).rng().random((min(cfg.trials, 200), space.n)), -1.5, 1.5)
+        class_tol = cfg.tolerances.class_tol
+        moved = mink.classify_rows(space, matvec_rows(F, V), class_tol) != mink.classify_rows(space, V, class_tol)
+        mismatches = int(np.count_nonzero(moved))
         rows.append(CheckRow("isometry", "boost_classification", mismatches == 0, float(mismatches)))
         # a reflection through S preserves the product but leaves H+
         R = np.eye(space.n)

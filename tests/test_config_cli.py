@@ -168,6 +168,23 @@ class TestVerifyCommand:
         assert main(["verify", "theorem2", "--config", str(cfg), "--out", str(out)]) == 0
         assert "identity_residual" in out.read_text()
 
+    @pytest.mark.parametrize("suite", ["cone", "siip-axioms", "isometry"])
+    @pytest.mark.parametrize("trials", ["0", "-2"])
+    def test_no_trials_is_a_usage_error(self, capsys, tmp_path, suite, trials):
+        out = tmp_path / "none.csv"
+        assert main(["verify", suite, f"--trials={trials}", "--out", str(out)]) == 2
+        assert "trials must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_class_band_of_one_is_a_config_error(self, capsys, tmp_path):
+        # with tol.class = 1 every vector is light-like and T+ sampling never ends
+        cfg = tmp_path / "band.cfg"
+        cfg.write_text("tol.class = 1.0\n")
+        out = tmp_path / "cone.csv"
+        assert main(["verify", "cone", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "class_tol must be below 1" in capsys.readouterr().err
+        assert main(["classify", "0,0,1", "--config", str(cfg)]) == 2
+
     def test_seed_flag_overrides(self, tmp_path):
         out1 = tmp_path / "a.csv"
         out2 = tmp_path / "b.csv"

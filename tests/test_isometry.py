@@ -51,6 +51,12 @@ class TestIsometryReport:
         assert not rep.pole_in_upper_sheet
         assert not rep.passes(1e-9)
 
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_needs_a_trial(self, trials):
+        # zero trials would report residuals of exactly 0 for any map
+        with pytest.raises(DomainError):
+            isometry_report(PSEUDO21, 2.0 * np.eye(3), Seed(1), trials)
+
     def test_singular_map_rejected(self):
         with pytest.raises(SingularMapError):
             isometry_report(PSEUDO21, np.zeros((3, 3)), Seed(1), 10)
@@ -117,6 +123,11 @@ class TestSipPreservation:
         P = np.array([[0.0, 1.0], [1.0, 0.0]])
         res_sip, res_norm = sip_preservation_residual(SipSpace.pnorm(3.0, 2), P, Seed(7), 200)
         assert res_sip <= 1e-12 and res_norm <= 1e-12
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_needs_a_trial(self, trials):
+        with pytest.raises(DomainError):
+            sip_preservation_residual(SipSpace.euclidean(2), rotation(0.7), Seed(7), trials)
 
 
 class TestStrictConvexityWitness:

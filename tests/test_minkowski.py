@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sipmink.errors import DimensionError, UnsupportedError
+from sipmink.errors import DimensionError, DomainError, UnsupportedError
 from sipmink.minkowski import (
     ConePart,
     GeneralizedMinkowskiSpace,
@@ -158,6 +158,11 @@ class TestConeConvexity:
     def test_scaling_exact(self):
         v = np.array([0.3, -0.2, 1.4])
         assert classify(PSEUDO21, 2.0 * v) is classify(PSEUDO21, v)
+
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_needs_a_trial(self, trials):
+        with pytest.raises(DomainError):
+            cone_convexity_check(PSEUDO21, Seed(8), trials)
 
 
 class TestSpaceConstruction:

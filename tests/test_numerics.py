@@ -33,6 +33,13 @@ class TestTolerances:
         with pytest.raises(DomainError):
             Tolerances(eq_tol=1e-3, fd_tol=1e-4)
 
+    @pytest.mark.parametrize("class_tol", [1.0, 2.5, float("inf"), float("nan")])
+    def test_class_band_below_one(self, class_tol):
+        # |[v,v]^+| <= [v,v]^-, so a band of 1 calls every vector light-like
+        with pytest.raises(DomainError):
+            Tolerances(class_tol=class_tol)
+        assert Tolerances(class_tol=0.999).class_tol == 0.999
+
 
 class TestCentralDiff:
     def test_quadratic_exact(self):

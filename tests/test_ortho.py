@@ -7,6 +7,7 @@ from sipmink.norms import NormSpec, SipSpace, norm, norm_batch, sip
 from sipmink.numerics import Seed, minimize
 from sipmink.ortho import (
     OrthoRelation,
+    _pythagorean_residuals,
     _unit_vectors,
     auerbach_basis_2d,
     birkhoff_margin,
@@ -285,6 +286,24 @@ class TestPythagoreanScan:
                 assert np.array_equal(neg, -D)
                 assert np.array_equal(norm_batch(spec, neg), norm_batch(spec, D))
 
+
+    @pytest.mark.parametrize(
+        "spec",
+        [NormSpec.euclidean(2), NormSpec.max_norm(2), NormSpec.pnorm(3.0, 2), NormSpec.pnorm(4.0, 2)],
+        ids=["euclidean", "max", "p3", "p4"],
+    )
+    @pytest.mark.parametrize("resolution", [90, 120, 360])
+    def test_residuals_match_the_32_call_loop(self, spec, resolution):
+        # the scan folds (mu, lam) into the transpose of (lam, mu): 20 calls
+        U = _unit_vectors(spec, np.linspace(0.0, np.pi, resolution, endpoint=False))
+        n = U.shape[0]
+        worst = np.zeros((n, n))
+        for lam in (0.25, 0.5, 1.0, 2.0):
+            for mu in (0.25, 0.5, 1.0, 2.0, -0.25, -0.5, -1.0, -2.0):
+                D = lam * U[:, None, :] - mu * U[None, :, :]
+                nd = norm_batch(spec, D.reshape(-1, 2)).reshape(n, n)
+                worst = np.maximum(worst, np.abs(lam * lam + mu * mu - nd * nd))
+        assert np.array_equal(_pythagorean_residuals(spec, U), worst)
 
     def test_euclidean_finds_perpendicular_pair(self):
         found = pythagorean_subspace_scan(NormSpec.euclidean(2), 360)

@@ -12,9 +12,11 @@ import numpy as np
 import pytest
 
 from sipmink import minkowski as mink
+from sipmink import suites
+from sipmink.config import config_from_mapping, parse_config
 from sipmink.errors import ConstantSignError, DimensionError, DomainError
-from sipmink.isometry import strict_convexity_witness
-from sipmink.minkowski import BoundProduct, GeneralizedMinkowskiSpace, max_norm_spacetime
+from sipmink.isometry import isometry_report, lorentz_boost, sip_preservation_residual, strict_convexity_witness
+from sipmink.minkowski import BoundProduct, GeneralizedMinkowskiSpace, VectorClass, max_norm_spacetime
 from sipmink.norms import (
     BoundNorm,
     NormSpec,
@@ -29,9 +31,11 @@ from sipmink.norms import (
 from sipmink.numerics import (
     ResidualTracker,
     Seed,
+    Tolerances,
     as_uniform,
     check_dim,
     dot_rows,
+    matvec_rows,
     pow_rows,
     row_kernel,
 )
@@ -135,6 +139,19 @@ class TestMinkowskiRows:
         assert BoundProduct(space, "+")(u, v) == mink.product_plus(space, u, v)
         assert BoundProduct(space, "-")(u, v) == mink.product_minus(space, u, v)
 
+    @pytest.mark.parametrize("name", sorted(SPACES))
+    def test_classify_rows_matches_classify(self, rng, name):
+        space = self.SPACES[name]
+        V = _rows(rng, 1500, space.n)
+        V[1::5] = 0.0
+        V[2::5, space.k :] = 0.0  # on the light cone, up to rounding
+        V[2::5, space.k] = norm_rows(space.s_space, V[2::5, : space.k])
+        for tol in (1e-9, 0.1):
+            got = mink.classify_rows(space, V, tol)
+            expected = [mink.classify(space, v, tol) for v in V]
+            assert got.shape == (1500,) and all(g is e for g, e in zip(got, expected))
+            assert set(expected) == set(VectorClass)
+
     def test_bound_product_sign_validated(self):
         with pytest.raises(DomainError):
             BoundProduct(max_norm_spacetime(), "*")
@@ -161,6 +178,12 @@ class TestRowHelpers:
         X, Y = _rows(rng, 3000, dim + 1), _rows(rng, 3000, dim + 1)
         X, Y = X[:, 1:], Y[:, 1:]  # strided views, as block slices are
         assert np.array_equal(dot_rows(X, Y), _scalar(lambda x, y: x @ y, X, Y))
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_matvec_rows_matches_single_products(self, rng, dim):
+        F = rng.uniform(-2.0, 2.0, (dim, dim))
+        V = _rows(rng, 3000, dim + 1)[:, 1:]  # a strided view, as block slices are
+        assert np.array_equal(matvec_rows(F, V), _scalar(lambda v: F @ v, V))
 
     def test_pow_rows_is_the_float_power(self, rng):
         a = rng.uniform(-3.0, 3.0, 5000)
@@ -401,3 +424,173 @@ class TestTrialFunctionsMatchTheLoop:
         expected = _loop_strict_convexity_witness(space, seed, 800)
         assert (expected is not None) == (name == "l1_gauge")
         assert _same_witness(strict_convexity_witness(space, Seed(seed), 800), expected)
+
+
+def _loop_cone_convexity_check(space, seed, trials, tolerances):
+    rng = Seed(seed).rng()
+    tol = tolerances.class_tol
+
+    def sample_tplus():
+        while True:
+            v = rng.uniform(-1.0, 1.0, space.n)
+            v[-1] = abs(v[-1]) + 0.05
+            if mink.cone_part(space, v, tol) is mink.ConePart.T_PLUS:
+                return v
+
+    convexity = []
+    scaling = []
+    for _ in range(trials):
+        a = sample_tplus()
+        b = sample_tplus()
+        mu = float(rng.uniform(0.0, 1.0))
+        mix = mu * a + (1.0 - mu) * b
+        if mink.cone_part(space, mix, tol) is not mink.ConePart.T_PLUS:
+            convexity.append((a, b, mu))
+        lam = float(rng.uniform(0.1, 3.0)) * (1.0 if rng.uniform() < 0.5 else -1.0)
+        v = rng.uniform(-1.5, 1.5, space.n)
+        if mink.classify(space, lam * v, tol) is not mink.classify(space, v, tol):
+            scaling.append((v, lam))
+    return convexity, scaling
+
+
+def _loop_isometry_report(space, F, seed, trials):
+    rng = Seed(seed).rng()
+    prod = ResidualTracker("product")
+    adj = ResidualTracker("adjoint")
+    for _ in range(trials):
+        v = rng.uniform(-1.5, 1.5, space.n)
+        w = rng.uniform(-1.5, 1.5, space.n)
+        prod.update(mink.product_plus(space, F @ v, F @ w) - mink.product_plus(space, v, w), v, w)
+        adj.update(
+            mink.product_minus(space, F @ v, mink.j_operator(space, F @ w))
+            - mink.product_minus(space, v, mink.j_operator(space, w)),
+            v,
+            w,
+        )
+    return prod, adj
+
+
+def _loop_sip_preservation_residual(space, F, seed, trials):
+    rng = Seed(seed).rng()
+    sip_res = 0.0
+    norm_res = 0.0
+    for _ in range(trials):
+        x = rng.uniform(-1.5, 1.5, space.dim)
+        y = rng.uniform(-1.5, 1.5, space.dim)
+        sip_res = max(sip_res, abs(sip(space, F @ x, F @ y) - sip(space, x, y)))
+        norm_res = max(norm_res, abs(norm(space, F @ x) - norm(space, x)))
+    return sip_res, norm_res
+
+
+def _loop_suite_siip_axioms(cfg):
+    space = cfg.space()
+    rng = Seed(cfg.seed).rng()
+    pp = BoundProduct(space, "+")
+    add = ResidualTracker("additivity_first")
+    hom1 = ResidualTracker("homogeneity_first")
+    hom2 = ResidualTracker("homogeneity_second")
+    sq = ResidualTracker("square_real")
+    nondeg = ResidualTracker("nondegeneracy")
+    basis = [np.eye(space.n)[i] for i in range(space.n)]
+    tol = cfg.tolerances.eq_tol
+    for _ in range(cfg.trials):
+        x, y, v = (rng.uniform(-1.5, 1.5, space.n) for _ in range(3))
+        lam = float(rng.uniform(-3.0, 3.0))
+        if not np.any(v):
+            continue
+        add.update(pp(x + y, v) - pp(x, v) - pp(y, v), x, y, v)
+        hom1.update(pp(lam * x, v) - lam * pp(x, v), lam, x, v)
+        hom2.update(pp(x, lam * v) - lam * pp(x, v), lam, x, v)
+        q = pp(v, v)
+        sq.update(0.0 if np.isfinite(q) else np.inf, v)
+        if abs(q) <= tol and all(abs(pp(b, v)) <= tol for b in basis):
+            nondeg.update(1.0, v)
+    return [add, hom1, hom2, sq, nondeg]
+
+
+def _same_witnesses(got, expected):
+    return len(got) == len(expected) and all(_same_witness(g, e) for g, e in zip(got, expected))
+
+
+STOCK_CONFIGS = {
+    "euclidean": 'space.s.norm = "euclidean"\n',
+    "pnorm3": 'space.s.norm = "pnorm"\nspace.s.p = 3\n',
+    "max": 'space.s.norm = "max"\n',
+}
+
+
+class TestSpaceTimeTrialsMatchTheLoop:
+    @pytest.mark.parametrize("seed, trials", [(42, 200), (8, 500), (1, 1), (2, 2), (3, 3)])
+    @pytest.mark.parametrize("name", sorted(MINKOWSKI_SPACES))
+    def test_cone_convexity_check(self, name, seed, trials):
+        space = MINKOWSKI_SPACES[name]
+        report = mink.cone_convexity_check(space, Seed(seed), trials)
+        convexity, scaling = _loop_cone_convexity_check(space, seed, trials, Tolerances())
+        assert report.trials == trials
+        assert _same_witnesses(report.convexity_violations, convexity)
+        assert _same_witnesses(report.scaling_violations, scaling)
+
+    @pytest.mark.parametrize("name, count", [("pseudo_euclidean", 19), ("max", 29), ("pnorm3", None)])
+    def test_cone_convexity_check_wide_band_records_violations(self, name, count):
+        # a light-like band of 0.1 makes scaling change classifications
+        space, tolerances = MINKOWSKI_SPACES[name], Tolerances(class_tol=0.1)
+        report = mink.cone_convexity_check(space, Seed(42), 300, tolerances)
+        convexity, scaling = _loop_cone_convexity_check(space, 42, 300, tolerances)
+        if count is not None:
+            assert len(scaling) == count
+        assert scaling and _same_witnesses(report.scaling_violations, scaling)
+        assert _same_witnesses(report.convexity_violations, convexity)
+        assert all(isinstance(mu, float) for _, _, mu in report.convexity_violations)
+        assert all(isinstance(lam, float) for _, lam in report.scaling_violations)
+
+    @pytest.mark.parametrize("seed", [0, 6])
+    def test_cone_convexity_check_extends_its_block(self, seed):
+        # a 4+1 space accepts few candidates, so the first block of draws runs
+        # out (at seed 0 during the rejection walk, at seed 6 inside the draws
+        # after b) and the stream must continue where it stopped
+        space = GeneralizedMinkowskiSpace.pseudo_euclidean(4)
+        report = mink.cone_convexity_check(space, Seed(seed), 40)
+        convexity, scaling = _loop_cone_convexity_check(space, seed, 40, Tolerances())
+        assert _same_witnesses(report.convexity_violations, convexity)
+        assert _same_witnesses(report.scaling_violations, scaling)
+
+    @pytest.mark.parametrize(
+        "name, F",
+        [
+            ("boost", lorentz_boost(GeneralizedMinkowskiSpace.pseudo_euclidean(2), 0, 1.2)),
+            ("s_reflection", np.diag([1.0, 1.0, -1.0])),
+            ("non_isometry", np.array([[1.0, 0.3, 0.0], [0.0, 2.0, 0.1], [0.2, 0.0, 1.5]])),
+        ],
+    )
+    @pytest.mark.parametrize("space_name", ["pseudo_euclidean", "max"])
+    def test_isometry_report(self, name, F, space_name):
+        space = MINKOWSKI_SPACES[space_name]
+        report = isometry_report(space, F, Seed(42), 300)
+        prod, adj = _loop_isometry_report(space, F, 42, 300)
+        assert report.product_residual == prod.residual and report.adjoint_residual == adj.residual
+        assert _same_witness(report.product_witness, prod.witness)
+        assert _same_witness(report.adjoint_witness, adj.witness)
+        if name == "non_isometry":
+            assert prod.residual > 0.1 and adj.residual > 0.1
+
+    @pytest.mark.parametrize("space", [SipSpace.euclidean(2), SipSpace.pnorm(3.0, 2)], ids=["euclidean", "p3"])
+    @pytest.mark.parametrize("F", [np.array([[0.6, -0.8], [0.8, 0.6]]), np.array([[2.0, 0.5], [0.0, 1.0]])])
+    def test_sip_preservation_residual(self, space, F):
+        got = sip_preservation_residual(space, F, Seed(7), 200)
+        assert got == _loop_sip_preservation_residual(space, F, 7, 200)
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_suite_siip_axioms_needs_a_trial(self, trials):
+        with pytest.raises(DomainError):
+            suites.suite_siip_axioms(config_from_mapping({"trials": trials}))
+
+    @pytest.mark.parametrize("seed", [1, 7, 42])
+    @pytest.mark.parametrize("label", sorted(STOCK_CONFIGS))
+    def test_suite_siip_axioms(self, label, seed):
+        cfg = config_from_mapping(parse_config(STOCK_CONFIGS[label] + f"seed = {seed}\ntrials = 200\n"))
+        rows = suites.suite_siip_axioms(cfg)
+        loop = _loop_suite_siip_axioms(cfg)
+        assert [r.check for r in rows] == [t.name for t in loop]
+        for row, tracker in zip(rows, loop):
+            assert row.residual == tracker.residual
+            assert row.witness == (suites._fmt_vec(tracker.witness[-1]) if tracker.witness else "")
