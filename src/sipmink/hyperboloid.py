@@ -13,6 +13,7 @@ relaxes interior nodes, coarse-to-fine.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -179,11 +180,22 @@ def linear_path(space: GeneralizedMinkowskiSpace, a: HPoint, b: HPoint, m: int) 
     return Path.from_s_nodes(space, a.s[None, :] + ts[:, None] * (b.s - a.s)[None, :])
 
 
-@lru_cache(maxsize=8, typed=True)
+def _check_quad_m(quad_m) -> int:
+    """The Simpson subinterval count as an int: even and at least 2, else
+    DomainError.  Every public entry point checks it before any work."""
+    try:
+        count = operator.index(quad_m)
+    except TypeError:
+        raise DomainError(f"quad_m must be an integer, got {quad_m!r}") from None
+    if count < 2 or count % 2:
+        raise DomainError("quad_m must be even and at least 2")
+    return count
+
+
+@lru_cache(maxsize=8)
 def _quadrature_grid(quad_m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Chord parameters and Simpson weights for quad_m subintervals, shared
-    read-only by every segment-length call.  Typed, so that a float quad_m
-    never reuses the grid of an int one (linspace rejects a float count)."""
+    """Chord parameters and Simpson weights for quad_m subintervals (an int,
+    see _check_quad_m), shared read-only by every segment-length call."""
     grid = (np.linspace(0.0, 1.0, quad_m + 1), simpson_weights(quad_m))
     for arr in grid:
         arr.flags.writeable = False
@@ -223,8 +235,7 @@ def _segment_lengths(space, seg_starts: np.ndarray, seg_deltas: np.ndarray, quad
 def path_length(space: GeneralizedMinkowskiSpace, path: Path, quad_m: int = 4) -> float:
     """Sum of per-segment Simpson integrals of the tangential speed."""
     _require_spacetime(space)
-    if quad_m < 2 or quad_m % 2:
-        raise DomainError("quad_m must be even and at least 2")
+    quad_m = _check_quad_m(quad_m)
     S = path.s_matrix
     return float(np.sum(_segment_lengths(space, S[:-1], S[1:] - S[:-1], quad_m)))
 
@@ -234,36 +245,42 @@ def _path_energy(space, s_nodes: np.ndarray, quad_m: int) -> float:
     return float((s_nodes.shape[0] - 1) * np.sum(L * L))
 
 
-def _energy_gradient(space, s_nodes: np.ndarray, quad_m: int, h: float = 1e-6) -> np.ndarray:
-    """Central-difference gradient of the path energy w.r.t. interior nodes: a
-    moved node changes only its two segments, so all 4k(m-1) perturbed ones,
-    ordered (node, coordinate, sign, left/right), take one length call."""
+def _energy_gradient(space, s_nodes: np.ndarray, quad_m: int, h: float = 1e-6) -> tuple[np.ndarray, float]:
+    """Central-difference gradient of the path energy w.r.t. interior nodes,
+    and the energy itself (equal to _path_energy).  A moved node changes only
+    its two segments, so all 4k(m-1) perturbed ones, ordered (node,
+    coordinate, sign, left/right), and then the m path segments take one
+    length call."""
     m, k = s_nodes.shape[0] - 1, s_nodes.shape[1]
-    starts, deltas = np.empty((2, m - 1, k, 2, 2, k))
-    starts[:, :, :, 0] = s_nodes[:-2, None, None, :]
-    p = starts[:, :, :, 1]  # a view; p[i, c, 0/1] is node i+1 moved by +h/-h along c
+    n = 4 * k * (m - 1)
+    starts, deltas = np.empty((2, n + m, k))
+    sp = starts[:n].reshape(m - 1, k, 2, 2, k)
+    sp[:, :, :, 0] = s_nodes[:-2, None, None, :]
+    p = sp[:, :, :, 1]  # a view; p[i, c, 0/1] is node i+1 moved by +h/-h along c
     p[...] = s_nodes[1:-1, None, None, :]
     diag = np.arange(k)
     p[:, diag, 0, diag] += h
     p[:, diag, 1, diag] -= h
-    np.subtract(p, s_nodes[:-2, None, None, :], out=deltas[:, :, :, 0])
-    np.subtract(s_nodes[2:, None, None, :], p, out=deltas[:, :, :, 1])
-    L = _segment_lengths(space, starts.reshape(-1, k), deltas.reshape(-1, k), quad_m)
-    pair = (m * (L[0::2] ** 2 + L[1::2] ** 2)).reshape(m - 1, k, 2)
-    return (pair[:, :, 0] - pair[:, :, 1]) / (2.0 * h)
+    dp = deltas[:n].reshape(sp.shape)
+    np.subtract(p, s_nodes[:-2, None, None, :], out=dp[:, :, :, 0])
+    np.subtract(s_nodes[2:, None, None, :], p, out=dp[:, :, :, 1])
+    starts[n:] = s_nodes[:-1]
+    np.subtract(s_nodes[1:], s_nodes[:-1], out=deltas[n:])
+    L = _segment_lengths(space, starts, deltas, quad_m)
+    pair = (m * (L[0:n:2] ** 2 + L[1:n:2] ** 2)).reshape(m - 1, k, 2)
+    path = L[n:]
+    return (pair[:, :, 0] - pair[:, :, 1]) / (2.0 * h), float(m * np.sum(path * path))
 
 
 def _relax_gradient(space, s_nodes: np.ndarray, quad_m: int, max_iter: int) -> np.ndarray:
     """Barzilai-Borwein descent on the path energy (smooth S norms)."""
     x = s_nodes[1:-1].copy()
-    g = _energy_gradient(space, s_nodes, quad_m)
-    e = _path_energy(space, s_nodes, quad_m)
+    g, e = _energy_gradient(space, s_nodes, quad_m)
     alpha = 1e-3 / max(1e-12, float(np.max(np.abs(g))))
     for _ in range(max_iter):
         x_new = x - alpha * g
         s_nodes[1:-1] = x_new
-        g_new = _energy_gradient(space, s_nodes, quad_m)
-        e_new = _path_energy(space, s_nodes, quad_m)
+        g_new, e_new = _energy_gradient(space, s_nodes, quad_m)
         s = (x_new - x).ravel()
         y = (g_new - g).ravel()
         sy = float(s @ y)
@@ -319,6 +336,7 @@ def geodesic_path(
     local: the infimum is taken over the basin of the initial path.
     """
     _require_spacetime(space)
+    quad_m = _check_quad_m(quad_m)
     if m < 2:
         raise DomainError("need at least two segments")
     if np.array_equal(a.s, b.s):

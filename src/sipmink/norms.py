@@ -32,6 +32,7 @@ from .numerics import (
     dot_rows,
     first_diff_step,
     pow_rows,
+    reduce_last,
     row_kernel,
     sample_vectors,
     second_diff_step,
@@ -172,22 +173,23 @@ def norm_rows(space, X) -> np.ndarray:
     if spec.kind == EUCLIDEAN:
         return np.sqrt(dot_rows(X, X))
     if spec.kind == PNORM:
-        return pow_rows(np.sum(np.abs(X) ** spec.p, axis=-1), 1.0 / spec.p)
+        return pow_rows(reduce_last(np.add, np.abs(X) ** spec.p), 1.0 / spec.p)
     if spec.kind == MAX:
-        return np.max(np.abs(X), axis=-1)
+        return reduce_last(np.maximum, np.abs(X))
     return row_kernel(spec.gauge)(X)
 
 
 def norm_batch(space, X: np.ndarray) -> np.ndarray:
-    """Row-wise norms of an (N, dim) array."""
+    """Row-wise norms of an (N, dim) array (any leading shape).  The short
+    last axis is reduced column by column (see :func:`reduce_last`)."""
     spec = _spec(space)
     X = np.asarray(X, dtype=float)
     if spec.kind == EUCLIDEAN:
-        return np.sqrt(np.einsum("...i,...i->...", X, X))
+        return np.sqrt(reduce_last(np.add, X * X))
     if spec.kind == PNORM:
-        return np.sum(np.abs(X) ** spec.p, axis=-1) ** (1.0 / spec.p)
+        return reduce_last(np.add, np.abs(X) ** spec.p) ** (1.0 / spec.p)
     if spec.kind == MAX:
-        return np.maximum.reduce(np.abs(X), axis=-1)
+        return reduce_last(np.maximum, np.abs(X))
     return np.array([float(spec.gauge(row)) for row in X.reshape(-1, spec.dim)]).reshape(X.shape[:-1])
 
 
@@ -246,7 +248,7 @@ def sip_rows(space, X, Y) -> np.ndarray:
         ny = norm_rows(spec, Y)
         nonzero &= ny != 0.0
         scale = pow_rows(np.where(nonzero, ny, 1.0), 2.0 - p)
-        out = scale * np.sum(X * np.abs(Y) ** (p - 1.0) * np.sign(Y), axis=-1)
+        out = scale * reduce_last(np.add, X * np.abs(Y) ** (p - 1.0) * np.sign(Y))
     else:
         j = np.argmax(np.abs(Y), axis=1)  # smallest index attains the max on ties
         i = np.arange(len(Y))

@@ -96,6 +96,30 @@ def matvec_rows(F: np.ndarray, V: np.ndarray) -> np.ndarray:
     return (F[None] @ V[:, :, None])[:, :, 0]
 
 
+def reduce_last(ufunc: np.ufunc, A) -> np.ndarray:
+    """``ufunc.reduce(A, axis=-1)`` for ``np.add``, ``np.maximum`` or
+    ``np.minimum``, bit for bit, with one ufunc call per column when the last
+    axis is short.
+
+    numpy reduces a short contiguous last axis one row at a time, which on a
+    batch of two-vectors costs far more than the arithmetic.  Below 8 terms
+    numpy's pairwise add is sequential, so adding the columns in order gives
+    the same sums; numpy starts from the identity, so a row of -0.0 sums to
+    +0.0, and adding the identity last does the same.  A 1-D input is one
+    row and goes straight to ``ufunc.reduce``, as does a last axis of fewer
+    than 2 or more than 7 entries.
+    """
+    A = np.asarray(A)
+    if A.ndim < 2 or not 2 <= A.shape[-1] < 8:
+        return ufunc.reduce(A, axis=-1)
+    out = ufunc(A[..., 0], A[..., 1])
+    for j in range(2, A.shape[-1]):
+        ufunc(out, A[..., j], out=out)
+    if ufunc.identity is not None:
+        ufunc(out, ufunc.identity, out=out)
+    return out
+
+
 def pow_rows(base, exponent: float) -> np.ndarray:
     """Element-wise ``base ** exponent``, rounded as the scalar ``float`` power.
 

@@ -16,6 +16,7 @@ from sipmink.hyperboloid import (
     ds2,
     f_directional,
     geodesic_distance,
+    geodesic_path,
     lift,
     linear_path,
     path_length,
@@ -331,7 +332,9 @@ class TestSolverAssembly:
     @ASSEMBLY_NODES
     def test_gradient_matches_loop_reference_bitwise(self, space, m):
         nodes = _random_nodes(space, m)
-        assert np.array_equal(_energy_gradient(space, nodes, 4), _loop_energy_gradient(space, nodes, 4))
+        g, energy = _energy_gradient(space, nodes, 4)
+        assert np.array_equal(g, _loop_energy_gradient(space, nodes, 4))
+        assert energy == _path_energy(space, nodes, 4)
 
     @pytest.mark.parametrize(
         "space", [PSEUDO21, P3SPACE, PSEUDO31, REMARK], ids=["pseudo21", "p3", "pseudo31", "max"]
@@ -348,7 +351,8 @@ class TestSolverAssembly:
     def test_gradient_against_energy_central_difference(self, space, m):
         # independent oracle: perturb the whole path, re-evaluate the energy
         nodes = _random_nodes(space, m)
-        g = _energy_gradient(space, nodes, 4)
+        g, energy = _energy_gradient(space, nodes, 4)
+        assert energy == _path_energy(space, nodes, 4)
         h = 1e-6
         fd = np.empty_like(g)
         for i in range(1, m):
@@ -374,6 +378,24 @@ class TestQuadratureGrid:
             path_length(PSEUDO21, linear_path(PSEUDO21, a, b, 4), quad_m=3)
         with pytest.raises(DomainError):
             geodesic_distance(PSEUDO21, a, b, 8, quad_m=3)
+
+    @pytest.mark.parametrize("quad_m", [3, 0, -2, 4.0, 5.0, "4", None, True])
+    def test_bad_quadrature_rejected_up_front(self, quad_m):
+        a, b = lift(PSEUDO21, [0.0, 0.5]), lift(PSEUDO21, [1.0, -0.3])
+        path = linear_path(PSEUDO21, a, b, 4)
+        for call in (
+            lambda: path_length(PSEUDO21, path, quad_m=quad_m),
+            lambda: geodesic_path(PSEUDO21, a, b, 8, quad_m=quad_m),
+            lambda: geodesic_distance(PSEUDO21, a, b, 8, quad_m=quad_m),
+            lambda: geodesic_distance(PSEUDO21, a, a, 8, quad_m=quad_m),  # checked before the early return
+        ):
+            with pytest.raises(DomainError, match="^quad_m must be"):
+                call()
+
+    def test_integer_like_quadrature_accepted(self):
+        a, b = lift(PSEUDO21, [0.0, 0.5]), lift(PSEUDO21, [1.0, -0.3])
+        expected = geodesic_distance(PSEUDO21, a, b, 8, quad_m=6)
+        assert geodesic_distance(PSEUDO21, a, b, 8, quad_m=np.int64(6)) == expected
 
 
 class TestGeodesicDistance:

@@ -22,6 +22,7 @@ from sipmink.norms import (
     NormSpec,
     SipSpace,
     norm,
+    norm_batch,
     norm_rows,
     product_axiom_report,
     sip,
@@ -37,6 +38,7 @@ from sipmink.numerics import (
     dot_rows,
     matvec_rows,
     pow_rows,
+    reduce_last,
     row_kernel,
 )
 from sipmink.siip import SiipSpace, cauchy_schwarz_witness, siip, siip_rows
@@ -213,6 +215,60 @@ class TestRowHelpers:
         for bad, rows in ((np.zeros(3), False), (np.zeros((1, 2)), False), (np.zeros(2), True), (np.zeros((2, 3)), True)):
             with pytest.raises(DimensionError):
                 check_dim(bad, 2, rows=rows)
+
+
+def _with_specials(rng, shape):
+    """Normal draws with about a third of the entries replaced by NaN, +-inf,
+    -0.0 or 0.0, and a last row of -0.0 only (numpy sums it to +0.0)."""
+    A = rng.standard_normal(shape)
+    mask = rng.random(shape) < 0.3
+    A[mask] = rng.choice([np.nan, np.inf, -np.inf, -0.0, 0.0], size=shape)[mask]
+    A[..., -1, :] = -0.0
+    return A
+
+
+def _same_bits(got, expected):
+    """Equal with NaNs matched and, away from NaN, the same sign of zero."""
+    got, expected = np.asarray(got), np.asarray(expected)
+    if not np.array_equal(got, expected, equal_nan=True):
+        return False
+    keep = ~np.isnan(expected)
+    return np.array_equal(np.signbit(got[keep]), np.signbit(expected[keep]))
+
+
+class TestReduceLast:
+    @pytest.mark.parametrize("ufunc", [np.add, np.maximum], ids=["add", "maximum"])
+    @pytest.mark.parametrize("k", range(1, 11))
+    @pytest.mark.parametrize("layout", ["1d", "rows", "3d", "fortran"])
+    def test_matches_ufunc_reduce(self, rng, ufunc, k, layout):
+        if layout == "1d":
+            A = _with_specials(rng, (2, k))[0]
+        elif layout == "rows":
+            A = _with_specials(rng, (600, k))
+        elif layout == "3d":
+            A = _with_specials(rng, (5, 40, k))
+        else:
+            A = np.asfortranarray(_with_specials(rng, (600, k)))  # the transpose of a C-ordered array
+        with np.errstate(invalid="ignore"):  # inf - inf
+            assert _same_bits(reduce_last(ufunc, A), ufunc.reduce(A, axis=-1))
+
+    @pytest.mark.parametrize("k", range(1, 10))
+    def test_norm_batch_matches_the_old_formulas(self, rng, k):
+        X = rng.uniform(-3.0, 3.0, (500, k)) * 10.0 ** rng.integers(-6, 7, (500, k))
+        if k <= 2:
+            euclid = np.sqrt(np.einsum("...i,...i->...", X, X))
+            assert np.array_equal(norm_batch(NormSpec.euclidean(k), X), euclid)
+        p = 3.0
+        old_p = np.sum(np.abs(X) ** p, axis=-1) ** (1.0 / p)
+        assert np.array_equal(norm_batch(NormSpec.pnorm(p, k), X), old_p)
+        assert np.array_equal(norm_batch(NormSpec.max_norm(k), X), np.maximum.reduce(np.abs(X), axis=-1))
+
+    @pytest.mark.parametrize("k", [3, 4, 7, 9])
+    def test_euclidean_norm_batch_within_rounding_of_einsum(self, rng, k):
+        # for k >= 3 the squares are added in column order, einsum may not
+        X = rng.uniform(-3.0, 3.0, (500, k))
+        euclid = np.sqrt(np.einsum("...i,...i->...", X, X))
+        assert np.allclose(norm_batch(NormSpec.euclidean(k), X), euclid, rtol=4 * np.finfo(float).eps, atol=0.0)
 
 
 def _sequential(name, residuals, *witness):
