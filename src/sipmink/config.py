@@ -17,21 +17,22 @@ from .numerics import Tolerances
 
 _NORM_KINDS = ("euclidean", "pnorm", "max")
 
+# config key -> (field of RunConfig, or of Tolerances for "tol." keys; value type)
 KNOWN_KEYS = {
-    "space.s.norm": str,
-    "space.s.p": float,
-    "space.s.dim": int,
-    "space.t.norm": str,
-    "space.t.p": float,
-    "space.t.dim": int,
-    "seed": int,
-    "trials": int,
-    "nodes": int,
-    "out": str,
-    "tol.eq": float,
-    "tol.fd": float,
-    "tol.opt": float,
-    "tol.class": float,
+    "space.s.norm": ("s_kind", str),
+    "space.s.p": ("s_p", float),
+    "space.s.dim": ("s_dim", int),
+    "space.t.norm": ("t_kind", str),
+    "space.t.p": ("t_p", float),
+    "space.t.dim": ("t_dim", int),
+    "seed": ("seed", int),
+    "trials": ("trials", int),
+    "nodes": ("nodes", int),
+    "out": ("out", str),
+    "tol.eq": ("eq_tol", float),
+    "tol.fd": ("fd_tol", float),
+    "tol.opt": ("opt_tol", float),
+    "tol.class": ("class_tol", float),
 }
 
 ENV_EQ_TOL = "SIPMINK_TOL_EQ"
@@ -76,7 +77,7 @@ class RunConfig:
 
 
 def _parse_value(key: str, raw: str, lineno: int, col: int):
-    want = KNOWN_KEYS[key]
+    want = KNOWN_KEYS[key][1]
     raw = raw.strip()
     if want is str:
         if len(raw) >= 2 and raw[0] == raw[-1] and raw[0] in "\"'":
@@ -120,25 +121,10 @@ def parse_config(text: str) -> dict:
 
 
 def config_from_mapping(values: dict) -> RunConfig:
-    tol = Tolerances(
-        eq_tol=values.get("tol.eq", 1e-9),
-        fd_tol=values.get("tol.fd", 1e-5),
-        opt_tol=values.get("tol.opt", 1e-7),
-        class_tol=values.get("tol.class", 1e-9),
-    )
-    cfg = RunConfig(
-        s_kind=values.get("space.s.norm", "euclidean"),
-        s_p=values.get("space.s.p"),
-        s_dim=values.get("space.s.dim", 2),
-        t_kind=values.get("space.t.norm", "euclidean"),
-        t_p=values.get("space.t.p"),
-        t_dim=values.get("space.t.dim", 1),
-        seed=values.get("seed", 42),
-        trials=values.get("trials", 200),
-        nodes=values.get("nodes", 16),
-        out=values.get("out", "verify_report.csv"),
-        tolerances=tol,
-    )
+    """Build a config from parsed values; absent keys keep the dataclass defaults."""
+    run = {KNOWN_KEYS[k][0]: v for k, v in values.items() if not k.startswith("tol.")}
+    tol = {KNOWN_KEYS[k][0]: v for k, v in values.items() if k.startswith("tol.")}
+    cfg = RunConfig(**run, tolerances=Tolerances(**tol))
     cfg.space()  # validate eagerly so config errors surface at parse time
     return cfg
 

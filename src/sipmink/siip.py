@@ -50,6 +50,8 @@ NORMSQUARE_HESSIAN = "normsquare_hessian"
 DIAGONAL = "diagonal"
 WEIGHTED_PLANE = "weighted_plane"
 
+_SUPPORT_TOL = 1e-9  # cross-polytope support: |v_i| above this fraction of max |v_j|
+
 
 @dataclass(frozen=True)
 class SiipSpace:
@@ -59,7 +61,6 @@ class SiipSpace:
     sign_fn: Callable[[np.ndarray], float] | None = None
     gfun: Callable[[np.ndarray], float] | None = None
     signature: tuple[int, ...] | None = None
-    support_tol: float = 1e-9
 
     @classmethod
     def cross_polytope(cls, dim: int) -> "SiipSpace":
@@ -96,11 +97,11 @@ class SiipSpace:
         return siip_rows(self, U, V)
 
 
-def _support(v: np.ndarray, support_tol: float) -> np.ndarray:
+def _support(v: np.ndarray) -> np.ndarray:
     vmax = np.max(np.abs(v))
     if vmax == 0.0:
         return np.zeros(v.shape, dtype=bool)
-    return np.abs(v) > support_tol * vmax
+    return np.abs(v) > _SUPPORT_TOL * vmax
 
 
 def _supporting_functional(norm_spec: NormSpec, unit_v: np.ndarray) -> np.ndarray:
@@ -153,7 +154,7 @@ def siip(space: SiipSpace, u, v) -> float:
             return 0.0  # v = 0; homogeneity forces the value
         return float((x1 * x2 + 2.0 * y1 * y2) * (x2 * x2 + y2 * y2) / den)
     if space.kind == CROSS_POLYTOPE:
-        supp = _support(v, space.support_tol)
+        supp = _support(v)
         if not np.any(supp):
             return 0.0
         k = int(np.sum(supp)) - 1

@@ -59,14 +59,47 @@ class SuiteResult:
     duration: float
 
 
+def _row(suite: str, check: str, passed, residual=None, witness: str = "") -> CheckRow:
+    """One CSV row.  A flag check with no residual of its own reads 0.0
+    when it passes and 1.0 when it fails."""
+    if residual is None:
+        residual = 0.0 if passed else 1.0
+    return CheckRow(suite, check, passed, residual, witness)
+
+
+def _tracked(suite: str, tracker: ResidualTracker, tol: float, pick: int = 0, note: str = "") -> CheckRow:
+    """The row of one tracked check: the tracker's name is the check name,
+    and the witness is entry ``pick`` of the worst trial, then ``note``."""
+    witness = _fmt_vec(tracker.witness[pick]) if tracker.witness else ""
+    return _row(suite, tracker.name, tracker.residual <= tol, tracker.residual, witness + note)
+
+
+def _not_applicable(suite: str, why: str = "needs a space-time model") -> list[CheckRow]:
+    return [_row(suite, "not_applicable", True, 0.0, why)]
+
+
 def _rows_from_report(suite: str, prefix: str, report, tol: float) -> list[CheckRow]:
     rows = []
     for c in report.checks:
-        witness = ";".join(
-            _fmt_vec(w) if np.ndim(w) else _FMT % w for w in c.witness
-        )
-        rows.append(CheckRow(suite, f"{prefix}{c.name}", c.residual <= tol, c.residual, witness))
+        witness = ";".join(_fmt_vec(w) if np.ndim(w) else _FMT % w for w in c.witness)
+        rows.append(_row(suite, f"{prefix}{c.name}", c.residual <= tol, c.residual, witness))
     return rows
+
+
+def isometry_rows(prefix: str, report: iso.IsometryReport, tol: float) -> list[CheckRow]:
+    """Product, adjoint and pole rows of one map's isometry report.  The pole
+    row needs F e_n on the upper sheet and |[Fe_n, Fe_n]^+ + 1| <= tol."""
+    return [
+        _row("isometry", f"{prefix}.product", report.product_residual <= tol, report.product_residual),
+        _row("isometry", f"{prefix}.adjoint", report.adjoint_residual <= tol, report.adjoint_residual),
+        _row(
+            "isometry",
+            f"{prefix}.pole",
+            report.pole_in_upper_sheet and report.pole_square_residual <= tol,
+            report.pole_square_residual,
+            _fmt_vec(report.pole_image),
+        ),
+    ]
 
 
 def _blocks(cfg: RunConfig):
@@ -83,22 +116,14 @@ def suite_sip_axioms(cfg: RunConfig) -> list[CheckRow]:
             # the closed form and the norm-derivative route must agree
             rng = as_seed(cfg.seed).rng()
             deriv = SipSpace(block.norm, sip_mode="derivative")
-            track = ResidualTracker("mode_agreement")
+            track = ResidualTracker(f"{name}.mode_agreement")
             for _ in range(min(cfg.trials, 100)):
                 x = rng.uniform(-1.5, 1.5, block.dim)
                 y = rng.uniform(-1.5, 1.5, block.dim)
                 if not np.any(y):
                     continue
                 track.update(sip(block, x, y) - sip(deriv, x, y), x, y)
-            rows.append(
-                CheckRow(
-                    "sip-axioms",
-                    f"{name}.mode_agreement",
-                    track.residual <= cfg.tolerances.fd_tol,
-                    track.residual,
-                    _fmt_vec(track.witness[0]) if track.witness else "",
-                )
-            )
+            rows.append(_tracked("sip-axioms", track, cfg.tolerances.fd_tol))
     return rows
 
 
@@ -132,18 +157,7 @@ def suite_siip_axioms(cfg: RunConfig) -> list[CheckRow]:
     for b in np.eye(n):
         degenerate &= np.abs(P(np.broadcast_to(b, V.shape), V)) <= tol
     nondeg.update_rows(np.where(degenerate, 1.0, 0.0), V)
-    rows = []
-    for t in (add, hom1, hom2, sq, nondeg):
-        rows.append(
-            CheckRow(
-                "siip-axioms",
-                t.name,
-                t.residual <= tol,
-                t.residual,
-                _fmt_vec(t.witness[-1]) if t.witness else "",
-            )
-        )
-    return rows
+    return [_tracked("siip-axioms", t, tol, pick=-1) for t in (add, hom1, hom2, sq, nondeg)]
 
 
 def suite_theorem2(cfg: RunConfig) -> list[CheckRow]:
@@ -153,7 +167,7 @@ def suite_theorem2(cfg: RunConfig) -> list[CheckRow]:
         block.norm.kind == "pnorm" and block.norm.p >= 2.0
     )
     if not smooth_enough:
-        return [CheckRow("theorem2", "not_applicable", True, 0.0, "norm not twice differentiable")]
+        return _not_applicable("theorem2", "norm not twice differentiable")
     rng = as_seed(cfg.seed).rng()
     track = ResidualTracker("identity_residual")
     for _ in range(100):
@@ -164,15 +178,7 @@ def suite_theorem2(cfg: RunConfig) -> list[CheckRow]:
             continue
         y *= rng.uniform(0.5, 2.0) / norm(block, y)
         track.update(derivative_identity_residual(block, x, y, z), x, y, z)
-    return [
-        CheckRow(
-            "theorem2",
-            "identity_residual",
-            track.residual <= 1e-3,
-            track.residual,
-            _fmt_vec(track.witness[1]) if track.witness else "",
-        )
-    ]
+    return [_tracked("theorem2", track, 1e-3, pick=1)]
 
 
 def suite_lemma2(cfg: RunConfig) -> list[CheckRow]:
@@ -188,23 +194,14 @@ def suite_lemma2(cfg: RunConfig) -> list[CheckRow]:
 def suite_cone(cfg: RunConfig) -> list[CheckRow]:
     space = cfg.space()
     if not space.is_spacetime_model:
-        return [CheckRow("cone", "not_applicable", True, 0.0, "needs a space-time model")]
+        return _not_applicable("cone")
     report = mink.cone_convexity_check(space, Seed(cfg.seed), min(cfg.trials, 500), cfg.tolerances)
     return [
-        CheckRow(
-            "cone",
-            "tplus_convexity",
-            not report.convexity_violations,
-            float(len(report.convexity_violations)),
-            _fmt_vec(report.convexity_violations[0][0]) if report.convexity_violations else "",
-        ),
-        CheckRow(
-            "cone",
-            "classification_scaling",
-            not report.scaling_violations,
-            float(len(report.scaling_violations)),
-            _fmt_vec(report.scaling_violations[0][0]) if report.scaling_violations else "",
-        ),
+        _row("cone", check, not found, float(len(found)), _fmt_vec(found[0][0]) if found else "")
+        for check, found in (
+            ("tplus_convexity", report.convexity_violations),
+            ("classification_scaling", report.scaling_violations),
+        )
     ]
 
 
@@ -222,7 +219,7 @@ def suite_lemma3(cfg: RunConfig) -> list[CheckRow]:
     """Closed-form directional derivative of the lift against finite differences."""
     space = cfg.space()
     if not space.is_spacetime_model:
-        return [CheckRow("lemma3", "not_applicable", True, 0.0, "needs a space-time model")]
+        return _not_applicable("lemma3")
     rng = as_seed(cfg.seed).rng()
     track = ResidualTracker("derivative_residual")
     from .numerics import central_diff, first_diff_step
@@ -238,12 +235,8 @@ def suite_lemma3(cfg: RunConfig) -> list[CheckRow]:
         f = lambda lam: float(np.sqrt(1.0 + sip(space.s_space, s + lam * e, s + lam * e)))
         fd = central_diff(f, 0.0, first_diff_step(norm(space.s_space, s)))
         track.update(closed - fd, s, e)
-    witness = _fmt_vec(track.witness[0]) if track.witness else ""
-    if tie_handled:
-        witness += ";tie-free sampling"
-    return [
-        CheckRow("lemma3", "derivative_residual", track.residual <= cfg.tolerances.fd_tol, track.residual, witness)
-    ]
+    note = ";tie-free sampling" if tie_handled else ""
+    return [_tracked("lemma3", track, cfg.tolerances.fd_tol, note=note)]
 
 
 def suite_lemma4(cfg: RunConfig) -> list[CheckRow]:
@@ -251,7 +244,7 @@ def suite_lemma4(cfg: RunConfig) -> list[CheckRow]:
     to the base point, and companion vectors lie in the frame span."""
     space = cfg.space()
     if not space.is_spacetime_model:
-        return [CheckRow("lemma4", "not_applicable", True, 0.0, "needs a space-time model")]
+        return _not_applicable("lemma4")
     rng = as_seed(cfg.seed).rng()
     ortho_track = ResidualTracker("frame_orthogonality")
     span_track = ResidualTracker("companion_in_span")
@@ -266,29 +259,14 @@ def suite_lemma4(cfg: RunConfig) -> list[CheckRow]:
         for w in basis:
             _, res, _, _ = np.linalg.lstsq(A, w, rcond=None)
             span_track.update(float(np.sqrt(res[0])) if res.size else 0.0, v.s)
-    return [
-        CheckRow(
-            "lemma4",
-            "frame_orthogonality",
-            ortho_track.residual <= 10 * cfg.tolerances.eq_tol,
-            ortho_track.residual,
-            _fmt_vec(ortho_track.witness[0]) if ortho_track.witness else "",
-        ),
-        CheckRow(
-            "lemma4",
-            "companion_in_span",
-            span_track.residual <= 1e-8,
-            span_track.residual,
-            _fmt_vec(span_track.witness[0]) if span_track.witness else "",
-        ),
-    ]
+    return [_tracked("lemma4", ortho_track, 10 * cfg.tolerances.eq_tol), _tracked("lemma4", span_track, 1e-8)]
 
 
 def suite_theorem10(cfg: RunConfig) -> list[CheckRow]:
     """Positivity of the Minkowski square on tangent spaces of H+."""
     space = cfg.space()
     if not space.is_spacetime_model:
-        return [CheckRow("theorem10", "not_applicable", True, 0.0, "needs a space-time model")]
+        return _not_applicable("theorem10")
     rng = as_seed(cfg.seed).rng()
     pp = mink.BoundProduct(space, "+")
     min_square = np.inf
@@ -304,16 +282,14 @@ def suite_theorem10(cfg: RunConfig) -> list[CheckRow]:
         if q < min_square:
             min_square = q
             witness = _fmt_vec(v.s)
-    return [
-        CheckRow("theorem10", "tangent_positivity", min_square > 0.0, max(0.0, -min_square), witness)
-    ]
+    return [_row("theorem10", "tangent_positivity", min_square > 0.0, max(0.0, -min_square), witness)]
 
 
 def suite_tangent(cfg: RunConfig) -> list[CheckRow]:
     """Tangent frames: space-like vectors, consistent and linear semi-metric."""
     space = cfg.space()
     if not space.is_spacetime_model:
-        return [CheckRow("tangent", "not_applicable", True, 0.0, "needs a space-time model")]
+        return _not_applicable("tangent")
     rng = as_seed(cfg.seed).rng()
     all_spacelike = True
     lin = ResidualTracker("ds2_linearity")
@@ -334,14 +310,8 @@ def suite_tangent(cfg: RunConfig) -> list[CheckRow]:
             v.s,
         )
     return [
-        CheckRow("tangent", "frame_spacelike", all_spacelike, 0.0 if all_spacelike else 1.0, witness),
-        CheckRow(
-            "tangent",
-            "ds2_linearity",
-            lin.residual <= 10 * cfg.tolerances.eq_tol,
-            lin.residual,
-            _fmt_vec(lin.witness[0]) if lin.witness else "",
-        ),
+        _row("tangent", "frame_spacelike", all_spacelike, witness=witness),
+        _tracked("tangent", lin, 10 * cfg.tolerances.eq_tol),
     ]
 
 
@@ -350,7 +320,7 @@ def suite_geodesic_cosh(cfg: RunConfig) -> list[CheckRow]:
     (pseudo-Euclidean space-time models); exploratory elsewhere."""
     space = cfg.space()
     if not space.is_spacetime_model:
-        return [CheckRow("geodesic-cosh", "not_applicable", True, 0.0, "needs a space-time model")]
+        return _not_applicable("geodesic-cosh")
     rng = as_seed(cfg.seed).rng()
     asserted = space.is_pseudo_euclidean
     rows = []
@@ -360,8 +330,8 @@ def suite_geodesic_cosh(cfg: RunConfig) -> list[CheckRow]:
         a = hyp.lift(space, np.zeros(space.k))
         b = hyp.lift(space, float(np.sinh(1.0)) * e1)
         d = hyp.geodesic_distance(space, a, b, cfg.nodes, tolerances=cfg.tolerances)
-        rows.append(CheckRow("geodesic-cosh", "unit_distance", abs(d - 1.0) <= 1e-3, abs(d - 1.0), "pole to sinh(1)"))
-    worst = ResidualTracker("cosh_residual")
+        rows.append(_row("geodesic-cosh", "unit_distance", abs(d - 1.0) <= 1e-3, abs(d - 1.0), "pole to sinh(1)"))
+    worst = ResidualTracker("cosh_law" if asserted else "cosh_law_exploratory")
     found = 0
     while found < 3:
         a = hyp.lift(space, rng.uniform(-1.2, 1.2, space.k))
@@ -372,16 +342,8 @@ def suite_geodesic_cosh(cfg: RunConfig) -> list[CheckRow]:
             continue
         found += 1
         worst.update(hyp.cosh_residual(space, a, b, cfg.nodes), a.s, b.s)
-    rows.append(
-        CheckRow(
-            "geodesic-cosh",
-            "cosh_law" if asserted else "cosh_law_exploratory",
-            worst.residual <= 5e-3 if asserted else True,
-            worst.residual,
-            (_fmt_vec(worst.witness[0]) if worst.witness else "")
-            + ("" if asserted else ";exploratory: transitivity unknown"),
-        )
-    )
+    tol, note = (5e-3, "") if asserted else (np.inf, ";exploratory: transitivity unknown")
+    rows.append(_tracked("geodesic-cosh", worst, tol, note=note))
     return rows
 
 
@@ -392,53 +354,35 @@ def suite_isometry(cfg: RunConfig) -> list[CheckRow]:
         for phi in (0.3, 1.2):
             F = iso.lorentz_boost(space, 0, phi)
             rep = iso.isometry_report(space, F, Seed(cfg.seed), cfg.trials, cfg.tolerances)
-            tag = ("%.1f" % phi).replace(".", "_")
-            rows.append(CheckRow("isometry", f"boost_{tag}.product", rep.product_residual <= 1e-10, rep.product_residual))
-            rows.append(CheckRow("isometry", f"boost_{tag}.adjoint", rep.adjoint_residual <= 1e-10, rep.adjoint_residual))
-            rows.append(
-                CheckRow(
-                    "isometry",
-                    f"boost_{tag}.pole",
-                    rep.pole_in_upper_sheet and rep.pole_square_residual <= 1e-10,
-                    rep.pole_square_residual,
-                    _fmt_vec(rep.pole_image),
-                )
-            )
+            rows += isometry_rows("boost_" + ("%.1f" % phi).replace(".", "_"), rep, 1e-10)
         # J F^T J F = identity (the adjoint is the matrix transpose here)
         F = iso.lorentz_boost(space, 0, 1.2)
         J = mink.j_matrix(space)
         resid = float(np.max(np.abs(J @ F.T @ J @ F - np.eye(space.n))))
-        rows.append(CheckRow("isometry", "adjoint_matrix_identity", resid <= 1e-8, resid))
+        rows.append(_row("isometry", "adjoint_matrix_identity", resid <= 1e-8, resid))
         # classification preserved by the boost
         V = as_uniform(as_seed(cfg.seed).rng().random((min(cfg.trials, 200), space.n)), -1.5, 1.5)
         class_tol = cfg.tolerances.class_tol
         moved = mink.classify_rows(space, matvec_rows(F, V), class_tol) != mink.classify_rows(space, V, class_tol)
         mismatches = int(np.count_nonzero(moved))
-        rows.append(CheckRow("isometry", "boost_classification", mismatches == 0, float(mismatches)))
+        rows.append(_row("isometry", "boost_classification", mismatches == 0, float(mismatches)))
         # a reflection through S preserves the product but leaves H+
         R = np.eye(space.n)
         R[-1, -1] = -1.0
         rep = iso.isometry_report(space, R, Seed(cfg.seed), cfg.trials, cfg.tolerances)
-        rows.append(CheckRow("isometry", "reflection_product", rep.product_residual <= cfg.tolerances.eq_tol, rep.product_residual))
-        rows.append(CheckRow("isometry", "reflection_pole_fails", not rep.pole_in_upper_sheet, 0.0, _fmt_vec(rep.pole_image)))
+        rows.append(_row("isometry", "reflection_product", rep.product_residual <= cfg.tolerances.eq_tol, rep.product_residual))
+        rows.append(_row("isometry", "reflection_pole_fails", not rep.pole_in_upper_sheet, 0.0, _fmt_vec(rep.pole_image)))
     else:
-        rows.append(CheckRow("isometry", "boosts_not_applicable", True, 0.0, "needs a pseudo-Euclidean space-time model"))
+        rows.append(_row("isometry", "boosts_not_applicable", True, 0.0, "needs a pseudo-Euclidean space-time model"))
 
     # smooth-norm isometries preserve the s.i.p.; rotations certify both ways
     theta = 0.7
     R2 = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
     sip_res, norm_res = iso.sip_preservation_residual(SipSpace.euclidean(2), R2, Seed(cfg.seed), min(cfg.trials, 200))
-    rows.append(CheckRow("isometry", "rotation_preserves_euclidean_sip", max(sip_res, norm_res) <= 1e-9, max(sip_res, norm_res)))
+    rows.append(_row("isometry", "rotation_preserves_euclidean_sip", max(sip_res, norm_res) <= 1e-9, max(sip_res, norm_res)))
     sip_res, norm_res = iso.sip_preservation_residual(SipSpace.pnorm(3.0, 2), R2, Seed(cfg.seed), min(cfg.trials, 200))
-    rows.append(
-        CheckRow(
-            "isometry",
-            "rotation_breaks_pnorm_sip",
-            sip_res > 1e-3 and norm_res > 1e-3,
-            sip_res,
-            "rotations are not p-norm isometries",
-        )
-    )
+    broken = sip_res > 1e-3 and norm_res > 1e-3
+    rows.append(_row("isometry", "rotation_breaks_pnorm_sip", broken, sip_res, "rotations are not p-norm isometries"))
     return rows
 
 
@@ -457,7 +401,7 @@ def suite_orthogonality(cfg: RunConfig) -> list[CheckRow]:
         for rel in ortho.OrthoRelation:
             if not ortho.is_orthogonal(euclid, rel, x, y, 1e-6):
                 agree = False
-    rows.append(CheckRow("orthogonality", "euclidean_agreement", agree, 0.0 if agree else 1.0))
+    rows.append(_row("orthogonality", "euclidean_agreement", agree))
 
     # s.i.p. orthogonality implies Birkhoff on the configured S block
     block = cfg.s_sip()
@@ -470,15 +414,7 @@ def suite_orthogonality(cfg: RunConfig) -> list[CheckRow]:
         y = basis[0]
         mn, _ = ortho.birkhoff_margin(block, x, y, tol.opt_tol)
         worst.update(max(0.0, norm(block, x) - mn), x)
-    rows.append(
-        CheckRow(
-            "orthogonality",
-            "sip_implies_birkhoff",
-            worst.residual <= 1e-6,
-            worst.residual,
-            _fmt_vec(worst.witness[0]) if worst.witness else "",
-        )
-    )
+    rows.append(_tracked("orthogonality", worst, 1e-6))
 
     # homogeneity of the unitary relations
     homogeneous = True
@@ -493,7 +429,7 @@ def suite_orthogonality(cfg: RunConfig) -> list[CheckRow]:
                 euclid, rel, lam * x, mu * y, 1e-6
             ):
                 homogeneous = False
-    rows.append(CheckRow("orthogonality", "unitary_homogeneity", homogeneous, 0.0 if homogeneous else 1.0))
+    rows.append(_row("orthogonality", "unitary_homogeneity", homogeneous))
 
     # regular orthogonalization in the 2+1 pseudo-Euclidean product
     diag = _SiipSpace.diagonal((1, 1, -1))
@@ -510,19 +446,18 @@ def suite_orthogonality(cfg: RunConfig) -> list[CheckRow]:
         us = ortho.regular_orthogonalization(product, vecs, tol)
         for i in range(3):
             for j in range(i + 1, 3):
-                pair_res.update(product(us[i], us[j]), vecs[0])
+                pair_res.update(product(us[i], us[j]))
         A = np.array(us).T
         for k in range(3):
             c, res, _, _ = np.linalg.lstsq(A[:, : k + 1], vecs[k], rcond=None)
-            span_res.update(float(np.sqrt(res[0])) if res.size else 0.0, vecs[k])
-    rows.append(CheckRow("orthogonality", "gs_pairwise", pair_res.residual <= 1e-9, pair_res.residual))
-    rows.append(CheckRow("orthogonality", "gs_span", span_res.residual <= 1e-9, span_res.residual))
+            span_res.update(float(np.sqrt(res[0])) if res.size else 0.0)
+    rows += [_tracked("orthogonality", pair_res, 1e-9), _tracked("orthogonality", span_res, 1e-9)]
     try:
         ortho.regular_orthogonalization(product, [np.array([1.0, 0.0, 1.0])], tol)
         neutral_ok = False
     except NeutralPivotError as err:
         neutral_ok = err.index == 1
-    rows.append(CheckRow("orthogonality", "gs_neutral_start_raises", neutral_ok, 0.0 if neutral_ok else 1.0))
+    rows.append(_row("orthogonality", "gs_neutral_start_raises", neutral_ok))
 
     # Auerbach pair of the S block (two-dimensional blocks only)
     if block.dim == 2:
@@ -531,21 +466,14 @@ def suite_orthogonality(cfg: RunConfig) -> list[CheckRow]:
         for a, b in ((u, v), (v, u)):
             mn, _ = ortho.birkhoff_margin(block, a, b, tol.opt_tol)
             deficiency = max(deficiency, norm(block, a) - mn)
-        rows.append(CheckRow("orthogonality", "auerbach_mutual_birkhoff", deficiency <= 1e-5, deficiency, _fmt_vec(u)))
+        rows.append(_row("orthogonality", "auerbach_mutual_birkhoff", deficiency <= 1e-5, deficiency, _fmt_vec(u)))
 
     # Pythagorean subspace scan: an inner-product exclusive
     found = ortho.pythagorean_subspace_scan(NormSpec.euclidean(2), 120)
-    rows.append(CheckRow("orthogonality", "pythagorean_scan_euclidean", found is not None, 0.0 if found else 1.0))
+    rows.append(_row("orthogonality", "pythagorean_scan_euclidean", found is not None))
     for name, spec in (("max", NormSpec.max_norm(2)), ("pnorm4", NormSpec.pnorm(4.0, 2))):
         found = ortho.pythagorean_subspace_scan(spec, 120)
-        rows.append(
-            CheckRow(
-                "orthogonality",
-                f"pythagorean_scan_{name}_empty",
-                found is None,
-                0.0 if found is None else 1.0,
-            )
-        )
+        rows.append(_row("orthogonality", f"pythagorean_scan_{name}_empty", found is None))
     return rows
 
 
@@ -586,42 +514,29 @@ def stock_counterexamples(seed, tolerances: Tolerances = DEFAULT_TOLERANCES) -> 
 def suite_counterexamples(cfg: RunConfig) -> list[CheckRow]:
     """Inverted-expectation suites: the violations must be found."""
     found = stock_counterexamples(Seed(cfg.seed), cfg.tolerances)
-    val, margin = found.plane_value, found.plane_margin
-    witness = found.plane_witness
-    ok = witness is not None and witness[2] >= 10.0 / 9.0
-    max_witness = found.max_plane_witness
+    value_err = abs(found.plane_value - 10.0 / 3.0)
+    margin_err = abs(found.plane_margin - 10.0 / 9.0)
+    cs, max_cs = found.plane_witness, found.max_plane_witness  # (u, v, margin) or None
     flat, none_found = found.flat_witness, found.pnorm_flat_witness
     return [
-        CheckRow("counterexamples", "plane_value", abs(val - 10.0 / 3.0) <= 1e-12, abs(val - 10.0 / 3.0), "[(1,2),(1,1)]"),
-        CheckRow("counterexamples", "plane_margin", abs(margin - 10.0 / 9.0) <= 1e-9, abs(margin - 10.0 / 9.0)),
-        CheckRow(
+        _row("counterexamples", "plane_value", value_err <= 1e-12, value_err, "[(1,2),(1,1)]"),
+        _row("counterexamples", "plane_margin", margin_err <= 1e-9, margin_err),
+        _row(
             "counterexamples",
             "plane_witness_found",
-            ok,
-            witness[2] if witness else 0.0,
-            _fmt_vec(witness[0]) if witness else "no violation found",
+            cs is not None and cs[2] >= 10.0 / 9.0,
+            cs[2] if cs else 0.0,
+            _fmt_vec(cs[0]) if cs else "no violation found",
         ),
-        CheckRow(
+        _row(
             "counterexamples",
             "max_plane_witness_found",
-            max_witness is not None,
-            max_witness[2] if max_witness else 0.0,
-            _fmt_vec(max_witness[0]) if max_witness else "no violation found",
+            max_cs is not None,
+            max_cs[2] if max_cs else 0.0,
+            _fmt_vec(max_cs[0]) if max_cs else "no violation found",
         ),
-        CheckRow(
-            "counterexamples",
-            "max_norm_flat_witness",
-            flat is not None,
-            0.0,
-            _fmt_vec(flat[0]) if flat else "no witness",
-        ),
-        CheckRow(
-            "counterexamples",
-            "pnorm_strictly_convex",
-            none_found is None,
-            0.0,
-            "" if none_found is None else _fmt_vec(none_found[0]),
-        ),
+        _row("counterexamples", "max_norm_flat_witness", flat is not None, 0.0, _fmt_vec(flat[0]) if flat else "no witness"),
+        _row("counterexamples", "pnorm_strictly_convex", none_found is None, 0.0, _fmt_vec(none_found[0]) if none_found else ""),
     ]
 
 

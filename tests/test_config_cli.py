@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from sipmink.cli import main
-from sipmink.config import config_from_mapping, load_config, parse_config
+from sipmink.config import RunConfig, config_from_mapping, load_config, parse_config
 from sipmink.errors import UsageError
+from sipmink.isometry import lorentz_boost
 
 PNORM_CFG = """
 # pnorm plane over a one-dimensional time block
@@ -30,6 +31,7 @@ class TestConfigParsing:
         cfg = config_from_mapping({})
         assert cfg.s_kind == "euclidean" and cfg.s_dim == 2 and cfg.t_dim == 1
         assert cfg.seed == 42
+        assert config_from_mapping({}) == RunConfig()
 
     def test_unknown_key_reports_position(self):
         with pytest.raises(UsageError) as err:
@@ -191,3 +193,28 @@ class TestVerifyCommand:
         main(["verify", "sip-axioms", "--seed", "1", "--out", str(out1)])
         main(["verify", "sip-axioms", "--seed", "1", "--out", str(out2)])
         assert out1.read_bytes() == out2.read_bytes()
+
+    @staticmethod
+    def _verify_matrix(tmp_path, F):
+        path = tmp_path / "F.csv"
+        np.savetxt(path, F, delimiter=",", fmt="%.17g")
+        out = tmp_path / "iso.csv"
+        code = main(["verify", "isometry", "--matrix", str(path), "--out", str(out)])
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        return code, {r[1]: r[2] for r in rows if r[1].startswith("user_matrix.")}
+
+    def test_matrix_boost_passes(self, capsys, tmp_path):
+        F = lorentz_boost(RunConfig().space(), 0, 0.5)
+        code, flags = self._verify_matrix(tmp_path, F)
+        assert code == 0
+        checks = ("product", "adjoint", "pole")
+        assert flags == {f"user_matrix.{c}": "true" for c in checks}
+        assert "PASS user matrix:" in capsys.readouterr().out
+
+    def test_matrix_pole_off_the_hyperboloid_fails(self, capsys, tmp_path):
+        # diag(1, 1, 2) sends the pole to (0, 0, 2): on the upper sheet,
+        # but with [Fe_n, Fe_n]^+ = -4
+        code, flags = self._verify_matrix(tmp_path, np.diag([1.0, 1.0, 2.0]))
+        assert code == 1
+        assert flags["user_matrix.pole"] == "false"
+        assert "FAIL user matrix:" in capsys.readouterr().out

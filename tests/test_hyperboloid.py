@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sipmink.config import config_from_mapping
 from sipmink.errors import ConvergenceError, DomainError, PathError, TangentError, UnsupportedError
 from sipmink.hyperboloid import (
     _EPS3,
@@ -32,6 +33,7 @@ from sipmink.minkowski import (
 from sipmink.norms import NormSpec, norm, norm_batch, sip
 from sipmink.numerics import DEFAULT_TOLERANCES, central_diff, first_diff_step, integrate, minimize
 from sipmink.ortho import orthogonal_companion_basis
+from sipmink.suites import suite_geodesic_cosh
 
 PSEUDO21 = GeneralizedMinkowskiSpace.pseudo_euclidean(2)
 PSEUDO31 = GeneralizedMinkowskiSpace.pseudo_euclidean(3)
@@ -455,3 +457,17 @@ class TestCoshResidual:
             if hyperbolic_distance(PSEUDO31, a, b) > 3.0:
                 continue
             assert cosh_residual(PSEUDO31, a, b, 32) <= 5e-3
+
+    # the verify suite's rows: names, flags and witness notes, not residual digits,
+    # which follow the solver
+    def test_geodesic_cosh_suite_euclidean(self):
+        unit, law = suite_geodesic_cosh(config_from_mapping({"nodes": 8}))
+        assert (unit.check, unit.passed, unit.witness) == ("unit_distance", True, "pole to sinh(1)")
+        assert (law.check, law.passed) == ("cosh_law", True)
+        assert ";" not in law.witness and len(law.witness.split(",")) == 2
+
+    def test_geodesic_cosh_suite_pnorm_is_exploratory(self):
+        cfg = config_from_mapping({"space.s.norm": "pnorm", "space.s.p": 3.0, "nodes": 8})
+        (row,) = suite_geodesic_cosh(cfg)
+        assert (row.check, row.passed) == ("cosh_law_exploratory", True)
+        assert row.witness.endswith(";exploratory: transitivity unknown")
