@@ -28,9 +28,9 @@ from .errors import (
     TangentError,
     UnsupportedError,
 )
-from .minkowski import GeneralizedMinkowskiSpace, embed, product_plus, split
-from .norms import norm, norm_batch, sip
-from .numerics import DEFAULT_TOLERANCES, Tolerances, minimize, simpson_weights
+from .minkowski import GeneralizedMinkowskiSpace, embed, product_plus, product_plus_rows, split
+from .norms import norm_batch, norm_rows, sip, sip_rows
+from .numerics import DEFAULT_TOLERANCES, Tolerances, check_dim, minimize, reduce_last, simpson_weights
 
 _EPS3 = float(np.finfo(float).eps) ** (1.0 / 3.0)
 
@@ -76,15 +76,31 @@ def as_hpoint(space: GeneralizedMinkowskiSpace, v, tol: float = 1e-8) -> HPoint:
     return HPoint(space, s, float(t[0]))
 
 
-def f_directional(space: GeneralizedMinkowskiSpace, s, e) -> float:
-    """Directional derivative of s -> sqrt(1 + [s, s]) along a unit direction e:
-    [e, s] / sqrt(1 + [s, s])."""
+def lift_rows(space: GeneralizedMinkowskiSpace, S) -> np.ndarray:
+    """Lift each row of an (N, k) array of S-coordinates onto H+: the (N, n)
+    array of vectors (s, tau), with tau = sqrt(1 + [s, s]) as :func:`lift`
+    computes it."""
     _require_spacetime(space)
-    s = np.asarray(s, dtype=float)
-    e = np.asarray(e, dtype=float)
-    if abs(norm(space.s_space, e) - 1.0) > 1e-8:
+    S = check_dim(S, space.k, rows=True)
+    tau = np.sqrt(1.0 + sip_rows(space.s_space, S, S))
+    return np.concatenate([S, tau[:, None]], axis=1)
+
+
+def f_directional_rows(space: GeneralizedMinkowskiSpace, S, E) -> np.ndarray:
+    """Directional derivative of s -> sqrt(1 + [s, s]) at S[i] along the unit
+    direction E[i]: [e, s] / sqrt(1 + [s, s])."""
+    _require_spacetime(space)
+    S = check_dim(S, space.k, rows=True)
+    E = check_dim(E, space.k, rows=True)
+    if np.any(np.abs(norm_rows(space.s_space, E) - 1.0) > 1e-8):
         raise DomainError("direction must be a unit vector of the S block")
-    return sip(space.s_space, e, s) / float(np.sqrt(1.0 + sip(space.s_space, s, s)))
+    return sip_rows(space.s_space, E, S) / lift_rows(space, S)[:, -1]
+
+
+def f_directional(space: GeneralizedMinkowskiSpace, s, e) -> float:
+    """:func:`f_directional_rows` of one base point and direction."""
+    S, E = (np.asarray(a, dtype=float)[None] for a in (s, e))
+    return float(f_directional_rows(space, S, E)[0])
 
 
 @dataclass(frozen=True)
@@ -93,24 +109,65 @@ class TangentFrame:
     vectors: tuple
 
 
-def tangent_frame(space: GeneralizedMinkowskiSpace, v: HPoint) -> TangentFrame:
-    """Frame u_j = e_j + ([e_j, s]/tau) e_n spanning the tangent space at v.
+def tangent_frame_rows(space: GeneralizedMinkowskiSpace, V) -> np.ndarray:
+    """Frames u_j = e_j + ([e_j, s]/tau) e_n spanning the tangent spaces at the
+    rows (s, tau) of an (N, n) array of points of H+, as an (N, k, n) array.
 
     Each u_j satisfies [u_j, v]^+ = 0 identically (the T block is
     one-dimensional, so the product of the tau components cancels the
-    S-side product exactly).
+    S-side product exactly); a frame vector that misses this check by more
+    than rounding raises :class:`NumericalError`.
     """
     _require_spacetime(space)
-    vecs = []
-    vv = v.vector
-    for jdx in range(space.k):
-        e = np.zeros(space.k)
-        e[jdx] = 1.0
-        u = embed(space, s=e, t=[sip(space.s_space, e, v.s) / v.tau])
-        if abs(product_plus(space, u, vv)) > 10.0 * DEFAULT_TOLERANCES.eq_tol * max(1.0, v.tau):
+    V = check_dim(V, space.n, rows=True)
+    k = space.k
+    S, tau = V[:, :k], V[:, k]
+    bound = 10.0 * DEFAULT_TOLERANCES.eq_tol * np.fmax(1.0, tau)
+    frames = np.zeros((len(V), k, space.n))
+    for j in range(k):
+        frames[:, j, j] = 1.0
+        frames[:, j, k] = sip_rows(space.s_space, frames[:, j, :k], S) / tau
+        if np.any(np.abs(product_plus_rows(space, frames[:, j], V)) > bound):
             raise NumericalError("tangent frame vector failed its orthogonality check")
-        vecs.append(u)
-    return TangentFrame(v, tuple(vecs))
+    return frames
+
+
+def tangent_frame(space: GeneralizedMinkowskiSpace, v: HPoint) -> TangentFrame:
+    """The frame of :func:`tangent_frame_rows` at one point of H+."""
+    return TangentFrame(v, tuple(tangent_frame_rows(space, v.vector[None])[0]))
+
+
+def ds2_rows(
+    space: GeneralizedMinkowskiSpace,
+    V,
+    U1,
+    U2,
+    tolerances: Tolerances = DEFAULT_TOLERANCES,
+) -> np.ndarray:
+    """Semi-metric values [U1[i], U2[i]]^+ for tangent vectors at the points
+    V[i] of H+.
+
+    Evaluates both the direct Minkowski product and its tangential
+    closed form ([s1,s2] - [s1,s_v][s2,s_v]/(1+[s_v,s_v])) and insists
+    they agree; either is the semi-metric.  A vector that is not tangent
+    raises :class:`TangentError`.
+    """
+    _require_spacetime(space)
+    V, U1, U2 = (check_dim(A, space.n, rows=True) for A in (V, U1, U2))
+    k = space.k
+    S, tau = V[:, :k], V[:, k]
+    for U in (U1, U2):
+        scale = np.fmax(1.0, reduce_last(np.maximum, np.abs(U))) * np.fmax(1.0, tau)
+        if np.any(np.abs(product_plus_rows(space, U, V)) > tolerances.fd_tol * scale):
+            raise TangentError("vector is not tangent to H+ at the base point")
+    direct = product_plus_rows(space, U1, U2)
+    block = space.s_space
+    S1, S2 = U1[:, :k], U2[:, :k]
+    qv = sip_rows(block, S, S)
+    closed = sip_rows(block, S1, S2) - sip_rows(block, S1, S) * sip_rows(block, S2, S) / (1.0 + qv)
+    if np.any(np.abs(direct - closed) > tolerances.fd_tol * np.fmax(1.0, np.abs(direct))):
+        raise NumericalError("tangential product forms disagree beyond tolerance")
+    return direct
 
 
 def ds2(
@@ -120,29 +177,9 @@ def ds2(
     u2,
     tolerances: Tolerances = DEFAULT_TOLERANCES,
 ) -> float:
-    """Semi-metric value [u1, u2]^+ for tangent vectors at v.
-
-    Evaluates both the direct Minkowski product and its tangential
-    closed form ([s1,s2] - [s1,s_v][s2,s_v]/(1+[s_v,s_v])) and insists
-    they agree; either is the semi-metric.
-    """
-    _require_spacetime(space)
-    u1 = np.asarray(u1, dtype=float)
-    u2 = np.asarray(u2, dtype=float)
-    vv = v.vector
-    for u in (u1, u2):
-        scale = max(1.0, float(np.max(np.abs(u)))) * max(1.0, v.tau)
-        if abs(product_plus(space, u, vv)) > tolerances.fd_tol * scale:
-            raise TangentError("vector is not tangent to H+ at the base point")
-    direct = product_plus(space, u1, u2)
-    s1, _ = split(space, u1)
-    s2, _ = split(space, u2)
-    qv = sip(space.s_space, v.s, v.s)
-    closed = sip(space.s_space, s1, s2) - sip(space.s_space, s1, v.s) * sip(space.s_space, s2, v.s) / (1.0 + qv)
-    scale = max(1.0, abs(direct))
-    if abs(direct - closed) > tolerances.fd_tol * scale:
-        raise NumericalError("tangential product forms disagree beyond tolerance")
-    return float(direct)
+    """Semi-metric value [u1, u2]^+ for tangent vectors at v (see :func:`ds2_rows`)."""
+    U1, U2 = (np.asarray(u, dtype=float)[None] for u in (u1, u2))
+    return float(ds2_rows(space, v.vector[None], U1, U2, tolerances)[0])
 
 
 @dataclass(frozen=True)

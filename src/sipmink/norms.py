@@ -27,7 +27,7 @@ from .numerics import (
     as_seed,
     as_uniform,
     build_report,
-    central_diff,
+    central_diff_rows,
     check_dim,
     dot_rows,
     first_diff_step,
@@ -208,10 +208,16 @@ def _sip_closed(spec: NormSpec, x: np.ndarray, y: np.ndarray) -> float:
     raise DomainError("no closed form for this norm kind")
 
 
-def _sip_derivative(spec: NormSpec, x: np.ndarray, y: np.ndarray) -> float:
-    ny = norm(spec, y)
-    h = first_diff_step(ny)
-    return ny * central_diff(lambda t: norm(spec, y + t * x), 0.0, h)
+def _sip_derivative_rows(spec: NormSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """The norm-derivative route [x, y] = |y| d/dt |y + t x| at t = 0, for
+    rows with y != 0."""
+    return norm_rows(spec, Y) * _norm_first_derivative_rows(spec, X, Y)
+
+
+def _one_row(rows_fn, space, *vectors) -> float:
+    """A row kernel of ``space`` evaluated on single vectors."""
+    dim = _spec(space).dim
+    return float(rows_fn(space, *(check_dim(v, dim)[None] for v in vectors))[0])
 
 
 def sip(space, x, y) -> float:
@@ -224,23 +230,25 @@ def sip(space, x, y) -> float:
     mode = space.sip_mode if isinstance(space, SipSpace) else "closed"
     if mode == "closed" and spec.kind != GAUGE:
         return _sip_closed(spec, x, y)
-    return _sip_derivative(spec, x, y)
+    return float(_sip_derivative_rows(spec, x[None], y[None])[0])
 
 
 def sip_rows(space, X, Y) -> np.ndarray:
     """Row-wise products ``[X[i], Y[i]]`` of two (N, dim) arrays,
     bit-identical to :func:`sip` on each row.
 
-    The Euclidean, p-norm and max closed forms run as array code; the
-    derivative route and custom gauges loop over :func:`sip`.
+    The Euclidean, p-norm and max closed forms and the derivative route
+    (which custom gauges take) all run as array code.
     """
     spec = _spec(space)
     X = check_dim(X, spec.dim, rows=True)
     Y = check_dim(Y, spec.dim, rows=True)
     mode = space.sip_mode if isinstance(space, SipSpace) else "closed"
-    if mode != "closed" or spec.kind == GAUGE:
-        return row_kernel(lambda x, y: sip(space, x, y))(X, Y)
     nonzero = np.any(Y, axis=1)  # [x, 0] = 0, as in sip
+    if mode != "closed" or spec.kind == GAUGE:
+        out = np.zeros(len(Y))  # rows with y = 0 are never evaluated, as in sip
+        out[nonzero] = _sip_derivative_rows(spec, X[nonzero], Y[nonzero])
+        return out
     if spec.kind == EUCLIDEAN:
         out = dot_rows(X, Y)
     elif spec.kind == PNORM:
@@ -276,45 +284,40 @@ def sip_matrix(space, U: np.ndarray, V: np.ndarray) -> np.ndarray:
     raise DomainError("sip_matrix requires a closed-form norm kind")
 
 
-def norm_first_derivative(space, x, y) -> float:
-    """Directional derivative of the norm at y in direction x."""
+def _require_nonzero(Y, what: str):
+    if not np.all(np.any(Y, axis=1)):
+        raise DomainError(f"{what} is undefined at the origin")
+
+
+def _norm_first_derivative_rows(space, X, Y) -> np.ndarray:
+    """Directional derivative of the norm at Y[i] in direction X[i]."""
     spec = _spec(space)
-    x = check_dim(x, spec.dim)
-    y = check_dim(y, spec.dim)
-    if not np.any(y):
-        raise DomainError("norm derivative is undefined at the origin")
-    h = first_diff_step(norm(spec, y))
-    return central_diff(lambda t: norm(spec, y + t * x), 0.0, h)
+    _require_nonzero(Y, "norm derivative")
+    return central_diff_rows(lambda t: norm_rows(spec, Y + t[:, None] * X), first_diff_step(norm_rows(spec, Y)))
 
 
-def norm_second_derivative(space, x, z, y) -> float:
-    """Second directional derivative of the norm at y, directions x then z."""
+def _norm_second_derivative_rows(space, X, Z, Y) -> np.ndarray:
+    """Second directional derivative of the norm at Y[i], directions X[i]
+    then Z[i]: the central difference of the first derivative along Z[i]."""
     spec = _spec(space)
-    x = check_dim(x, spec.dim)
-    z = check_dim(z, spec.dim)
-    y = check_dim(y, spec.dim)
-    if not np.any(y):
-        raise DomainError("norm derivative is undefined at the origin")
-    h = second_diff_step(norm(spec, y))
-    return central_diff(lambda t: norm_first_derivative(space, x, y + t * z), 0.0, h)
+    _require_nonzero(Y, "norm derivative")
+    h = second_diff_step(norm_rows(spec, Y))
+    return central_diff_rows(lambda t: _norm_first_derivative_rows(spec, X, Y + t[:, None] * Z), h)
 
 
-def sip_second_arg_derivative(space, x, y, z) -> float:
-    """Derivative of t -> [x, y + t z] at t = 0."""
-    spec = _spec(space)
-    x = check_dim(x, spec.dim)
-    y = check_dim(y, spec.dim)
-    z = check_dim(z, spec.dim)
-    if not np.any(y):
-        raise DomainError("second-argument derivative is undefined at the origin")
-    if not np.any(z):
-        return 0.0
-    h = first_diff_step(norm(spec, y))
-    return central_diff(lambda t: sip(space, x, y + t * z), 0.0, h)
+def _sip_second_arg_derivative_rows(space, X, Y, Z) -> np.ndarray:
+    """Derivative of t -> [X[i], Y[i] + t Z[i]] at t = 0 (0.0 where Z[i] = 0)."""
+    _require_nonzero(Y, "second-argument derivative")
+    moving = np.any(Z, axis=1)
+    X, Y, Z = X[moving], Y[moving], Z[moving]
+    out = np.zeros(len(moving))
+    h = first_diff_step(norm_rows(space, Y))
+    out[moving] = central_diff_rows(lambda t: sip_rows(space, X, Y + t[:, None] * Z), h)
+    return out
 
 
-def derivative_identity_residual(space, x, y, z) -> float:
-    """Residual of the identity linking the two derivative notions:
+def derivative_identity_residual_rows(space, X, Y, Z) -> np.ndarray:
+    """Residual of the identity linking the two derivative notions, row by row:
 
         |y| * norm''_{x,z}(y)  =  d/dt [x, y + t z]|_0  -  [x,y][z,y] / |y|^2.
 
@@ -322,10 +325,32 @@ def derivative_identity_residual(space, x, y, z) -> float:
     twice-differentiable norm does.
     """
     spec = _spec(space)
-    ny = norm(spec, y)
-    lhs = ny * norm_second_derivative(space, x, z, y)
-    rhs = sip_second_arg_derivative(space, x, y, z) - sip(space, x, y) * sip(space, z, y) / (ny * ny)
-    return abs(lhs - rhs)
+    X, Y, Z = (check_dim(A, spec.dim, rows=True) for A in (X, Y, Z))
+    ny = norm_rows(spec, Y)
+    lhs = ny * _norm_second_derivative_rows(space, X, Z, Y)
+    cross = sip_rows(space, X, Y) * sip_rows(space, Z, Y) / (ny * ny)
+    rhs = _sip_second_arg_derivative_rows(space, X, Y, Z) - cross
+    return np.abs(lhs - rhs)
+
+
+def norm_first_derivative(space, x, y) -> float:
+    """Directional derivative of the norm at y in direction x."""
+    return _one_row(_norm_first_derivative_rows, space, x, y)
+
+
+def norm_second_derivative(space, x, z, y) -> float:
+    """Second directional derivative of the norm at y, directions x then z."""
+    return _one_row(_norm_second_derivative_rows, space, x, z, y)
+
+
+def sip_second_arg_derivative(space, x, y, z) -> float:
+    """Derivative of t -> [x, y + t z] at t = 0."""
+    return _one_row(_sip_second_arg_derivative_rows, space, x, y, z)
+
+
+def derivative_identity_residual(space, x, y, z) -> float:
+    """:func:`derivative_identity_residual_rows` of one (x, y, z)."""
+    return _one_row(derivative_identity_residual_rows, space, x, y, z)
 
 
 def nath_product(space, p: float, x, y) -> float:

@@ -150,14 +150,15 @@ def as_uniform(u, low: float, high: float) -> np.ndarray:
     return low + (high - low) * u
 
 
-def first_diff_step(scale: float) -> float:
-    """Step for first central differences: balances truncation and rounding."""
-    return max(1.0, abs(scale)) * _EPS ** (1.0 / 3.0)
+def first_diff_step(scale):
+    """Step for first central differences: balances truncation and rounding.
+    An array of scales gives one step each; a NaN scale counts as 1."""
+    return np.fmax(1.0, np.abs(scale)) * _EPS ** (1.0 / 3.0)
 
 
-def second_diff_step(scale: float) -> float:
+def second_diff_step(scale):
     """Step for second differences and nested first differences."""
-    return max(1.0, abs(scale)) * _EPS ** 0.25
+    return np.fmax(1.0, np.abs(scale)) * _EPS ** 0.25
 
 
 def _finite(value: float, what: str) -> float:
@@ -167,12 +168,32 @@ def _finite(value: float, what: str) -> float:
     return value
 
 
+def _finite_rows(values, what: str) -> np.ndarray:
+    values = np.asarray(values, dtype=float)
+    bad = ~np.isfinite(values)
+    if bad.any():
+        _finite(values[bad][0], what)  # raises, naming the first non-finite value
+    return values
+
+
 def central_diff(f: Callable[[float], float], t: float, h: float) -> float:
     """Symmetric difference quotient (f(t+h) - f(t-h)) / (2h)."""
     if not h > 0:
         raise DomainError("step h must be positive")
     fp = _finite(f(t + h), "central_diff")
     fm = _finite(f(t - h), "central_diff")
+    return (fp - fm) / (2.0 * h)
+
+
+def central_diff_rows(f: Callable[[np.ndarray], np.ndarray], h: np.ndarray) -> np.ndarray:
+    """Row-wise :func:`central_diff` at t = 0: ``f`` maps an array of offsets,
+    one per row, to the values of the rows there, and ``h`` holds one step
+    per row.  Raises :class:`NumericalError` on a non-finite value."""
+    h = np.asarray(h, dtype=float)
+    if not np.all(h > 0):
+        raise DomainError("step h must be positive")
+    fp = _finite_rows(f(h), "central_diff")
+    fm = _finite_rows(f(-h), "central_diff")
     return (fp - fm) / (2.0 * h)
 
 

@@ -25,7 +25,7 @@ from .errors import (
 )
 from .minkowski import GeneralizedMinkowskiSpace, embed, product_plus
 from .norms import MAX, NormSpec, SipSpace, norm, norm_batch, norm_rows, sip, sip_matrix
-from .numerics import DEFAULT_TOLERANCES, Tolerances, as_seed, minimize
+from .numerics import DEFAULT_TOLERANCES, Tolerances, as_seed, minimize, row_kernel
 
 
 class OrthoRelation(enum.Enum):
@@ -111,35 +111,43 @@ def is_orthogonal(space, rel: OrthoRelation, x, y, tol: float = 1e-9) -> bool:
     return relation_report(space, rel, x, y, tol).related
 
 
-def _std_basis(n: int):
-    return [np.eye(n)[i] for i in range(n)]
+def orthogonal_companion_basis_rows(product, U, tolerances: Tolerances = DEFAULT_TOLERANCES):
+    """Bases of the orthogonal companions {w : product(w, u) = 0} of the rows
+    u of an (N, n) array, as an (N, n - 1, n) array.
+
+    The product must be linear in its first argument, so a companion is
+    the kernel of the row functional r_i = product(e_i, u), found with one
+    row-kernel call per basis vector e_i; each row's basis pivots on its
+    largest entry.  Raises :class:`DegenerateError` if the functional of
+    any row vanishes (nondegeneracy would be violated).
+    """
+    U = np.asarray(U, dtype=float)
+    if not np.all(np.any(U, axis=1)):
+        raise DomainError("companion of the zero vector is the whole space")
+    count, n = U.shape
+    P = row_kernel(product)
+    R = np.empty_like(U)
+    for i in range(n):
+        E = np.zeros_like(U)
+        E[:, i] = 1.0
+        R[:, i] = P(E, U)
+    rows = np.arange(count)[:, None]
+    m = np.argmax(np.abs(R), axis=1)[:, None]
+    pivot = R[rows, m]
+    if np.any(np.abs(pivot) <= tolerances.eq_tol):
+        raise DegenerateError("the product functional of u vanishes on the basis")
+    slots = np.arange(n - 1)
+    j = slots + (slots >= m)  # every index but the pivot, in order
+    W = np.zeros((count, n - 1, n))
+    W[rows, slots, j] = 1.0
+    W[rows, slots, m] = -R[rows, j] / pivot
+    return W
 
 
 def orthogonal_companion_basis(product, u, tolerances: Tolerances = DEFAULT_TOLERANCES):
-    """Basis of the orthogonal companion {w : product(w, u) = 0}.
-
-    The product must be linear in its first argument, so the companion is
-    the kernel of the row functional r_i = product(e_i, u); the basis
-    pivots on the largest entry.  Raises :class:`DegenerateError` if the
-    functional vanishes (nondegeneracy would be violated).
-    """
-    u = np.asarray(u, dtype=float)
-    if not np.any(u):
-        raise DomainError("companion of the zero vector is the whole space")
-    n = u.size
-    r = np.array([product(e, u) for e in _std_basis(n)])
-    m = int(np.argmax(np.abs(r)))
-    if abs(r[m]) <= tolerances.eq_tol:
-        raise DegenerateError("the product functional of u vanishes on the basis")
-    out = []
-    for j in range(n):
-        if j == m:
-            continue
-        w = np.zeros(n)
-        w[j] = 1.0
-        w[m] = -r[j] / r[m]
-        out.append(w)
-    return out
+    """The basis of :func:`orthogonal_companion_basis_rows` for one vector u,
+    as a list of n - 1 vectors."""
+    return list(orthogonal_companion_basis_rows(product, np.asarray(u, dtype=float)[None], tolerances)[0])
 
 
 def gram_matrix(product, vectors) -> np.ndarray:

@@ -15,6 +15,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import hyperboloid as hyp
 from . import isometry as iso
@@ -26,13 +27,25 @@ from .errors import DomainError, NeutralPivotError
 from .norms import (
     NormSpec,
     SipSpace,
-    derivative_identity_residual,
+    derivative_identity_residual_rows,
     norm,
+    norm_rows,
     product_axiom_report,
     sip,
     sip_axiom_report,
+    sip_rows,
 )
-from .numerics import DEFAULT_TOLERANCES, ResidualTracker, Seed, Tolerances, as_seed, as_uniform, matvec_rows
+from .numerics import (
+    DEFAULT_TOLERANCES,
+    ResidualTracker,
+    Seed,
+    Tolerances,
+    as_seed,
+    as_uniform,
+    central_diff_rows,
+    first_diff_step,
+    matvec_rows,
+)
 
 _FMT = "%.17g"
 
@@ -74,8 +87,8 @@ def _tracked(suite: str, tracker: ResidualTracker, tol: float, pick: int = 0, no
     return _row(suite, tracker.name, tracker.residual <= tol, tracker.residual, witness + note)
 
 
-def _not_applicable(suite: str, why: str = "needs a space-time model") -> list[CheckRow]:
-    return [_row(suite, "not_applicable", True, 0.0, why)]
+def _not_applicable(suite: str, why: str = "needs a space-time model", check: str = "not_applicable") -> list[CheckRow]:
+    return [_row(suite, check, True, 0.0, why)]
 
 
 def _rows_from_report(suite: str, prefix: str, report, tol: float) -> list[CheckRow]:
@@ -114,15 +127,14 @@ def suite_sip_axioms(cfg: RunConfig) -> list[CheckRow]:
         rows += _rows_from_report("sip-axioms", f"{name}.", report, cfg.tolerances.eq_tol)
         if block.norm.is_smooth:
             # the closed form and the norm-derivative route must agree
-            rng = as_seed(cfg.seed).rng()
+            d = block.dim
+            draws = as_seed(cfg.seed).rng().random((min(cfg.trials, 100), 2 * d))  # x, y per trial
+            X, Y = as_uniform(draws[:, :d], -1.5, 1.5), as_uniform(draws[:, d:], -1.5, 1.5)
+            keep = np.any(Y, axis=1)  # trials with y = 0 are skipped
+            X, Y = X[keep], Y[keep]
             deriv = SipSpace(block.norm, sip_mode="derivative")
             track = ResidualTracker(f"{name}.mode_agreement")
-            for _ in range(min(cfg.trials, 100)):
-                x = rng.uniform(-1.5, 1.5, block.dim)
-                y = rng.uniform(-1.5, 1.5, block.dim)
-                if not np.any(y):
-                    continue
-                track.update(sip(block, x, y) - sip(deriv, x, y), x, y)
+            track.update_rows(sip_rows(block, X, Y) - sip_rows(deriv, X, Y), X, Y)
             rows.append(_tracked("sip-axioms", track, cfg.tolerances.fd_tol))
     return rows
 
@@ -168,16 +180,24 @@ def suite_theorem2(cfg: RunConfig) -> list[CheckRow]:
     )
     if not smooth_enough:
         return _not_applicable("theorem2", "norm not twice differentiable")
-    rng = as_seed(cfg.seed).rng()
-    track = ResidualTracker("identity_residual")
+    # a trial draws x, z, y and, unless y = 0 (then it is skipped), the
+    # length of y; one block holds the longest possible stream
+    d = block.dim
+    draws = as_seed(cfg.seed).rng().random(100 * (3 * d + 1))
+    y_nonzero = np.any(as_uniform(sliding_window_view(draws, d), -1.0, 1.0), axis=1).tolist()
+    starts = []
+    p = 0
     for _ in range(100):
-        x = rng.uniform(-1.0, 1.0, block.dim)
-        z = rng.uniform(-1.0, 1.0, block.dim)
-        y = rng.uniform(-1.0, 1.0, block.dim)
-        if not np.any(y):
-            continue
-        y *= rng.uniform(0.5, 2.0) / norm(block, y)
-        track.update(derivative_identity_residual(block, x, y, z), x, y, z)
+        if y_nonzero[p + 2 * d]:
+            starts.append(p)
+            p += 3 * d + 1
+        else:
+            p += 3 * d
+    T = draws[np.array(starts, dtype=np.intp)[:, None] + np.arange(3 * d + 1)]
+    X, Z, Y = (as_uniform(T[:, i * d : (i + 1) * d], -1.0, 1.0) for i in range(3))
+    Y *= (as_uniform(T[:, 3 * d], 0.5, 2.0) / norm_rows(block, Y))[:, None]
+    track = ResidualTracker("identity_residual")
+    track.update_rows(derivative_identity_residual_rows(block, X, Y, Z), X, Y, Z)
     return [_tracked("theorem2", track, 1e-3, pick=1)]
 
 
@@ -205,14 +225,16 @@ def suite_cone(cfg: RunConfig) -> list[CheckRow]:
     ]
 
 
-def _sample_s(rng, space, radius=1.2):
-    s = rng.uniform(-radius, radius, space.k)
+def _sample_s(space, draws, radius=1.2):
+    """S-coordinates of one trial per row of a block of ``rng.random``
+    draws, as ``rng.uniform(-radius, radius, k)`` gives them."""
+    S = as_uniform(draws, -radius, radius)
     if space.s_space.norm.kind == "max" and space.k >= 2:
         # keep away from max-norm ties, where the s.i.p. is discontinuous
-        a = np.sort(np.abs(s))
-        if a[-1] - a[-2] < 1e-3:
-            s[int(np.argmax(np.abs(s)))] *= 1.1
-    return s
+        A = np.sort(np.abs(S), axis=1)
+        tied = np.flatnonzero(A[:, -1] - A[:, -2] < 1e-3)
+        S[tied, np.argmax(np.abs(S[tied]), axis=1)] *= 1.1
+    return S
 
 
 def suite_lemma3(cfg: RunConfig) -> list[CheckRow]:
@@ -220,23 +242,26 @@ def suite_lemma3(cfg: RunConfig) -> list[CheckRow]:
     space = cfg.space()
     if not space.is_spacetime_model:
         return _not_applicable("lemma3")
-    rng = as_seed(cfg.seed).rng()
+    k = space.k
+    draws = as_seed(cfg.seed).rng().random((100, 2 * k))  # s, e per trial
+    S = _sample_s(space, draws[:, :k])
+    E = as_uniform(draws[:, k:], -1.0, 1.0)
+    keep = np.any(E, axis=1)  # trials with e = 0 are skipped
+    S, E = S[keep], E[keep]
+    E = E / norm_rows(space.s_space, E)[:, None]
+    closed = hyp.f_directional_rows(space, S, E)
+    lift_tau = lambda t: hyp.lift_rows(space, S + t[:, None] * E)[:, -1]
+    fd = central_diff_rows(lift_tau, first_diff_step(norm_rows(space.s_space, S)))
     track = ResidualTracker("derivative_residual")
-    from .numerics import central_diff, first_diff_step
-
-    tie_handled = space.s_space.norm.kind == "max"
-    for _ in range(100):
-        s = _sample_s(rng, space)
-        e = rng.uniform(-1.0, 1.0, space.k)
-        if not np.any(e):
-            continue
-        e = e / norm(space.s_space, e)
-        closed = hyp.f_directional(space, s, e)
-        f = lambda lam: float(np.sqrt(1.0 + sip(space.s_space, s + lam * e, s + lam * e)))
-        fd = central_diff(f, 0.0, first_diff_step(norm(space.s_space, s)))
-        track.update(closed - fd, s, e)
-    note = ";tie-free sampling" if tie_handled else ""
+    track.update_rows(closed - fd, S, E)
+    note = ";tie-free sampling" if space.s_space.norm.kind == "max" else ""
     return [_tracked("lemma3", track, cfg.tolerances.fd_tol, note=note)]
+
+
+def _sample_h(space, draws):
+    """Points of H+ lifted from the first k draws of each row, and their S parts."""
+    V = hyp.lift_rows(space, _sample_s(space, draws[:, : space.k]))
+    return V, V[:, : space.k]
 
 
 def suite_lemma4(cfg: RunConfig) -> list[CheckRow]:
@@ -245,43 +270,41 @@ def suite_lemma4(cfg: RunConfig) -> list[CheckRow]:
     space = cfg.space()
     if not space.is_spacetime_model:
         return _not_applicable("lemma4")
-    rng = as_seed(cfg.seed).rng()
+    k, n = space.k, space.n
+    V, S = _sample_h(space, as_seed(cfg.seed).rng().random((25, k)))
+    frames = hyp.tangent_frame_rows(space, V)
     ortho_track = ResidualTracker("frame_orthogonality")
     span_track = ResidualTracker("companion_in_span")
-    pp = mink.BoundProduct(space, "+")
-    for _ in range(25):
-        v = hyp.lift(space, _sample_s(rng, space))
-        frame = hyp.tangent_frame(space, v)
-        for u in frame.vectors:
-            ortho_track.update(pp(u, v.vector), v.s)
-        basis = ortho.orthogonal_companion_basis(pp, v.vector, cfg.tolerances)
-        A = np.array(frame.vectors).T
+    at_frames = np.repeat(V, k, axis=0)  # the base point of each frame vector
+    ortho_track.update_rows(mink.product_plus_rows(space, frames.reshape(-1, n), at_frames), at_frames[:, :k])
+    bases = ortho.orthogonal_companion_basis_rows(mink.BoundProduct(space, "+"), V, cfg.tolerances)
+    for frame, basis, s in zip(frames, bases, S):
         for w in basis:
-            _, res, _, _ = np.linalg.lstsq(A, w, rcond=None)
-            span_track.update(float(np.sqrt(res[0])) if res.size else 0.0, v.s)
+            _, res, _, _ = np.linalg.lstsq(frame.T, w, rcond=None)
+            span_track.update(float(np.sqrt(res[0])) if res.size else 0.0, s)
     return [_tracked("lemma4", ortho_track, 10 * cfg.tolerances.eq_tol), _tracked("lemma4", span_track, 1e-8)]
 
 
 def suite_theorem10(cfg: RunConfig) -> list[CheckRow]:
-    """Positivity of the Minkowski square on tangent spaces of H+."""
+    """Positivity of the Minkowski square on tangent spaces of H+.  A NaN
+    square fails with residual inf, as a NaN residual does."""
     space = cfg.space()
     if not space.is_spacetime_model:
         return _not_applicable("theorem10")
-    rng = as_seed(cfg.seed).rng()
-    pp = mink.BoundProduct(space, "+")
-    min_square = np.inf
-    witness = ""
-    for _ in range(100):
-        v = hyp.lift(space, _sample_s(rng, space))
-        basis = ortho.orthogonal_companion_basis(pp, v.vector, cfg.tolerances)
-        c = rng.uniform(-2.0, 2.0, len(basis))
-        w = sum(ci * bi for ci, bi in zip(c, basis))
-        if not np.any(w):
-            continue
-        q = pp(w, w)
-        if q < min_square:
-            min_square = q
-            witness = _fmt_vec(v.s)
+    k = space.k
+    draws = as_seed(cfg.seed).rng().random((100, 2 * k))  # s, then one coefficient per companion vector
+    V, S = _sample_h(space, draws)
+    bases = ortho.orthogonal_companion_basis_rows(mink.BoundProduct(space, "+"), V, cfg.tolerances)
+    C = as_uniform(draws[:, k:], -2.0, 2.0)
+    W = sum(C[:, i, None] * bases[:, i] for i in range(k))
+    keep = np.any(W, axis=1)  # trials with w = 0 are skipped
+    W, S = W[keep], S[keep]
+    q = mink.product_plus_rows(space, W, W)
+    q[np.isnan(q)] = -np.inf
+    min_square, witness = np.inf, ""
+    if q.size and q.min() < np.inf:
+        i = int(np.argmin(q))  # the first trial attaining the minimum
+        min_square, witness = q[i], _fmt_vec(S[i])
     return [_row("theorem10", "tangent_positivity", min_square > 0.0, max(0.0, -min_square), witness)]
 
 
@@ -290,27 +313,20 @@ def suite_tangent(cfg: RunConfig) -> list[CheckRow]:
     space = cfg.space()
     if not space.is_spacetime_model:
         return _not_applicable("tangent")
-    rng = as_seed(cfg.seed).rng()
-    all_spacelike = True
+    k, n = space.k, space.n
+    draws = as_seed(cfg.seed).rng().random((25, k + 1))  # s, alpha per trial
+    V, S = _sample_h(space, draws)
+    alpha = as_uniform(draws[:, k], -2.0, 2.0)
+    frames = hyp.tangent_frame_rows(space, V)
+    classes = mink.classify_rows(space, frames.reshape(-1, n), cfg.tolerances.class_tol)
+    failing = np.flatnonzero(~np.all((classes == mink.VectorClass.SPACE_LIKE).reshape(-1, k), axis=1))
+    witness = _fmt_vec(S[failing[-1]]) if failing.size else ""  # the last failing trial
+    U1, U2 = frames[:, 0], frames[:, -1]
     lin = ResidualTracker("ds2_linearity")
-    witness = ""
-    for _ in range(25):
-        v = hyp.lift(space, _sample_s(rng, space))
-        frame = hyp.tangent_frame(space, v)
-        for u in frame.vectors:
-            if mink.classify(space, u, cfg.tolerances.class_tol) is not mink.VectorClass.SPACE_LIKE:
-                all_spacelike = False
-                witness = _fmt_vec(v.s)
-        u1 = frame.vectors[0]
-        u2 = frame.vectors[-1]
-        alpha = float(rng.uniform(-2.0, 2.0))
-        lin.update(
-            hyp.ds2(space, v, alpha * u1, u2, cfg.tolerances)
-            - alpha * hyp.ds2(space, v, u1, u2, cfg.tolerances),
-            v.s,
-        )
+    scaled = hyp.ds2_rows(space, V, alpha[:, None] * U1, U2, cfg.tolerances)
+    lin.update_rows(scaled - alpha * hyp.ds2_rows(space, V, U1, U2, cfg.tolerances), S)
     return [
-        _row("tangent", "frame_spacelike", all_spacelike, witness=witness),
+        _row("tangent", "frame_spacelike", not failing.size, witness=witness),
         _tracked("tangent", lin, 10 * cfg.tolerances.eq_tol),
     ]
 
@@ -405,16 +421,20 @@ def suite_orthogonality(cfg: RunConfig) -> list[CheckRow]:
 
     # s.i.p. orthogonality implies Birkhoff on the configured S block
     block = cfg.s_sip()
-    worst = ResidualTracker("sip_implies_birkhoff")
-    for _ in range(10):
-        x = rng.uniform(-1.5, 1.5, block.dim)
-        if norm(block, x) < 0.3:
-            continue
-        basis = ortho.orthogonal_companion_basis(lambda a, b: sip(block, a, b), x, tol)
-        y = basis[0]
-        mn, _ = ortho.birkhoff_margin(block, x, y, tol.opt_tol)
-        worst.update(max(0.0, norm(block, x) - mn), x)
-    rows.append(_tracked("orthogonality", worst, 1e-6))
+    if block.dim < 2:
+        # the companion of a vector of a one-dimensional block is {0}
+        rows += _not_applicable("orthogonality", "needs an S block of dimension 2 or more", "sip_implies_birkhoff")
+    else:
+        worst = ResidualTracker("sip_implies_birkhoff")
+        for _ in range(10):
+            x = rng.uniform(-1.5, 1.5, block.dim)
+            if norm(block, x) < 0.3:
+                continue
+            basis = ortho.orthogonal_companion_basis(lambda a, b: sip(block, a, b), x, tol)
+            y = basis[0]
+            mn, _ = ortho.birkhoff_margin(block, x, y, tol.opt_tol)
+            worst.update(max(0.0, norm(block, x) - mn), x)
+        rows.append(_tracked("orthogonality", worst, 1e-6))
 
     # homogeneity of the unitary relations
     homogeneous = True

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -218,3 +223,19 @@ class TestVerifyCommand:
         assert code == 1
         assert flags["user_matrix.pole"] == "false"
         assert "FAIL user matrix:" in capsys.readouterr().out
+
+    def test_verify_all_on_a_one_dimensional_s_block(self, tmp_path):
+        # the s.i.p. companion of a vector of a one-dimensional block is {0}, so
+        # the Birkhoff check has no vector to test and reports itself not applicable
+        cfg = tmp_path / "dim1.cfg"
+        cfg.write_text("space.s.dim = 1\ntrials = 50\n")
+        out = tmp_path / "dim1.csv"
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run(
+            [sys.executable, "-m", "sipmink.cli", "verify", "all", "--config", str(cfg), "--out", str(out)],
+            capture_output=True, text=True, env=env,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "Traceback" not in done.stdout + done.stderr
+        assert "orthogonality,sip_implies_birkhoff,true,0,needs an S block of dimension 2 or more" in out.read_text().splitlines()

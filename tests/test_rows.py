@@ -7,20 +7,24 @@ tolerance.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from sipmink import hyperboloid as hyp
 from sipmink import minkowski as mink
-from sipmink import suites
+from sipmink import ortho, suites
 from sipmink.config import config_from_mapping, parse_config
-from sipmink.errors import ConstantSignError, DimensionError, DomainError
+from sipmink.errors import ConstantSignError, DegenerateError, DimensionError, DomainError, NumericalError, TangentError
+from sipmink.hyperboloid import lift
 from sipmink.isometry import isometry_report, lorentz_boost, sip_preservation_residual, strict_convexity_witness
 from sipmink.minkowski import BoundProduct, GeneralizedMinkowskiSpace, VectorClass, max_norm_spacetime
 from sipmink.norms import (
     BoundNorm,
     NormSpec,
     SipSpace,
+    derivative_identity_residual_rows,
     norm,
     norm_batch,
     norm_rows,
@@ -34,12 +38,15 @@ from sipmink.numerics import (
     Seed,
     Tolerances,
     as_uniform,
+    central_diff,
     check_dim,
     dot_rows,
+    first_diff_step,
     matvec_rows,
     pow_rows,
     reduce_last,
     row_kernel,
+    second_diff_step,
 )
 from sipmink.siip import SiipSpace, cauchy_schwarz_witness, siip, siip_rows
 
@@ -650,3 +657,432 @@ class TestSpaceTimeTrialsMatchTheLoop:
         for row, tracker in zip(rows, loop):
             assert row.residual == tracker.residual
             assert row.witness == (suites._fmt_vec(tracker.witness[-1]) if tracker.witness else "")
+
+
+# The space-time suites and the sip-axioms mode agreement as trial loops,
+# with the scalar helpers they called (tangent frame, ds2, f_directional,
+# companion basis, derivative route and derivative identity) written out as
+# they were before those helpers became one-row calls of row kernels.
+
+
+def _loop_sample_s(rng, space, radius=1.2):
+    s = rng.uniform(-radius, radius, space.k)
+    if space.s_space.norm.kind == "max" and space.k >= 2:
+        a = np.sort(np.abs(s))
+        if a[-1] - a[-2] < 1e-3:
+            s[int(np.argmax(np.abs(s)))] *= 1.1
+    return s
+
+
+def _loop_companion_basis(product, u, eq_tol=1e-9):
+    n = u.size
+    r = np.array([product(e, u) for e in np.eye(n)])
+    m = int(np.argmax(np.abs(r)))
+    if abs(r[m]) <= eq_tol:
+        raise DegenerateError("the product functional of u vanishes on the basis")
+    out = []
+    for j in range(n):
+        if j != m:
+            w = np.zeros(n)
+            w[j] = 1.0
+            w[m] = -r[j] / r[m]
+            out.append(w)
+    return out
+
+
+def _loop_tangent_frame(space, v):
+    vecs = []
+    for j in range(space.k):
+        e = np.zeros(space.k)
+        e[j] = 1.0
+        u = mink.embed(space, s=e, t=[sip(space.s_space, e, v.s) / v.tau])
+        if abs(mink.product_plus(space, u, v.vector)) > 10.0 * 1e-9 * max(1.0, v.tau):
+            raise NumericalError("tangent frame vector failed its orthogonality check")
+        vecs.append(u)
+    return vecs
+
+
+def _loop_ds2(space, v, u1, u2, fd_tol=1e-5):
+    vv = v.vector
+    for u in (u1, u2):
+        scale = max(1.0, float(np.max(np.abs(u)))) * max(1.0, v.tau)
+        if abs(mink.product_plus(space, u, vv)) > fd_tol * scale:
+            raise TangentError("vector is not tangent to H+ at the base point")
+    direct = mink.product_plus(space, u1, u2)
+    s1, s2 = u1[: space.k], u2[: space.k]
+    qv = sip(space.s_space, v.s, v.s)
+    closed = sip(space.s_space, s1, s2) - sip(space.s_space, s1, v.s) * sip(space.s_space, s2, v.s) / (1.0 + qv)
+    if abs(direct - closed) > fd_tol * max(1.0, abs(direct)):
+        raise NumericalError("tangential product forms disagree beyond tolerance")
+    return float(direct)
+
+
+def _loop_f_directional(space, s, e):
+    if abs(norm(space.s_space, e) - 1.0) > 1e-8:
+        raise DomainError("direction must be a unit vector of the S block")
+    return sip(space.s_space, e, s) / float(np.sqrt(1.0 + sip(space.s_space, s, s)))
+
+
+def _loop_sip_derivative(spec, x, y):
+    if not np.any(y):
+        return 0.0
+    ny = norm(spec, y)
+    return ny * central_diff(lambda t: norm(spec, y + t * x), 0.0, first_diff_step(ny))
+
+
+def _loop_norm_first_derivative(spec, x, y):
+    if not np.any(y):
+        raise DomainError("norm derivative is undefined at the origin")
+    return central_diff(lambda t: norm(spec, y + t * x), 0.0, first_diff_step(norm(spec, y)))
+
+
+def _loop_derivative_identity_residual(space, x, y, z):
+    ny = norm(space, y)
+    if not np.any(y):
+        raise DomainError("norm derivative is undefined at the origin")
+    second = central_diff(lambda t: _loop_norm_first_derivative(space.norm, x, y + t * z), 0.0, second_diff_step(ny))
+    if np.any(z):
+        dsip = central_diff(lambda t: sip(space, x, y + t * z), 0.0, first_diff_step(ny))
+    else:
+        dsip = 0.0
+    return abs(ny * second - (dsip - sip(space, x, y) * sip(space, z, y) / (ny * ny)))
+
+
+def _loop_suite_sip_axioms_mode_agreement(cfg):
+    trackers = []
+    for name, block in (("s", cfg.space().s_space), ("t", cfg.space().t_space)):
+        if not block.norm.is_smooth:
+            continue
+        rng = Seed(cfg.seed).rng()
+        track = ResidualTracker(f"{name}.mode_agreement")
+        for _ in range(min(cfg.trials, 100)):
+            x = rng.uniform(-1.5, 1.5, block.dim)
+            y = rng.uniform(-1.5, 1.5, block.dim)
+            if not np.any(y):
+                continue
+            track.update(sip(block, x, y) - _loop_sip_derivative(block.norm, x, y), x, y)
+        trackers.append(track)
+    return trackers
+
+
+def _loop_suite_theorem2(cfg, rng=None):
+    block = cfg.s_sip()
+    rng = Seed(cfg.seed).rng() if rng is None else rng
+    track = ResidualTracker("identity_residual")
+    skipped = 0
+    for _ in range(100):
+        x = rng.uniform(-1.0, 1.0, block.dim)
+        z = rng.uniform(-1.0, 1.0, block.dim)
+        y = rng.uniform(-1.0, 1.0, block.dim)
+        if not np.any(y):
+            skipped += 1
+            continue
+        y *= rng.uniform(0.5, 2.0) / norm(block, y)
+        track.update(_loop_derivative_identity_residual(block, x, y, z), x, y, z)
+    return track, skipped
+
+
+def _loop_suite_lemma3(cfg):
+    space = cfg.space()
+    rng = Seed(cfg.seed).rng()
+    track = ResidualTracker("derivative_residual")
+    for _ in range(100):
+        s = _loop_sample_s(rng, space)
+        e = rng.uniform(-1.0, 1.0, space.k)
+        if not np.any(e):
+            continue
+        e = e / norm(space.s_space, e)
+        closed = _loop_f_directional(space, s, e)
+        f = lambda lam: float(np.sqrt(1.0 + sip(space.s_space, s + lam * e, s + lam * e)))
+        fd = central_diff(f, 0.0, first_diff_step(norm(space.s_space, s)))
+        track.update(closed - fd, s, e)
+    return track
+
+
+def _loop_suite_lemma4(cfg):
+    space = cfg.space()
+    rng = Seed(cfg.seed).rng()
+    ortho_track = ResidualTracker("frame_orthogonality")
+    span_track = ResidualTracker("companion_in_span")
+    pp = BoundProduct(space, "+")
+    for _ in range(25):
+        v = lift(space, _loop_sample_s(rng, space))
+        frame = _loop_tangent_frame(space, v)
+        for u in frame:
+            ortho_track.update(pp(u, v.vector), v.s)
+        A = np.array(frame).T
+        for w in _loop_companion_basis(pp, v.vector):
+            _, res, _, _ = np.linalg.lstsq(A, w, rcond=None)
+            span_track.update(float(np.sqrt(res[0])) if res.size else 0.0, v.s)
+    return ortho_track, span_track
+
+
+def _loop_suite_theorem10(cfg):
+    space = cfg.space()
+    rng = Seed(cfg.seed).rng()
+    pp = BoundProduct(space, "+")
+    min_square, witness = np.inf, ""
+    for _ in range(100):
+        v = lift(space, _loop_sample_s(rng, space))
+        basis = _loop_companion_basis(pp, v.vector)
+        c = rng.uniform(-2.0, 2.0, len(basis))
+        w = sum(ci * bi for ci, bi in zip(c, basis))
+        if not np.any(w):
+            continue
+        q = pp(w, w)
+        if q < min_square:
+            min_square, witness = q, suites._fmt_vec(v.s)
+    return min_square > 0.0, max(0.0, -min_square), witness
+
+
+def _loop_suite_tangent(cfg):
+    space = cfg.space()
+    rng = Seed(cfg.seed).rng()
+    all_spacelike, witness = True, ""
+    lin = ResidualTracker("ds2_linearity")
+    for _ in range(25):
+        v = lift(space, _loop_sample_s(rng, space))
+        frame = _loop_tangent_frame(space, v)
+        for u in frame:
+            if mink.classify(space, u, cfg.tolerances.class_tol) is not VectorClass.SPACE_LIKE:
+                all_spacelike, witness = False, suites._fmt_vec(v.s)
+        alpha = float(rng.uniform(-2.0, 2.0))
+        lin.update(_loop_ds2(space, v, alpha * frame[0], frame[-1]) - alpha * _loop_ds2(space, v, frame[0], frame[-1]), v.s)
+    return all_spacelike, witness, lin
+
+
+SUITE_CONFIGS = {
+    **STOCK_CONFIGS,
+    "euclidean_dim3": 'space.s.norm = "euclidean"\nspace.s.dim = 3\n',
+    "max_dim3": 'space.s.norm = "max"\nspace.s.dim = 3\n',
+    "pnorm4": 'space.s.norm = "pnorm"\nspace.s.p = 4\n',
+}
+
+
+def _suite_cfg(label, seed):
+    return config_from_mapping(parse_config(SUITE_CONFIGS[label] + f"seed = {seed}\ntrials = 200\n"))
+
+
+def _tracked_row(tracker, pick=0):
+    return tracker.residual, suites._fmt_vec(tracker.witness[pick]) if tracker.witness else ""
+
+
+class TestSpaceTimeSuitesMatchTheLoop:
+    """Each suite's rows against its trial loop, residuals and witnesses
+    compared with ``==`` (witnesses as printed, at 17 significant digits)."""
+
+    @pytest.fixture(params=[(label, seed) for label in sorted(SUITE_CONFIGS) for seed in (1, 7, 42)], ids=str)
+    def cfg(self, request):
+        return _suite_cfg(*request.param)
+
+    def test_sip_axioms_mode_agreement(self, cfg):
+        rows = [r for r in suites.suite_sip_axioms(cfg) if r.check.endswith("mode_agreement")]
+        loop = _loop_suite_sip_axioms_mode_agreement(cfg)
+        assert [r.check for r in rows] == [t.name for t in loop]
+        assert [(r.residual, r.witness) for r in rows] == [_tracked_row(t) for t in loop]
+
+    def test_theorem2(self, cfg):
+        rows = suites.suite_theorem2(cfg)
+        if rows[0].check == "not_applicable":
+            assert cfg.s_kind == "max"
+            return
+        track, _ = _loop_suite_theorem2(cfg)
+        assert [(r.check, r.residual, r.witness) for r in rows] == [(track.name, *_tracked_row(track, pick=1))]
+
+    def test_lemma3(self, cfg):
+        track = _loop_suite_lemma3(cfg)
+        (row,) = suites.suite_lemma3(cfg)
+        residual, witness = _tracked_row(track)
+        if cfg.s_kind == "max":
+            witness += ";tie-free sampling"
+        assert (row.check, row.residual, row.witness) == (track.name, residual, witness)
+
+    def test_lemma4(self, cfg):
+        rows = suites.suite_lemma4(cfg)
+        loop = _loop_suite_lemma4(cfg)
+        assert [(r.check, r.residual, r.witness) for r in rows] == [(t.name, *_tracked_row(t)) for t in loop]
+
+    def test_theorem10(self, cfg):
+        (row,) = suites.suite_theorem10(cfg)
+        assert (row.passed, row.residual, row.witness) == _loop_suite_theorem10(cfg)
+        assert row.witness  # every config has a trial with w != 0
+
+    def test_tangent(self, cfg):
+        spacelike, frame_row = suites.suite_tangent(cfg)
+        all_spacelike, witness, lin = _loop_suite_tangent(cfg)
+        assert (spacelike.passed, spacelike.witness) == (all_spacelike, witness)
+        assert (frame_row.check, frame_row.residual, frame_row.witness) == (lin.name, *_tracked_row(lin))
+
+
+class _ForcedDraws:
+    """A generator whose ``random`` draws at the given stream offsets are
+    replaced by 0.5, which ``uniform(-1, 1)`` maps to 0.0; ``uniform`` is
+    built on ``random`` as ``rng.uniform`` computes it."""
+
+    def __init__(self, seed, offsets):
+        self._rng = Seed(seed).rng()
+        self._offsets = set(offsets)
+        self._pos = 0
+
+    def random(self, size=None):
+        u = np.array(self._rng.random(size), dtype=float)
+        flat = u.reshape(-1)
+        for i in range(flat.size):
+            if self._pos + i in self._offsets:
+                flat[i] = 0.5
+        self._pos += flat.size
+        return u if size is not None else float(u)
+
+    def uniform(self, low, high, size=None):
+        return as_uniform(self.random(size), low, high)
+
+
+class TestSpaceTimeSuiteEdges:
+    @pytest.mark.parametrize("label", ["euclidean", "pnorm4"])
+    def test_theorem2_skips_a_zero_y_and_continues_the_stream(self, monkeypatch, label):
+        # trial t starts at offset 7 t while no y is zero; y of trial 3 sits at
+        # 25 and 26, and trial 4 then starts at 27, one draw early, with y at 31, 32
+        cfg = _suite_cfg(label, 42)
+        forced = (25, 26, 31, 32)
+        track, skipped = _loop_suite_theorem2(cfg, _ForcedDraws(42, forced))
+        assert skipped == 2
+        unforced, _ = _loop_suite_theorem2(cfg)
+        assert _tracked_row(track, 1) != _tracked_row(unforced, 1)
+        monkeypatch.setattr(suites, "as_seed", lambda seed: SimpleNamespace(rng=lambda: _ForcedDraws(seed, forced)))
+        (row,) = suites.suite_theorem2(cfg)
+        assert (row.residual, row.witness) == _tracked_row(track, pick=1)
+
+    def test_theorem10_nan_square_fails_with_its_base_point(self, monkeypatch):
+        cfg = _suite_cfg("euclidean", 42)
+        original = mink.product_plus_rows
+
+        def nan_on_row_7(space, U, V):
+            out = original(space, U, V)
+            if U is V:  # the Minkowski squares of the tangent vectors
+                out[7] = np.nan
+            return out
+
+        monkeypatch.setattr(mink, "product_plus_rows", nan_on_row_7)
+        (row,) = suites.suite_theorem10(cfg)
+        rng = Seed(42).rng()
+        for _ in range(8):
+            s = rng.uniform(-1.2, 1.2, 2)  # no max-norm nudge, and no w = 0 on this config
+            rng.uniform(-2.0, 2.0, 2)
+        assert (row.passed, row.residual, row.witness) == (False, math.inf, suites._fmt_vec(s))
+
+    def test_one_dimensional_blocks(self):
+        cfg = config_from_mapping({"space.s.dim": 1, "trials": 50})
+        assert suites.suite_theorem10(cfg)[0].passed
+        assert all(r.passed for r in suites.suite_tangent(cfg) + suites.suite_lemma4(cfg))
+
+
+def _points(rng, space, count):
+    return [lift(space, s) for s in rng.uniform(-1.5, 1.5, (count, space.k))]
+
+
+class TestSpaceTimeKernels:
+    """The row kernels behind the space-time suites against the scalar
+    helpers they replaced, bit for bit, and their raises."""
+
+    @pytest.mark.parametrize("name", sorted(MINKOWSKI_SPACES))
+    def test_lift_frames_f_directional_and_ds2(self, rng, name):
+        space = MINKOWSKI_SPACES[name]
+        points = _points(rng, space, 300)
+        V = hyp.lift_rows(space, np.array([v.s for v in points]))
+        assert np.array_equal(V, np.array([v.vector for v in points]))
+        frames = hyp.tangent_frame_rows(space, V)
+        assert np.array_equal(frames, np.array([_loop_tangent_frame(space, v) for v in points]))
+        alpha = rng.uniform(-2.0, 2.0, 300)
+        U1, U2 = alpha[:, None] * frames[:, 0], frames[:, -1]
+        expected = [_loop_ds2(space, v, u1, u2) for v, u1, u2 in zip(points, U1, U2)]
+        assert np.array_equal(hyp.ds2_rows(space, V, U1, U2), expected)
+        E = rng.uniform(-1.0, 1.0, (300, space.k))
+        E /= norm_rows(space.s_space, E)[:, None]
+        expected = [_loop_f_directional(space, v.s, e) for v, e in zip(points, E)]
+        assert np.array_equal(hyp.f_directional_rows(space, V[:, : space.k], E), expected)
+
+    def test_ds2_raises(self):
+        space = MINKOWSKI_SPACES["pseudo_euclidean"]
+        V = hyp.lift_rows(space, np.array([[0.0, 0.0], [10.0, 0.0]]))
+        tangent = hyp.tangent_frame_rows(space, V)[:, 0]
+        with pytest.raises(TangentError):
+            hyp.ds2_rows(space, V, tangent, np.array([tangent[0], [0.0, 0.0, 1.0]]))
+        # tangent to within fd_tol * tau, but the two forms of the square then
+        # differ by about 2 delta, more than fd_tol
+        off = tangent.copy()
+        off[1, 2] += 0.9e-5
+        v = lift(space, [10.0, 0.0])
+        for raising in (lambda: _loop_ds2(space, v, off[1], off[1]), lambda: hyp.ds2_rows(space, V, off, off)):
+            with pytest.raises(NumericalError, match="disagree"):
+                raising()
+
+    def test_tangent_frame_orthogonality_check_raises(self, monkeypatch):
+        space = MINKOWSKI_SPACES["max"]
+        V = hyp.lift_rows(space, np.array([[0.3, -0.2], [1.0, 0.5]]))
+        monkeypatch.setattr(hyp, "product_plus_rows", lambda space, U, V: np.array([0.0, 1e-3]))
+        with pytest.raises(NumericalError, match="orthogonality"):
+            hyp.tangent_frame_rows(space, V)
+
+    def test_f_directional_needs_unit_directions(self):
+        space = MINKOWSKI_SPACES["pnorm3"]
+        with pytest.raises(DomainError):
+            hyp.f_directional_rows(space, np.zeros((2, 2)), np.array([[1.0, 0.0], [2.0, 0.0]]))
+
+    @pytest.mark.parametrize(
+        "product",
+        [BoundProduct(space, sign) for space in MINKOWSKI_SPACES.values() for sign in "+-"]
+        + [SiipSpace.diagonal((1, 1, -1)), lambda a, b: float(a @ b)],
+        ids=[f"{name}{sign}" for name in MINKOWSKI_SPACES for sign in "+-"] + ["diag", "dot"],
+    )
+    def test_companion_basis(self, rng, product):
+        n = getattr(getattr(product, "space", None), "n", 3)
+        U = rng.uniform(-2.0, 2.0, (400, n))
+        U[::9, 0] = 0.0
+        scalar = product if callable(product) else (lambda a, b: siip(product, a, b))
+        bases = ortho.orthogonal_companion_basis_rows(product, U)
+        assert np.array_equal(bases, np.array([_loop_companion_basis(scalar, u) for u in U]))
+        pivots = {int(np.argmax(np.abs([scalar(e, u) for e in np.eye(n)]))) for u in U}
+        assert len(pivots) > 1  # rows pivot on different entries
+
+    def test_companion_basis_raises(self):
+        first_only = lambda a, b: float(a[0] * b[0])
+        U = np.array([[1.0, 2.0], [0.0, 1.0]])
+        assert len(ortho.orthogonal_companion_basis(first_only, U[0])) == 1
+        for call in (
+            lambda: ortho.orthogonal_companion_basis_rows(first_only, U),
+            lambda: ortho.orthogonal_companion_basis(first_only, U[1]),
+            lambda: _loop_companion_basis(first_only, U[1]),
+        ):
+            with pytest.raises(DegenerateError):
+                call()
+        with pytest.raises(DomainError):
+            ortho.orthogonal_companion_basis_rows(first_only, np.array([[1.0, 0.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("name", sorted(SMOOTH_SPACES) + ["max2"])
+    def test_derivative_route(self, rng, name):
+        spec = SMOOTH_SPACES.get(name, SipSpace.max_norm(2)).norm
+        X, Y = _rows(rng, 500, spec.dim), _rows(rng, 500, spec.dim)
+        Y[::13] = 0.0
+        X[::13] = np.nan  # rows with y = 0 are never evaluated
+        expected = [_loop_sip_derivative(spec, x, y) for x, y in zip(X, Y)]
+        assert np.array_equal(sip_rows(SipSpace(spec, sip_mode="derivative"), X, Y), expected)
+
+    @pytest.mark.parametrize("name", sorted(SMOOTH_SPACES))
+    def test_derivative_identity_residual(self, rng, name):
+        space = SMOOTH_SPACES[name]
+        X, Y, Z = (_rows(rng, 300, space.dim, 1.0) for _ in range(3))
+        Z[::11] = 0.0  # d/dt [x, y + t z] = 0 without evaluation
+        expected = [_loop_derivative_identity_residual(space, x, y, z) for x, y, z in zip(X, Y, Z)]
+        assert np.array_equal(derivative_identity_residual_rows(space, X, Y, Z), expected)
+
+    def test_derivative_identity_residual_raises(self):
+        space = SMOOTH_SPACES["pnorm3"]
+        X, Y, Z = np.ones((3, 2)), np.ones((3, 2)), np.ones((3, 2))
+        X[1, 0] = np.inf
+        with pytest.raises(NumericalError, match="central_diff"):
+            _loop_derivative_identity_residual(space, X[1], Y[1], Z[1])
+        with pytest.raises(NumericalError, match="central_diff"):
+            derivative_identity_residual_rows(space, X, Y, Z)
+        Y[2] = 0.0
+        with pytest.raises(DomainError):
+            derivative_identity_residual_rows(space, np.ones((3, 2)), Y, Z)

@@ -5,7 +5,11 @@ configs (Euclidean, p=3 and max S block over a one-dimensional Euclidean T
 block), and the SHA-256 of the CSV must match a recorded digest.  The
 seed-42 digests are the ones the benchmark pins; the seed-1 and seed-7
 digests were recorded before the sampled trials ran as row-wise array
-code.  A change that moves any residual or witness in the last printed
+code.  Three more configs (a three-dimensional Euclidean or max S block,
+and p=4) reach companion pivots, tie nudges and exponents the stock three
+do not; their digests were recorded before the space-time suites
+(``lemma3``, ``lemma4``, ``tangent``, ``theorem10``, ``theorem2``) ran as
+row-wise array code.  A change that moves any residual or witness in the last printed
 digit changes a digest.
 """
 
@@ -20,6 +24,10 @@ STOCK_CONFIGS = {
     "euclidean": 'space.s.norm = "euclidean"\n',
     "pnorm3": 'space.s.norm = "pnorm"\nspace.s.p = 3\n',
     "max": 'space.s.norm = "max"\n',
+    # configs that reach branches the stock three do not
+    "euclidean_dim3": 'space.s.norm = "euclidean"\nspace.s.dim = 3\n',  # companion pivots vary
+    "max_dim3": 'space.s.norm = "max"\nspace.s.dim = 3\n',  # the tie nudge with k = 3
+    "pnorm4": 'space.s.norm = "pnorm"\nspace.s.p = 4\n',
 }
 SUITE_NAMES = [name for name in sorted(suites.SUITES) if name != "geodesic-cosh"]
 
@@ -33,6 +41,15 @@ GOLDEN_SHA256 = {
     (7, "euclidean"): "ea9122a17920a130e7da822d6a3a348fbe9894b7277f8ef28a778a93c956a17c",
     (7, "pnorm3"): "58c78b78c4cd6cca9d4eae7b87d5a7de08f2f9c233ece83283bf223b9c1b9a68",
     (7, "max"): "66e449f5cb45d516a6f49b977f17fb5b5ea680efa8f06e6fc706f75976da52a0",
+    (42, "euclidean_dim3"): "a795525d926c067b59a79ea49913df441bca96e9ef49b9bee3bb945aecb88cd2",
+    (42, "max_dim3"): "8d6d83617f8a1a4940bf86522d67856225824e634898aa32d93834b7ceddb549",
+    (42, "pnorm4"): "7f5991e5ec6afa0f0213ab29fde79f3625116ef12cafe4bb1f1dfbf16639ce7f",
+    (1, "euclidean_dim3"): "0f1b70275df83b54dc12750d67c9c86b15a3e15b90f5347448112d3cee1cc5be",
+    (1, "max_dim3"): "d5d3263410c37d23373ebd0191c11708b0d1d52d692fc3e692af34adad7ca695",
+    (1, "pnorm4"): "2beed0d226cfd03cb620124073890ee21c11dbf76484a4324feb90b073ed299b",
+    (7, "euclidean_dim3"): "4a4e1bd6d78e58313e2f7ab0c7234966a64c4312c1827a0aec3924e9ab091365",
+    (7, "max_dim3"): "239b5f062d83161be26ac7bc011584a209e4e5140f1783dcfb2dde156ff64a8b",
+    (7, "pnorm4"): "6deb4bdf34de74d3a43cec4a6fa25aa4c9426dc105991af45eed9c442a61c646",
 }
 
 
