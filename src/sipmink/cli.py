@@ -145,7 +145,7 @@ def cmd_ortho(args) -> int:
     rel = ortho.OrthoRelation(args.relation)
     x = _parse_vector(args.x)
     y = _parse_vector(args.y)
-    result = ortho.relation_report(block, rel, x, y, cfg.tolerances.eq_tol)
+    result = ortho.relation_report(block, rel, x, y, cfg.tolerances.eq_tol, cfg.tolerances.opt_tol)
     lam = "" if result.lam is None else f" lambda* = {_FMT % result.lam}"
     print(f"{args.relation}: {str(result.related).lower()} residual = {_FMT % result.residual}{lam}")
     return 0

@@ -287,6 +287,77 @@ def minimize(
     )
 
 
+def minimize_rows(
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    X0,
+    opt_tol: float = DEFAULT_TOLERANCES.opt_tol,
+    max_iter: int = 2000,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Independent :func:`minimize` descents from the rows of an (N, n) array,
+    run in lock-step; each row ends at the point and value that its own
+    :func:`minimize` call gives, bit for bit.
+
+    ``f(rows, P)`` returns the objective values of problems ``rows`` (indices
+    into ``X0``) at the points ``P``, one per row.  Each step makes one call
+    for the reflections of the active rows, one for the expansion or
+    contraction points of the rows that need one, and one for the shrinks;
+    a row leaves the batch when its simplex converges.  Returns the best
+    vertices (N, n) and their values (N,).  Raises :class:`NumericalError` on
+    a non-finite value, and :class:`ConvergenceError` carrying the best point
+    of the first row still active after ``max_iter`` iterations.
+    """
+    X0 = np.asarray(X0, dtype=float)
+    count, n = X0.shape
+    edge = 0.1 * np.fmax(1.0, np.sqrt(dot_rows(X0, X0)))  # np.linalg.norm of each row, as minimize takes it
+    sim = np.repeat(X0[:, None, :], n + 1, axis=1)
+    sim[:, np.arange(1, n + 1), np.arange(n)] += edge[:, None]
+    rows = np.arange(count)  # the problem of each active row
+    fv = _finite_rows(f(np.repeat(rows, n + 1), sim.reshape(-1, n)), "minimize").reshape(count, n + 1)
+    best_x, best_f = np.empty_like(X0), np.empty(count)
+
+    for _ in range(max_iter):
+        order = np.argsort(fv, axis=1, kind="stable")
+        at = np.arange(len(rows))[:, None]
+        sim, fv = sim[at, order], fv[at, order]
+        done = np.maximum.reduce(np.abs(sim[:, 1:] - sim[:, :1]), axis=(1, 2)) < opt_tol
+        if done.any():
+            best_x[rows[done]], best_f[rows[done]] = sim[done, 0], fv[done, 0]
+            active = ~done
+            rows, sim, fv = rows[active], sim[active], fv[active]
+        if not rows.size:
+            return best_x, best_f
+        centroid = np.add.reduce(sim[:, :-1], axis=1) / n
+        worst = sim[:, -1]
+        xr = centroid + (centroid - worst)
+        fr = _finite_rows(f(rows, xr), "minimize")
+        expand = fr < fv[:, 0]
+        contract = ~expand & ~(fr < fv[:, -2])
+        # the expansion point, or the contraction point towards the worse of worst and xr
+        inward = np.where((fr >= fv[:, -1])[:, None], worst, xr)
+        x2 = np.where(expand[:, None], centroid + 2.0 * (centroid - worst), centroid + 0.5 * (inward - centroid))
+        f2 = fr.copy()
+        second = expand | contract
+        if second.any():
+            f2[second] = _finite_rows(f(rows[second], x2[second]), "minimize")
+        take2 = (expand & (f2 < fr)) | (contract & (f2 < np.minimum(fr, fv[:, -1])))
+        shrink = contract & ~take2
+        shrunk = sim[shrink]
+        sim[:, -1] = np.where(take2[:, None], x2, xr)
+        fv[:, -1] = np.where(take2, f2, fr)
+        if shrink.any():
+            shrunk[:, 1:] = shrunk[:, :1] + 0.5 * (shrunk[:, 1:] - shrunk[:, :1])
+            values = f(np.repeat(rows[shrink], n), shrunk[:, 1:].reshape(-1, n))
+            sim[shrink] = shrunk
+            fv[shrink, 1:] = _finite_rows(values, "minimize").reshape(-1, n)
+
+    best = int(np.argmin(fv[0]))
+    raise ConvergenceError(
+        f"simplex diameter did not reach {opt_tol} in {max_iter} iterations (row {int(rows[0])})",
+        best_point=sim[0, best].copy(),
+        best_value=float(fv[0, best]),
+    )
+
+
 def sample_vectors(seed, n: int, count: int, radius: float = 1.0) -> list[np.ndarray]:
     """Deterministic vectors with coordinates uniform in [-radius, radius].
 

@@ -24,8 +24,8 @@ from .errors import (
     UnsupportedError,
 )
 from .minkowski import GeneralizedMinkowskiSpace, embed, product_plus
-from .norms import MAX, NormSpec, SipSpace, norm, norm_batch, norm_rows, sip, sip_matrix
-from .numerics import DEFAULT_TOLERANCES, Tolerances, as_seed, minimize, row_kernel
+from .norms import MAX, NormSpec, SipSpace, norm_batch, norm_rows, sip, sip_matrix, sip_rows
+from .numerics import DEFAULT_TOLERANCES, Tolerances, as_seed, dot_rows, minimize, minimize_rows, pow_rows, row_kernel
 
 
 class OrthoRelation(enum.Enum):
@@ -47,64 +47,88 @@ class OrthoResult:
     lam: float | None = None
 
 
+def birkhoff_margin_rows(space, X, Y, opt_tol: float = DEFAULT_TOLERANCES.opt_tol):
+    """Row-wise :func:`birkhoff_margin` of two (N, dim) arrays: the margins
+    and the minimizing parameters, as two arrays.  The simplex descents of
+    all rows run in lock-step (:func:`~sipmink.numerics.minimize_rows`)."""
+    X, Y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
+    nx, ny = norm_rows(space, X), norm_rows(space, Y)
+    margin, lam = nx.copy(), np.zeros(len(nx))
+    live = (nx != 0.0) & (ny != 0.0)
+    nx, ny = nx[live], ny[live]
+    Xh, Yh = X[live] / nx[:, None], Y[live] / ny[:, None]
+    grid = np.linspace(-8.0, 8.0, 33)
+    on_grid = Xh[:, None, :] + grid[None, :, None] * Yh[:, None, :]
+    vals = norm_rows(space, on_grid.reshape(-1, X.shape[1])).reshape(-1, grid.size)  # f on every grid point
+    i0 = np.argmin(vals, axis=1)
+    t0, v0 = grid[i0], vals[np.arange(len(i0)), i0]
+    pt, best_v = minimize_rows(
+        lambda rows, T: norm_rows(space, Xh[rows] + T * Yh[rows]), t0[:, None], opt_tol=opt_tol, max_iter=500
+    )
+    best_t = pt[:, 0]
+    on_grid_better = v0 < best_v
+    best_t, best_v = np.where(on_grid_better, t0, best_t), np.where(on_grid_better, v0, best_v)
+    margin[live] = nx * best_v
+    lam[live] = best_t * nx / ny
+    return margin, lam
+
+
 def birkhoff_margin(space, x, y, opt_tol: float = DEFAULT_TOLERANCES.opt_tol):
     """(min over t of |x + t y|, minimizing t).
 
     Works on normalized copies (the margin is scale invariant), seeding a
-    one-dimensional simplex descent from a 33-point grid on [-8, 8].
+    one-dimensional simplex descent from a 33-point grid on [-8, 8]; the
+    one-row call of :func:`birkhoff_margin_rows`.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    nx = norm(space, x)
-    ny = norm(space, y)
-    if nx == 0.0 or ny == 0.0:
-        return nx, 0.0
-    xh, yh = x / nx, y / ny
-
-    def f(t):
-        return norm(space, xh + float(t) * yh)
-
-    grid = np.linspace(-8.0, 8.0, 33)
-    vals = norm_rows(space, xh[None, :] + grid[:, None] * yh[None, :])  # f on every grid point
-    i0 = int(np.argmin(vals))
-    t0 = float(grid[i0])
-    pt, val = minimize(lambda t: f(t[0]), np.array([t0]), opt_tol=opt_tol, max_iter=500)
-    best_t, best_v = float(pt[0]), float(val)
-    if vals[i0] < best_v:
-        best_t, best_v = t0, float(vals[i0])
-    return nx * best_v, best_t * nx / ny
+    X, Y = (np.asarray(v, dtype=float)[None] for v in (x, y))
+    margin, lam = birkhoff_margin_rows(space, X, Y, opt_tol)
+    return float(margin[0]), float(lam[0])
 
 
-def relation_report(space, rel: OrthoRelation, x, y, tol: float = 1e-9) -> OrthoResult:
-    """Decide one orthogonality relation and report its residual
-    (and the minimizing parameter for Birkhoff)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape:
+def relation_rows(space, rel: OrthoRelation, X, Y, opt_tol: float = DEFAULT_TOLERANCES.opt_tol):
+    """Residuals of one orthogonality relation on the rows of two (N, dim)
+    arrays, and for Birkhoff the minimizing parameters (else None); each row
+    as :func:`relation_report` gives it."""
+    X = np.asarray(X, dtype=float)
+    Y = np.asarray(Y, dtype=float)
+    if X.shape != Y.shape:
         raise DimensionError("vectors must share a dimension")
     if rel is OrthoRelation.ROBERTS:
-        res = max(abs(norm(space, x + t * y) - norm(space, x - t * y)) for t in _ROBERTS_GRID)
-        return OrthoResult(res <= tol, res)
+        tY = (np.array(_ROBERTS_GRID)[None, :, None] * Y[:, None, :]).reshape(-1, X.shape[1])
+        Xg = np.repeat(X, len(_ROBERTS_GRID), axis=0)
+        D = np.abs(norm_rows(space, Xg + tY) - norm_rows(space, Xg - tY)).reshape(len(X), -1)
+        res = D[:, 0]
+        for d in D.T[1:]:
+            res = np.where(d > res, d, res)  # as max() over the grid: a later NaN never wins
+        return res, None
     if rel is OrthoRelation.BIRKHOFF:
-        mn, lam = birkhoff_margin(space, x, y)
-        res = max(0.0, norm(space, x) - mn)
-        return OrthoResult(res <= tol, res, lam)
+        mn, lam = birkhoff_margin_rows(space, X, Y, opt_tol)
+        d = norm_rows(space, X) - mn
+        return np.where(d > 0.0, d, 0.0), lam
     if rel is OrthoRelation.ISOSCELES:
-        res = abs(norm(space, x + y) - norm(space, x - y))
-        return OrthoResult(res <= tol, res)
+        return np.abs(norm_rows(space, X + Y) - norm_rows(space, X - Y)), None
     if rel is OrthoRelation.PYTHAGOREAN:
-        res = abs(norm(space, x) ** 2 + norm(space, y) ** 2 - norm(space, x - y) ** 2)
-        return OrthoResult(res <= tol, res)
+        squares = [pow_rows(norm_rows(space, A), 2.0) for A in (X, Y, X - Y)]
+        return np.abs(squares[0] + squares[1] - squares[2]), None
     if rel is OrthoRelation.SINGER:
-        nx, ny = norm(space, x), norm(space, y)
-        if nx == 0.0 or ny == 0.0:
-            return OrthoResult(True, 0.0)
-        res = abs(norm(space, x / nx + y / ny) - norm(space, x / nx - y / ny))
-        return OrthoResult(res <= tol, res)
+        nx, ny = norm_rows(space, X), norm_rows(space, Y)
+        live = (nx != 0.0) & (ny != 0.0)  # a zero vector is Singer orthogonal to everything
+        Xh = X / np.where(live, nx, 1.0)[:, None]
+        Yh = Y / np.where(live, ny, 1.0)[:, None]
+        return np.where(live, np.abs(norm_rows(space, Xh + Yh) - norm_rows(space, Xh - Yh)), 0.0), None
     if rel is OrthoRelation.SIP:
-        res = abs(sip(space, y, x))  # "y orthogonal to x" tests [y, x]
-        return OrthoResult(res <= tol, res)
+        return np.abs(sip_rows(space, Y, X)), None  # "y orthogonal to x" tests [y, x]
     raise DomainError(f"unknown relation {rel!r}")
+
+
+def relation_report(
+    space, rel: OrthoRelation, x, y, tol: float = 1e-9, opt_tol: float = DEFAULT_TOLERANCES.opt_tol
+) -> OrthoResult:
+    """Decide one orthogonality relation and report its residual
+    (and the minimizing parameter for Birkhoff): the one-row call of
+    :func:`relation_rows`."""
+    res, lam = relation_rows(space, rel, np.asarray(x, dtype=float)[None], np.asarray(y, dtype=float)[None], opt_tol)
+    return OrthoResult(bool(res[0] <= tol), float(res[0]), None if lam is None else float(lam[0]))
 
 
 def is_orthogonal(space, rel: OrthoRelation, x, y, tol: float = 1e-9) -> bool:
@@ -166,32 +190,67 @@ def gram_determinant(product, vectors) -> float:
     return float(np.linalg.det(gram_matrix(product, vectors)))
 
 
+def regular_orthogonalization_rows(product, V, tolerances: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+    """:func:`regular_orthogonalization` of the vectors V[i, 0], V[i, 1], ...
+    of every row i of an (N, k, dim) array, as an (N, k, dim) array, with
+    one row-kernel call of the product per term.  Raises
+    :class:`NeutralPivotError` at the first position where the pivot of
+    any row is neutral."""
+    V = np.asarray(V, dtype=float)
+    P = row_kernel(product)
+    U = np.empty_like(V)
+    Q = np.empty(V.shape[:2])
+    for i in range(V.shape[1]):
+        v = V[:, i]
+        u = v
+        for j in range(i):
+            u = u - (P(v, U[:, j]) / Q[:, j])[:, None] * U[:, j]
+        q = P(u, u)
+        if np.any(np.abs(q) <= tolerances.eq_tol * np.fmax(1.0, dot_rows(u, u))):
+            raise NeutralPivotError(f"neutral pivot at position {i + 1}", index=i + 1)
+        U[:, i], Q[:, i] = u, q
+    return U
+
+
 def regular_orthogonalization(product, vectors, tolerances: Tolerances = DEFAULT_TOLERANCES):
     """Gram-Schmidt in an indefinite symmetric product.
 
     u_k = v_k - sum_{i<k} ([v_k, u_i] / [u_i, u_i]) u_i.  A pivot with
     (relative) zero scalar square aborts with :class:`NeutralPivotError`
     carrying the 1-based index: the leading principal Gram determinant
-    vanishes there, so no regular orthogonalization exists.
+    vanishes there, so no regular orthogonalization exists.  The one-row
+    call of :func:`regular_orthogonalization_rows`.
     """
-    vectors = [np.asarray(v, dtype=float) for v in vectors]
-    out: list[np.ndarray] = []
-    squares: list[float] = []
-    for i, v in enumerate(vectors):
-        u = v.copy()
-        for w, q in zip(out, squares):
-            u = u - (product(v, w) / q) * w
-        q = product(u, u)
-        if abs(q) <= tolerances.eq_tol * max(1.0, float(u @ u)):
-            raise NeutralPivotError(f"neutral pivot at position {i + 1}", index=i + 1)
-        out.append(u)
-        squares.append(q)
-    return out
+    V = np.array([np.asarray(v, dtype=float) for v in vectors])
+    return list(regular_orthogonalization_rows(product, V[None], tolerances)[0])
 
 
 def _unit_vectors(norm_spec: NormSpec, thetas: np.ndarray) -> np.ndarray:
     dirs = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
     return dirs / norm_batch(norm_spec, dirs)[:, None]
+
+
+_DET_BLOCK = 64  # grid rows per block of the |det| search: 64 x 720 doubles is 369 kB
+
+
+def _max_det_pair(U: np.ndarray) -> tuple[int, int]:
+    """(i, j) of the largest |det(U[i], U[j])| over the grid of unit vectors
+    U: the first maximum in row-major order, or the first NaN, as
+    ``np.argmax`` over the full matrix gives it.
+
+    The search takes a block of rows at a time.  Entry (j, i) is the exact
+    negative of entry (i, j), so an entry left of the diagonal block is
+    matched by one in an earlier row, and a block of rows r, r + 1, ...
+    needs only the columns from r on.
+    """
+    best, best_ij = -np.inf, (0, 0)
+    for r in range(0, len(U), _DET_BLOCK):
+        B, C = U[r : r + _DET_BLOCK], U[r:]
+        dets = np.abs(B[:, 0][:, None] * C[:, 1][None, :] - B[:, 1][:, None] * C[:, 0][None, :])
+        k = int(np.argmax(dets))
+        if dets.flat[k] > best or (np.isnan(dets.flat[k]) and not np.isnan(best)):
+            best, best_ij = dets.flat[k], (r + k // len(C), r + k % len(C))
+    return best_ij
 
 
 def auerbach_basis_2d(
@@ -208,26 +267,19 @@ def auerbach_basis_2d(
     if norm_spec.dim != 2:
         raise UnsupportedError("angle parametrization only covers two dimensions")
     thetas = np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)
-    U = _unit_vectors(norm_spec, thetas)
-    dets = np.abs(U[:, 0][:, None] * U[:, 1][None, :] - U[:, 1][:, None] * U[:, 0][None, :])
-    i, j = np.unravel_index(int(np.argmax(dets)), dets.shape)
+    i, j = _max_det_pair(_unit_vectors(norm_spec, thetas))
 
     def objective(angles):
-        u = _unit_vectors(norm_spec, np.array([angles[0]]))[0]
-        v = _unit_vectors(norm_spec, np.array([angles[1]]))[0]
+        u, v = _unit_vectors(norm_spec, angles)
         return -abs(u[0] * v[1] - u[1] * v[0])
 
     start = np.array([thetas[i], thetas[j]])
     best, _val = minimize(objective, start, opt_tol=tolerances.opt_tol, max_iter=800)
-    u = _unit_vectors(norm_spec, np.array([best[0]]))[0]
-    v = _unit_vectors(norm_spec, np.array([best[1]]))[0]
-
-    slack = 10.0 * tolerances.opt_tol
-    for a, b in ((u, v), (v, u)):
-        mn, _ = birkhoff_margin(norm_spec, a, b, tolerances.opt_tol)
-        if mn < norm(norm_spec, a) - slack:
-            raise ConvergenceError("refined pair is not mutually Birkhoff orthogonal")
-    return u, v
+    pair = _unit_vectors(norm_spec, best)
+    margins, _ = birkhoff_margin_rows(norm_spec, pair, pair[::-1], tolerances.opt_tol)
+    if np.any(margins < norm_rows(norm_spec, pair) - 10.0 * tolerances.opt_tol):
+        raise ConvergenceError("refined pair is not mutually Birkhoff orthogonal")
+    return pair[0], pair[1]
 
 
 def _refine_orthogonal_angles(space: SipSpace, angles: np.ndarray) -> np.ndarray:

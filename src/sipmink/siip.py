@@ -40,6 +40,7 @@ from .numerics import (
     dot_rows,
     first_diff_step,
     pow_rows,
+    reduce_last,
     row_kernel,
     second_diff_step,
 )
@@ -180,11 +181,13 @@ def siip_rows(space: SiipSpace, U, V) -> np.ndarray:
     """Row-wise ``[U[i], V[i]]`` of two (N, dim) arrays, bit-identical to
     :func:`siip` on each row.
 
-    The weighted plane runs as array code; the other variants loop over
-    :func:`siip`.
+    The diagonal product and the weighted plane run as array code; the other
+    variants loop over :func:`siip`.
     """
     U = check_dim(U, space.dim, rows=True)
     V = check_dim(V, space.dim, rows=True)
+    if space.kind == DIAGONAL:
+        return reduce_last(np.add, np.array(space.signature) * U * V)  # a -0.0 sum gives +0.0, as np.sum does
     if space.kind == WEIGHTED_PLANE:
         x1, y1 = U.T
         x2, y2 = V.T

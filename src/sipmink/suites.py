@@ -28,10 +28,8 @@ from .norms import (
     NormSpec,
     SipSpace,
     derivative_identity_residual_rows,
-    norm,
     norm_rows,
     product_axiom_report,
-    sip,
     sip_axiom_report,
     sip_rows,
 )
@@ -172,6 +170,24 @@ def suite_siip_axioms(cfg: RunConfig) -> list[CheckRow]:
     return [_tracked("siip-axioms", t, tol, pick=-1) for t in (add, hom1, hom2, sq, nondeg)]
 
 
+def _kept_trials(draws, trials: int, head: int, d: int, tail: int, low: float, high: float):
+    """The draws of the trials a loop keeps, one row each, and the number of
+    draws the loop used.  Each of ``trials`` trials draws ``head`` values, the
+    last ``d`` of them a vector uniform on [low, high); a zero vector skips
+    the trial and its ``tail`` further draws.  ``draws`` holds the longest
+    possible stream."""
+    nonzero = np.any(as_uniform(sliding_window_view(draws, d), low, high), axis=1).tolist()
+    starts = []
+    p = 0
+    for _ in range(trials):
+        if nonzero[p + head - d]:
+            starts.append(p)
+            p += head + tail
+        else:
+            p += head
+    return draws[np.array(starts, dtype=np.intp)[:, None] + np.arange(head + tail)], p
+
+
 def suite_theorem2(cfg: RunConfig) -> list[CheckRow]:
     """Nested-derivative identity of the s.i.p. on the smooth S block."""
     block = cfg.s_sip()
@@ -183,17 +199,7 @@ def suite_theorem2(cfg: RunConfig) -> list[CheckRow]:
     # a trial draws x, z, y and, unless y = 0 (then it is skipped), the
     # length of y; one block holds the longest possible stream
     d = block.dim
-    draws = as_seed(cfg.seed).rng().random(100 * (3 * d + 1))
-    y_nonzero = np.any(as_uniform(sliding_window_view(draws, d), -1.0, 1.0), axis=1).tolist()
-    starts = []
-    p = 0
-    for _ in range(100):
-        if y_nonzero[p + 2 * d]:
-            starts.append(p)
-            p += 3 * d + 1
-        else:
-            p += 3 * d
-    T = draws[np.array(starts, dtype=np.intp)[:, None] + np.arange(3 * d + 1)]
+    T, _ = _kept_trials(as_seed(cfg.seed).rng().random(100 * (3 * d + 1)), 100, 3 * d, d, 1, -1.0, 1.0)
     X, Z, Y = (as_uniform(T[:, i * d : (i + 1) * d], -1.0, 1.0) for i in range(3))
     Y *= (as_uniform(T[:, 3 * d], 0.5, 2.0) / norm_rows(block, Y))[:, None]
     track = ResidualTracker("identity_residual")
@@ -402,21 +408,53 @@ def suite_isometry(cfg: RunConfig) -> list[CheckRow]:
     return rows
 
 
+class _DrawStream:
+    """``rng.random`` draws handed out in stream order.  A trial loop that
+    skips draws on some trials peeks at the block its longest run could use
+    and takes what it used; the rest stays for the next loop."""
+
+    def __init__(self, rng: np.random.Generator):
+        self._rng = rng
+        self._buffer = np.empty(0)
+
+    def peek(self, count: int) -> np.ndarray:
+        if count > len(self._buffer):
+            self._buffer = np.concatenate((self._buffer, self._rng.random(count - len(self._buffer))))
+        return self._buffer[:count]
+
+    def take(self, count: int) -> np.ndarray:
+        draws = self.peek(count)
+        self._buffer = self._buffer[count:]
+        return draws
+
+
+def _perpendicular(X):
+    """(-x2, x1) for each row x of an (N, 2) array."""
+    return np.stack([-X[:, 1], X[:, 0]], axis=1)
+
+
+def _leading_gram_determinants(space: _SiipSpace, V):
+    """|det| of the leading principal Gram matrices of the k vectors in each
+    row of an (N, k, dim) array, as an (N, k) array; each as
+    ``abs(ortho.gram_determinant(...))`` gives it."""
+    count, k, dim = V.shape
+    left = np.repeat(V, k, axis=1).reshape(-1, dim)  # V[t, i] against V[t, j], row-major in (i, j)
+    G = space.rows(left, np.tile(V, (1, k, 1)).reshape(-1, dim)).reshape(count, k, k)
+    return np.abs(np.stack([np.linalg.det(G[:, : m + 1, : m + 1]) for m in range(k)], axis=1))
+
+
 def suite_orthogonality(cfg: RunConfig) -> list[CheckRow]:
     rows = []
     tol = cfg.tolerances
     euclid = SipSpace.euclidean(2)
-    rng = as_seed(cfg.seed).rng()
-    # on Euclidean planes every relation agrees with perpendicularity
-    agree = True
-    for _ in range(10):
-        x = rng.uniform(-2.0, 2.0, 2)
-        if not np.any(x):
-            continue
-        y = np.array([-x[1], x[0]]) * float(rng.uniform(0.2, 2.0))
-        for rel in ortho.OrthoRelation:
-            if not ortho.is_orthogonal(euclid, rel, x, y, 1e-6):
-                agree = False
+    draws = _DrawStream(as_seed(cfg.seed).rng())
+    # on Euclidean planes every relation agrees with perpendicularity; a
+    # trial draws x and, unless x = 0 (then it is skipped), the length of y
+    T, used = _kept_trials(draws.peek(30), 10, 2, 2, 1, -2.0, 2.0)
+    draws.take(used)
+    X = as_uniform(T[:, :2], -2.0, 2.0)
+    Y = _perpendicular(X) * as_uniform(T[:, 2], 0.2, 2.0)[:, None]
+    agree = all([np.all(ortho.relation_rows(euclid, rel, X, Y, tol.opt_tol)[0] <= 1e-6) for rel in ortho.OrthoRelation])
     rows.append(_row("orthogonality", "euclidean_agreement", agree))
 
     # s.i.p. orthogonality implies Birkhoff on the configured S block
@@ -425,55 +463,53 @@ def suite_orthogonality(cfg: RunConfig) -> list[CheckRow]:
         # the companion of a vector of a one-dimensional block is {0}
         rows += _not_applicable("orthogonality", "needs an S block of dimension 2 or more", "sip_implies_birkhoff")
     else:
+        X = as_uniform(draws.take(10 * block.dim).reshape(10, block.dim), -1.5, 1.5)
+        X = X[~(norm_rows(block, X) < 0.3)]  # short x are skipped
+        Y = ortho.orthogonal_companion_basis_rows(block, X, tol)[:, 0]
+        mn, _ = ortho.birkhoff_margin_rows(block, X, Y, tol.opt_tol)
+        deficit = norm_rows(block, X) - mn
         worst = ResidualTracker("sip_implies_birkhoff")
-        for _ in range(10):
-            x = rng.uniform(-1.5, 1.5, block.dim)
-            if norm(block, x) < 0.3:
-                continue
-            basis = ortho.orthogonal_companion_basis(lambda a, b: sip(block, a, b), x, tol)
-            y = basis[0]
-            mn, _ = ortho.birkhoff_margin(block, x, y, tol.opt_tol)
-            worst.update(max(0.0, norm(block, x) - mn), x)
+        worst.update_rows(np.where(deficit > 0.0, deficit, 0.0), X)
         rows.append(_tracked("orthogonality", worst, 1e-6))
 
-    # homogeneity of the unitary relations
+    # homogeneity of the unitary relations; a trial draws x and, unless
+    # x = 0 (then it is skipped), lam and mu
+    T, used = _kept_trials(draws.peek(40), 10, 2, 2, 2, -1.5, 1.5)
+    draws.take(used)
+    X = as_uniform(T[:, :2], -1.5, 1.5)
+    Y = _perpendicular(X)
+    lam, mu = as_uniform(T[:, 2], 0.2, 3.0)[:, None], as_uniform(T[:, 3], -3.0, -0.2)[:, None]
     homogeneous = True
-    for _ in range(10):
-        x = rng.uniform(-1.5, 1.5, 2)
-        if not np.any(x):
-            continue
-        y = np.array([-x[1], x[0]])
-        lam, mu = float(rng.uniform(0.2, 3.0)), float(rng.uniform(-3.0, -0.2))
-        for rel in (ortho.OrthoRelation.SIP, ortho.OrthoRelation.SINGER):
-            if ortho.is_orthogonal(euclid, rel, x, y, 1e-8) and not ortho.is_orthogonal(
-                euclid, rel, lam * x, mu * y, 1e-6
-            ):
-                homogeneous = False
+    for rel in (ortho.OrthoRelation.SIP, ortho.OrthoRelation.SINGER):
+        related = ortho.relation_rows(euclid, rel, X, Y, tol.opt_tol)[0] <= 1e-8
+        scaled = ortho.relation_rows(euclid, rel, lam * X, mu * Y, tol.opt_tol)[0] <= 1e-6
+        homogeneous &= not np.any(related & ~scaled)
     rows.append(_row("orthogonality", "unitary_homogeneity", homogeneous))
 
-    # regular orthogonalization in the 2+1 pseudo-Euclidean product
+    # regular orthogonalization in the 2+1 pseudo-Euclidean product; an
+    # attempt draws three vectors and is rejected when a leading Gram
+    # determinant is below 1e-2
     diag = _SiipSpace.diagonal((1, 1, -1))
-    product = lambda u, v: _siip(diag, u, v)
+    V = np.empty((0, 3, 3))
+    while len(V) < 20:
+        attempts = as_uniform(draws.peek(9 * 32).reshape(32, 3, 3), -2.0, 2.0)
+        accepted = ~(_leading_gram_determinants(diag, attempts).min(axis=1) < 1e-2)
+        needed = np.flatnonzero(accepted)[: 20 - len(V)]
+        used = needed[-1] + 1 if len(needed) == 20 - len(V) else len(attempts)
+        draws.take(9 * used)
+        V = np.concatenate((V, attempts[:used][accepted[:used]]))
+    U = ortho.regular_orthogonalization_rows(diag, V, tol)
     pair_res = ResidualTracker("gs_pairwise")
     span_res = ResidualTracker("gs_span")
-    produced = 0
-    while produced < 20:
-        vecs = [rng.uniform(-2.0, 2.0, 3) for _ in range(3)]
-        dets = [abs(ortho.gram_determinant(product, vecs[: k + 1])) for k in range(3)]
-        if min(dets) < 1e-2:
-            continue
-        produced += 1
-        us = ortho.regular_orthogonalization(product, vecs, tol)
-        for i in range(3):
-            for j in range(i + 1, 3):
-                pair_res.update(product(us[i], us[j]))
-        A = np.array(us).T
+    pair_res.update_rows(np.stack([diag.rows(U[:, i], U[:, j]) for i, j in ((0, 1), (0, 2), (1, 2))], axis=1).ravel())
+    for us, vecs in zip(U, V):
+        A = us.T
         for k in range(3):
-            c, res, _, _ = np.linalg.lstsq(A[:, : k + 1], vecs[k], rcond=None)
+            _, res, _, _ = np.linalg.lstsq(A[:, : k + 1], vecs[k], rcond=None)
             span_res.update(float(np.sqrt(res[0])) if res.size else 0.0)
     rows += [_tracked("orthogonality", pair_res, 1e-9), _tracked("orthogonality", span_res, 1e-9)]
     try:
-        ortho.regular_orthogonalization(product, [np.array([1.0, 0.0, 1.0])], tol)
+        ortho.regular_orthogonalization(diag, [np.array([1.0, 0.0, 1.0])], tol)
         neutral_ok = False
     except NeutralPivotError as err:
         neutral_ok = err.index == 1
@@ -481,12 +517,10 @@ def suite_orthogonality(cfg: RunConfig) -> list[CheckRow]:
 
     # Auerbach pair of the S block (two-dimensional blocks only)
     if block.dim == 2:
-        u, v = ortho.auerbach_basis_2d(block.norm, tolerances=tol)
-        deficiency = 0.0
-        for a, b in ((u, v), (v, u)):
-            mn, _ = ortho.birkhoff_margin(block, a, b, tol.opt_tol)
-            deficiency = max(deficiency, norm(block, a) - mn)
-        rows.append(_row("orthogonality", "auerbach_mutual_birkhoff", deficiency <= 1e-5, deficiency, _fmt_vec(u)))
+        pair = np.array(ortho.auerbach_basis_2d(block.norm, tolerances=tol))
+        mn, _ = ortho.birkhoff_margin_rows(block, pair, pair[::-1], tol.opt_tol)
+        deficiency = max(0.0, *(norm_rows(block, pair) - mn).tolist())
+        rows.append(_row("orthogonality", "auerbach_mutual_birkhoff", deficiency <= 1e-5, deficiency, _fmt_vec(pair[0])))
 
     # Pythagorean subspace scan: an inner-product exclusive
     found = ortho.pythagorean_subspace_scan(NormSpec.euclidean(2), 120)

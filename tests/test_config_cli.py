@@ -10,6 +10,8 @@ from sipmink.cli import main
 from sipmink.config import RunConfig, config_from_mapping, load_config, parse_config
 from sipmink.errors import UsageError
 from sipmink.isometry import lorentz_boost
+from sipmink.norms import SipSpace
+from sipmink.ortho import birkhoff_margin
 
 PNORM_CFG = """
 # pnorm plane over a one-dimensional time block
@@ -105,6 +107,15 @@ class TestCliCommands:
         cfg.write_text('space.s.norm = "max"\nspace.s.dim = 2\n')
         assert main(["ortho", "birkhoff", "1,0", "0,1", "--config", str(cfg)]) == 0
         assert "lambda*" in capsys.readouterr().out
+
+    def test_ortho_birkhoff_uses_the_configured_opt_tol(self, capsys, tmp_path):
+        cfg = tmp_path / "pnorm3.cfg"
+        cfg.write_text('space.s.norm = "pnorm"\nspace.s.p = 3\ntol.opt = 0.01\n')
+        assert main(["ortho", "birkhoff", "1,0.3", "0.2,1", "--config", str(cfg)]) == 0
+        block, x, y = SipSpace.pnorm(3.0, 2), [1.0, 0.3], [0.2, 1.0]
+        coarse, fine = birkhoff_margin(block, x, y, 0.01)[1], birkhoff_margin(block, x, y)[1]
+        assert coarse != fine
+        assert f"lambda* = {'%.17g' % coarse}" in capsys.readouterr().out
 
     def test_ortho_sip_false_case(self, capsys):
         assert main(["ortho", "sip", "1,0", "1,1"]) == 0

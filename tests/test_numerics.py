@@ -14,6 +14,7 @@ from sipmink.numerics import (
     central_diff,
     integrate,
     minimize,
+    minimize_rows,
     sample_vectors,
     second_diff,
 )
@@ -234,6 +235,80 @@ class TestMinimizeMatchesReference:
             _reference_minimize(f, np.array([1.0, 1.0]))
         with pytest.raises(NumericalError):
             minimize(f, np.array([1.0, 1.0]))
+
+
+def _row_objective(problems, calls=None):
+    """The ``minimize_rows`` objective of a list of scalar objectives; each
+    call's problem indices are appended to ``calls``."""
+
+    def f(rows, P):
+        if calls is not None:
+            calls.append(rows.tolist())
+        return np.array([problems[i](p) for i, p in zip(rows.tolist(), P)])
+
+    return f
+
+
+def _shifted_bowl(c, a=1.0):
+    return lambda x: float(a * np.sum(np.abs(x - c) ** 1.5) + math.sin(x[0]))
+
+
+ROW_PROBLEMS = {
+    "1-d": (
+        [_shifted_bowl(np.array([c]), a) for c, a in ((0.3, 1.0), (-4.0, 0.5), (25.0, 2.0), (0.0, 3.0), (-0.7, 1.0))]
+        + [lambda x: max(abs(1 + x[0]), abs(x[0])), lambda x: abs(x[0] - 2.5)],
+        [[0.0], [1.0], [-3.0], [0.0], [2.0], [0.0], [-8.0]],
+    ),
+    "2-d": (
+        [_shifted_bowl(np.array([1.0, -2.0])), _shifted_bowl(np.array([30.0, 4.0]), 0.2), lambda x: float(x @ x),
+         _two_segment_max_objective(),
+         # a staircase: equal values send the contraction to either side
+         lambda x: float(np.floor(abs(x[0]) * 8) + np.floor(abs(x[1] + 0.5) * 8))],
+        [[0.0, 0.0], [-1.0, 2.0], [1.0, 1.0], [0.1, -0.3], [1.0, 1.0]],
+    ),
+}
+
+
+class TestMinimizeRows:
+    """Lock-step descents against :func:`minimize` and the reference, row by row."""
+
+    @pytest.mark.parametrize("name", sorted(ROW_PROBLEMS))
+    def test_rows_match_minimize(self, name):
+        problems, X0 = ROW_PROBLEMS[name]
+        calls = []
+        P, V = minimize_rows(_row_objective(problems, calls), np.array(X0), opt_tol=1e-8, max_iter=500)
+        for i, (f, x0) in enumerate(zip(problems, X0)):
+            pt, val = minimize(f, np.array(x0), opt_tol=1e-8, max_iter=500)
+            ref_pt, ref_val = _reference_minimize(f, np.array(x0), opt_tol=1e-8, max_iter=500)
+            assert np.array_equal(P[i], pt) and V[i] == val
+            assert np.array_equal(P[i], ref_pt) and V[i] == ref_val
+        last_call = [max(k for k, rows in enumerate(calls) if i in rows) for i in range(len(problems))]
+        assert len(set(last_call)) > 2  # rows leave the batch at different iterations
+
+    def test_budget_exhaustion_carries_the_first_failing_rows_best(self):
+        # rows 0 and 2 converge within 50 iterations, rows 1 and 3 do not
+        problems = [(lambda x, c=c: float((x[0] - c) ** 2)) for c in (1.0, 1e6, 3.0, 1e9)]
+        with pytest.raises(ConvergenceError) as err:
+            minimize_rows(_row_objective(problems), np.zeros((4, 1)), max_iter=50)
+        for f in problems[::2]:
+            minimize(f, np.zeros(1), max_iter=50)
+        with pytest.raises(ConvergenceError) as ref:
+            minimize(problems[1], np.zeros(1), max_iter=50)
+        assert np.array_equal(err.value.best_point, ref.value.best_point)
+        assert err.value.best_value == ref.value.best_value
+
+    @pytest.mark.parametrize("at", ["start", "mid-descent"])
+    def test_non_finite_value_raises(self, at):
+        bowl = lambda x: float(x @ x)
+        bad = (lambda x: math.nan) if at == "start" else (lambda x: float(x @ x) if x[0] > 0.9 else math.nan)
+        with pytest.raises(NumericalError):
+            minimize(bad, np.array([1.0, 1.0]))
+        with pytest.raises(NumericalError):
+            minimize_rows(_row_objective([bowl, bad]), np.ones((2, 2)))
+
+    def test_no_rows(self):
+        P, V = minimize_rows(_row_objective([]), np.zeros((0, 2)))
+        assert P.shape == (0, 2) and V.shape == (0,)
 
 
 class TestSampleVectors:

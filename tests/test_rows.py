@@ -16,7 +16,16 @@ from sipmink import hyperboloid as hyp
 from sipmink import minkowski as mink
 from sipmink import ortho, suites
 from sipmink.config import config_from_mapping, parse_config
-from sipmink.errors import ConstantSignError, DegenerateError, DimensionError, DomainError, NumericalError, TangentError
+from sipmink.errors import (
+    ConstantSignError,
+    ConvergenceError,
+    DegenerateError,
+    DimensionError,
+    DomainError,
+    NeutralPivotError,
+    NumericalError,
+    TangentError,
+)
 from sipmink.hyperboloid import lift
 from sipmink.isometry import isometry_report, lorentz_boost, sip_preservation_residual, strict_convexity_witness
 from sipmink.minkowski import BoundProduct, GeneralizedMinkowskiSpace, VectorClass, max_norm_spacetime
@@ -43,6 +52,7 @@ from sipmink.numerics import (
     dot_rows,
     first_diff_step,
     matvec_rows,
+    minimize,
     pow_rows,
     reduce_last,
     row_kernel,
@@ -174,6 +184,18 @@ class TestSiipRows:
         got = siip_rows(plane, U, V)
         assert np.array_equal(got, _scalar(lambda u, v: siip(plane, u, v), U, V))
         assert np.array_equal(got[::9], np.zeros(len(got[::9])))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 8, 9])
+    def test_diagonal_closed_form_with_zero_rows(self, rng, dim):
+        space = SiipSpace.diagonal(rng.choice([-1, 1], dim))
+        U, V = _rows(rng, 1000, dim), _rows(rng, 1000, dim)
+        U[::7] = 0.0
+        V[1::7] = 0.0
+        U[2::7], V[2::7] = np.abs(U[2::7]), -0.0  # every term -0.0 where the signature is +1
+        got = siip_rows(space, U, V)
+        expected = _scalar(lambda u, v: siip(space, u, v), U, V)
+        assert np.array_equal(got, expected) and np.array_equal(np.signbit(got), np.signbit(expected))
+        assert not np.any(np.signbit(got[::7]))  # a -0.0 sum gives +0.0, as in siip
 
     @pytest.mark.parametrize("space", [SiipSpace.cross_polytope(3), SiipSpace.diagonal((1, 1, -1))])
     def test_other_variants_loop_over_siip(self, rng, space):
@@ -1086,3 +1108,275 @@ class TestSpaceTimeKernels:
         Y[2] = 0.0
         with pytest.raises(DomainError):
             derivative_identity_residual_rows(space, np.ones((3, 2)), Y, Z)
+
+
+# The orthogonality suite as a trial loop, with the scalar helpers it called
+# (Birkhoff margin, relation residuals, indefinite Gram-Schmidt and the
+# Auerbach search) written out as they were before they became one-row
+# calls of row kernels.
+
+_ROBERTS_GRID = [s * 2.0**j for j in range(-5, 4) for s in (1.0, -1.0)]
+
+
+def _loop_birkhoff_margin(space, x, y, opt_tol=1e-7):
+    nx, ny = norm(space, x), norm(space, y)
+    if nx == 0.0 or ny == 0.0:
+        return nx, 0.0
+    xh, yh = x / nx, y / ny
+    f = lambda t: norm(space, xh + float(t) * yh)
+    grid = np.linspace(-8.0, 8.0, 33)
+    vals = np.array([f(t) for t in grid])
+    i0 = int(np.argmin(vals))
+    t0 = float(grid[i0])
+    pt, val = minimize(lambda t: f(t[0]), np.array([t0]), opt_tol=opt_tol, max_iter=500)
+    best_t, best_v = float(pt[0]), float(val)
+    if vals[i0] < best_v:
+        best_t, best_v = t0, float(vals[i0])
+    return nx * best_v, best_t * nx / ny
+
+
+def _loop_relation_residual(space, rel, x, y, opt_tol=1e-7):
+    R = ortho.OrthoRelation
+    if rel is R.ROBERTS:
+        return max(abs(norm(space, x + t * y) - norm(space, x - t * y)) for t in _ROBERTS_GRID)
+    if rel is R.BIRKHOFF:
+        return max(0.0, norm(space, x) - _loop_birkhoff_margin(space, x, y, opt_tol)[0])
+    if rel is R.ISOSCELES:
+        return abs(norm(space, x + y) - norm(space, x - y))
+    if rel is R.PYTHAGOREAN:
+        return abs(norm(space, x) ** 2 + norm(space, y) ** 2 - norm(space, x - y) ** 2)
+    if rel is R.SINGER:
+        nx, ny = norm(space, x), norm(space, y)
+        if nx == 0.0 or ny == 0.0:
+            return 0.0
+        return abs(norm(space, x / nx + y / ny) - norm(space, x / nx - y / ny))
+    return abs(sip(space, y, x))
+
+
+def _loop_regular_orthogonalization(product, vectors, eq_tol=1e-9):
+    out, squares = [], []
+    for i, v in enumerate(vectors):
+        u = v.copy()
+        for w, q in zip(out, squares):
+            u = u - (product(v, w) / q) * w
+        q = product(u, u)
+        if abs(q) <= eq_tol * max(1.0, float(u @ u)):
+            raise NeutralPivotError(f"neutral pivot at position {i + 1}", index=i + 1)
+        out.append(u)
+        squares.append(q)
+    return out
+
+
+def _full_argmax_pair(U):
+    dets = np.abs(U[:, 0][:, None] * U[:, 1][None, :] - U[:, 1][:, None] * U[:, 0][None, :])
+    return tuple(int(i) for i in np.unravel_index(int(np.argmax(dets)), dets.shape)), dets
+
+
+def _loop_auerbach_basis_2d(spec, opt_tol=1e-7):
+    thetas = np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False)
+    (i, j), _ = _full_argmax_pair(ortho._unit_vectors(spec, thetas))
+    unit = lambda angle: ortho._unit_vectors(spec, np.array([angle]))[0]
+
+    def objective(angles):
+        u, v = unit(angles[0]), unit(angles[1])
+        return -abs(u[0] * v[1] - u[1] * v[0])
+
+    best, _ = minimize(objective, np.array([thetas[i], thetas[j]]), opt_tol=opt_tol, max_iter=800)
+    u, v = unit(best[0]), unit(best[1])
+    for a, b in ((u, v), (v, u)):
+        if _loop_birkhoff_margin(spec, a, b, opt_tol)[0] < norm(spec, a) - 10.0 * opt_tol:
+            raise ConvergenceError("refined pair is not mutually Birkhoff orthogonal")
+    return u, v
+
+
+def _loop_suite_orthogonality(cfg, rng=None):
+    """The suite's rows, and how many trials each loop skipped or rejected."""
+    rows, skipped = [], {"agreement": 0, "homogeneity": 0, "gram": 0}
+    tol = cfg.tolerances
+    euclid = SipSpace.euclidean(2)
+    rng = Seed(cfg.seed).rng() if rng is None else rng
+    agree = True
+    for _ in range(10):
+        x = rng.uniform(-2.0, 2.0, 2)
+        if not np.any(x):
+            skipped["agreement"] += 1
+            continue
+        y = np.array([-x[1], x[0]]) * float(rng.uniform(0.2, 2.0))
+        for rel in ortho.OrthoRelation:
+            if not _loop_relation_residual(euclid, rel, x, y, tol.opt_tol) <= 1e-6:
+                agree = False
+    rows.append(suites._row("orthogonality", "euclidean_agreement", agree))
+
+    block = cfg.s_sip()
+    if block.dim < 2:
+        rows += suites._not_applicable("orthogonality", "needs an S block of dimension 2 or more", "sip_implies_birkhoff")
+    else:
+        worst = ResidualTracker("sip_implies_birkhoff")
+        for _ in range(10):
+            x = rng.uniform(-1.5, 1.5, block.dim)
+            if norm(block, x) < 0.3:
+                continue
+            y = _loop_companion_basis(lambda a, b: sip(block, a, b), x, tol.eq_tol)[0]
+            mn, _ = _loop_birkhoff_margin(block, x, y, tol.opt_tol)
+            worst.update(max(0.0, norm(block, x) - mn), x)
+        rows.append(suites._tracked("orthogonality", worst, 1e-6))
+
+    homogeneous = True
+    for _ in range(10):
+        x = rng.uniform(-1.5, 1.5, 2)
+        if not np.any(x):
+            skipped["homogeneity"] += 1
+            continue
+        y = np.array([-x[1], x[0]])
+        lam, mu = float(rng.uniform(0.2, 3.0)), float(rng.uniform(-3.0, -0.2))
+        for rel in (ortho.OrthoRelation.SIP, ortho.OrthoRelation.SINGER):
+            related = _loop_relation_residual(euclid, rel, x, y, tol.opt_tol) <= 1e-8
+            if related and not _loop_relation_residual(euclid, rel, lam * x, mu * y, tol.opt_tol) <= 1e-6:
+                homogeneous = False
+    rows.append(suites._row("orthogonality", "unitary_homogeneity", homogeneous))
+
+    diag = SiipSpace.diagonal((1, 1, -1))
+    product = lambda u, v: siip(diag, u, v)
+    pair_res, span_res = ResidualTracker("gs_pairwise"), ResidualTracker("gs_span")
+    produced = 0
+    while produced < 20:
+        vecs = [rng.uniform(-2.0, 2.0, 3) for _ in range(3)]
+        dets = [abs(ortho.gram_determinant(product, vecs[: k + 1])) for k in range(3)]
+        if min(dets) < 1e-2:
+            skipped["gram"] += 1
+            continue
+        produced += 1
+        us = _loop_regular_orthogonalization(product, vecs, tol.eq_tol)
+        for i in range(3):
+            for j in range(i + 1, 3):
+                pair_res.update(product(us[i], us[j]))
+        A = np.array(us).T
+        for k in range(3):
+            _, res, _, _ = np.linalg.lstsq(A[:, : k + 1], vecs[k], rcond=None)
+            span_res.update(float(np.sqrt(res[0])) if res.size else 0.0)
+    rows += [suites._tracked("orthogonality", pair_res, 1e-9), suites._tracked("orthogonality", span_res, 1e-9)]
+    try:
+        _loop_regular_orthogonalization(product, [np.array([1.0, 0.0, 1.0])], tol.eq_tol)
+        neutral_ok = False
+    except NeutralPivotError as err:
+        neutral_ok = err.index == 1
+    rows.append(suites._row("orthogonality", "gs_neutral_start_raises", neutral_ok))
+
+    if block.dim == 2:
+        u, v = _loop_auerbach_basis_2d(block.norm, tol.opt_tol)
+        deficiency = 0.0
+        for a, b in ((u, v), (v, u)):
+            mn, _ = _loop_birkhoff_margin(block, a, b, tol.opt_tol)
+            deficiency = max(deficiency, norm(block, a) - mn)
+        rows.append(suites._row("orthogonality", "auerbach_mutual_birkhoff", deficiency <= 1e-5, deficiency, suites._fmt_vec(u)))
+
+    found = ortho.pythagorean_subspace_scan(NormSpec.euclidean(2), 120)
+    rows.append(suites._row("orthogonality", "pythagorean_scan_euclidean", found is not None))
+    for name, spec in (("max", NormSpec.max_norm(2)), ("pnorm4", NormSpec.pnorm(4.0, 2))):
+        found = ortho.pythagorean_subspace_scan(spec, 120)
+        rows.append(suites._row("orthogonality", f"pythagorean_scan_{name}_empty", found is None))
+    return rows, skipped
+
+
+def _as_compared(rows):
+    return [(r.suite, r.check, bool(r.passed), r.residual, r.witness) for r in rows]
+
+
+class TestOrthogonalitySuiteMatchesTheLoop:
+    @pytest.mark.parametrize("label, seed", [(label, seed) for label in sorted(SUITE_CONFIGS) for seed in (1, 7, 42)])
+    def test_rows_and_witnesses(self, label, seed):
+        cfg = _suite_cfg(label, seed)
+        expected, _ = _loop_suite_orthogonality(cfg)
+        assert _as_compared(suites.suite_orthogonality(cfg)) == _as_compared(expected)
+
+    @pytest.mark.parametrize(
+        "loop, forced, least",
+        [
+            # agreement trial t starts at offset 3 t; x of trial 2 sits at 6, 7
+            ("agreement", (6, 7), 1),
+            # homogeneity starts at 30 + 20 on a plane block, trial t at 50 + 4 t
+            ("homogeneity", (54, 55), 1),
+            # Gram-Schmidt starts at 90, attempt a at 90 + 9 a: the first vector
+            # of attempts 0 to 29 is zero, so a second block of attempts is needed
+            ("gram", tuple(90 + 9 * a + c for a in range(30) for c in range(3)), 30),
+        ],
+        ids=["agreement-zero-x", "homogeneity-zero-x", "gram-rejections"],
+    )
+    @pytest.mark.parametrize("label", ["euclidean", "pnorm3"])
+    def test_forced_skips_continue_the_stream(self, monkeypatch, loop, forced, least, label):
+        cfg = _suite_cfg(label, 42)
+        expected, skipped = _loop_suite_orthogonality(cfg, _ForcedDraws(42, forced))
+        unforced, unforced_skipped = _loop_suite_orthogonality(cfg)
+        assert skipped[loop] >= least and skipped[loop] > unforced_skipped[loop]
+        assert _as_compared(expected) != _as_compared(unforced)  # the later loops saw a shifted stream
+        monkeypatch.setattr(suites, "as_seed", lambda seed: SimpleNamespace(rng=lambda: _ForcedDraws(seed, forced)))
+        assert _as_compared(suites.suite_orthogonality(cfg)) == _as_compared(expected)
+
+
+class TestOrthogonalityKernels:
+    """The row kernels behind the orthogonality suite against the scalar
+    helpers they replaced, bit for bit."""
+
+    SPACES = {**SMOOTH_SPACES, "max2": SipSpace.max_norm(2), "max3": SipSpace.max_norm(3)}
+
+    @pytest.mark.parametrize("name", sorted(SPACES))
+    def test_relation_rows_and_birkhoff_margins(self, rng, name):
+        space = self.SPACES[name]
+        X, Y = _rows(rng, 40, space.dim), _rows(rng, 40, space.dim)
+        X[::9] = 0.0
+        Y[4::9] = 0.0
+        for rel in ortho.OrthoRelation:
+            res, lam = ortho.relation_rows(space, rel, X, Y, 1e-6)
+            assert np.array_equal(res, [_loop_relation_residual(space, rel, x, y, 1e-6) for x, y in zip(X, Y)])
+            assert (lam is None) == (rel is not ortho.OrthoRelation.BIRKHOFF)
+        margins, lams = ortho.birkhoff_margin_rows(space, X, Y, 1e-6)
+        expected = [_loop_birkhoff_margin(space, x, y, 1e-6) for x, y in zip(X, Y)]
+        assert np.array_equal(margins, [m for m, _ in expected]) and np.array_equal(lams, [t for _, t in expected])
+        assert ortho.birkhoff_margin(space, X[1], Y[1], 1e-6) == expected[1]
+
+    def test_roberts_residual_keeps_max_over_a_grid_with_nan(self):
+        # a gauge that is NaN far from the origin: max() over the grid keeps
+        # what it had when a later grid point gives NaN, and a NaN first point stays
+        spec = NormSpec("gauge", 2, gauge=lambda v: float(np.abs(v).sum()) if np.abs(v).max() < 6.0 else math.nan)
+        X, Y = np.array([[0.5, 0.2], [7.0, 0.0], [0.1, -0.3]]), np.array([[0.9, -0.4], [0.0, 1.0], [0.2, 0.1]])
+        res, _ = ortho.relation_rows(spec, ortho.OrthoRelation.ROBERTS, X, Y)
+        expected = [_loop_relation_residual(spec, ortho.OrthoRelation.ROBERTS, x, y) for x, y in zip(X, Y)]
+        assert np.array_equal(res, expected, equal_nan=True)
+        assert np.isfinite(res[0]) and np.isnan(res[1])
+
+    def test_relation_rows_reject_mismatched_shapes(self):
+        with pytest.raises(DimensionError):
+            ortho.relation_rows(SipSpace.euclidean(2), ortho.OrthoRelation.SIP, np.zeros((3, 2)), np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("product", [SiipSpace.diagonal((1, 1, -1)), lambda a, b: float(a @ b)], ids=["diag", "dot"])
+    def test_regular_orthogonalization(self, rng, product):
+        V = rng.uniform(-2.0, 2.0, (200, 3, 3))
+        scalar = product if callable(product) else (lambda a, b: siip(product, a, b))
+        expected = np.array([_loop_regular_orthogonalization(scalar, list(vecs)) for vecs in V])
+        assert np.array_equal(ortho.regular_orthogonalization_rows(product, V), expected)
+
+    def test_regular_orthogonalization_raises_at_the_first_neutral_position(self):
+        diag = SiipSpace.diagonal((1, 1, -1))
+        V = np.array([[[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]], [[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]])
+        with pytest.raises(NeutralPivotError) as err:
+            ortho.regular_orthogonalization_rows(diag, V)
+        assert err.value.index == 1
+        with pytest.raises(NeutralPivotError) as err:
+            ortho.regular_orthogonalization_rows(diag, V[:1])
+        assert err.value.index == 2
+
+    # (grid size, entries equal to the maximum): entry (j, i) always ties with
+    # (i, j), and the 100-point grid has four pairs at the maximum
+    @pytest.mark.parametrize("grid, ties", [(720, 2), (100, 8), (130, 2), (128, 2), (64, 2), (3, 2)])
+    def test_blocked_grid_argmax_matches_the_full_matrix(self, grid, ties):
+        U = ortho._unit_vectors(NormSpec.max_norm(2), np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False))
+        expected, dets = _full_argmax_pair(U)
+        assert np.count_nonzero(dets == dets.max()) == ties
+        assert ortho._max_det_pair(U) == expected
+
+    @pytest.mark.parametrize("name", ["euclidean2", "pnorm3", "max2"])
+    def test_auerbach_basis(self, name):
+        spec = self.SPACES[name].norm
+        expected = _loop_auerbach_basis_2d(spec)
+        got = ortho.auerbach_basis_2d(spec)
+        assert all(np.array_equal(g, e) for g, e in zip(got, expected))
