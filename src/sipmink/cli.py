@@ -38,9 +38,12 @@ _FMT = "%.17g"
 
 def _parse_vector(text: str) -> np.ndarray:
     try:
-        return np.array([float(part) for part in text.split(",")], dtype=float)
+        v = np.array([float(part) for part in text.split(",")], dtype=float)
     except ValueError:
         raise UsageError(f"cannot parse vector {text!r}; expected comma-separated reals") from None
+    if not np.all(np.isfinite(v)):
+        raise UsageError(f"vector {text!r} has a non-finite coordinate")
+    return v
 
 
 def _add_common(sub: argparse.ArgumentParser):

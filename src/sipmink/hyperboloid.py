@@ -29,7 +29,7 @@ from .errors import (
     UnsupportedError,
 )
 from .minkowski import GeneralizedMinkowskiSpace, embed, product_plus, product_plus_rows, split
-from .norms import norm_batch, norm_rows, sip, sip_rows
+from .norms import norm_batch, norm_rows, sip_rows
 from .numerics import DEFAULT_TOLERANCES, Tolerances, check_dim, minimize, reduce_last, simpson_weights
 
 _EPS3 = float(np.finfo(float).eps) ** (1.0 / 3.0)
@@ -53,14 +53,18 @@ class HPoint:
         return embed(self.space, s=self.s, t=[self.tau])
 
 
+def _hpoint(space: GeneralizedMinkowskiSpace, v: np.ndarray) -> HPoint:
+    """The point of H+ of one row (s, tau) of :func:`lift_rows`."""
+    return HPoint(space, v[: space.k].copy(), float(v[space.k]))
+
+
 def lift(space: GeneralizedMinkowskiSpace, s) -> HPoint:
-    """Lift S-coordinates onto H+."""
+    """Lift S-coordinates onto H+: the one-row call of :func:`lift_rows`."""
     _require_spacetime(space)
     s = np.asarray(s, dtype=float)
     if s.shape != (space.k,):
         raise DimensionError(f"expected S-coordinates of dimension {space.k}")
-    tau = float(np.sqrt(1.0 + sip(space.s_space, s, s)))
-    return HPoint(space, s.copy(), tau)
+    return _hpoint(space, lift_rows(space, s[None])[0])
 
 
 def as_hpoint(space: GeneralizedMinkowskiSpace, v, tol: float = 1e-8) -> HPoint:
@@ -78,8 +82,7 @@ def as_hpoint(space: GeneralizedMinkowskiSpace, v, tol: float = 1e-8) -> HPoint:
 
 def lift_rows(space: GeneralizedMinkowskiSpace, S) -> np.ndarray:
     """Lift each row of an (N, k) array of S-coordinates onto H+: the (N, n)
-    array of vectors (s, tau), with tau = sqrt(1 + [s, s]) as :func:`lift`
-    computes it."""
+    array of vectors (s, tau), with tau = sqrt(1 + [s, s])."""
     _require_spacetime(space)
     S = check_dim(S, space.k, rows=True)
     tau = np.sqrt(1.0 + sip_rows(space.s_space, S, S))
@@ -207,8 +210,7 @@ class Path:
 
     @classmethod
     def from_s_nodes(cls, space: GeneralizedMinkowskiSpace, s_nodes) -> "Path":
-        s_nodes = np.asarray(s_nodes, dtype=float)
-        return cls(space, tuple(lift(space, row) for row in s_nodes))
+        return cls(space, tuple(_hpoint(space, v) for v in lift_rows(space, s_nodes)))
 
 
 def linear_path(space: GeneralizedMinkowskiSpace, a: HPoint, b: HPoint, m: int) -> Path:

@@ -23,7 +23,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError, UnsupportedError
-from .norms import EUCLIDEAN, NormSpec, SipSpace, sip, sip_rows
+from .norms import EUCLIDEAN, NormSpec, SipSpace, sip_rows
 from .numerics import DEFAULT_TOLERANCES, Tolerances, as_seed, as_uniform, check_dim
 
 
@@ -100,23 +100,13 @@ def embed(space: GeneralizedMinkowskiSpace, s=None, t=None) -> np.ndarray:
     return v
 
 
-def product_minus(space: GeneralizedMinkowskiSpace, u, v) -> float:
-    """Auxiliary s.i.p.: S-product plus T-product (positive definite)."""
-    s1, t1 = split(space, u)
-    s2, t2 = split(space, v)
-    return sip(space.s_space, s1, s2) + sip(space.t_space, t1, t2)
-
-
-def product_plus(space: GeneralizedMinkowskiSpace, u, v) -> float:
-    """Minkowski product: S-product minus T-product (indefinite)."""
-    s1, t1 = split(space, u)
-    s2, t2 = split(space, v)
-    return sip(space.s_space, s1, s2) - sip(space.t_space, t1, t2)
+def _as_rows(space: GeneralizedMinkowskiSpace, *vectors):
+    """Single vectors of the direct sum as (1, n) arrays, for the row kernels."""
+    return (check_dim(v, space.n)[None] for v in vectors)
 
 
 def product_minus_rows(space: GeneralizedMinkowskiSpace, U, V) -> np.ndarray:
-    """Row-wise ``[U[i], V[i]]^-`` of two (N, n) arrays, bit-identical to
-    :func:`product_minus` on each row."""
+    """Row-wise ``[U[i], V[i]]^-`` of two (N, n) arrays."""
     U = check_dim(U, space.n, rows=True)
     V = check_dim(V, space.n, rows=True)
     k = space.k
@@ -124,12 +114,23 @@ def product_minus_rows(space: GeneralizedMinkowskiSpace, U, V) -> np.ndarray:
 
 
 def product_plus_rows(space: GeneralizedMinkowskiSpace, U, V) -> np.ndarray:
-    """Row-wise ``[U[i], V[i]]^+`` of two (N, n) arrays, bit-identical to
-    :func:`product_plus` on each row."""
+    """Row-wise ``[U[i], V[i]]^+`` of two (N, n) arrays."""
     U = check_dim(U, space.n, rows=True)
     V = check_dim(V, space.n, rows=True)
     k = space.k
     return sip_rows(space.s_space, U[:, :k], V[:, :k]) - sip_rows(space.t_space, U[:, k:], V[:, k:])
+
+
+def product_minus(space: GeneralizedMinkowskiSpace, u, v) -> float:
+    """Auxiliary s.i.p.: S-product plus T-product (positive definite).  The
+    one-row call of :func:`product_minus_rows`."""
+    return float(product_minus_rows(space, *_as_rows(space, u, v))[0])
+
+
+def product_plus(space: GeneralizedMinkowskiSpace, u, v) -> float:
+    """Minkowski product: S-product minus T-product (indefinite).  The
+    one-row call of :func:`product_plus_rows`."""
+    return float(product_plus_rows(space, *_as_rows(space, u, v))[0])
 
 
 @dataclass(frozen=True)
@@ -169,28 +170,17 @@ def j_matrix(space: GeneralizedMinkowskiSpace) -> np.ndarray:
     return np.diag(d)
 
 
-def classify(space: GeneralizedMinkowskiSpace, v, class_tol: float | None = None) -> VectorClass:
-    """Sign of the Minkowski scalar square, with a relative light-like band.
-
-    The band is scaled by the auxiliary (definite) square so the
-    classification is stable under rescaling of v.
-    """
-    if class_tol is None:
-        class_tol = DEFAULT_TOLERANCES.class_tol
-    v = check_dim(v, space.n)
-    q = product_plus(space, v, v)
-    scale = max(1.0, product_minus(space, v, v))
-    if abs(q) <= class_tol * scale:
-        return VectorClass.LIGHT_LIKE
-    return VectorClass.SPACE_LIKE if q > 0 else VectorClass.TIME_LIKE
-
-
 _CLASSES = np.array([VectorClass.TIME_LIKE, VectorClass.LIGHT_LIKE, VectorClass.SPACE_LIKE], dtype=object)
 
 
 def classify_rows(space: GeneralizedMinkowskiSpace, V, class_tol: float | None = None) -> np.ndarray:
-    """:func:`classify` of each row of an (N, n) array, as an object array
-    of :class:`VectorClass` members (compare with ``==``)."""
+    """Sign of the Minkowski scalar square of each row of an (N, n) array,
+    with a relative light-like band, as an object array of
+    :class:`VectorClass` members (compare with ``==``).
+
+    The band is scaled by the auxiliary (definite) square so the
+    classification is stable under rescaling of v.
+    """
     if class_tol is None:
         class_tol = DEFAULT_TOLERANCES.class_tol
     V = check_dim(V, space.n, rows=True)
@@ -198,6 +188,12 @@ def classify_rows(space: GeneralizedMinkowskiSpace, V, class_tol: float | None =
     scale = np.maximum(1.0, product_minus_rows(space, V, V))
     code = np.where(np.abs(q) <= class_tol * scale, 1, np.where(q > 0, 2, 0))
     return _CLASSES[code]
+
+
+def classify(space: GeneralizedMinkowskiSpace, v, class_tol: float | None = None) -> VectorClass:
+    """The :class:`VectorClass` member of one vector (compare with ``is``):
+    the one-row call of :func:`classify_rows`."""
+    return classify_rows(space, *_as_rows(space, v), class_tol)[0]
 
 
 def cone_part(space: GeneralizedMinkowskiSpace, v, class_tol: float | None = None) -> ConePart:

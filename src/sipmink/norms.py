@@ -152,22 +152,22 @@ def _spec(space) -> NormSpec:
     return space.norm if isinstance(space, SipSpace) else space
 
 
+def _one_row(rows_fn, space, *vectors) -> float:
+    """A row kernel of ``space`` evaluated on single vectors."""
+    dim = _spec(space).dim
+    return float(rows_fn(space, *(check_dim(v, dim)[None] for v in vectors))[0])
+
+
 def norm(space, x) -> float:
-    """Norm of x under the space's norm family."""
-    spec = _spec(space)
-    x = check_dim(x, spec.dim)
-    if spec.kind == EUCLIDEAN:
-        return float(np.sqrt(x @ x))
-    if spec.kind == PNORM:
-        return float(np.sum(np.abs(x) ** spec.p) ** (1.0 / spec.p))
-    if spec.kind == MAX:
-        return float(np.max(np.abs(x)))
-    return float(spec.gauge(x))
+    """Norm of x under the space's norm family: the one-row call of
+    :func:`norm_rows`."""
+    return _one_row(norm_rows, space, x)
 
 
 def norm_rows(space, X) -> np.ndarray:
-    """Row-wise norms of an (N, dim) array, bit-identical to :func:`norm` on
-    each row (:func:`norm_batch` trades that for speed on large batches)."""
+    """Row-wise norms of an (N, dim) array, with the p-norm root rounded as
+    the scalar ``float`` power (:func:`norm_batch` trades that for speed on
+    large batches)."""
     spec = _spec(space)
     X = check_dim(X, spec.dim, rows=True)
     if spec.kind == EUCLIDEAN:
@@ -193,60 +193,32 @@ def norm_batch(space, X: np.ndarray) -> np.ndarray:
     return np.array([float(spec.gauge(row)) for row in X.reshape(-1, spec.dim)]).reshape(X.shape[:-1])
 
 
-def _sip_closed(spec: NormSpec, x: np.ndarray, y: np.ndarray) -> float:
-    if spec.kind == EUCLIDEAN:
-        return float(x @ y)
-    if spec.kind == PNORM:
-        p = spec.p
-        ny = float(np.sum(np.abs(y) ** p) ** (1.0 / p))
-        if ny == 0.0:
-            return 0.0
-        return float(ny ** (2.0 - p) * np.sum(x * np.abs(y) ** (p - 1.0) * np.sign(y)))
-    if spec.kind == MAX:
-        j = int(np.argmax(np.abs(y)))  # smallest index attains the max on ties
-        return float(x[j] * y[j])
-    raise DomainError("no closed form for this norm kind")
-
-
 def _sip_derivative_rows(spec: NormSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """The norm-derivative route [x, y] = |y| d/dt |y + t x| at t = 0, for
     rows with y != 0."""
     return norm_rows(spec, Y) * _norm_first_derivative_rows(spec, X, Y)
 
 
-def _one_row(rows_fn, space, *vectors) -> float:
-    """A row kernel of ``space`` evaluated on single vectors."""
-    dim = _spec(space).dim
-    return float(rows_fn(space, *(check_dim(v, dim)[None] for v in vectors))[0])
-
-
 def sip(space, x, y) -> float:
-    """Semi-inner-product [x, y]; linear in x, |.|-homogeneous in y."""
-    spec = _spec(space)
-    x = check_dim(x, spec.dim)
-    y = check_dim(y, spec.dim)
-    if not np.any(y):
-        return 0.0  # homogeneity forces [x, 0] = 0
-    mode = space.sip_mode if isinstance(space, SipSpace) else "closed"
-    if mode == "closed" and spec.kind != GAUGE:
-        return _sip_closed(spec, x, y)
-    return float(_sip_derivative_rows(spec, x[None], y[None])[0])
+    """Semi-inner-product [x, y]; linear in x, |.|-homogeneous in y.  The
+    one-row call of :func:`sip_rows`."""
+    return _one_row(sip_rows, space, x, y)
 
 
 def sip_rows(space, X, Y) -> np.ndarray:
-    """Row-wise products ``[X[i], Y[i]]`` of two (N, dim) arrays,
-    bit-identical to :func:`sip` on each row.
+    """Row-wise products ``[X[i], Y[i]]`` of two (N, dim) arrays.
 
     The Euclidean, p-norm and max closed forms and the derivative route
-    (which custom gauges take) all run as array code.
+    (which custom gauges take) all run as array code.  Homogeneity forces
+    [x, 0] = 0, so rows with y = 0 give +0.0 without being evaluated.
     """
     spec = _spec(space)
     X = check_dim(X, spec.dim, rows=True)
     Y = check_dim(Y, spec.dim, rows=True)
     mode = space.sip_mode if isinstance(space, SipSpace) else "closed"
-    nonzero = np.any(Y, axis=1)  # [x, 0] = 0, as in sip
+    nonzero = np.any(Y, axis=1)
     if mode != "closed" or spec.kind == GAUGE:
-        out = np.zeros(len(Y))  # rows with y = 0 are never evaluated, as in sip
+        out = np.zeros(len(Y))
         out[nonzero] = _sip_derivative_rows(spec, X[nonzero], Y[nonzero])
         return out
     if spec.kind == EUCLIDEAN:

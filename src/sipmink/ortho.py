@@ -174,14 +174,21 @@ def orthogonal_companion_basis(product, u, tolerances: Tolerances = DEFAULT_TOLE
     return list(orthogonal_companion_basis_rows(product, np.asarray(u, dtype=float)[None], tolerances)[0])
 
 
+def gram_matrix_rows(product, V) -> np.ndarray:
+    """Gram matrices ``G[t, i, j] = product(V[t, i], V[t, j])`` of the k
+    vectors in each row of an (N, k, dim) array, as an (N, k, k) array, from
+    one row-kernel call of the product."""
+    V = np.asarray(V, dtype=float)
+    count, k, dim = V.shape
+    left = np.repeat(V, k, axis=1).reshape(-1, dim)  # V[t, i] against V[t, j], row-major in (i, j)
+    right = np.tile(V, (1, k, 1)).reshape(-1, dim)
+    return row_kernel(product)(left, right).reshape(count, k, k)
+
+
 def gram_matrix(product, vectors) -> np.ndarray:
-    vectors = [np.asarray(v, dtype=float) for v in vectors]
-    k = len(vectors)
-    G = np.empty((k, k))
-    for i in range(k):
-        for j in range(k):
-            G[i, j] = product(vectors[i], vectors[j])
-    return G
+    """The Gram matrix of a list of vectors: the one-row call of
+    :func:`gram_matrix_rows`."""
+    return gram_matrix_rows(product, np.asarray(vectors, dtype=float)[None])[0]
 
 
 def gram_determinant(product, vectors) -> float:

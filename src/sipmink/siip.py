@@ -44,6 +44,7 @@ from .numerics import (
     row_kernel,
     second_diff_step,
 )
+from .ortho import gram_matrix
 
 CROSS_POLYTOPE = "cross_polytope"
 SIGN_FUNCTION = "sign_function"
@@ -141,19 +142,8 @@ def _hessian(gfun: Callable, v: np.ndarray) -> np.ndarray:
     return H
 
 
-def siip(space: SiipSpace, u, v) -> float:
-    """Evaluate the s.i.i.p. [u, v] of the given variant."""
-    u = check_dim(u, space.dim)
-    v = check_dim(v, space.dim)
-    if space.kind == DIAGONAL:
-        return float(np.sum(np.array(space.signature) * u * v))
-    if space.kind == WEIGHTED_PLANE:
-        x1, y1 = u
-        x2, y2 = v
-        den = x2 * x2 + 2.0 * y2 * y2
-        if den == 0.0:
-            return 0.0  # v = 0; homogeneity forces the value
-        return float((x1 * x2 + 2.0 * y1 * y2) * (x2 * x2 + y2 * y2) / den)
+def _siip_vector(space: SiipSpace, u: np.ndarray, v: np.ndarray) -> float:
+    """[u, v] of the variants with no array form, one pair of vectors."""
     if space.kind == CROSS_POLYTOPE:
         supp = _support(v)
         if not np.any(supp):
@@ -178,11 +168,11 @@ def siip(space: SiipSpace, u, v) -> float:
 
 
 def siip_rows(space: SiipSpace, U, V) -> np.ndarray:
-    """Row-wise ``[U[i], V[i]]`` of two (N, dim) arrays, bit-identical to
-    :func:`siip` on each row.
+    """Row-wise s.i.i.p. ``[U[i], V[i]]`` of the given variant, for two
+    (N, dim) arrays.
 
     The diagonal product and the weighted plane run as array code; the other
-    variants loop over :func:`siip`.
+    variants loop over their rows.
     """
     U = check_dim(U, space.dim, rows=True)
     V = check_dim(V, space.dim, rows=True)
@@ -193,8 +183,14 @@ def siip_rows(space: SiipSpace, U, V) -> np.ndarray:
         x2, y2 = V.T
         den = x2 * x2 + 2.0 * y2 * y2
         num = (x1 * x2 + 2.0 * y1 * y2) * (x2 * x2 + y2 * y2)
-        return np.divide(num, den, out=np.zeros(len(V)), where=den != 0.0)  # v = 0 gives 0, as in siip
-    return row_kernel(lambda u, v: siip(space, u, v))(U, V)
+        return np.divide(num, den, out=np.zeros(len(V)), where=den != 0.0)  # v = 0; homogeneity forces 0
+    return row_kernel(lambda u, v: _siip_vector(space, u, v))(U, V)
+
+
+def siip(space: SiipSpace, u, v) -> float:
+    """Evaluate the s.i.i.p. [u, v] of the given variant: the one-row call
+    of :func:`siip_rows`."""
+    return float(siip_rows(space, check_dim(u, space.dim)[None], check_dim(v, space.dim)[None])[0])
 
 
 def _definite_span(space: SiipSpace, product, u, v, tol: float) -> bool:
@@ -223,44 +219,62 @@ def _definite_span(space: SiipSpace, product, u, v, tol: float) -> bool:
     return len(signs) > 0 and (all(signs) or not any(signs))
 
 
-def siip_axiom_report(space: SiipSpace, seed, trials: int, tolerances: Tolerances = DEFAULT_TOLERANCES):
-    """Residual report for the s.i.i.p. axioms over seeded samples.
+def siip_axiom_trials(product, dim: int, seed, trials: int, eq_tol: float):
+    """The s.i.i.p. axiom checks every product shares, over seeded samples.
 
-    Cauchy-Schwarz is only demanded where it is promised: on sampled
-    pairs whose two-dimensional span has constant-sign scalar squares.
-    Nondegeneracy records a failure flag (and witness) if a sampled
-    nonzero v annihilates every basis vector and itself.
+    ``product`` is a function of two vectors or an object with a row kernel
+    (a :class:`SiipSpace`, a bound Minkowski product).  Trial t draws x, y,
+    v and lambda in that order and is skipped when v = 0.  Returns the
+    trackers of additivity and homogeneity in the first argument,
+    homogeneity in the second (lambda = 0 skipped), real scalar squares and
+    nondegeneracy, then the x and v rows of the kept trials.  Nondegeneracy
+    flags a v with |[v, v]| <= eq_tol * max(1, v.v) that annihilates every
+    basis vector.
     """
     if trials < 1:
         raise DomainError("trials must be at least 1")
-    rng = as_seed(seed).rng()
-    product = lambda u, v: siip(space, u, v)
-    basis = [_basis(space.dim, i) for i in range(space.dim)]
+    P = row_kernel(product)
+    draws = as_seed(seed).rng().random((trials, 3 * dim + 1))
+    X, Y, V = (as_uniform(draws[:, i * dim : (i + 1) * dim], -1.5, 1.5) for i in range(3))
+    lam = as_uniform(draws[:, 3 * dim], -3.0, 3.0)
+    keep = np.any(V, axis=1)
+    X, Y, V, lam = X[keep], Y[keep], V[keep], lam[keep]
+    lam_col = lam[:, None]
     add = ResidualTracker("additivity_first")
     hom1 = ResidualTracker("homogeneity_first")
     hom2 = ResidualTracker("homogeneity_second")
     sqreal = ResidualTracker("square_real")
     nondeg = ResidualTracker("nondegeneracy")
-    cs = ResidualTracker("cauchy_schwarz_definite")
+    pxv = P(X, V)
+    q = P(V, V)
+    add.update_rows(P(X + Y, V) - pxv - P(Y, V), X, Y, V)
+    hom1.update_rows(P(lam_col * X, V) - lam * pxv, lam, X, V)
+    nz = lam != 0.0
+    hom2.update_rows(P(X[nz], lam_col[nz] * V[nz]) - lam[nz] * pxv[nz], lam[nz], X[nz], V[nz])
+    sqreal.update_rows(np.where(np.isfinite(q), 0.0, np.inf), V)
+    W = V[np.abs(q) <= eq_tol * np.maximum(1.0, dot_rows(V, V))]
+    degenerate = np.ones(len(W), dtype=bool)
+    for b in np.eye(dim):
+        degenerate &= np.abs(P(np.broadcast_to(b, W.shape), W)) <= eq_tol
+    nondeg.update_rows(np.where(degenerate, 1.0, 0.0), W)
+    return [add, hom1, hom2, sqreal, nondeg], X, V
+
+
+def siip_axiom_report(space: SiipSpace, seed, trials: int, tolerances: Tolerances = DEFAULT_TOLERANCES):
+    """Residual report for the s.i.i.p. axioms over seeded samples: the
+    checks of :func:`siip_axiom_trials`, then Cauchy-Schwarz.
+
+    Cauchy-Schwarz is only demanded where it is promised: on sampled
+    pairs whose two-dimensional span has constant-sign scalar squares.
+    """
     tol = tolerances.eq_tol
-    for _ in range(trials):
-        x, y = rng.uniform(-1.5, 1.5, space.dim), rng.uniform(-1.5, 1.5, space.dim)
-        v = rng.uniform(-1.5, 1.5, space.dim)
-        lam = float(rng.uniform(-3.0, 3.0))
-        if not np.any(v):
-            continue
-        add.update(product(x + y, v) - product(x, v) - product(y, v), x, y, v)
-        hom1.update(product(lam * x, v) - lam * product(x, v), lam, x, v)
-        if lam != 0.0:
-            hom2.update(product(x, lam * v) - lam * product(x, v), lam, x, v)
-        qv = product(v, v)
-        sqreal.update(0.0 if np.isfinite(qv) else np.inf, v)
-        scale = max(1.0, float(v @ v))
-        if abs(qv) <= tol * scale and all(abs(product(b, v)) <= tol for b in basis):
-            nondeg.update(1.0, v)
+    trackers, X, V = siip_axiom_trials(space, space.dim, seed, trials, tol)
+    product = lambda u, v: siip(space, u, v)
+    cs = ResidualTracker("cauchy_schwarz_definite")
+    for x, v in zip(X, V):
         if np.any(x) and _definite_span(space, product, x, v, tol):
-            cs.update(max(0.0, product(x, v) ** 2 - product(x, x) * qv), x, v)
-    return build_report([add, hom1, hom2, sqreal, nondeg, cs], tol)
+            cs.update(max(0.0, product(x, v) ** 2 - product(x, x) * product(v, v)), x, v)
+    return build_report(trackers + [cs], tol)
 
 
 def cauchy_schwarz_witness(
@@ -353,9 +367,7 @@ def polarization_neutral_check(
         raise UnsupportedError("neutrality via polarization needs a symmetric bilinear variant")
     basis = [check_dim(b, space.dim) for b in basis]
     tol = tolerances.eq_tol
-    pairwise = all(
-        abs(siip(space, bi, bj)) <= tol for bi in basis for bj in basis
-    )
+    pairwise = bool(np.all(np.abs(gram_matrix(space, basis)) <= tol))
     rng = as_seed(seed).rng()
     for _ in range(32):
         c = rng.uniform(-2.0, 2.0, len(basis))

@@ -21,9 +21,9 @@ from . import hyperboloid as hyp
 from . import isometry as iso
 from . import minkowski as mink
 from . import ortho
-from .siip import SiipSpace as _SiipSpace, cauchy_schwarz_witness as _cs_witness, siip as _siip
+from .siip import SiipSpace as _SiipSpace, cauchy_schwarz_witness as _cs_witness, siip as _siip, siip_axiom_trials
 from .config import RunConfig
-from .errors import DomainError, NeutralPivotError
+from .errors import NeutralPivotError
 from .norms import (
     NormSpec,
     SipSpace,
@@ -141,33 +141,9 @@ def suite_siip_axioms(cfg: RunConfig) -> list[CheckRow]:
     """Minkowski product: additivity/homogeneity in the first argument,
     homogeneity in the second, real finite squares, sampled nondegeneracy."""
     space = cfg.space()
-    if cfg.trials < 1:
-        raise DomainError("trials must be at least 1")
-    n = space.n
-    draws = as_seed(cfg.seed).rng().random((cfg.trials, 3 * n + 1))  # x, y, v, lam per trial
-    X, Y, V = (as_uniform(draws[:, i * n : (i + 1) * n], -1.5, 1.5) for i in range(3))
-    lam = as_uniform(draws[:, 3 * n], -3.0, 3.0)
-    keep = np.any(V, axis=1)  # trials with v = 0 are skipped
-    X, Y, V, lam = X[keep], Y[keep], V[keep], lam[keep]
-    lam_col = lam[:, None]
-    P = mink.BoundProduct(space, "+").rows
-    add = ResidualTracker("additivity_first")
-    hom1 = ResidualTracker("homogeneity_first")
-    hom2 = ResidualTracker("homogeneity_second")
-    sq = ResidualTracker("square_real")
-    nondeg = ResidualTracker("nondegeneracy")
     tol = cfg.tolerances.eq_tol
-    pxv = P(X, V)
-    q = P(V, V)
-    add.update_rows(P(X + Y, V) - pxv - P(Y, V), X, Y, V)
-    hom1.update_rows(P(lam_col * X, V) - lam * pxv, lam, X, V)
-    hom2.update_rows(P(X, lam_col * V) - lam * pxv, lam, X, V)
-    sq.update_rows(np.where(np.isfinite(q), 0.0, np.inf), V)
-    degenerate = np.abs(q) <= tol
-    for b in np.eye(n):
-        degenerate &= np.abs(P(np.broadcast_to(b, V.shape), V)) <= tol
-    nondeg.update_rows(np.where(degenerate, 1.0, 0.0), V)
-    return [_tracked("siip-axioms", t, tol, pick=-1) for t in (add, hom1, hom2, sq, nondeg)]
+    trackers, _, _ = siip_axiom_trials(mink.BoundProduct(space, "+"), space.n, cfg.seed, cfg.trials, tol)
+    return [_tracked("siip-axioms", t, tol, pick=-1) for t in trackers]
 
 
 def _kept_trials(draws, trials: int, head: int, d: int, tail: int, low: float, high: float):
@@ -437,10 +413,8 @@ def _leading_gram_determinants(space: _SiipSpace, V):
     """|det| of the leading principal Gram matrices of the k vectors in each
     row of an (N, k, dim) array, as an (N, k) array; each as
     ``abs(ortho.gram_determinant(...))`` gives it."""
-    count, k, dim = V.shape
-    left = np.repeat(V, k, axis=1).reshape(-1, dim)  # V[t, i] against V[t, j], row-major in (i, j)
-    G = space.rows(left, np.tile(V, (1, k, 1)).reshape(-1, dim)).reshape(count, k, k)
-    return np.abs(np.stack([np.linalg.det(G[:, : m + 1, : m + 1]) for m in range(k)], axis=1))
+    G = ortho.gram_matrix_rows(space, V)
+    return np.abs(np.stack([np.linalg.det(G[:, : m + 1, : m + 1]) for m in range(V.shape[1])], axis=1))
 
 
 def suite_orthogonality(cfg: RunConfig) -> list[CheckRow]:

@@ -153,6 +153,23 @@ class TestCliCommands:
     def test_bad_vector_is_usage_error(self, capsys):
         assert main(["classify", "1,banana"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", "nan,0,1"],
+            ["classify", "inf,0,1"],
+            ["product", "nan,0,1", "1,0,0"],
+            ["product", "1,0,0", "0,-inf,1"],
+            ["ortho", "sip", "nan,0", "1,0"],
+            ["ortho", "birkhoff", "1,0", "0,inf"],
+            ["tangent", "inf,0"],
+            ["distance", "0,0", "nan,1"],
+        ],
+    )
+    def test_non_finite_coordinates_are_usage_errors(self, capsys, argv):
+        assert main(argv) == 2
+        assert "non-finite" in capsys.readouterr().err
+
     def test_unknown_command_exits_2(self):
         assert main(["frobnicate"]) == 2
 

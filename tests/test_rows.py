@@ -1,12 +1,16 @@
-"""Row kernels against the scalar products they batch.
+"""Row kernels against reference implementations written out per vector.
 
-Every row kernel must give, bit for bit, what the scalar function gives on
-each row, because the verification CSV prints residuals and witnesses at
-17 significant digits.  The checks use ``np.array_equal``, never a
-tolerance.
+Every row kernel must give, bit for bit, what the scalar computation it
+replaced gave on each row, because the verification CSV prints residuals
+and witnesses at 17 significant digits.  The single-vector entry points
+(``norm``, ``sip``, ``product_plus``, ``classify``, ``siip``, ...) are
+one-row calls of the kernels, so the products are checked against the
+``_reference_*`` closed forms below.  The checks use ``np.array_equal``,
+never a tolerance.
 """
 
 import math
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -58,7 +62,15 @@ from sipmink.numerics import (
     row_kernel,
     second_diff_step,
 )
-from sipmink.siip import SiipSpace, cauchy_schwarz_witness, siip, siip_rows
+from sipmink.siip import (
+    SiipSpace,
+    _definite_span,
+    cauchy_schwarz_witness,
+    siip,
+    siip_axiom_report,
+    siip_axiom_trials,
+    siip_rows,
+)
 
 SMOOTH_SPACES = {
     "euclidean2": SipSpace.euclidean(2),
@@ -76,13 +88,73 @@ def _scalar(fn, *arrays):
     return np.array([fn(*args) for args in zip(*arrays)])
 
 
+# The scalar closed forms of the products, as they ran before the entry
+# points became one-row calls of the row kernels.
+
+
+def _reference_norm(space, x):
+    spec = space.norm if isinstance(space, SipSpace) else space
+    if spec.kind == "euclidean":
+        return float(np.sqrt(x @ x))
+    if spec.kind == "pnorm":
+        return float(np.sum(np.abs(x) ** spec.p) ** (1.0 / spec.p))
+    if spec.kind == "max":
+        return float(np.max(np.abs(x)))
+    return float(spec.gauge(x))
+
+
+def _reference_sip(space, x, y):
+    """The Euclidean, p-norm and max closed forms."""
+    spec = space.norm if isinstance(space, SipSpace) else space
+    if not np.any(y):
+        return 0.0  # homogeneity forces [x, 0] = 0
+    if spec.kind == "euclidean":
+        return float(x @ y)
+    if spec.kind == "pnorm":
+        p = spec.p
+        ny = float(np.sum(np.abs(y) ** p) ** (1.0 / p))
+        if ny == 0.0:
+            return 0.0
+        return float(ny ** (2.0 - p) * np.sum(x * np.abs(y) ** (p - 1.0) * np.sign(y)))
+    assert spec.kind == "max"
+    j = int(np.argmax(np.abs(y)))  # smallest index attains the max on ties
+    return float(x[j] * y[j])
+
+
+def _reference_product(space, u, v, sign):
+    k = space.k
+    s, t = _reference_sip(space.s_space, u[:k], v[:k]), _reference_sip(space.t_space, u[k:], v[k:])
+    return s + t if sign == "-" else s - t
+
+
+def _reference_classify(space, v, class_tol):
+    q = _reference_product(space, v, v, "+")
+    scale = max(1.0, _reference_product(space, v, v, "-"))
+    if abs(q) <= class_tol * scale:
+        return VectorClass.LIGHT_LIKE
+    return VectorClass.SPACE_LIKE if q > 0 else VectorClass.TIME_LIKE
+
+
+def _reference_siip(space, u, v):
+    """The diagonal and weighted-plane closed forms."""
+    if space.kind == "diagonal":
+        return float(np.sum(np.array(space.signature) * u * v))
+    assert space.kind == "weighted_plane"
+    x1, y1 = u
+    x2, y2 = v
+    den = x2 * x2 + 2.0 * y2 * y2
+    if den == 0.0:
+        return 0.0  # v = 0; homogeneity forces the value
+    return float((x1 * x2 + 2.0 * y1 * y2) * (x2 * x2 + y2 * y2) / den)
+
+
 class TestSipRows:
     @pytest.mark.parametrize("name", sorted(SMOOTH_SPACES))
     def test_matches_scalar_sip_and_norm(self, rng, name):
         space = SMOOTH_SPACES[name]
         X, Y = _rows(rng, 2000, space.dim), _rows(rng, 2000, space.dim)
-        assert np.array_equal(sip_rows(space, X, Y), _scalar(lambda x, y: sip(space, x, y), X, Y))
-        assert np.array_equal(norm_rows(space, X), _scalar(lambda x: norm(space, x), X))
+        assert np.array_equal(sip_rows(space, X, Y), _scalar(lambda x, y: _reference_sip(space, x, y), X, Y))
+        assert np.array_equal(norm_rows(space, X), _scalar(lambda x: _reference_norm(space, x), X))
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_max_rows_with_ties_and_zero_rows(self, rng, dim):
@@ -94,9 +166,9 @@ class TestSipRows:
         Y[1::7] = -0.0
         assert np.any(np.abs(Y[:, 0]) == np.abs(Y[:, 1]))
         got = sip_rows(space, X, Y)
-        assert np.array_equal(got, _scalar(lambda x, y: sip(space, x, y), X, Y))
-        assert not np.any(np.signbit(got[::7]))  # [x, 0] = +0.0, as in sip
-        assert np.array_equal(norm_rows(space, Y), _scalar(lambda y: norm(space, y), Y))
+        assert np.array_equal(got, _scalar(lambda x, y: _reference_sip(space, x, y), X, Y))
+        assert not np.any(np.signbit(got[::7]))  # [x, 0] = +0.0
+        assert np.array_equal(norm_rows(space, Y), _scalar(lambda y: _reference_norm(space, y), Y))
 
     @pytest.mark.parametrize("name", sorted(SMOOTH_SPACES))
     def test_zero_second_argument(self, rng, name):
@@ -109,13 +181,15 @@ class TestSipRows:
     def test_derivative_mode_loops_over_sip(self, rng):
         space = SipSpace(NormSpec.pnorm(3.0, 2), sip_mode="derivative")
         X, Y = _rows(rng, 20, 2), _rows(rng, 20, 2)
-        assert np.array_equal(sip_rows(space, X, Y), _scalar(lambda x, y: sip(space, x, y), X, Y))
+        Y[::5] = 0.0
+        expected = _scalar(lambda x, y: _loop_sip_derivative(space.norm, x, y), X, Y)
+        assert np.array_equal(sip_rows(space, X, Y), expected)
 
     def test_custom_gauge_loops(self, rng):
         spec = NormSpec.custom_gauge(lambda v: float(np.abs(v[0]) + 2.0 * np.abs(v[1])), 2)
         X, Y = _rows(rng, 20, 2), _rows(rng, 20, 2)
-        assert np.array_equal(norm_rows(spec, X), _scalar(lambda x: norm(spec, x), X))
-        assert np.array_equal(sip_rows(spec, X, Y), _scalar(lambda x, y: sip(spec, x, y), X, Y))
+        assert np.array_equal(norm_rows(spec, X), _scalar(lambda x: _reference_norm(spec, x), X))
+        assert np.array_equal(sip_rows(spec, X, Y), _scalar(lambda x, y: _loop_sip_derivative(spec, x, y), X, Y))
 
     def test_row_kernel_of_a_space_is_sip_rows(self, rng):
         space = SipSpace.pnorm(3.0, 2)
@@ -145,8 +219,8 @@ class TestMinkowskiRows:
         space = self.SPACES[name]
         U, V = _rows(rng, 1500, space.n), _rows(rng, 1500, space.n)
         V[::11, : space.k] = 0.0  # zero S block
-        plus = _scalar(lambda u, v: mink.product_plus(space, u, v), U, V)
-        minus = _scalar(lambda u, v: mink.product_minus(space, u, v), U, V)
+        plus = _scalar(lambda u, v: _reference_product(space, u, v, "+"), U, V)
+        minus = _scalar(lambda u, v: _reference_product(space, u, v, "-"), U, V)
         assert np.array_equal(mink.product_plus_rows(space, U, V), plus)
         assert np.array_equal(mink.product_minus_rows(space, U, V), minus)
         assert np.array_equal(BoundProduct(space, "+").rows(U, V), plus)
@@ -167,7 +241,7 @@ class TestMinkowskiRows:
         V[2::5, space.k] = norm_rows(space.s_space, V[2::5, : space.k])
         for tol in (1e-9, 0.1):
             got = mink.classify_rows(space, V, tol)
-            expected = [mink.classify(space, v, tol) for v in V]
+            expected = [_reference_classify(space, v, tol) for v in V]
             assert got.shape == (1500,) and all(g is e for g, e in zip(got, expected))
             assert set(expected) == set(VectorClass)
 
@@ -182,7 +256,7 @@ class TestSiipRows:
         U, V = _rows(rng, 2000, 2), _rows(rng, 2000, 2)
         V[::9] = 0.0
         got = siip_rows(plane, U, V)
-        assert np.array_equal(got, _scalar(lambda u, v: siip(plane, u, v), U, V))
+        assert np.array_equal(got, _scalar(lambda u, v: _reference_siip(plane, u, v), U, V))
         assert np.array_equal(got[::9], np.zeros(len(got[::9])))
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 8, 9])
@@ -193,9 +267,9 @@ class TestSiipRows:
         V[1::7] = 0.0
         U[2::7], V[2::7] = np.abs(U[2::7]), -0.0  # every term -0.0 where the signature is +1
         got = siip_rows(space, U, V)
-        expected = _scalar(lambda u, v: siip(space, u, v), U, V)
+        expected = _scalar(lambda u, v: _reference_siip(space, u, v), U, V)
         assert np.array_equal(got, expected) and np.array_equal(np.signbit(got), np.signbit(expected))
-        assert not np.any(np.signbit(got[::7]))  # a -0.0 sum gives +0.0, as in siip
+        assert not np.any(np.signbit(got[::7]))  # a -0.0 sum gives +0.0, as np.sum does
 
     @pytest.mark.parametrize("space", [SiipSpace.cross_polytope(3), SiipSpace.diagonal((1, 1, -1))])
     def test_other_variants_loop_over_siip(self, rng, space):
@@ -585,10 +659,11 @@ def _loop_suite_siip_axioms(cfg):
             continue
         add.update(pp(x + y, v) - pp(x, v) - pp(y, v), x, y, v)
         hom1.update(pp(lam * x, v) - lam * pp(x, v), lam, x, v)
-        hom2.update(pp(x, lam * v) - lam * pp(x, v), lam, x, v)
+        if lam != 0.0:
+            hom2.update(pp(x, lam * v) - lam * pp(x, v), lam, x, v)
         q = pp(v, v)
         sq.update(0.0 if np.isfinite(q) else np.inf, v)
-        if abs(q) <= tol and all(abs(pp(b, v)) <= tol for b in basis):
+        if abs(q) <= tol * max(1.0, float(v @ v)) and all(abs(pp(b, v)) <= tol for b in basis):
             nondeg.update(1.0, v)
     return [add, hom1, hom2, sq, nondeg]
 
@@ -1380,3 +1455,182 @@ class TestOrthogonalityKernels:
         expected = _loop_auerbach_basis_2d(spec)
         got = ortho.auerbach_basis_2d(spec)
         assert all(np.array_equal(g, e) for g, e in zip(got, expected))
+
+
+def _loop_gram_matrix(product, vectors):
+    k = len(vectors)
+    G = np.empty((k, k))
+    for i in range(k):
+        for j in range(k):
+            G[i, j] = product(vectors[i], vectors[j])
+    return G
+
+
+def _twisted(u, v):
+    return float(u @ v) - 2.0 * u[0] * v[-1]
+
+
+class TestGramMatrixRows:
+    @pytest.mark.parametrize(
+        "product, scalar, dim",
+        [
+            (SiipSpace.diagonal((1, 1, -1)), lambda u, v: _reference_siip(SiipSpace.diagonal((1, 1, -1)), u, v), 3),
+            (SipSpace.pnorm(3.0, 2), lambda u, v: _reference_sip(SipSpace.pnorm(3.0, 2), u, v), 2),
+            (BoundProduct(max_norm_spacetime(), "+"), lambda u, v: _reference_product(max_norm_spacetime(), u, v, "+"), 3),
+            (_twisted, _twisted, 2),
+        ],
+        ids=["diagonal", "pnorm3", "max_plus", "lambda"],
+    )
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_matches_the_nested_loop(self, rng, product, scalar, dim, k):
+        V = _rows(rng, 60 * k, dim).reshape(60, k, dim)
+        V[::5, -1] = 0.0
+        G = ortho.gram_matrix_rows(product, V)
+        assert G.shape == (60, k, k)
+        assert np.array_equal(G, np.array([_loop_gram_matrix(scalar, list(vs)) for vs in V]))
+        assert np.array_equal(ortho.gram_matrix(product, list(V[3])), G[3])
+
+
+def _loop_siip_axiom_report(space, seed, trials, tol=1e-9):
+    """The s.i.i.p. axiom report as one scalar call per trial."""
+    rng = Seed(seed).rng()
+    product = lambda u, v: siip(space, u, v)
+    basis = [np.eye(space.dim)[i] for i in range(space.dim)]
+    names = ("additivity_first", "homogeneity_first", "homogeneity_second", "square_real", "nondegeneracy", "cauchy_schwarz_definite")
+    add, hom1, hom2, sqreal, nondeg, cs = (ResidualTracker(n) for n in names)
+    for _ in range(trials):
+        x, y, v = (rng.uniform(-1.5, 1.5, space.dim) for _ in range(3))
+        lam = float(rng.uniform(-3.0, 3.0))
+        if not np.any(v):
+            continue
+        add.update(product(x + y, v) - product(x, v) - product(y, v), x, y, v)
+        hom1.update(product(lam * x, v) - lam * product(x, v), lam, x, v)
+        if lam != 0.0:
+            hom2.update(product(x, lam * v) - lam * product(x, v), lam, x, v)
+        qv = product(v, v)
+        sqreal.update(0.0 if np.isfinite(qv) else np.inf, v)
+        if abs(qv) <= tol * max(1.0, float(v @ v)) and all(abs(product(b, v)) <= tol for b in basis):
+            nondeg.update(1.0, v)
+        if np.any(x) and _definite_span(space, product, x, v, tol):
+            cs.update(max(0.0, product(x, v) ** 2 - product(x, x) * qv), x, v)
+    return [add, hom1, hom2, sqreal, nondeg, cs]
+
+
+class TestSiipAxiomReportMatchesTheLoop:
+    SPACES = {
+        "diagonal": SiipSpace.diagonal((1, 1, -1)),
+        "weighted_plane": SiipSpace.weighted_plane(),
+        "cross_polytope": SiipSpace.cross_polytope(3),
+        "sign_function": SiipSpace.sign_function(NormSpec.pnorm(3.0, 2), lambda u: 1.0 if u[0] >= 0 else -1.0),
+        "hessian": SiipSpace.normsquare_hessian(lambda v: float(v[0] ** 2 + 2.0 * v[0] * v[1] - v[1] ** 2), 2),
+        # a degenerate product: every v annihilates the basis
+        "degenerate": SiipSpace.normsquare_hessian(lambda v: 0.0, 2),
+    }
+
+    @pytest.mark.parametrize("seed", [0, 1, 5, 42])
+    @pytest.mark.parametrize("name", sorted(SPACES))
+    def test_residuals_and_witnesses(self, name, seed):
+        space = self.SPACES[name]
+        trials = 40 if name in ("sign_function", "hessian", "degenerate") else 100
+        report = siip_axiom_report(space, Seed(seed), trials)
+        loop = _loop_siip_axiom_report(space, seed, trials)
+        assert [c.name for c in report.checks] == [t.name for t in loop]
+        for check, tracker in zip(report.checks, loop):
+            assert check.residual == tracker.residual and _same_witness(check.witness, tracker.witness)
+        assert (report.residual("nondegeneracy") == 1.0) == (name == "degenerate")
+
+    def test_homogeneity_second_skips_lambda_zero(self, monkeypatch):
+        # lambda = -3 + 6 u is 0 at u = 0.5; this product has [x, 0] = 1, so a
+        # trial with lambda = 0 would give homogeneity_second a residual of 1
+        product = lambda u, v: float(u @ v) if np.any(v) else 1.0
+        draws = Seed(4).rng().random((30, 7))
+        draws[5, 6] = 0.5
+        forced = SimpleNamespace(rng=lambda: SimpleNamespace(random=lambda shape: draws))
+        monkeypatch.setattr(sys.modules["sipmink.siip"], "as_seed", lambda seed: forced)
+        trackers, _, _ = siip_axiom_trials(product, 2, 4, 30, 1e-9)
+        assert trackers[2].name == "homogeneity_second" and trackers[2].residual < 1e-12
+
+    def test_nondegeneracy_band_is_relative(self):
+        # [u, v] = 0.5e-9 u.v: every v annihilates the basis within eq_tol, and
+        # |[v, v]| <= eq_tol * max(1, v.v) holds also where v.v > 2
+        tiny = lambda u, v: 0.5e-9 * float(u @ v)
+        trackers, _, V = siip_axiom_trials(tiny, 2, Seed(0), 50, 1e-9)
+        nondeg = trackers[-1]
+        assert float(V[0] @ V[0]) > 2.0
+        assert nondeg.residual == 1.0 and np.array_equal(nondeg.witness[0], V[0])
+
+
+class TestOneRowEntryPoints:
+    """The single-vector entry points are one-row calls of the row kernels:
+    each checks its vectors' shape, returns a Python float and keeps the
+    errors of its product."""
+
+    CALLS = {
+        "norm": (lambda x: norm(SipSpace.pnorm(3.0, 2), x), 1, 2),
+        "norm_gauge": (lambda x: norm(NormSpec.custom_gauge(lambda v: float(np.abs(v).sum()), 2), x), 1, 2),
+        "sip_max": (lambda x, y: sip(SipSpace.max_norm(3), x, y), 2, 3),
+        "sip_derivative": (lambda x, y: sip(SipSpace(NormSpec.pnorm(3.0, 2), sip_mode="derivative"), x, y), 2, 2),
+        "product_plus": (lambda u, v: mink.product_plus(max_norm_spacetime(), u, v), 2, 3),
+        "product_minus": (lambda u, v: mink.product_minus(max_norm_spacetime(), u, v), 2, 3),
+        "siip_diagonal": (lambda u, v: siip(SiipSpace.diagonal((1, -1, 1)), u, v), 2, 3),
+        "siip_weighted_plane": (lambda u, v: siip(SiipSpace.weighted_plane(), u, v), 2, 2),
+        "siip_cross_polytope": (lambda u, v: siip(SiipSpace.cross_polytope(3), u, v), 2, 3),
+        "lift_tau": (lambda s: lift(MINKOWSKI_SPACES["pseudo_euclidean"], s).tau, 1, 2),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    def test_returns_a_python_float(self, rng, name):
+        fn, arity, dim = self.CALLS[name]
+        assert type(fn(*(rng.uniform(-2.0, 2.0, dim) for _ in range(arity)))) is float
+
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    @pytest.mark.parametrize("shape", ["long", "row", "scalar"])
+    def test_wrong_shape_raises(self, name, shape):
+        fn, arity, dim = self.CALLS[name]
+        bad = {"long": np.ones(dim + 1), "row": np.ones((1, dim)), "scalar": np.float64(1.0)}[shape]
+        with pytest.raises(DimensionError):
+            fn(*([np.ones(dim)] * (arity - 1)), bad)
+
+    def test_classify_returns_the_member(self):
+        space = max_norm_spacetime()
+        for v, expected in (([0.0, 0.0, 1.0], VectorClass.TIME_LIKE), ([1.0, 0.0, 1.0], VectorClass.LIGHT_LIKE), ([1.0, 0.0, 0.0], VectorClass.SPACE_LIKE)):
+            assert mink.classify(space, v) is expected
+        # (2, 0, 1) has [v, v]^+ = 3 = 0.6 * [v, v]^-: the light-like band is closed
+        assert mink.classify(GeneralizedMinkowskiSpace.pseudo_euclidean(2), [2.0, 0.0, 1.0], 0.6) is VectorClass.LIGHT_LIKE
+        with pytest.raises(DimensionError):
+            mink.classify(space, [0.0, 1.0])
+
+    def test_lift_builds_its_point_from_the_row(self):
+        space, s = MINKOWSKI_SPACES["pseudo_euclidean"], np.array([0.3, -0.7])
+        point = lift(space, s)
+        assert np.array_equal(point.vector, hyp.lift_rows(space, s[None])[0])
+        s[0] = 5.0
+        assert point.s[0] == 0.3  # the point keeps its own copy
+
+    @pytest.mark.parametrize(
+        "space",
+        [
+            SiipSpace.sign_function(NormSpec.euclidean(2), lambda u: 1.0),
+            SiipSpace.normsquare_hessian(lambda v: float(v @ v), 2),
+        ],
+        ids=["sign_function", "hessian"],
+    )
+    def test_siip_undefined_at_the_origin(self, space):
+        with pytest.raises(DomainError, match="undefined at v = 0"):
+            siip(space, [1.0, 0.0], [0.0, 0.0])
+        with pytest.raises(DomainError):
+            siip_rows(space, np.ones((2, 2)), np.array([[1.0, 0.0], [0.0, 0.0]]))
+
+
+class TestPathFromSNodes:
+    @pytest.mark.parametrize("name", sorted(MINKOWSKI_SPACES))
+    def test_nodes_match_one_lift_each(self, rng, name):
+        space = MINKOWSKI_SPACES[name]
+        S = rng.uniform(-1.5, 1.5, (17, space.k))
+        S[3] = 0.0
+        path = hyp.Path.from_s_nodes(space, S)
+        for node, s in zip(path.nodes, S):
+            expected = lift(space, s)
+            assert np.array_equal(node.s, expected.s) and node.tau == expected.tau and type(node.tau) is float
+        with pytest.raises(DimensionError):
+            hyp.Path.from_s_nodes(space, S[:, :1])
