@@ -111,8 +111,7 @@ def _config(args) -> RunConfig:
 def cmd_classify(args) -> int:
     cfg = _config(args)
     space = cfg.space()
-    print("vector | [v,v]+ | class | cone")
-    rows = []
+    rows = []  # every row before any output: a bad vector leaves stdout empty
     for text in args.vectors:
         v = _parse_vector(text)
         q = mink.product_plus(space, v, v)
@@ -122,8 +121,10 @@ def cmd_classify(args) -> int:
             if space.is_spacetime_model
             else "n/a"
         )
-        print(f"{text} | {_FMT % q} | {cls.value} | {cone}")
         rows.append((text, q, cls.value, cone))
+    print("vector | [v,v]+ | class | cone")
+    for text, q, cls, cone in rows:
+        print(f"{text} | {_FMT % q} | {cls} | {cone}")
     if args.out:
         lines = ["vector,square,class,cone"]
         lines += [f'"{t}",{_FMT % q},{c},{cp}' for t, q, c, cp in rows]

@@ -30,7 +30,7 @@ from .errors import (
 )
 from .minkowski import GeneralizedMinkowskiSpace, embed, product_plus, product_plus_rows, split
 from .norms import norm_batch, norm_rows, sip_rows
-from .numerics import DEFAULT_TOLERANCES, Tolerances, check_dim, minimize, reduce_last, simpson_weights
+from .numerics import DEFAULT_TOLERANCES, Tolerances, check_dim, minimize_rows, reduce_last, simpson_weights
 
 _EPS3 = float(np.finfo(float).eps) ** (1.0 / 3.0)
 
@@ -248,7 +248,11 @@ def _segment_lengths(space, seg_starts: np.ndarray, seg_deltas: np.ndarray, quad
     Simpson grid from _quadrature_grid; PathError if a velocity turns time-like.
     The shifted points and the deltas share one norm_batch call and the steps
     after it run on the stacked arrays: on the two-segment batches of the
-    node-wise relaxation, each numpy call costs more than its arithmetic."""
+    node-wise relaxation, each numpy call costs more than its arithmetic.
+    A (G, S, k) batch is G groups of S segments, each group with its own
+    space-like floor, and gives (G, S) lengths; an (n, k) batch is one group."""
+    shape, groups = seg_deltas.shape[:-1], len(seg_deltas) if seg_deltas.ndim == 3 else 1
+    seg_starts, seg_deltas = seg_starts.reshape(-1, seg_starts.shape[-1]), seg_deltas.reshape(-1, seg_deltas.shape[-1])
     sig, weights = _quadrature_grid(quad_m)
     n, nq = seg_deltas.shape[0], sig.size
     P = seg_starts[:, None, :] + sig[None, :, None] * seg_deltas[:, None, :]
@@ -264,11 +268,12 @@ def _segment_lengths(space, seg_starts: np.ndarray, seg_deltas: np.ndarray, quad
     dtau = (tau[0] - tau[1]) / (2.0 * step)
     speed2 = sq[2 * n * nq :]
     rad = speed2[:, None] - dtau**2
-    floor = -1e-11 * max(1.0, float(np.maximum.reduce(speed2, initial=0.0)))
-    if (rad < floor).any():
-        raise PathError("curve velocity left the space-like regime")
+    if np.fmin.reduce(rad, axis=None, initial=0.0) < -1e-11:  # below the highest floor: check each group's
+        floor = -1e-11 * np.fmax(1.0, np.maximum.reduce(speed2.reshape(groups, -1), axis=1, initial=0.0))
+        if (rad.reshape(groups, -1) < floor[:, None]).any():
+            raise PathError("curve velocity left the space-like regime")
     g = np.sqrt(np.maximum(rad, 0.0))
-    return g @ weights
+    return (g @ weights).reshape(shape)
 
 
 def path_length(space: GeneralizedMinkowskiSpace, path: Path, quad_m: int = 4) -> float:
@@ -332,30 +337,51 @@ def _relax_gradient(space, s_nodes: np.ndarray, quad_m: int, max_iter: int) -> n
 
 
 def _relax_simplex(space, s_nodes: np.ndarray, quad_m: int, sweeps: int, opt_tol: float) -> np.ndarray:
-    """Node-wise simplex relaxation (works for non-smooth S norms too)."""
+    """Node-wise simplex relaxation (works for non-smooth S norms too).
+
+    Gauss-Seidel sweeps: in sweep s, node i starts from its sweep s-1 value
+    and minimizes the squared lengths of its two segments, between node i-1
+    of sweep s and node i+1 of sweep s-1; a sweep that moves no node by
+    opt_tol is the last.  Node i of sweep s runs at step i + lag*s.  At lag 2
+    the nodes due at one step are independent and share one minimize_rows
+    call; later sweeps start before an earlier one's stopping test, and a
+    stop returns the nodes as the stopping sweep left them.  On PathError or
+    NumericalError the level reruns at lag m-1, one node per step in the
+    loop's own order, so it raises what that loop raises.
+    """
     m = s_nodes.shape[0] - 1
-    for _ in range(sweeps):
-        moved = 0.0
-        for i in range(1, m):
-            starts, deltas = np.empty((2, 2, s_nodes.shape[1]))  # rewritten by every evaluation
-            starts[0] = s_nodes[i - 1]
+    for lag in (2, m - 1):
+        hist = np.repeat(s_nodes[None], sweeps + 1, axis=0)  # hist[s]: the nodes after s sweeps
+        moved, last = np.zeros(sweeps), sweeps
+        try:
+            for t in range(1, m + lag * (sweeps - 1)):
+                s = np.arange(sweeps)
+                s = s[(t - lag * s >= 1) & (t - lag * s < m)]
+                i = t - lag * s
+                x0, lo, hi = hist[s, i], hist[s + 1, i - 1], hist[s, i + 1]
 
-            def local(sv, starts=starts, deltas=deltas, hi=s_nodes[i + 1].copy()):
-                starts[1] = sv
-                np.subtract(sv, starts[0], out=deltas[0])
-                np.subtract(hi, sv, out=deltas[1])
-                L = _segment_lengths(space, starts, deltas, quad_m)
-                return float(np.add.reduce(L * L))
+                def local(rows, P, lo=lo, hi=hi):
+                    seg = np.empty((2, len(P), 2, P.shape[1]))  # each candidate's starts, then deltas
+                    seg[0, :, 0], seg[0, :, 1] = lo[rows], P
+                    np.subtract(P, seg[0, :, 0], out=seg[1, :, 0])
+                    np.subtract(hi[rows], P, out=seg[1, :, 1])
+                    L = _segment_lengths(space, seg[0], seg[1], quad_m)
+                    L *= L
+                    return L[:, 0] + L[:, 1]  # as np.add.reduce sums two squares
 
-            try:
-                best, _ = minimize(local, s_nodes[i], opt_tol=max(opt_tol, 1e-8), max_iter=300)
-            except ConvergenceError as err:  # keep the best point found
-                best = err.best_point
-            moved = max(moved, float(np.max(np.abs(best - s_nodes[i]))))
-            s_nodes[i] = best
-        if moved < opt_tol:
-            break
-    return s_nodes
+                best, _, _ = minimize_rows(local, x0, opt_tol=max(opt_tol, 1e-8), max_iter=300)  # out of budget: the best point
+                hist[s + 1, i] = best
+                moved[s] = np.fmax(moved[s], np.max(np.abs(best - x0), axis=1))
+                ended = (t - m + 1) // lag  # the sweep whose last node ran at step t, if any
+                if (t - m + 1) % lag == 0 and ended >= 0 and moved[ended] < opt_tol:
+                    last = ended + 1
+                    break
+        except (PathError, NumericalError):
+            if lag == m - 1:
+                raise
+            continue
+        s_nodes[:] = hist[last]
+        return s_nodes
 
 
 def geodesic_path(

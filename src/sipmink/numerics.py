@@ -170,9 +170,8 @@ def _finite(value: float, what: str) -> float:
 
 def _finite_rows(values, what: str) -> np.ndarray:
     values = np.asarray(values, dtype=float)
-    bad = ~np.isfinite(values)
-    if bad.any():
-        _finite(values[bad][0], what)  # raises, naming the first non-finite value
+    if not np.isfinite(values).all():
+        _finite(values[~np.isfinite(values)][0], what)  # raises, naming the first non-finite value
     return values
 
 
@@ -292,7 +291,7 @@ def minimize_rows(
     X0,
     opt_tol: float = DEFAULT_TOLERANCES.opt_tol,
     max_iter: int = 2000,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Independent :func:`minimize` descents from the rows of an (N, n) array,
     run in lock-step; each row ends at the point and value that its own
     :func:`minimize` call gives, bit for bit.
@@ -302,9 +301,10 @@ def minimize_rows(
     for the reflections of the active rows, one for the expansion or
     contraction points of the rows that need one, and one for the shrinks;
     a row leaves the batch when its simplex converges.  Returns the best
-    vertices (N, n) and their values (N,).  Raises :class:`NumericalError` on
-    a non-finite value, and :class:`ConvergenceError` carrying the best point
-    of the first row still active after ``max_iter`` iterations.
+    vertices (N, n), their values (N,) and whether each row converged; a row
+    still active after ``max_iter`` iterations keeps the best point that
+    :func:`minimize` would carry in its :class:`ConvergenceError`.  Raises
+    :class:`NumericalError` on a non-finite value.
     """
     X0 = np.asarray(X0, dtype=float)
     count, n = X0.shape
@@ -313,28 +313,30 @@ def minimize_rows(
     sim[:, np.arange(1, n + 1), np.arange(n)] += edge[:, None]
     rows = np.arange(count)  # the problem of each active row
     fv = _finite_rows(f(np.repeat(rows, n + 1), sim.reshape(-1, n)), "minimize").reshape(count, n + 1)
-    best_x, best_f = np.empty_like(X0), np.empty(count)
+    best_x, best_f, converged = np.empty_like(X0), np.empty(count), np.ones(count, dtype=bool)
+    at = rows[:, None]
 
     for _ in range(max_iter):
-        order = np.argsort(fv, axis=1, kind="stable")
-        at = np.arange(len(rows))[:, None]
+        order = fv.argsort(axis=1, kind="stable")
         sim, fv = sim[at, order], fv[at, order]
         done = np.maximum.reduce(np.abs(sim[:, 1:] - sim[:, :1]), axis=(1, 2)) < opt_tol
         if done.any():
             best_x[rows[done]], best_f[rows[done]] = sim[done, 0], fv[done, 0]
             active = ~done
             rows, sim, fv = rows[active], sim[active], fv[active]
+            at = np.arange(len(rows))[:, None]
         if not rows.size:
-            return best_x, best_f
+            break
         centroid = np.add.reduce(sim[:, :-1], axis=1) / n
         worst = sim[:, -1]
-        xr = centroid + (centroid - worst)
+        away = centroid - worst
+        xr = centroid + away
         fr = _finite_rows(f(rows, xr), "minimize")
         expand = fr < fv[:, 0]
-        contract = ~expand & ~(fr < fv[:, -2])
+        contract = ~(expand | (fr < fv[:, -2]))
         # the expansion point, or the contraction point towards the worse of worst and xr
         inward = np.where((fr >= fv[:, -1])[:, None], worst, xr)
-        x2 = np.where(expand[:, None], centroid + 2.0 * (centroid - worst), centroid + 0.5 * (inward - centroid))
+        x2 = np.where(expand[:, None], centroid + 2.0 * away, centroid + 0.5 * (inward - centroid))
         f2 = fr.copy()
         second = expand | contract
         if second.any():
@@ -350,12 +352,9 @@ def minimize_rows(
             sim[shrink] = shrunk
             fv[shrink, 1:] = _finite_rows(values, "minimize").reshape(-1, n)
 
-    best = int(np.argmin(fv[0]))
-    raise ConvergenceError(
-        f"simplex diameter did not reach {opt_tol} in {max_iter} iterations (row {int(rows[0])})",
-        best_point=sim[0, best].copy(),
-        best_value=float(fv[0, best]),
-    )
+    at, best = np.arange(len(rows)), np.argmin(fv, axis=1)
+    best_x[rows], best_f[rows], converged[rows] = sim[at, best], fv[at, best], False
+    return best_x, best_f, converged
 
 
 def sample_vectors(seed, n: int, count: int, radius: float = 1.0) -> list[np.ndarray]:

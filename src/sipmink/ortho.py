@@ -62,9 +62,16 @@ def birkhoff_margin_rows(space, X, Y, opt_tol: float = DEFAULT_TOLERANCES.opt_to
     vals = norm_rows(space, on_grid.reshape(-1, X.shape[1])).reshape(-1, grid.size)  # f on every grid point
     i0 = np.argmin(vals, axis=1)
     t0, v0 = grid[i0], vals[np.arange(len(i0)), i0]
-    pt, best_v = minimize_rows(
+    pt, best_v, converged = minimize_rows(
         lambda rows, T: norm_rows(space, Xh[rows] + T * Yh[rows]), t0[:, None], opt_tol=opt_tol, max_iter=500
     )
+    if not converged.all():
+        r = int(np.argmin(converged))
+        raise ConvergenceError(
+            f"simplex diameter did not reach {opt_tol} in 500 iterations (row {r})",
+            best_point=pt[r].copy(),
+            best_value=float(best_v[r]),
+        )
     best_t = pt[:, 0]
     on_grid_better = v0 < best_v
     best_t, best_v = np.where(on_grid_better, t0, best_t), np.where(on_grid_better, v0, best_v)
@@ -271,6 +278,13 @@ def auerbach_basis_2d(
     Grid search over both angles plus a simplex refinement; the returned
     pair is post-verified to be mutually Birkhoff orthogonal.
     """
+    pair, _ = auerbach_pair_2d(norm_spec, grid, tolerances)
+    return pair[0], pair[1]
+
+
+def auerbach_pair_2d(norm_spec: NormSpec, grid: int = 720, tolerances: Tolerances = DEFAULT_TOLERANCES):
+    """The pair of :func:`auerbach_basis_2d` as a (2, 2) array, and the
+    Birkhoff margins of u against v and of v against u that verified it."""
     if norm_spec.dim != 2:
         raise UnsupportedError("angle parametrization only covers two dimensions")
     thetas = np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)
@@ -286,7 +300,7 @@ def auerbach_basis_2d(
     margins, _ = birkhoff_margin_rows(norm_spec, pair, pair[::-1], tolerances.opt_tol)
     if np.any(margins < norm_rows(norm_spec, pair) - 10.0 * tolerances.opt_tol):
         raise ConvergenceError("refined pair is not mutually Birkhoff orthogonal")
-    return pair[0], pair[1]
+    return pair, margins
 
 
 def _refine_orthogonal_angles(space: SipSpace, angles: np.ndarray) -> np.ndarray:

@@ -193,32 +193,6 @@ def siip(space: SiipSpace, u, v) -> float:
     return float(siip_rows(space, check_dim(u, space.dim)[None], check_dim(v, space.dim)[None])[0])
 
 
-def _definite_span(space: SiipSpace, product, u, v, tol: float) -> bool:
-    """Whether span{u, v} has constant-sign scalar squares.
-
-    Symmetric bilinear variants admit the exact two-dimensional criterion
-    (positive Gram determinant); other variants are scanned along a fixed
-    circle of combinations.
-    """
-    qu, qv = product(u, u), product(v, v)
-    if (qu > 0) != (qv > 0):
-        return False
-    if space.kind == DIAGONAL:
-        guv = product(u, v)
-        return qu * qv - guv * guv > tol
-    signs = []
-    for phi in np.linspace(0.0, np.pi, 36, endpoint=False):
-        w = np.cos(phi) * u + np.sin(phi) * v
-        if not np.any(w):
-            continue
-        q = product(w, w)
-        scale = max(1.0, float(w @ w))
-        if abs(q) <= tol * scale:
-            return False
-        signs.append(q > 0)
-    return len(signs) > 0 and (all(signs) or not any(signs))
-
-
 def siip_axiom_trials(product, dim: int, seed, trials: int, eq_tol: float):
     """The s.i.i.p. axiom checks every product shares, over seeded samples.
 
@@ -264,16 +238,35 @@ def siip_axiom_report(space: SiipSpace, seed, trials: int, tolerances: Tolerance
     """Residual report for the s.i.i.p. axioms over seeded samples: the
     checks of :func:`siip_axiom_trials`, then Cauchy-Schwarz.
 
-    Cauchy-Schwarz is only demanded where it is promised: on sampled
-    pairs whose two-dimensional span has constant-sign scalar squares.
+    Cauchy-Schwarz is only demanded where it is promised: on sampled pairs
+    (x, v), x != 0, whose two-dimensional span has constant-sign scalar
+    squares.  [x, x] and [v, v] must share a sign; the symmetric bilinear
+    variant then needs a positive Gram determinant, and the others a fixed
+    circle of 36 combinations of x and v, all scanned in one call, on which
+    no square vanishes and the signs agree.
     """
     tol = tolerances.eq_tol
     trackers, X, V = siip_axiom_trials(space, space.dim, seed, trials, tol)
-    product = lambda u, v: siip(space, u, v)
+    nonzero = np.any(X, axis=1)
+    X, V = X[nonzero], V[nonzero]
+    qx, qv, gxv = siip_rows(space, X, X), siip_rows(space, V, V), siip_rows(space, X, V)
+    definite = (qx > 0) == (qv > 0)
+    if space.kind == DIAGONAL:
+        definite &= qx * qv - gxv * gxv > tol
+    else:
+        phis = np.linspace(0.0, np.pi, 36, endpoint=False)
+        cos, sin = (np.array([fn(phi) for phi in phis]) for fn in (np.cos, np.sin))  # one call per angle, as a scan takes them
+        W = cos[None, :, None] * X[definite, None, :] + sin[None, :, None] * V[definite, None, :]
+        live = np.any(W, axis=2)  # a zero combination is skipped
+        q = siip_rows(space, W[live], W[live])
+        vanishes, positive = np.zeros((2, *live.shape), dtype=bool)
+        vanishes[live] = np.abs(q) <= tol * np.fmax(1.0, dot_rows(W[live], W[live]))
+        positive[live] = q > 0
+        signs = np.count_nonzero(positive, axis=1)
+        definite[definite] = ~vanishes.any(axis=1) & live.any(axis=1) & ((signs == 0) | (signs == live.sum(axis=1)))
     cs = ResidualTracker("cauchy_schwarz_definite")
-    for x, v in zip(X, V):
-        if np.any(x) and _definite_span(space, product, x, v, tol):
-            cs.update(max(0.0, product(x, v) ** 2 - product(x, x) * product(v, v)), x, v)
+    margin = pow_rows(gxv[definite], 2.0) - qx[definite] * qv[definite]
+    cs.update_rows(np.where(margin > 0.0, margin, 0.0), X[definite], V[definite])
     return build_report(trackers + [cs], tol)
 
 

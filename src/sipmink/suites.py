@@ -491,8 +491,7 @@ def suite_orthogonality(cfg: RunConfig) -> list[CheckRow]:
 
     # Auerbach pair of the S block (two-dimensional blocks only)
     if block.dim == 2:
-        pair = np.array(ortho.auerbach_basis_2d(block.norm, tolerances=tol))
-        mn, _ = ortho.birkhoff_margin_rows(block, pair, pair[::-1], tol.opt_tol)
+        pair, mn = ortho.auerbach_pair_2d(block.norm, tolerances=tol)
         deficiency = max(0.0, *(norm_rows(block, pair) - mn).tolist())
         rows.append(_row("orthogonality", "auerbach_mutual_birkhoff", deficiency <= 1e-5, deficiency, _fmt_vec(pair[0])))
 

@@ -170,6 +170,12 @@ class TestCliCommands:
         assert main(argv) == 2
         assert "non-finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", ["nan,0,1", "1,banana", "1,0"], ids=["non-finite", "unparsable", "wrong-dimension"])
+    def test_classify_rejects_a_later_bad_vector_before_any_output(self, capsys, bad):
+        assert main(["classify", "1,0,1", bad]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err
+
     def test_unknown_command_exits_2(self):
         assert main(["frobnicate"]) == 2
 

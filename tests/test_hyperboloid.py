@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
+from sipmink import hyperboloid
 from sipmink.config import config_from_mapping
-from sipmink.errors import ConvergenceError, DomainError, PathError, TangentError, UnsupportedError
+from sipmink.errors import ConvergenceError, DomainError, NumericalError, PathError, TangentError, UnsupportedError
 from sipmink.hyperboloid import (
     _EPS3,
     HPoint,
@@ -31,7 +34,7 @@ from sipmink.minkowski import (
     product_plus,
 )
 from sipmink.norms import NormSpec, norm, norm_batch, sip
-from sipmink.numerics import DEFAULT_TOLERANCES, central_diff, first_diff_step, integrate, minimize
+from sipmink.numerics import DEFAULT_TOLERANCES, central_diff, first_diff_step, integrate, minimize, minimize_rows
 from sipmink.ortho import orthogonal_companion_basis
 from sipmink.suites import suite_geodesic_cosh
 
@@ -42,6 +45,7 @@ P3SPACE = GeneralizedMinkowskiSpace.from_norms(NormSpec.pnorm(3.0, 2), NormSpec.
 GAUGE_SPACE = GeneralizedMinkowskiSpace.from_norms(
     NormSpec.custom_gauge(lambda v: float(abs(v[0]) + 2.0 * abs(v[1])), 2), NormSpec.euclidean(1)
 )
+MAX31 = GeneralizedMinkowskiSpace.from_norms(NormSpec.max_norm(3), NormSpec.euclidean(1))
 
 
 def hyperbolic_distance(space, a, b):
@@ -364,6 +368,105 @@ class TestSolverAssembly:
                 down[i, c] -= h
                 fd[i - 1, c] = (_path_energy(space, up, 4) - _path_energy(space, down, 4)) / (2.0 * h)
         assert np.max(np.abs(g - fd)) <= 1e-7 * max(1.0, float(np.max(np.abs(g))))
+
+
+def _reference_relax_simplex(space, s_nodes, quad_m, sweeps, opt_tol, ran=None):
+    """Reference: the node-wise relaxation as one sequential Gauss-Seidel
+    loop, one minimize call per node and sweep; appends the number of sweeps
+    it ran to ``ran``."""
+    m = s_nodes.shape[0] - 1
+    for sweep in range(sweeps):
+        moved = 0.0
+        for i in range(1, m):
+            starts, deltas = np.empty((2, 2, s_nodes.shape[1]))  # rewritten by every evaluation
+            starts[0] = s_nodes[i - 1]
+
+            def local(sv, starts=starts, deltas=deltas, hi=s_nodes[i + 1].copy()):
+                starts[1] = sv
+                np.subtract(sv, starts[0], out=deltas[0])
+                np.subtract(hi, sv, out=deltas[1])
+                L = _segment_lengths(space, starts, deltas, quad_m)
+                return float(np.add.reduce(L * L))
+
+            try:
+                best, _ = minimize(local, s_nodes[i], opt_tol=max(opt_tol, 1e-8), max_iter=300)
+            except ConvergenceError as err:  # keep the best point found
+                best = err.best_point
+            moved = max(moved, float(np.max(np.abs(best - s_nodes[i]))))
+            s_nodes[i] = best
+        if moved < opt_tol:
+            break
+    if ran is not None:
+        ran.append(sweep + 1)
+    return s_nodes
+
+
+def _outcome(call):
+    """The value of call(), or the type and message of what it raised."""
+    try:
+        return call()
+    except Exception as err:
+        return type(err), str(err)
+
+
+class TestWavefrontRelaxation:
+    """The lock-step wavefront against the sequential loop it schedules."""
+
+    SPACES = pytest.mark.parametrize("space", [REMARK, MAX31, GAUGE_SPACE], ids=["max21", "max31", "gauge"])
+
+    @SPACES
+    @pytest.mark.parametrize("m", [4, 7, 16])
+    @pytest.mark.parametrize("sweeps", [1, 3, 8])
+    def test_matches_the_sequential_loop_bitwise(self, space, m, sweeps):
+        nodes = _random_nodes(space, m)
+        opt_tol = DEFAULT_TOLERANCES.opt_tol
+        got = _relax_simplex(space, nodes.copy(), 4, sweeps, opt_tol)
+        assert np.array_equal(got, _reference_relax_simplex(space, nodes.copy(), 4, sweeps, opt_tol))
+
+    # from the straight chord between (100, 0, ...) and (0, 100, ...), the loop
+    # stops after 4 (gauge, m=16) or 7 (max 3+1, m=7) of 8 sweeps, when the
+    # wavefront has already run nodes of the sweeps after it
+    @pytest.mark.parametrize("space, m, stop", [(GAUGE_SPACE, 16, 4), (MAX31, 7, 7)], ids=["gauge", "max31"])
+    def test_early_stop_returns_the_stopping_sweeps_nodes(self, space, m, stop):
+        a, b = np.zeros(space.k), np.zeros(space.k)
+        a[0] = b[1] = 100.0
+        nodes = a + np.linspace(0.0, 1.0, m + 1)[:, None] * (b - a)
+        opt_tol, ran = DEFAULT_TOLERANCES.opt_tol, []
+        expected = _reference_relax_simplex(space, nodes.copy(), 4, 8, opt_tol, ran)
+        assert ran == [stop]
+        assert np.array_equal(_relax_simplex(space, nodes.copy(), 4, 8, opt_tol), expected)
+
+    def test_far_max_pair_stops_early_at_the_same_length(self, monkeypatch):
+        # the r=1000 pair of the max-norm benchmark pool: its m=16 level stops after 7 of 8 sweeps
+        a, b = lift(REMARK, [1000.0, 0.0]), lift(REMARK, [0.0, 1000.0])
+        got = geodesic_distance(REMARK, a, b, 16)
+        ran = []
+        monkeypatch.setattr(hyperboloid, "_relax_simplex", lambda *args, **kw: _reference_relax_simplex(*args, **kw, ran=ran))
+        assert geodesic_distance(REMARK, a, b, 16) == got
+        assert ran == [3, 3, 7]
+
+    def test_nan_gauge_raises_what_the_loop_raises(self, monkeypatch):
+        # a gauge that is NaN outside a ball, drawn after custom_gauge's spot checks
+        radius = [math.inf]
+        gauge = lambda v: float(np.max(np.abs(v))) if float(v @ v) < radius[0] ** 2 else math.nan
+        space = GeneralizedMinkowskiSpace.from_norms(NormSpec.custom_gauge(gauge, 2), NormSpec.euclidean(1))
+        radius[0] = 2.87
+        a, b = lift(space, [1.03, -1.8]), lift(space, [2.65, -0.81])
+        batches = []  # the rows of each minimize_rows call that raised
+
+        def spy(f, X0, **kwargs):
+            try:
+                return minimize_rows(f, X0, **kwargs)
+            except NumericalError:
+                batches.append(len(X0))
+                raise
+
+        monkeypatch.setattr(hyperboloid, "minimize_rows", spy)
+        got = _outcome(lambda: geodesic_distance(space, a, b, 8))
+        assert batches[0] > 1 and batches[1:] == [1]  # the wavefront raised, then the rerun in loop order
+        monkeypatch.setattr(hyperboloid, "_relax_simplex", _reference_relax_simplex)
+        assert got == _outcome(lambda: geodesic_distance(space, a, b, 8))
+        assert got[0] is NumericalError
 
 
 class TestQuadratureGrid:

@@ -276,7 +276,8 @@ class TestMinimizeRows:
     def test_rows_match_minimize(self, name):
         problems, X0 = ROW_PROBLEMS[name]
         calls = []
-        P, V = minimize_rows(_row_objective(problems, calls), np.array(X0), opt_tol=1e-8, max_iter=500)
+        P, V, converged = minimize_rows(_row_objective(problems, calls), np.array(X0), opt_tol=1e-8, max_iter=500)
+        assert converged.all()
         for i, (f, x0) in enumerate(zip(problems, X0)):
             pt, val = minimize(f, np.array(x0), opt_tol=1e-8, max_iter=500)
             ref_pt, ref_val = _reference_minimize(f, np.array(x0), opt_tol=1e-8, max_iter=500)
@@ -288,14 +289,31 @@ class TestMinimizeRows:
     def test_budget_exhaustion_carries_the_first_failing_rows_best(self):
         # rows 0 and 2 converge within 50 iterations, rows 1 and 3 do not
         problems = [(lambda x, c=c: float((x[0] - c) ** 2)) for c in (1.0, 1e6, 3.0, 1e9)]
-        with pytest.raises(ConvergenceError) as err:
-            minimize_rows(_row_objective(problems), np.zeros((4, 1)), max_iter=50)
-        for f in problems[::2]:
-            minimize(f, np.zeros(1), max_iter=50)
+        P, V, converged = minimize_rows(_row_objective(problems), np.zeros((4, 1)), max_iter=50)
+        assert converged.tolist() == [True, False, True, False]
+        for i, f in enumerate(problems):
+            if converged[i]:
+                pt, val = minimize(f, np.zeros(1), max_iter=50)
+            else:
+                with pytest.raises(ConvergenceError) as err:
+                    minimize(f, np.zeros(1), max_iter=50)
+                pt, val = err.value.best_point, err.value.best_value
+            assert np.array_equal(P[i], pt) and V[i] == val
+
+    @pytest.mark.parametrize("budget", [70, 85])
+    def test_mixed_batch_keeps_the_reference_best_of_the_row_out_of_budget(self, budget):
+        # the node-wise geodesic objective needs 90 iterations, the bowl 64
+        # and the staircase 43
+        problems, X0 = ROW_PROBLEMS["2-d"]
+        problems, X0 = [problems[2], problems[3], problems[4]], [X0[2], X0[3], X0[4]]
+        P, V, converged = minimize_rows(_row_objective(problems), np.array(X0), opt_tol=1e-8, max_iter=budget)
+        assert converged.tolist() == [True, False, True]
         with pytest.raises(ConvergenceError) as ref:
-            minimize(problems[1], np.zeros(1), max_iter=50)
-        assert np.array_equal(err.value.best_point, ref.value.best_point)
-        assert err.value.best_value == ref.value.best_value
+            _reference_minimize(problems[1], np.array(X0[1]), opt_tol=1e-8, max_iter=budget)
+        assert np.array_equal(P[1], ref.value.best_point) and V[1] == ref.value.best_value
+        for i in (0, 2):
+            pt, val = _reference_minimize(problems[i], np.array(X0[i]), opt_tol=1e-8, max_iter=budget)
+            assert np.array_equal(P[i], pt) and V[i] == val
 
     @pytest.mark.parametrize("at", ["start", "mid-descent"])
     def test_non_finite_value_raises(self, at):
@@ -307,8 +325,8 @@ class TestMinimizeRows:
             minimize_rows(_row_objective([bowl, bad]), np.ones((2, 2)))
 
     def test_no_rows(self):
-        P, V = minimize_rows(_row_objective([]), np.zeros((0, 2)))
-        assert P.shape == (0, 2) and V.shape == (0,)
+        P, V, converged = minimize_rows(_row_objective([]), np.zeros((0, 2)))
+        assert P.shape == (0, 2) and V.shape == (0,) and converged.shape == (0,)
 
 
 class TestSampleVectors:

@@ -63,8 +63,8 @@ from sipmink.numerics import (
     second_diff_step,
 )
 from sipmink.siip import (
+    DIAGONAL,
     SiipSpace,
-    _definite_span,
     cauchy_schwarz_witness,
     siip,
     siip_axiom_report,
@@ -1456,6 +1456,14 @@ class TestOrthogonalityKernels:
         got = ortho.auerbach_basis_2d(spec)
         assert all(np.array_equal(g, e) for g, e in zip(got, expected))
 
+    @pytest.mark.parametrize("name", ["euclidean2", "pnorm3", "max2"])
+    def test_auerbach_pair_margins_match_a_margin_call_on_the_block(self, name):
+        # the orthogonality suite takes these margins in place of its own call
+        block = self.SPACES[name]
+        pair, margins = ortho.auerbach_pair_2d(block.norm)
+        assert all(np.array_equal(p, e) for p, e in zip(pair, ortho.auerbach_basis_2d(block.norm)))
+        assert np.array_equal(margins, ortho.birkhoff_margin_rows(block, pair, pair[::-1])[0])
+
 
 def _loop_gram_matrix(product, vectors):
     k = len(vectors)
@@ -1491,6 +1499,28 @@ class TestGramMatrixRows:
         assert np.array_equal(ortho.gram_matrix(product, list(V[3])), G[3])
 
 
+def _loop_definite_span(space, product, u, v, tol):
+    """Reference: whether span{u, v} has constant-sign scalar squares, one
+    scalar product per combination."""
+    qu, qv = product(u, u), product(v, v)
+    if (qu > 0) != (qv > 0):
+        return False
+    if space.kind == DIAGONAL:
+        guv = product(u, v)
+        return qu * qv - guv * guv > tol
+    signs = []
+    for phi in np.linspace(0.0, np.pi, 36, endpoint=False):
+        w = np.cos(phi) * u + np.sin(phi) * v
+        if not np.any(w):
+            continue
+        q = product(w, w)
+        scale = max(1.0, float(w @ w))
+        if abs(q) <= tol * scale:
+            return False
+        signs.append(q > 0)
+    return len(signs) > 0 and (all(signs) or not any(signs))
+
+
 def _loop_siip_axiom_report(space, seed, trials, tol=1e-9):
     """The s.i.i.p. axiom report as one scalar call per trial."""
     rng = Seed(seed).rng()
@@ -1511,7 +1541,7 @@ def _loop_siip_axiom_report(space, seed, trials, tol=1e-9):
         sqreal.update(0.0 if np.isfinite(qv) else np.inf, v)
         if abs(qv) <= tol * max(1.0, float(v @ v)) and all(abs(product(b, v)) <= tol for b in basis):
             nondeg.update(1.0, v)
-        if np.any(x) and _definite_span(space, product, x, v, tol):
+        if np.any(x) and _loop_definite_span(space, product, x, v, tol):
             cs.update(max(0.0, product(x, v) ** 2 - product(x, x) * qv), x, v)
     return [add, hom1, hom2, sqreal, nondeg, cs]
 
@@ -1538,6 +1568,17 @@ class TestSiipAxiomReportMatchesTheLoop:
         for check, tracker in zip(report.checks, loop):
             assert check.residual == tracker.residual and _same_witness(check.witness, tracker.witness)
         assert (report.residual("nondegeneracy") == 1.0) == (name == "degenerate")
+
+    # the Cauchy-Schwarz scan at the trial count of the siip tests, where it
+    # keeps a few hundred pairs
+    @pytest.mark.parametrize("seed", [2, 3, 5])
+    @pytest.mark.parametrize("name", ["weighted_plane", "cross_polytope"])
+    def test_cauchy_schwarz_scan(self, name, seed):
+        space = self.SPACES[name]
+        report = siip_axiom_report(space, Seed(seed), 500)
+        cs = _loop_siip_axiom_report(space, seed, 500)[-1]
+        check = report.check("cauchy_schwarz_definite")
+        assert check.residual == cs.residual and _same_witness(check.witness, cs.witness)
 
     def test_homogeneity_second_skips_lambda_zero(self, monkeypatch):
         # lambda = -3 + 6 u is 0 at u = 0.5; this product has [x, 0] = 1, so a
