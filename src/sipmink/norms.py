@@ -236,26 +236,6 @@ def sip_rows(space, X, Y) -> np.ndarray:
     return np.where(nonzero, out, 0.0)
 
 
-def sip_matrix(space, U: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """Matrix of pairwise products [U[i], V[j]] (closed forms only)."""
-    spec = _spec(space)
-    U = np.asarray(U, dtype=float)
-    V = np.asarray(V, dtype=float)
-    if spec.kind == EUCLIDEAN:
-        return U @ V.T
-    if spec.kind == PNORM:
-        p = spec.p
-        nv = norm_batch(spec, V)
-        W = np.abs(V) ** (p - 1.0) * np.sign(V)
-        scale = np.where(nv > 0, nv ** (2.0 - p), 0.0)
-        return (U @ W.T) * scale[None, :]
-    if spec.kind == MAX:
-        j = np.argmax(np.abs(V), axis=1)
-        vals = V[np.arange(V.shape[0]), j]
-        return U[:, j] * vals[None, :]
-    raise DomainError("sip_matrix requires a closed-form norm kind")
-
-
 def _require_nonzero(Y, what: str):
     if not np.all(np.any(Y, axis=1)):
         raise DomainError(f"{what} is undefined at the origin")

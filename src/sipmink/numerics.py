@@ -230,60 +230,30 @@ def minimize(
     opt_tol: float = DEFAULT_TOLERANCES.opt_tol,
     max_iter: int = 2000,
 ) -> tuple[np.ndarray, float]:
-    """Deterministic Nelder-Mead simplex descent.
+    """Deterministic Nelder-Mead simplex descent: the one-row call of
+    :func:`minimize_rows`.
 
     Standard reflection/expansion/contraction/shrink coefficients
     (1, 2, 1/2, 1/2); the initial simplex has edge 0.1 * max(1, |x0|).
-    Terminates when the simplex diameter drops below ``opt_tol``.
+    Terminates when the simplex diameter drops below ``opt_tol``.  Each
+    value is checked as it is computed, so a non-finite one raises
+    :class:`NumericalError` before the next is asked for.
 
     Returns the best vertex and its value.  Raises
     :class:`ConvergenceError` (carrying the best point found) when
     ``max_iter`` iterations were not enough.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    n = x0.size
-    edge = 0.1 * max(1.0, float(np.linalg.norm(x0)))
-    sim = np.empty((n + 1, n))
-    sim[0] = x0
-    for i in range(n):
-        sim[i + 1] = x0
-        sim[i + 1, i] += edge
-    fv = np.array([_finite(f(v), "minimize") for v in sim])
-
-    for _ in range(max_iter):
-        order = fv.argsort(kind="stable")
-        sim, fv = sim[order], fv[order]
-        diam = float(np.maximum.reduce(np.abs(sim[1:] - sim[0]), axis=None)) if n else 0.0
-        if diam < opt_tol:
-            return sim[0].copy(), float(fv[0])
-        centroid = np.add.reduce(sim[:-1], axis=0) / n  # the mean, as np.mean computes it, minus its wrapper
-        xr = centroid + (centroid - sim[-1])
-        fr = _finite(f(xr), "minimize")
-        if fr < fv[0]:
-            xe = centroid + 2.0 * (centroid - sim[-1])
-            fe = _finite(f(xe), "minimize")
-            if fe < fr:
-                sim[-1], fv[-1] = xe, fe
-            else:
-                sim[-1], fv[-1] = xr, fr
-        elif fr < fv[-2]:
-            sim[-1], fv[-1] = xr, fr
-        else:
-            inside = fr >= fv[-1]
-            xc = centroid + 0.5 * ((sim[-1] if inside else xr) - centroid)
-            fc = _finite(f(xc), "minimize")
-            if fc < min(fr, fv[-1]):
-                sim[-1], fv[-1] = xc, fc
-            else:
-                sim[1:] = sim[0] + 0.5 * (sim[1:] - sim[0])
-                fv[1:] = [_finite(f(v), "minimize") for v in sim[1:]]
-
-    best = int(np.argmin(fv))
-    raise ConvergenceError(
-        f"simplex diameter did not reach {opt_tol} in {max_iter} iterations",
-        best_point=sim[best].copy(),
-        best_value=float(fv[best]),
+    points, values, converged = minimize_rows(
+        lambda rows, P: np.array([_finite(f(x), "minimize") for x in P]), x0[None], opt_tol, max_iter
     )
+    if not converged[0]:
+        raise ConvergenceError(
+            f"simplex diameter did not reach {opt_tol} in {max_iter} iterations",
+            best_point=points[0],
+            best_value=float(values[0]),
+        )
+    return points[0], float(values[0])
 
 
 def minimize_rows(
@@ -292,9 +262,9 @@ def minimize_rows(
     opt_tol: float = DEFAULT_TOLERANCES.opt_tol,
     max_iter: int = 2000,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Independent :func:`minimize` descents from the rows of an (N, n) array,
-    run in lock-step; each row ends at the point and value that its own
-    :func:`minimize` call gives, bit for bit.
+    """Independent Nelder-Mead descents from the rows of an (N, n) array, run
+    in lock-step.  Rows do not interact: each ends at the point and value
+    of a call on that row alone (:func:`minimize`), bit for bit.
 
     ``f(rows, P)`` returns the objective values of problems ``rows`` (indices
     into ``X0``) at the points ``P``, one per row.  Each step makes one call
@@ -302,9 +272,8 @@ def minimize_rows(
     contraction points of the rows that need one, and one for the shrinks;
     a row leaves the batch when its simplex converges.  Returns the best
     vertices (N, n), their values (N,) and whether each row converged; a row
-    still active after ``max_iter`` iterations keeps the best point that
-    :func:`minimize` would carry in its :class:`ConvergenceError`.  Raises
-    :class:`NumericalError` on a non-finite value.
+    still active after ``max_iter`` iterations keeps its best vertex.
+    Raises :class:`NumericalError` on a non-finite value.
     """
     X0 = np.asarray(X0, dtype=float)
     count, n = X0.shape
@@ -312,14 +281,15 @@ def minimize_rows(
     sim = np.repeat(X0[:, None, :], n + 1, axis=1)
     sim[:, np.arange(1, n + 1), np.arange(n)] += edge[:, None]
     rows = np.arange(count)  # the problem of each active row
-    fv = _finite_rows(f(np.repeat(rows, n + 1), sim.reshape(-1, n)), "minimize").reshape(count, n + 1)
+    fv = _finite_rows(f(np.repeat(rows, n + 1), sim.reshape(count * (n + 1), n)), "minimize").reshape(count, n + 1)
     best_x, best_f, converged = np.empty_like(X0), np.empty(count), np.ones(count, dtype=bool)
     at = rows[:, None]
 
     for _ in range(max_iter):
         order = fv.argsort(axis=1, kind="stable")
         sim, fv = sim[at, order], fv[at, order]
-        done = np.maximum.reduce(np.abs(sim[:, 1:] - sim[:, :1]), axis=(1, 2)) < opt_tol
+        # a zero-length start has no vertex offsets: its diameter is the initial 0
+        done = np.maximum.reduce(np.abs(sim[:, 1:] - sim[:, :1]), axis=(1, 2), initial=0.0) < opt_tol
         if done.any():
             best_x[rows[done]], best_f[rows[done]] = sim[done, 0], fv[done, 0]
             active = ~done

@@ -24,7 +24,7 @@ from .errors import (
     UnsupportedError,
 )
 from .minkowski import GeneralizedMinkowskiSpace, embed, product_plus
-from .norms import MAX, NormSpec, SipSpace, norm_batch, norm_rows, sip, sip_matrix, sip_rows
+from .norms import MAX, NormSpec, SipSpace, norm_batch, norm_rows, sip, sip_rows
 from .numerics import DEFAULT_TOLERANCES, Tolerances, as_seed, dot_rows, minimize, minimize_rows, pow_rows, row_kernel
 
 
@@ -244,27 +244,37 @@ def _unit_vectors(norm_spec: NormSpec, thetas: np.ndarray) -> np.ndarray:
     return dirs / norm_batch(norm_spec, dirs)[:, None]
 
 
-_DET_BLOCK = 64  # grid rows per block of the |det| search: 64 x 720 doubles is 369 kB
+_DET_BLOCK = 64  # grid rows per block of a pair search: 64 x 720 doubles is 369 kB
 
 
-def _max_det_pair(U: np.ndarray) -> tuple[int, int]:
-    """(i, j) of the largest |det(U[i], U[j])| over the grid of unit vectors
-    U: the first maximum in row-major order, or the first NaN, as
-    ``np.argmax`` over the full matrix gives it.
+def _abs_dets(U: np.ndarray, r: int) -> np.ndarray:
+    """|det(U[i], U[j])| for the block of rows i = r, r + 1, ... and the
+    columns j >= r."""
+    B, C = U[r : r + _DET_BLOCK], U[r:]
+    return np.abs(B[:, 0][:, None] * C[:, 1][None, :] - B[:, 1][:, None] * C[:, 0][None, :])
 
-    The search takes a block of rows at a time.  Entry (j, i) is the exact
-    negative of entry (i, j), so an entry left of the diagonal block is
-    matched by one in an earlier row, and a block of rows r, r + 1, ...
-    needs only the columns from r on.
+
+def _max_det_pair(U: np.ndarray, score=_abs_dets, slack: float = 0.0) -> tuple[int, int]:
+    """(i, j) of the first entry, in row-major order, of a symmetric score
+    matrix over the grid U that is within ``slack`` of its maximum, or of
+    its first NaN; by default the score is |det(U[i], U[j])|, and the pair
+    is the first maximum, as ``np.argmax`` over the full matrix gives it.
+
+    ``score(U, r)`` gives the block of rows r, r + 1, ... and the columns
+    from r on.  Entry (j, i) equals entry (i, j), so an entry left of the
+    diagonal block is matched by one in an earlier row, and the first
+    qualifying entry lies in the first block whose maximum qualifies.  One
+    pass takes the maximum of every block; that first block is then
+    computed again to find the entry.
     """
-    best, best_ij = -np.inf, (0, 0)
-    for r in range(0, len(U), _DET_BLOCK):
-        B, C = U[r : r + _DET_BLOCK], U[r:]
-        dets = np.abs(B[:, 0][:, None] * C[:, 1][None, :] - B[:, 1][:, None] * C[:, 0][None, :])
-        k = int(np.argmax(dets))
-        if dets.flat[k] > best or (np.isnan(dets.flat[k]) and not np.isnan(best)):
-            best, best_ij = dets.flat[k], (r + k // len(C), r + k % len(C))
-    return best_ij
+    starts = range(0, len(U), _DET_BLOCK)
+    peaks = np.array([np.max(score(U, r)) for r in starts])
+    top = np.max(peaks)  # NaN when some block holds one
+    qualifies = (lambda s: np.isnan(s)) if np.isnan(top) else (lambda s: s >= top - slack)
+    r = starts[int(np.argmax(qualifies(peaks)))]
+    hit = qualifies(score(U, r))
+    k = int(np.argmax(hit))
+    return r + k // hit.shape[1], r + k % hit.shape[1]
 
 
 def auerbach_basis_2d(
@@ -342,23 +352,36 @@ def _refine_orthogonal_angles(space: SipSpace, angles: np.ndarray) -> np.ndarray
 
 
 def _sip_orthogonal_pair(space: SipSpace, tolerances: Tolerances, grid: int = 720):
-    """Mutually sip-orthogonal unit pair of maximal |det| in a 2-d block."""
+    """Mutually sip-orthogonal unit pair of maximal |det| in a 2-d block.
+
+    The s.i.p. is linear in its first argument, so [U[i], U[j]] is
+    U[i] . R[j] with the functional R[j, k] = [e_k, U[j]], found once with
+    one :func:`~sipmink.norms.sip_rows` call per basis vector; the grid of
+    pairs is searched a block of rows at a time (:func:`_max_det_pair`).
+    """
     thetas = np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)
     U = _unit_vectors(space.norm, thetas)
-    S = sip_matrix(space, U, U)
-    resid = np.maximum(np.abs(S), np.abs(S.T))
-    dets = np.abs(U[:, 0][:, None] * U[:, 1][None, :] - U[:, 1][:, None] * U[:, 0][None, :])
-    ok = resid <= tolerances.eq_tol
-    if np.any(ok):
-        scored = np.where(ok, dets, -1.0)
-        # ties at float level resolve to the lowest index, keeping the
-        # selection canonical (axis-aligned pairs come first on the grid)
-        candidates = np.argwhere(scored >= scored.max() - 1e-9)
-        i, j = candidates[0]
+    R = np.stack([sip_rows(space, np.broadcast_to(e, U.shape), U) for e in np.eye(2)], axis=1)
+
+    def resid(rows, cols):  # max(|[U[i], U[j]]|, |[U[j], U[i]]|), symmetric bit for bit
+        ij = U[rows, 0][:, None] * R[cols, 0][None, :] + U[rows, 1][:, None] * R[cols, 1][None, :]
+        ji = R[rows, 0][:, None] * U[cols, 0][None, :] + R[rows, 1][:, None] * U[cols, 1][None, :]
+        return np.maximum(np.abs(ij), np.abs(ji))
+
+    def block(r):
+        return slice(r, r + _DET_BLOCK), slice(r, None)
+
+    def orthogonal_dets(U, r):
+        return np.where(resid(*block(r)) <= tolerances.eq_tol, _abs_dets(U, r), -1.0)
+
+    # ties within 1e-9 resolve to the lowest index, keeping the selection
+    # canonical (axis-aligned pairs come first on the grid)
+    i, j = _max_det_pair(U, orthogonal_dets, 1e-9)
+    if resid([i], [j])[0, 0] <= tolerances.eq_tol:
         return U[i], U[j]
     if not space.norm.is_smooth:
         raise ConvergenceError("no product-orthogonal pair found on the angle grid")
-    i, j = np.unravel_index(int(np.argmin(resid)), resid.shape)
+    i, j = _max_det_pair(U, lambda U, r: -resid(*block(r)))  # the first least residual
     a = _refine_orthogonal_angles(space, np.array([thetas[i], thetas[j]]))
     u = _unit_vectors(space.norm, np.array([a[0]]))[0]
     v = _unit_vectors(space.norm, np.array([a[1]]))[0]

@@ -99,13 +99,6 @@ class SiipSpace:
         return siip_rows(self, U, V)
 
 
-def _support(v: np.ndarray) -> np.ndarray:
-    vmax = np.max(np.abs(v))
-    if vmax == 0.0:
-        return np.zeros(v.shape, dtype=bool)
-    return np.abs(v) > _SUPPORT_TOL * vmax
-
-
 def _supporting_functional(norm_spec: NormSpec, unit_v: np.ndarray) -> np.ndarray:
     # finite-difference gradient of the norm, rescaled so ell(v) = 1 exactly
     h = first_diff_step(1.0)
@@ -144,13 +137,6 @@ def _hessian(gfun: Callable, v: np.ndarray) -> np.ndarray:
 
 def _siip_vector(space: SiipSpace, u: np.ndarray, v: np.ndarray) -> float:
     """[u, v] of the variants with no array form, one pair of vectors."""
-    if space.kind == CROSS_POLYTOPE:
-        supp = _support(v)
-        if not np.any(supp):
-            return 0.0
-        k = int(np.sum(supp)) - 1
-        one_norm = float(np.sum(np.abs(v[supp])))
-        return float((-1.0) ** k * one_norm * np.sum(np.sign(v[supp]) * u[supp]))
     if not np.any(v):
         raise DomainError("this variant is undefined at v = 0")
     if space.kind == SIGN_FUNCTION:
@@ -167,15 +153,39 @@ def _siip_vector(space: SiipSpace, u: np.ndarray, v: np.ndarray) -> float:
     raise DomainError(f"unknown variant {space.kind!r}")
 
 
+def _cross_polytope_rows(U: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """The cross-polytope product (-1)^(k-1) |v_S|_1 sum_{i in S} sgn(v_i) u_i
+    of each row, over the support S of v (the k entries above
+    ``_SUPPORT_TOL`` times max |v_i|); 0 where S is empty.
+
+    Each row's support goes first, in coordinate order, and the rows with
+    one support size are summed together, so every sum rounds as the sum
+    over its support alone.
+    """
+    A = np.abs(V)
+    supp = A > _SUPPORT_TOL * reduce_last(np.maximum, A)[:, None]
+    count = np.count_nonzero(supp, axis=1)
+    first = np.argsort(~supp, axis=1, kind="stable")[None]
+    terms = np.take_along_axis(np.stack([A, np.sign(V) * U]), first, axis=2)
+    out = np.zeros(len(V))
+    for k in np.unique(count[count > 0]):
+        rows = count == k
+        one_norm, signed = np.add.reduce(np.ascontiguousarray(terms[:, rows, :k]), axis=2)
+        out[rows] = (-1.0) ** (k - 1) * one_norm * signed
+    return out
+
+
 def siip_rows(space: SiipSpace, U, V) -> np.ndarray:
     """Row-wise s.i.i.p. ``[U[i], V[i]]`` of the given variant, for two
     (N, dim) arrays.
 
-    The diagonal product and the weighted plane run as array code; the other
-    variants loop over their rows.
+    The diagonal, weighted-plane and cross-polytope products run as array
+    code; the other variants loop over their rows.
     """
     U = check_dim(U, space.dim, rows=True)
     V = check_dim(V, space.dim, rows=True)
+    if space.kind == CROSS_POLYTOPE:
+        return _cross_polytope_rows(U, V)
     if space.kind == DIAGONAL:
         return reduce_last(np.add, np.array(space.signature) * U * V)  # a -0.0 sum gives +0.0, as np.sum does
     if space.kind == WEIGHTED_PLANE:

@@ -34,9 +34,11 @@ from sipmink.minkowski import (
     product_plus,
 )
 from sipmink.norms import NormSpec, norm, norm_batch, sip
-from sipmink.numerics import DEFAULT_TOLERANCES, central_diff, first_diff_step, integrate, minimize, minimize_rows
+from sipmink.numerics import DEFAULT_TOLERANCES, central_diff, first_diff_step, integrate, minimize_rows
 from sipmink.ortho import orthogonal_companion_basis
 from sipmink.suites import suite_geodesic_cosh
+
+from references import reference_minimize
 
 PSEUDO21 = GeneralizedMinkowskiSpace.pseudo_euclidean(2)
 PSEUDO31 = GeneralizedMinkowskiSpace.pseudo_euclidean(3)
@@ -268,7 +270,7 @@ def _vstack_relax_sweep(space, s_nodes, quad_m, opt_tol):
             return float(np.sum(L * L))
 
         try:
-            best, _ = minimize(local, s_nodes[i], opt_tol=max(opt_tol, 1e-8), max_iter=300)
+            best, _ = reference_minimize(local, s_nodes[i], opt_tol=max(opt_tol, 1e-8), max_iter=300)
         except ConvergenceError as err:
             best = err.best_point
         s_nodes[i] = best
@@ -372,7 +374,7 @@ class TestSolverAssembly:
 
 def _reference_relax_simplex(space, s_nodes, quad_m, sweeps, opt_tol, ran=None):
     """Reference: the node-wise relaxation as one sequential Gauss-Seidel
-    loop, one minimize call per node and sweep; appends the number of sweeps
+    loop, one Nelder-Mead descent per node and sweep; appends the number of sweeps
     it ran to ``ran``."""
     m = s_nodes.shape[0] - 1
     for sweep in range(sweeps):
@@ -389,7 +391,7 @@ def _reference_relax_simplex(space, s_nodes, quad_m, sweeps, opt_tol, ran=None):
                 return float(np.add.reduce(L * L))
 
             try:
-                best, _ = minimize(local, s_nodes[i], opt_tol=max(opt_tol, 1e-8), max_iter=300)
+                best, _ = reference_minimize(local, s_nodes[i], opt_tol=max(opt_tol, 1e-8), max_iter=300)
             except ConvergenceError as err:  # keep the best point found
                 best = err.best_point
             moved = max(moved, float(np.max(np.abs(best - s_nodes[i]))))

@@ -16,7 +16,6 @@ from sipmink.norms import (
     product_axiom_report,
     sip,
     sip_axiom_report,
-    sip_matrix,
     sip_second_arg_derivative,
 )
 from sipmink.numerics import Seed, central_diff, first_diff_step
@@ -125,15 +124,6 @@ class TestSip:
                 fd = ny * norm_first_derivative(space, x, y)
                 bound = 1e-5 * max(1.0, norm(space, x) * ny)
                 assert abs(sip(space, x, y) - fd) <= bound
-
-    def test_sip_matrix_matches_pointwise(self, rng):
-        U = rng.uniform(-2, 2, (6, 2))
-        V = rng.uniform(-2, 2, (5, 2))
-        for space in (E2, MAX2, P3):
-            M = sip_matrix(space, U, V)
-            for i in range(6):
-                for j in range(5):
-                    assert M[i, j] == pytest.approx(sip(space, U[i], V[j]), abs=1e-12)
 
 
 class TestAxiomReport:

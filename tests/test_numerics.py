@@ -19,6 +19,8 @@ from sipmink.numerics import (
     second_diff,
 )
 
+from references import reference_minimize
+
 
 class TestTolerances:
     def test_defaults(self):
@@ -137,55 +139,6 @@ class TestMinimize:
         assert err.value.best_value is not None
 
 
-def _reference_minimize(f, x0, opt_tol=1e-7, max_iter=2000):
-    """Reference: the Nelder-Mead descent with numpy's isfinite, mean and max."""
-
-    def finite(value):
-        value = float(value)
-        if not np.isfinite(value):
-            raise NumericalError(f"non-finite value in minimize: {value!r}")
-        return value
-
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    n = x0.size
-    edge = 0.1 * max(1.0, float(np.linalg.norm(x0)))
-    sim = np.empty((n + 1, n))
-    sim[0] = x0
-    for i in range(n):
-        sim[i + 1] = x0
-        sim[i + 1, i] += edge
-    fv = np.array([finite(f(v)) for v in sim])
-    for _ in range(max_iter):
-        order = np.argsort(fv, kind="stable")
-        sim, fv = sim[order], fv[order]
-        diam = float(np.max(np.abs(sim[1:] - sim[0]))) if n else 0.0
-        if diam < opt_tol:
-            return sim[0].copy(), float(fv[0])
-        centroid = sim[:-1].mean(axis=0)
-        xr = centroid + (centroid - sim[-1])
-        fr = finite(f(xr))
-        if fr < fv[0]:
-            xe = centroid + 2.0 * (centroid - sim[-1])
-            fe = finite(f(xe))
-            if fe < fr:
-                sim[-1], fv[-1] = xe, fe
-            else:
-                sim[-1], fv[-1] = xr, fr
-        elif fr < fv[-2]:
-            sim[-1], fv[-1] = xr, fr
-        else:
-            inside = fr >= fv[-1]
-            xc = centroid + 0.5 * ((sim[-1] if inside else xr) - centroid)
-            fc = finite(f(xc))
-            if fc < min(fr, fv[-1]):
-                sim[-1], fv[-1] = xc, fc
-            else:
-                sim[1:] = sim[0] + 0.5 * (sim[1:] - sim[0])
-                fv[1:] = [finite(f(v)) for v in sim[1:]]
-    best = int(np.argmin(fv))
-    raise ConvergenceError("budget", best_point=sim[best].copy(), best_value=float(fv[best]))
-
-
 def _two_segment_max_objective():
     """The node-wise local objective of the max-norm geodesic relaxation."""
     space = max_norm_spacetime()
@@ -213,7 +166,7 @@ class TestMinimizeMatchesReference:
     @REFERENCE_OBJECTIVES
     def test_same_point_and_value(self, f, x0):
         pt, val = minimize(f, np.array(x0), opt_tol=1e-8, max_iter=300)
-        ref_pt, ref_val = _reference_minimize(f, np.array(x0), opt_tol=1e-8, max_iter=300)
+        ref_pt, ref_val = reference_minimize(f, np.array(x0), opt_tol=1e-8, max_iter=300)
         assert np.array_equal(pt, ref_pt) and val == ref_val
 
     @REFERENCE_OBJECTIVES
@@ -221,7 +174,7 @@ class TestMinimizeMatchesReference:
         with pytest.raises(ConvergenceError) as err:
             minimize(f, np.array(x0), max_iter=5)
         with pytest.raises(ConvergenceError) as ref:
-            _reference_minimize(f, np.array(x0), max_iter=5)
+            reference_minimize(f, np.array(x0), max_iter=5)
         assert np.array_equal(err.value.best_point, ref.value.best_point)
         assert err.value.best_value == ref.value.best_value
 
@@ -232,9 +185,32 @@ class TestMinimizeMatchesReference:
     )
     def test_nan_objective_raises(self, f):
         with pytest.raises(NumericalError):
-            _reference_minimize(f, np.array([1.0, 1.0]))
+            reference_minimize(f, np.array([1.0, 1.0]))
         with pytest.raises(NumericalError):
             minimize(f, np.array([1.0, 1.0]))
+
+    def test_nan_at_a_later_vertex_stops_where_the_reference_stops(self):
+        # the second vertex of the start simplex gives NaN and the third inf:
+        # the NaN is reported, and the third vertex is never evaluated
+        def recorded(calls):
+            def f(x):
+                calls.append(x.copy())
+                return math.nan if x[0] > 1.0 else (math.inf if x[1] > 1.0 else float(x @ x))
+            return f
+
+        got, ref = [], []
+        with pytest.raises(NumericalError) as err:
+            minimize(recorded(got), np.array([1.0, 1.0]))
+        with pytest.raises(NumericalError) as ref_err:
+            reference_minimize(recorded(ref), np.array([1.0, 1.0]))
+        assert str(err.value) == str(ref_err.value) == "non-finite value in minimize: nan"
+        assert len(got) == len(ref) == 2 and all(np.array_equal(a, b) for a, b in zip(got, ref))
+
+    def test_zero_length_start(self):
+        f = lambda x: 2.5 + float(np.sum(x))
+        pt, val = minimize(f, np.zeros(0))
+        ref_pt, ref_val = reference_minimize(f, np.zeros(0))
+        assert pt.shape == ref_pt.shape == (0,) and val == ref_val == 2.5
 
 
 def _row_objective(problems, calls=None):
@@ -280,7 +256,7 @@ class TestMinimizeRows:
         assert converged.all()
         for i, (f, x0) in enumerate(zip(problems, X0)):
             pt, val = minimize(f, np.array(x0), opt_tol=1e-8, max_iter=500)
-            ref_pt, ref_val = _reference_minimize(f, np.array(x0), opt_tol=1e-8, max_iter=500)
+            ref_pt, ref_val = reference_minimize(f, np.array(x0), opt_tol=1e-8, max_iter=500)
             assert np.array_equal(P[i], pt) and V[i] == val
             assert np.array_equal(P[i], ref_pt) and V[i] == ref_val
         last_call = [max(k for k, rows in enumerate(calls) if i in rows) for i in range(len(problems))]
@@ -309,10 +285,10 @@ class TestMinimizeRows:
         P, V, converged = minimize_rows(_row_objective(problems), np.array(X0), opt_tol=1e-8, max_iter=budget)
         assert converged.tolist() == [True, False, True]
         with pytest.raises(ConvergenceError) as ref:
-            _reference_minimize(problems[1], np.array(X0[1]), opt_tol=1e-8, max_iter=budget)
+            reference_minimize(problems[1], np.array(X0[1]), opt_tol=1e-8, max_iter=budget)
         assert np.array_equal(P[1], ref.value.best_point) and V[1] == ref.value.best_value
         for i in (0, 2):
-            pt, val = _reference_minimize(problems[i], np.array(X0[i]), opt_tol=1e-8, max_iter=budget)
+            pt, val = reference_minimize(problems[i], np.array(X0[i]), opt_tol=1e-8, max_iter=budget)
             assert np.array_equal(P[i], pt) and V[i] == val
 
     @pytest.mark.parametrize("at", ["start", "mid-descent"])

@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from sipmink.errors import DegenerateError, DomainError, NeutralPivotError
+from sipmink import ortho
+from sipmink.errors import ConvergenceError, DegenerateError, DomainError, NeutralPivotError
 from sipmink.minkowski import GeneralizedMinkowskiSpace, max_norm_spacetime, product_plus
 from sipmink.norms import NormSpec, SipSpace, norm, norm_batch, sip
-from sipmink.numerics import Seed, minimize
+from sipmink.numerics import Seed, Tolerances
 from sipmink.ortho import (
     OrthoRelation,
     _pythagorean_residuals,
@@ -20,6 +23,8 @@ from sipmink.ortho import (
     regular_orthogonalization,
 )
 from sipmink.siip import SiipSpace, siip
+
+from references import reference_minimize
 
 E2 = SipSpace.euclidean(2)
 E3 = SipSpace.euclidean(3)
@@ -235,6 +240,44 @@ class TestMinkowskiAuerbach:
         with pytest.raises(Exception):
             minkowski_auerbach(space)
 
+    def test_custom_gauge_block(self):
+        # the grid search takes the block's own products, so a gauge block needs no closed form
+        space = GeneralizedMinkowskiSpace.from_norms(
+            NormSpec.custom_gauge(lambda v: float(abs(v[0]) + 2.0 * abs(v[1])), 2), NormSpec.euclidean(1)
+        )
+        basis = minkowski_auerbach(space)
+        assert np.array(basis) == pytest.approx(np.diag([1.0, 0.5, 1.0]), abs=1e-12)
+
+    def test_max_block_without_an_orthogonal_grid_pair_raises(self):
+        # on the grid [e_2, e_1] is cos(pi/2) = 6.1e-17, above this eq_tol
+        with pytest.raises(ConvergenceError, match="no product-orthogonal pair found on the angle grid"):
+            minkowski_auerbach(max_norm_spacetime(), tolerances=Tolerances(eq_tol=1e-17))
+
+    def test_smooth_block_refinement_short_of_tolerance_raises(self, monkeypatch):
+        refined = []
+
+        def refine(space, angles):
+            refined.append(angles)
+            return _refine(space, angles)
+
+        _refine = ortho._refine_orthogonal_angles
+        monkeypatch.setattr(ortho, "_refine_orthogonal_angles", refine)
+        space = GeneralizedMinkowskiSpace.from_norms(NormSpec.pnorm(3.0, 2), NormSpec.euclidean(1))
+        with pytest.raises(ConvergenceError, match="orthogonality refinement did not reach tolerance"):
+            minkowski_auerbach(space, tolerances=Tolerances(eq_tol=1e-17))
+        assert len(refined) == 1
+
+    def test_peak_memory(self):
+        space = GeneralizedMinkowskiSpace.pseudo_euclidean(2)
+        minkowski_auerbach(space)  # first-call allocations are not the search's
+        tracemalloc.start()
+        try:
+            minkowski_auerbach(space)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3e6
+
 
 def _loop_birkhoff_margin(space, x, y, opt_tol=1e-7):
     """Reference: birkhoff_margin with one scalar norm call per seed-grid point."""
@@ -249,7 +292,7 @@ def _loop_birkhoff_margin(space, x, y, opt_tol=1e-7):
     grid = np.linspace(-8.0, 8.0, 33)
     vals = [f(t) for t in grid]
     t0 = float(grid[int(np.argmin(vals))])
-    pt, val = minimize(lambda t: f(t[0]), np.array([t0]), opt_tol=opt_tol, max_iter=500)
+    pt, val = reference_minimize(lambda t: f(t[0]), np.array([t0]), opt_tol=opt_tol, max_iter=500)
     best_t, best_v = float(pt[0]), float(val)
     if min(vals) < best_v:
         best_t, best_v = t0, float(min(vals))

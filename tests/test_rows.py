@@ -56,7 +56,6 @@ from sipmink.numerics import (
     dot_rows,
     first_diff_step,
     matvec_rows,
-    minimize,
     pow_rows,
     reduce_last,
     row_kernel,
@@ -71,6 +70,8 @@ from sipmink.siip import (
     siip_axiom_trials,
     siip_rows,
 )
+
+from references import reference_minimize
 
 SMOOTH_SPACES = {
     "euclidean2": SipSpace.euclidean(2),
@@ -136,7 +137,15 @@ def _reference_classify(space, v, class_tol):
 
 
 def _reference_siip(space, u, v):
-    """The diagonal and weighted-plane closed forms."""
+    """The diagonal, weighted-plane and cross-polytope closed forms."""
+    if space.kind == "cross_polytope":
+        vmax = np.max(np.abs(v))
+        supp = np.zeros(v.shape, dtype=bool) if vmax == 0.0 else np.abs(v) > 1e-9 * vmax
+        if not np.any(supp):
+            return 0.0
+        k = int(np.sum(supp)) - 1
+        one_norm = float(np.sum(np.abs(v[supp])))
+        return float((-1.0) ** k * one_norm * np.sum(np.sign(v[supp]) * u[supp]))
     if space.kind == "diagonal":
         return float(np.sum(np.array(space.signature) * u * v))
     assert space.kind == "weighted_plane"
@@ -270,6 +279,23 @@ class TestSiipRows:
         expected = _scalar(lambda u, v: _reference_siip(space, u, v), U, V)
         assert np.array_equal(got, expected) and np.array_equal(np.signbit(got), np.signbit(expected))
         assert not np.any(np.signbit(got[::7]))  # a -0.0 sum gives +0.0, as np.sum does
+
+    # 8 and more support entries are summed pairwise by numpy, fewer in order
+    @pytest.mark.parametrize("dim", [1, 2, 3, 8, 9, 17])
+    def test_cross_polytope_closed_form(self, rng, dim):
+        space = SiipSpace.cross_polytope(dim)
+        U, V = _rows(rng, 2000, dim), _rows(rng, 2000, dim)
+        V[::2] *= 10.0 ** rng.integers(-12, 3, V[::2].shape)  # entries on both sides of the support threshold
+        V[::5] = np.round(V[::5])  # ties and zeros
+        V[1::7] = 0.0
+        V[2::7, 0] = np.nan
+        U[3::7] = -0.0
+        V[4::7] = np.where(rng.random(V[4::7].shape) < 0.3, V[4::7], 0.0)  # small supports
+        got = siip_rows(space, U, V)
+        expected = _scalar(lambda u, v: _reference_siip(space, u, v), U, V)
+        assert np.array_equal(got, expected) and np.array_equal(np.signbit(got), np.signbit(expected))
+        supports = {np.count_nonzero(np.abs(v) > 1e-9 * np.max(np.abs(v))) for v in V}
+        assert {0, 1, dim} <= supports
 
     @pytest.mark.parametrize("space", [SiipSpace.cross_polytope(3), SiipSpace.diagonal((1, 1, -1))])
     def test_other_variants_loop_over_siip(self, rng, space):
@@ -1203,7 +1229,7 @@ def _loop_birkhoff_margin(space, x, y, opt_tol=1e-7):
     vals = np.array([f(t) for t in grid])
     i0 = int(np.argmin(vals))
     t0 = float(grid[i0])
-    pt, val = minimize(lambda t: f(t[0]), np.array([t0]), opt_tol=opt_tol, max_iter=500)
+    pt, val = reference_minimize(lambda t: f(t[0]), np.array([t0]), opt_tol=opt_tol, max_iter=500)
     best_t, best_v = float(pt[0]), float(val)
     if vals[i0] < best_v:
         best_t, best_v = t0, float(vals[i0])
@@ -1247,6 +1273,30 @@ def _full_argmax_pair(U):
     return tuple(int(i) for i in np.unravel_index(int(np.argmax(dets)), dets.shape)), dets
 
 
+def _full_sip_orthogonal_pair(space, tolerances, grid=720):
+    """The s.i.p.-orthogonal pair search on full grid matrices of the same
+    products, [U[i], U[j]] = U[i] . R[j] with R[j, k] = [e_k, U[j]]."""
+    thetas = np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)
+    U = ortho._unit_vectors(space.norm, thetas)
+    R = np.stack([sip_rows(space, np.broadcast_to(e, U.shape), U) for e in np.eye(2)], axis=1)
+    S = U[:, 0][:, None] * R[:, 0][None, :] + U[:, 1][:, None] * R[:, 1][None, :]
+    resid = np.maximum(np.abs(S), np.abs(S.T))
+    _, dets = _full_argmax_pair(U)
+    ok = resid <= tolerances.eq_tol
+    if np.any(ok):
+        scored = np.where(ok, dets, -1.0)
+        i, j = np.argwhere(scored >= scored.max() - 1e-9)[0]
+        return U[i], U[j]
+    if not space.norm.is_smooth:
+        raise ConvergenceError("no product-orthogonal pair found on the angle grid")
+    i, j = np.unravel_index(int(np.argmin(resid)), resid.shape)
+    a = ortho._refine_orthogonal_angles(space, np.array([thetas[i], thetas[j]]))
+    u, v = ortho._unit_vectors(space.norm, a)
+    if max(abs(sip(space, u, v)), abs(sip(space, v, u))) > tolerances.eq_tol:
+        raise ConvergenceError("orthogonality refinement did not reach tolerance")
+    return u, v
+
+
 def _loop_auerbach_basis_2d(spec, opt_tol=1e-7):
     thetas = np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False)
     (i, j), _ = _full_argmax_pair(ortho._unit_vectors(spec, thetas))
@@ -1256,7 +1306,7 @@ def _loop_auerbach_basis_2d(spec, opt_tol=1e-7):
         u, v = unit(angles[0]), unit(angles[1])
         return -abs(u[0] * v[1] - u[1] * v[0])
 
-    best, _ = minimize(objective, np.array([thetas[i], thetas[j]]), opt_tol=opt_tol, max_iter=800)
+    best, _ = reference_minimize(objective, np.array([thetas[i], thetas[j]]), opt_tol=opt_tol, max_iter=800)
     u, v = unit(best[0]), unit(best[1])
     for a, b in ((u, v), (v, u)):
         if _loop_birkhoff_margin(spec, a, b, opt_tol)[0] < norm(spec, a) - 10.0 * opt_tol:
@@ -1448,6 +1498,38 @@ class TestOrthogonalityKernels:
         expected, dets = _full_argmax_pair(U)
         assert np.count_nonzero(dets == dets.max()) == ties
         assert ortho._max_det_pair(U) == expected
+
+    # a symmetric score whose maximum sits in the last block, with entries
+    # just inside and just outside the 1e-9 slack in earlier blocks
+    @pytest.mark.parametrize("slack", [0.0, 1e-9])
+    @pytest.mark.parametrize("plant", ["none", "inside", "outside", "nan"])
+    def test_blocked_score_search_matches_the_full_matrix(self, rng, slack, plant):
+        M = rng.uniform(0.0, 1.0, (150, 150))
+        M[140, 145] = 2.0
+        M[70, 71] = {"none": 0.5, "inside": 2.0 - 0.5e-9, "outside": 2.0 - 2e-9, "nan": np.nan}[plant]
+        M[20, 130] = 2.0 - 0.9e-9 if plant == "inside" else 0.5
+        M = np.maximum(M, M.T)
+        top = np.max(M)
+        expected = np.argwhere(np.isnan(M) if np.isnan(top) else M >= top - slack)[0]
+        got = ortho._max_det_pair(np.zeros((150, 2)), lambda U, r: M[r : r + ortho._DET_BLOCK, r:], slack)
+        assert got == tuple(expected)
+        assert got == {"none": (140, 145), "inside": (20, 130) if slack else (140, 145), "outside": (140, 145), "nan": (70, 71)}[plant]
+
+    @pytest.mark.parametrize("eq_tol", [1e-9, 1e-17])
+    @pytest.mark.parametrize("grid", [720, 100, 130])
+    @pytest.mark.parametrize("norm_spec", [NormSpec.euclidean(2), NormSpec.pnorm(1.5, 2), NormSpec.pnorm(3.0, 2),
+                                           NormSpec.pnorm(4.0, 2), NormSpec.max_norm(2)],
+                             ids=["euclidean", "p1.5", "p3", "p4", "max"])
+    def test_sip_orthogonal_pair_matches_the_full_matrix_search(self, norm_spec, grid, eq_tol):
+        space, tolerances = SipSpace(norm_spec), Tolerances(eq_tol=eq_tol)
+        try:
+            expected = _full_sip_orthogonal_pair(space, tolerances, grid)
+        except ConvergenceError as err:
+            with pytest.raises(ConvergenceError, match=str(err)):
+                ortho._sip_orthogonal_pair(space, tolerances, grid)
+        else:
+            got = ortho._sip_orthogonal_pair(space, tolerances, grid)
+            assert all(np.array_equal(g, e) for g, e in zip(got, expected))
 
     @pytest.mark.parametrize("name", ["euclidean2", "pnorm3", "max2"])
     def test_auerbach_basis(self, name):
