@@ -125,9 +125,12 @@ def pow_rows(base, exponent: float) -> np.ndarray:
 
     numpy's array power can differ from libm ``pow`` in the last bit, and so
     can ``x * x`` from ``x ** 2``; row kernels that must reproduce a scalar
-    computation bit for bit take their powers here.
+    computation bit for bit take their powers here.  ``np.float_power`` calls
+    libm ``pow`` per element, as ``math.pow`` does.  Where ``math.pow`` raises,
+    numpy warns and this gives C ``pow``'s value: an infinity on overflow or for
+    a zero base and a negative exponent, nan for a negative base and a fraction.
     """
-    return np.array([math.pow(b, exponent) for b in np.asarray(base, dtype=float).tolist()], dtype=float)
+    return np.float_power(np.asarray(base, dtype=float), exponent)
 
 
 def row_kernel(fn: Callable) -> Callable:

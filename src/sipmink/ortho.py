@@ -21,6 +21,7 @@ from .errors import (
     DimensionError,
     DomainError,
     NeutralPivotError,
+    NumericalError,
     UnsupportedError,
 )
 from .minkowski import GeneralizedMinkowskiSpace, embed, product_plus
@@ -428,36 +429,43 @@ def minkowski_auerbach(
 def pythagorean_subspace_scan(norm_spec: NormSpec, resolution: int = 360):
     """Scan direction pairs for mutually Pythagorean-orthogonal lines.
 
-    Directions are unit vectors on [0, pi); the subspace condition is
-    checked on a grid of scalings of both directions.  Returns the best
-    pair when its worst residual is below 1e-6, else None.
+    Directions are unit vectors on [0, pi).  Returns the first row-major pair
+    of least worst residual |lam^2 + mu^2 - |lam U[i] - mu U[j]|^2| over lam,
+    mu in +-{1/4, 1/2, 1, 2} if that is at most 1e-6, else None.  (-lam, -mu)
+    gives -D and (mu, lam) the (j, i) entry, so 20 scale pairs in both
+    orientations cover all 64.  They run as a cascade: the first over the
+    pairs i <= j, a block of rows at a time, each later one over the pairs
+    still at most 1e-6.  A maximum never rounds, and every least pair
+    survives if at most 1e-6, so the pair is the full matrix's.  A
+    non-finite norm raises :class:`NumericalError`.
     """
     if norm_spec.dim != 2:
         raise UnsupportedError("the scan covers two-dimensional norms")
     if resolution < 90:
         raise DomainError("resolution must be at least 90")
     U = _unit_vectors(norm_spec, np.linspace(0.0, np.pi, resolution, endpoint=False))
-    worst = _pythagorean_residuals(norm_spec, U)
-    i, j = np.unravel_index(int(np.argmin(worst)), worst.shape)
-    if worst[i, j] <= 1e-6:
-        return U[i], U[j]
-    return None
-
-
-def _pythagorean_residuals(norm_spec: NormSpec, U: np.ndarray) -> np.ndarray:
-    """worst[i, j]: the largest |lam^2 + mu^2 - |lam U[i] - mu U[j]|^2| over
-    lam, mu in +-{1/4, 1/2, 1, 2}.
-
-    (-lam, -mu) gives -D, whose norms are the same, and (mu, lam) gives
-    -D.T; so 20 of the 64 scale pairs cover all, with the transpose of
-    the maximum taken at the end.
-    """
-    n = U.shape[0]
-    worst = np.zeros((n, n))
     scales = (0.25, 0.5, 1.0, 2.0)
-    for a, lam in enumerate(scales):
-        for mu in (s * m for m in scales[a:] for s in (1.0, -1.0)):
-            D = lam * U[:, None, :] - mu * U[None, :, :]
-            nd = norm_batch(norm_spec, D.reshape(-1, 2)).reshape(n, n)
-            worst = np.maximum(worst, np.abs(lam * lam + mu * mu - nd * nd))
-    return np.maximum(worst, worst.T)
+    pairs = [(lam, s * m) for a, lam in enumerate(scales) for m in scales[a:] for s in (1.0, -1.0)]
+
+    def residual(lam, mu, A, B):  # both orientations, element-wise
+        nd = norm_batch(norm_spec, lam * A - mu * B), norm_batch(norm_spec, lam * B - mu * A)
+        if not (np.isfinite(nd[0]).all() and np.isfinite(nd[1]).all()):
+            raise NumericalError("the norm is not finite on a scaled direction pair")
+        return np.maximum(*(np.abs(lam * lam + mu * mu - v * v) for v in nd))
+
+    hits = []
+    for r in range(0, len(U), _DET_BLOCK):
+        block = residual(*pairs[0], U[r : r + _DET_BLOCK, None], U[None, r:])
+        rows, cols = np.nonzero(block <= 1e-6)
+        hits.append((rows + r, cols + r, block[rows, cols]))
+    I, J, worst = (np.concatenate(k) for k in zip(*hits))
+    for lam, mu in pairs[1:]:
+        if len(I) == 0:
+            break
+        worst = np.maximum(worst, residual(lam, mu, U[I], U[J]))
+        keep = worst <= 1e-6
+        I, J, worst = I[keep], J[keep], worst[keep]
+    if len(I) == 0:
+        return None
+    k = int(np.argmin(worst))
+    return U[I[k]], U[J[k]]

@@ -8,6 +8,7 @@ code with itself.
 import numpy as np
 
 from sipmink.errors import ConvergenceError, NumericalError
+from sipmink.norms import norm_batch
 
 
 def reference_minimize(f, x0, opt_tol=1e-7, max_iter=2000):
@@ -57,3 +58,23 @@ def reference_minimize(f, x0, opt_tol=1e-7, max_iter=2000):
                 fv[1:] = [finite(f(v)) for v in sim[1:]]
     best = int(np.argmin(fv))
     raise ConvergenceError("budget", best_point=sim[best].copy(), best_value=float(fv[best]))
+
+
+def reference_pythagorean_scan(norm_spec, resolution):
+    """Reference: the Pythagorean subspace scan over the full matrix of worst
+    residuals, 20 scale pairs folded with the transpose, and the first
+    ``np.argmin``; returns the pair when its residual is at most 1e-6."""
+    thetas = np.linspace(0.0, np.pi, resolution, endpoint=False)
+    dirs = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
+    U = dirs / norm_batch(norm_spec, dirs)[:, None]
+    n = U.shape[0]
+    worst = np.zeros((n, n))
+    scales = (0.25, 0.5, 1.0, 2.0)
+    for a, lam in enumerate(scales):
+        for mu in (s * m for m in scales[a:] for s in (1.0, -1.0)):
+            D = lam * U[:, None, :] - mu * U[None, :, :]
+            nd = norm_batch(norm_spec, D.reshape(-1, 2)).reshape(n, n)
+            worst = np.maximum(worst, np.abs(lam * lam + mu * mu - nd * nd))
+    worst = np.maximum(worst, worst.T)
+    i, j = np.unravel_index(int(np.argmin(worst)), worst.shape)
+    return (U[i], U[j]) if worst[i, j] <= 1e-6 else None

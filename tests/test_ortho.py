@@ -1,16 +1,16 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from sipmink import ortho
-from sipmink.errors import ConvergenceError, DegenerateError, DomainError, NeutralPivotError
+from sipmink.errors import ConvergenceError, DegenerateError, DomainError, NeutralPivotError, NumericalError
 from sipmink.minkowski import GeneralizedMinkowskiSpace, max_norm_spacetime, product_plus
 from sipmink.norms import NormSpec, SipSpace, norm, norm_batch, sip
 from sipmink.numerics import Seed, Tolerances
 from sipmink.ortho import (
     OrthoRelation,
-    _pythagorean_residuals,
     _unit_vectors,
     auerbach_basis_2d,
     birkhoff_margin,
@@ -24,12 +24,15 @@ from sipmink.ortho import (
 )
 from sipmink.siip import SiipSpace, siip
 
-from references import reference_minimize
+from references import reference_minimize, reference_pythagorean_scan
 
 E2 = SipSpace.euclidean(2)
 E3 = SipSpace.euclidean(3)
 MAX2 = SipSpace.max_norm(2)
 P3 = SipSpace.pnorm(3.0, 2)
+
+# the inner-product norm sqrt(x^2 + 4 y^2); the axes are orthogonal in it
+GAUGE_A = NormSpec.custom_gauge(lambda v: math.sqrt(v[0] * v[0] + 4.0 * v[1] * v[1]), 2)
 
 DIAG11 = SiipSpace.diagonal((1, -1))
 DIAG21 = SiipSpace.diagonal((1, 1, -1))
@@ -329,24 +332,56 @@ class TestPythagoreanScan:
                 assert np.array_equal(neg, -D)
                 assert np.array_equal(norm_batch(spec, neg), norm_batch(spec, D))
 
-
     @pytest.mark.parametrize(
-        "spec",
-        [NormSpec.euclidean(2), NormSpec.max_norm(2), NormSpec.pnorm(3.0, 2), NormSpec.pnorm(4.0, 2)],
-        ids=["euclidean", "max", "p3", "p4"],
+        "spec, inner_product",
+        [
+            (NormSpec.euclidean(2), True),
+            (NormSpec.max_norm(2), False),
+            (NormSpec.pnorm(3.0, 2), False),
+            (NormSpec.pnorm(4.0, 2), False),
+            (GAUGE_A, True),
+            # 8e-8 above the Euclidean norm where x y > 0: which pairs survive, and which is least,
+            # turns on both orientations and on the largest scale pairs
+            (NormSpec.custom_gauge(lambda v: math.hypot(v[0], v[1]) * (1.0 + 8e-8 * (v[0] * v[1] > 0.0)), 2), None),
+        ],
+        ids=["euclidean", "max", "p3", "p4", "gauge", "lopsided"],
     )
-    @pytest.mark.parametrize("resolution", [90, 120, 360])
-    def test_residuals_match_the_32_call_loop(self, spec, resolution):
-        # the scan folds (mu, lam) into the transpose of (lam, mu): 20 calls
-        U = _unit_vectors(spec, np.linspace(0.0, np.pi, resolution, endpoint=False))
-        n = U.shape[0]
-        worst = np.zeros((n, n))
-        for lam in (0.25, 0.5, 1.0, 2.0):
-            for mu in (0.25, 0.5, 1.0, 2.0, -0.25, -0.5, -1.0, -2.0):
-                D = lam * U[:, None, :] - mu * U[None, :, :]
-                nd = norm_batch(spec, D.reshape(-1, 2)).reshape(n, n)
-                worst = np.maximum(worst, np.abs(lam * lam + mu * mu - nd * nd))
-        assert np.array_equal(_pythagorean_residuals(spec, U), worst)
+    @pytest.mark.parametrize("resolution", [90, 97, 120, 128, 360])
+    def test_pair_matches_the_full_matrix_reference(self, spec, inner_product, resolution):
+        expected = reference_pythagorean_scan(spec, resolution)
+        found = pythagorean_subspace_scan(spec, resolution)
+        if expected is None:
+            assert found is None
+        else:
+            assert found is not None
+            assert np.array_equal(found[0], expected[0]) and np.array_equal(found[1], expected[1])
+        # mutually Pythagorean lines exist exactly in the inner-product planes; an even grid holds the axes
+        if inner_product is not None and resolution % 2 == 0:
+            assert (found is not None) == inner_product
+
+    def test_nan_norm_raises(self):
+        # the gauge is NaN at the origin: the first scale pair reaches it on the diagonal
+        spec = NormSpec.custom_gauge(lambda v: math.sqrt(v @ v) if np.any(v) else math.nan, 2)
+        with pytest.raises(NumericalError):
+            pythagorean_subspace_scan(spec, 90)
+
+    def test_non_finite_norm_of_a_later_scale_pair_raises(self):
+        # among the pairs that survive the earlier scale pairs, only (2, +-2) reach |D| > 2.5;
+        # built directly, since the gauge fails the homogeneity spot check on purpose
+        spec = NormSpec("gauge", 2, gauge=lambda v: math.sqrt(v @ v) if v @ v < 6.25 else math.inf)
+        with pytest.raises(NumericalError):
+            pythagorean_subspace_scan(spec, 90)
+
+    def test_peak_memory(self):
+        spec = NormSpec.pnorm(4.0, 2)
+        pythagorean_subspace_scan(spec, 90)  # first-call allocations are not the scan's
+        tracemalloc.start()
+        try:
+            assert pythagorean_subspace_scan(spec, 360) is None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
 
     def test_euclidean_finds_perpendicular_pair(self):
         found = pythagorean_subspace_scan(NormSpec.euclidean(2), 360)

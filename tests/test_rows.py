@@ -322,6 +322,49 @@ class TestRowHelpers:
         b = np.abs(a)
         assert np.array_equal(pow_rows(b, 1.0 / 3.0), np.array([math.pow(v, 1.0 / 3.0) for v in b.tolist()]))
 
+    # the exponents the norm and product kernels pass: 1/p and 2 - p, and the square
+    CALLER_EXPONENTS = [1.0 / p for p in (1.5, 3.0, 4.0, 64.0)] + [2.0 - p for p in (1.5, 3.0, 4.0, 64.0)] + [2.0]
+    EDGE_BASES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1e-10, 1.0, -1.0, 1e300, -1e300]
+    EDGE_BASES += [math.inf, -math.inf]
+
+    @pytest.mark.parametrize("exponent", CALLER_EXPONENTS)
+    def test_pow_rows_has_the_bits_of_math_pow(self, rng, exponent):
+        base = np.concatenate(
+            [self.EDGE_BASES, rng.uniform(-3.0, 3.0, 2000), np.exp(rng.uniform(-700.0, 700.0, 2000))]
+        )
+        with np.errstate(all="ignore"):
+            got = pow_rows(base, exponent)
+        for x, g in zip(base.tolist(), got.tolist()):
+            try:
+                expected = math.pow(x, exponent)
+            except (OverflowError, ValueError):  # C pow's value: nan, or an infinity signed as x^odd
+                if x < 0.0 and not exponent.is_integer():
+                    expected = math.nan
+                else:
+                    expected = math.copysign(math.inf, x) if exponent % 2.0 == 1.0 else math.inf
+            assert _same_bits(np.float64(g), np.float64(expected)), (x, exponent, g, expected)
+
+    @pytest.mark.parametrize(
+        "base, exponent, expected",
+        [
+            (1e300, 2.0, math.inf),  # math.pow: OverflowError
+            (-1e300, 2.0, math.inf),
+            (1e-10, 2.0 - 64.0, math.inf),
+            (5e-324, -1.0, math.inf),
+            (0.0, -1.0, math.inf),  # math.pow: ValueError
+            (-0.0, -1.0, -math.inf),
+            (-0.0, -2.0, math.inf),
+            (-1.0, 1.0 / 3.0, math.nan),
+            (-2.0, 2.0 - 1.5, math.nan),
+        ],
+    )
+    def test_pow_rows_where_math_pow_raises(self, base, exponent, expected):
+        with pytest.raises((OverflowError, ValueError)):
+            math.pow(base, exponent)
+        with pytest.warns(RuntimeWarning):  # never silently inf or nan
+            got = pow_rows(np.array([base]), exponent)
+        assert _same_bits(got, np.array([expected]))
+
     def test_as_uniform_reproduces_sequential_draws(self):
         one_by_one = np.random.Generator(np.random.PCG64(9))
         expected = []
