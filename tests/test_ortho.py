@@ -31,9 +31,6 @@ E3 = SipSpace.euclidean(3)
 MAX2 = SipSpace.max_norm(2)
 P3 = SipSpace.pnorm(3.0, 2)
 
-# the inner-product norm sqrt(x^2 + 4 y^2); the axes are orthogonal in it
-GAUGE_A = NormSpec.custom_gauge(lambda v: math.sqrt(v[0] * v[0] + 4.0 * v[1] * v[1]), 2)
-
 DIAG11 = SiipSpace.diagonal((1, -1))
 DIAG21 = SiipSpace.diagonal((1, 1, -1))
 
@@ -339,7 +336,8 @@ class TestPythagoreanScan:
             (NormSpec.max_norm(2), False),
             (NormSpec.pnorm(3.0, 2), False),
             (NormSpec.pnorm(4.0, 2), False),
-            (GAUGE_A, True),
+            # the inner-product norm sqrt(x^2 + 4 y^2), in which the axes are orthogonal
+            (NormSpec.custom_gauge(lambda v: math.sqrt(v[0] * v[0] + 4.0 * v[1] * v[1]), 2), True),
             # 8e-8 above the Euclidean norm where x y > 0: which pairs survive, and which is least,
             # turns on both orientations and on the largest scale pairs
             (NormSpec.custom_gauge(lambda v: math.hypot(v[0], v[1]) * (1.0 + 8e-8 * (v[0] * v[1] > 0.0)), 2), None),
