@@ -158,6 +158,25 @@ def _one_row(rows_fn, space, *vectors) -> float:
     return float(rows_fn(space, *(check_dim(v, dim)[None] for v in vectors))[0])
 
 
+_TINY, _HUGE = float(np.finfo(float).tiny), float(np.finfo(float).max)
+
+
+def _power_sums(A, p: float):
+    """The power sums sum_i A_i ** p over the last axis of A = |X|, and the
+    mask of the rows whose sum is not a normal float although their largest
+    entry is positive and finite (None when there are none): those lost bits
+    to underflow or overflow, and the p-norm kernels recompute them on the
+    row scaled by its largest entry.  Every other row keeps its bits.  An
+    overflow here is not warned of, since the recompute replaces it."""
+    with np.errstate(over="ignore"):
+        s = reduce_last(np.add, A**p)
+    if not np.size(s) or (_TINY <= s.min() and s.max() <= _HUGE):
+        return s, None
+    m = reduce_last(np.maximum, A)
+    off = ~((s >= _TINY) & (s <= _HUGE)) & (m > 0.0) & (m <= _HUGE)
+    return s, (off if off.any() else None)
+
+
 def norm(space, x) -> float:
     """Norm of x under the space's norm family: the one-row call of
     :func:`norm_rows`."""
@@ -173,7 +192,13 @@ def norm_rows(space, X) -> np.ndarray:
     if spec.kind == EUCLIDEAN:
         return np.sqrt(dot_rows(X, X))
     if spec.kind == PNORM:
-        return pow_rows(reduce_last(np.add, np.abs(X) ** spec.p), 1.0 / spec.p)
+        A = np.abs(X)
+        s, off = _power_sums(A, spec.p)
+        out = pow_rows(s, 1.0 / spec.p)
+        if off is not None:
+            m = A[off].max(axis=1)
+            out[off] = m * norm_rows(spec, A[off] / m[:, None])
+        return out
     if spec.kind == MAX:
         return reduce_last(np.maximum, np.abs(X))
     return row_kernel(spec.gauge)(X)
@@ -187,7 +212,14 @@ def norm_batch(space, X: np.ndarray) -> np.ndarray:
     if spec.kind == EUCLIDEAN:
         return np.sqrt(reduce_last(np.add, X * X))
     if spec.kind == PNORM:
-        return reduce_last(np.add, np.abs(X) ** spec.p) ** (1.0 / spec.p)
+        A = np.abs(X)
+        s, off = _power_sums(A, spec.p)
+        out = s ** (1.0 / spec.p)
+        if off is not None:
+            out, m = np.asarray(out), A[off].max(axis=-1)  # a single vector gives a scalar
+            out[off] = m * norm_batch(spec, A[off] / m[:, None])
+            out = out[()]
+        return out
     if spec.kind == MAX:
         return reduce_last(np.maximum, np.abs(X))
     return np.array([float(spec.gauge(row)) for row in X.reshape(-1, spec.dim)]).reshape(X.shape[:-1])
@@ -225,7 +257,14 @@ def sip_rows(space, X, Y) -> np.ndarray:
         out = dot_rows(X, Y)
     elif spec.kind == PNORM:
         p = spec.p
-        ny = norm_rows(spec, Y)
+        s, off = _power_sums(np.abs(Y), p)
+        if off is not None:  # [x, y] = m [x, y / m]; the other rows take this branch again, unchanged
+            out, keep = np.empty(len(Y)), ~off
+            out[keep] = sip_rows(space, X[keep], Y[keep])
+            m = np.abs(Y[off]).max(axis=1)
+            out[off] = m * sip_rows(space, X[off], Y[off] / m[:, None])
+            return out
+        ny = pow_rows(s, 1.0 / p)  # norm_rows of Y
         nonzero &= ny != 0.0
         scale = pow_rows(np.where(nonzero, ny, 1.0), 2.0 - p)
         out = scale * reduce_last(np.add, X * np.abs(Y) ** (p - 1.0) * np.sign(Y))

@@ -8,6 +8,7 @@ through :class:`Seed`.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -238,7 +239,8 @@ def minimize(
 
     Standard reflection/expansion/contraction/shrink coefficients
     (1, 2, 1/2, 1/2); the initial simplex has edge 0.1 * max(1, |x0|).
-    Terminates when the simplex diameter drops below ``opt_tol``.  Each
+    Terminates when the simplex diameter drops below ``opt_tol``.  ``f`` is
+    asked only for the points the descent uses, in its order, and each
     value is checked as it is computed, so a non-finite one raises
     :class:`NumericalError` before the next is asked for.
 
@@ -247,8 +249,8 @@ def minimize(
     ``max_iter`` iterations were not enough.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    points, values, converged = minimize_rows(
-        lambda rows, P: np.array([_finite(f(x), "minimize") for x in P]), x0[None], opt_tol, max_iter
+    points, values, converged = _nelder_mead(
+        lambda rows, P: np.array([_finite(f(x), "minimize") for x in P]), x0[None], opt_tol, max_iter, speculate=False
     )
     if not converged[0]:
         raise ConvergenceError(
@@ -270,63 +272,184 @@ def minimize_rows(
     of a call on that row alone (:func:`minimize`), bit for bit.
 
     ``f(rows, P)`` returns the objective values of problems ``rows`` (indices
-    into ``X0``) at the points ``P``, one per row.  Each step makes one call
-    for the reflections of the active rows, one for the expansion or
-    contraction points of the rows that need one, and one for the shrinks;
-    a row leaves the batch when its simplex converges.  Returns the best
-    vertices (N, n), their values (N,) and whether each row converged; a row
-    still active after ``max_iter`` iterations keeps its best vertex.
-    Raises :class:`NumericalError` on a non-finite value.
+    into ``X0``) at the points ``P``, one per row; a problem's value must
+    not depend on the rest of the batch.  Each step makes one call, on
+    4 + n points of every active row: the reflection, the expansion, the
+    contractions towards the reflection and towards the worst vertex, and
+    the n shrink points; the step's rules then take the values they use.  A
+    step whose call raises, gives a non-finite value or trips a floating-
+    point overflow, division or invalid-operation flag is redone as the
+    sequential descent asks for its points (the reflections, then the
+    second points, then the shrinks), so it raises only what that descent
+    raises, and a value at a point the rules do not use is ignored.  A row
+    leaves the batch when its simplex converges.  Returns the best vertices
+    (N, n), their values (N,) and whether each row converged; a row still
+    active after ``max_iter`` iterations keeps its best vertex.  Raises
+    :class:`NumericalError` on a non-finite value the rules use.
     """
+    return _nelder_mead(f, X0, opt_tol, max_iter, speculate=True)
+
+
+_VALUE = operator.itemgetter(0)
+
+
+def _trial_points(verts, opt_tol):
+    """The 4 + n points one step may evaluate, from a simplex sorted by
+    value, as a flat list of coordinates: the reflection, the expansion, the
+    contractions towards the reflection and towards the worst vertex, and
+    the shrinks of vertices 1..n towards the best.  None when the simplex
+    diameter is below ``opt_tol``.  The centroid adds the kept vertices in
+    order and divides by n; _trial_points_1 and _trial_points_2 are this
+    function written out, term for term."""
+    b, w = verts[0][1], verts[-1][1]
+    if all(abs(v - bj) < opt_tol for _, p in verts[1:] for v, bj in zip(p, b)):
+        return None
+    n = len(b)
+    c = list(b)
+    for _, p in verts[1:-1]:
+        c = [cj + pj for cj, pj in zip(c, p)]
+    c = [cj / n for cj in c]
+    away = [cj - wj for cj, wj in zip(c, w)]
+    xr = [cj + aj for cj, aj in zip(c, away)]
+    out = xr + [cj + 2.0 * aj for cj, aj in zip(c, away)]
+    out += [cj + 0.5 * (rj - cj) for cj, rj in zip(c, xr)]
+    out += [cj + 0.5 * (wj - cj) for cj, wj in zip(c, w)]
+    for _, p in verts[1:]:
+        out += [bj + 0.5 * (pj - bj) for bj, pj in zip(b, p)]
+    return out
+
+
+def _trial_points_1(verts, opt_tol):
+    (_, (b,)), (_, (w,)) = verts
+    if abs(w - b) < opt_tol:
+        return None
+    c = b  # b / 1
+    a = c - w
+    r = c + a
+    return [r, c + 2.0 * a, c + 0.5 * (r - c), c + 0.5 * (w - c), b + 0.5 * (w - b)]
+
+
+def _trial_points_2(verts, opt_tol):
+    (_, (x0, y0)), (_, (x1, y1)), (_, (x2, y2)) = verts
+    if abs(x1 - x0) < opt_tol and abs(y1 - y0) < opt_tol and abs(x2 - x0) < opt_tol and abs(y2 - y0) < opt_tol:
+        return None
+    cx, cy = (x0 + x1) / 2, (y0 + y1) / 2
+    ax, ay = cx - x2, cy - y2
+    rx, ry = cx + ax, cy + ay
+    return [
+        rx, ry,
+        cx + 2.0 * ax, cy + 2.0 * ay,
+        cx + 0.5 * (rx - cx), cy + 0.5 * (ry - cy),
+        cx + 0.5 * (x2 - cx), cy + 0.5 * (y2 - cy),
+        x0 + 0.5 * (x1 - x0), y0 + 0.5 * (y1 - y0),
+        x0 + 0.5 * (x2 - x0), y0 + 0.5 * (y2 - y0),
+    ]  # fmt: skip
+
+
+def _second_point(fr, verts) -> int:
+    """The trial point a step evaluates after a reflection of value ``fr``:
+    1 the expansion, 2 or 3 the contraction towards the reflection or
+    towards the worst vertex, 0 none."""
+    if fr < verts[0][0]:
+        return 1
+    if fr < verts[-2][0]:
+        return 0
+    return 3 if fr >= verts[-1][0] else 2
+
+
+def _outcome(vals, verts):
+    """The trial point that replaces the worst vertex (an index as in
+    :func:`_second_point`, 0 the reflection), or None for a shrink; reads
+    only the values of the points the step evaluates."""
+    fr = vals[0]
+    k = _second_point(fr, verts)
+    if k == 1:
+        return 1 if vals[1] < fr else 0
+    if k and not vals[k] < min(fr, verts[-1][0]):
+        return None
+    return k
+
+
+def _sequential_values(f, rows, batch, n):
+    """One step's values, asked for as the sequential descent asks: one call
+    for the reflections of all rows, one for the second points of the rows
+    that need one, one for the shrinks; each call's values are checked
+    before the next.  Unevaluated entries stay NaN and are never read."""
+    vals = [[math.nan] * (4 + n) for _ in batch]
+    fr = _finite_rows(f(rows, np.array([pts[:n] for _, _, pts in batch])), "minimize")
+    for v, x in zip(vals, fr.tolist()):
+        v[0] = x
+    second = [(i, k) for i, ((_, verts, _), v) in enumerate(zip(batch, vals)) if (k := _second_point(v[0], verts))]
+    if second:
+        P = np.array([batch[i][2][k * n : (k + 1) * n] for i, k in second])
+        for (i, k), x in zip(second, _finite_rows(f(rows[[i for i, _ in second]], P), "minimize").tolist()):
+            vals[i][k] = x
+    shrink = [i for i, _ in second if _outcome(vals[i], batch[i][1]) is None]
+    if shrink:
+        P = np.array([batch[i][2][4 * n :] for i in shrink]).reshape(-1, n)
+        values = _finite_rows(f(np.repeat(rows[shrink], n), P), "minimize").reshape(-1, n)
+        for i, row in zip(shrink, values.tolist()):
+            vals[i][4:] = row
+    return vals
+
+
+def _nelder_mead(f, X0, opt_tol, max_iter, speculate):
+    """:func:`minimize_rows`; with ``speculate`` false every step takes the
+    sequential calls, as :func:`minimize` needs for an objective that pays
+    per point.  Each row's simplex is a list of (value, point) pairs in
+    Python floats."""
     X0 = np.asarray(X0, dtype=float)
     count, n = X0.shape
     edge = 0.1 * np.fmax(1.0, np.sqrt(dot_rows(X0, X0)))  # np.linalg.norm of each row, as minimize takes it
     sim = np.repeat(X0[:, None, :], n + 1, axis=1)
     sim[:, np.arange(1, n + 1), np.arange(n)] += edge[:, None]
-    rows = np.arange(count)  # the problem of each active row
-    fv = _finite_rows(f(np.repeat(rows, n + 1), sim.reshape(count * (n + 1), n)), "minimize").reshape(count, n + 1)
+    fv = _finite_rows(f(np.repeat(np.arange(count), n + 1), sim.reshape(count * (n + 1), n)), "minimize")
+    fv = fv.reshape(count, n + 1).tolist()
+    live = [(r, [(v, tuple(p)) for v, p in zip(vs, ps)]) for r, (vs, ps) in enumerate(zip(fv, sim.tolist()))]
     best_x, best_f, converged = np.empty_like(X0), np.empty(count), np.ones(count, dtype=bool)
-    at = rows[:, None]
+    trial = {1: _trial_points_1, 2: _trial_points_2}.get(n, _trial_points)
+    per, rows = 4 + n, np.arange(0)
+    caller = np.geterr()  # a speculative call raises where the caller's state would warn or raise
+    quiet = {key: "ignore" if state == "ignore" else "raise" for key, state in caller.items()}
 
-    for _ in range(max_iter):
-        order = fv.argsort(axis=1, kind="stable")
-        sim, fv = sim[at, order], fv[at, order]
-        # a zero-length start has no vertex offsets: its diameter is the initial 0
-        done = np.maximum.reduce(np.abs(sim[:, 1:] - sim[:, :1]), axis=(1, 2), initial=0.0) < opt_tol
-        if done.any():
-            best_x[rows[done]], best_f[rows[done]] = sim[done, 0], fv[done, 0]
-            active = ~done
-            rows, sim, fv = rows[active], sim[active], fv[active]
-            at = np.arange(len(rows))[:, None]
-        if not rows.size:
-            break
-        centroid = np.add.reduce(sim[:, :-1], axis=1) / n
-        worst = sim[:, -1]
-        away = centroid - worst
-        xr = centroid + away
-        fr = _finite_rows(f(rows, xr), "minimize")
-        expand = fr < fv[:, 0]
-        contract = ~(expand | (fr < fv[:, -2]))
-        # the expansion point, or the contraction point towards the worse of worst and xr
-        inward = np.where((fr >= fv[:, -1])[:, None], worst, xr)
-        x2 = np.where(expand[:, None], centroid + 2.0 * away, centroid + 0.5 * (inward - centroid))
-        f2 = fr.copy()
-        second = expand | contract
-        if second.any():
-            f2[second] = _finite_rows(f(rows[second], x2[second]), "minimize")
-        take2 = (expand & (f2 < fr)) | (contract & (f2 < np.minimum(fr, fv[:, -1])))
-        shrink = contract & ~take2
-        shrunk = sim[shrink]
-        sim[:, -1] = np.where(take2[:, None], x2, xr)
-        fv[:, -1] = np.where(take2, f2, fr)
-        if shrink.any():
-            shrunk[:, 1:] = shrunk[:, :1] + 0.5 * (shrunk[:, 1:] - shrunk[:, :1])
-            values = f(np.repeat(rows[shrink], n), shrunk[:, 1:].reshape(-1, n))
-            sim[shrink] = shrunk
-            fv[shrink, 1:] = _finite_rows(values, "minimize").reshape(-1, n)
+    with np.errstate(**quiet):  # only the speculative calls run in this state
+        for _ in range(max_iter):
+            batch, coords = [], []  # (row, simplex, trial points) of each row still active
+            for r, verts in live:
+                verts.sort(key=_VALUE)
+                pts = trial(verts, opt_tol)
+                if pts is None:
+                    best_f[r], best_x[r] = verts[0]
+                else:
+                    batch.append((r, verts, pts))
+                    coords += pts
+            live = [(r, verts) for r, verts, _ in batch]
+            if not batch:
+                break
+            if len(rows) != len(batch):  # rows only leave the batch
+                rows = np.array([r for r, _ in live])
+                spread = np.repeat(rows, per)
+            vals = None
+            if speculate:
+                try:
+                    spec = np.asarray(f(spread, np.array(coords).reshape(-1, n)), dtype=float).tolist()
+                    if math.isfinite(sum(spec)):  # a sum that overflows only costs the redo
+                        vals = [spec[i : i + per] for i in range(0, len(spec), per)]
+                except Exception:  # redone below in the sequential order, which raises what that order raises
+                    pass
+            if vals is None:
+                with np.errstate(**caller):
+                    vals = _sequential_values(f, rows, batch, n)
+            for (_, verts, pts), v in zip(batch, vals):
+                k = _outcome(v, verts)
+                if k is None:
+                    verts[1:] = [(v[4 + i], tuple(pts[(4 + i) * n : (5 + i) * n])) for i in range(n)]
+                else:
+                    verts[-1] = (v[k], tuple(pts[k * n : (k + 1) * n]))
 
-    at, best = np.arange(len(rows)), np.argmin(fv, axis=1)
-    best_x[rows], best_f[rows], converged[rows] = sim[at, best], fv[at, best], False
+    for r, verts in live:
+        best_f[r], best_x[r] = min(verts, key=_VALUE)
+        converged[r] = False
     return best_x, best_f, converged
 
 

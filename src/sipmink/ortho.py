@@ -26,7 +26,7 @@ from .errors import (
 )
 from .minkowski import GeneralizedMinkowskiSpace, embed, product_plus
 from .norms import MAX, NormSpec, SipSpace, norm_batch, norm_rows, sip, sip_rows
-from .numerics import DEFAULT_TOLERANCES, Tolerances, as_seed, dot_rows, minimize, minimize_rows, pow_rows, row_kernel
+from .numerics import DEFAULT_TOLERANCES, Tolerances, as_seed, dot_rows, minimize_rows, pow_rows, row_kernel
 
 
 class OrthoRelation(enum.Enum):
@@ -301,13 +301,19 @@ def auerbach_pair_2d(norm_spec: NormSpec, grid: int = 720, tolerances: Tolerance
     thetas = np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)
     i, j = _max_det_pair(_unit_vectors(norm_spec, thetas))
 
-    def objective(angles):
-        u, v = _unit_vectors(norm_spec, angles)
-        return -abs(u[0] * v[1] - u[1] * v[0])
+    def objective(rows, angles):  # -|det(u, v)| of every angle pair, from one _unit_vectors call
+        u, v = _unit_vectors(norm_spec, angles.reshape(-1)).reshape(-1, 2, 2).transpose(1, 0, 2)
+        return -np.abs(u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0])
 
-    start = np.array([thetas[i], thetas[j]])
-    best, _val = minimize(objective, start, opt_tol=tolerances.opt_tol, max_iter=800)
-    pair = _unit_vectors(norm_spec, best)
+    start = np.array([[thetas[i], thetas[j]]])
+    best, best_v, converged = minimize_rows(objective, start, opt_tol=tolerances.opt_tol, max_iter=800)
+    if not converged[0]:
+        raise ConvergenceError(
+            f"simplex diameter did not reach {tolerances.opt_tol} in 800 iterations",
+            best_point=best[0],
+            best_value=float(best_v[0]),
+        )
+    pair = _unit_vectors(norm_spec, best[0])
     margins, _ = birkhoff_margin_rows(norm_spec, pair, pair[::-1], tolerances.opt_tol)
     if np.any(margins < norm_rows(norm_spec, pair) - 10.0 * tolerances.opt_tol):
         raise ConvergenceError("refined pair is not mutually Birkhoff orthogonal")

@@ -287,11 +287,12 @@ def _random_nodes(space, m):
     return np.random.default_rng(1000 * m + space.k).uniform(-1.5, 1.5, (m + 1, space.k))
 
 
-def _three_call_segment_lengths(space, seg_starts, seg_deltas, quad_m):
-    """Reference: the chord-lift lengths with one norm_batch call each for the
-    forward-shifted points, the backward-shifted points and the deltas."""
+def _reference_radicand(space, seg_starts, seg_deltas, quad_m):
+    """Reference: the radicands speed^2 - dtau^2 of the chord lifts at the
+    Simpson nodes and the squared speeds, with one norm_batch call each for
+    the forward-shifted points, the backward-shifted points and the deltas."""
     s_space = space.s_space
-    sig, weights = _quadrature_grid(quad_m)
+    sig, _ = _quadrature_grid(quad_m)
     P = seg_starts[:, None, :] + sig[None, :, None] * seg_deltas[:, None, :]
     step = _EPS3
     off = step * seg_deltas[:, None, :]
@@ -299,12 +300,17 @@ def _three_call_segment_lengths(space, seg_starts, seg_deltas, quad_m):
     tau_m = np.sqrt(1.0 + norm_batch(s_space, P - off) ** 2)
     dtau = (tau_p - tau_m) / (2.0 * step)
     speed2 = norm_batch(s_space, seg_deltas) ** 2
-    rad = speed2[:, None] - dtau**2
+    return speed2[:, None] - dtau**2, speed2
+
+
+def _three_call_segment_lengths(space, seg_starts, seg_deltas, quad_m):
+    """Reference: the chord-lift lengths from _reference_radicand."""
+    rad, speed2 = _reference_radicand(space, seg_starts, seg_deltas, quad_m)
     floor = -1e-11 * max(1.0, float(np.max(speed2, initial=0.0)))
     if np.any(rad < floor):
         raise PathError("curve velocity left the space-like regime")
     g = np.sqrt(np.clip(rad, 0.0, None))
-    return g @ weights
+    return g @ _quadrature_grid(quad_m)[1]
 
 
 class TestSegmentLengths:
@@ -333,6 +339,28 @@ class TestSegmentLengths:
         with pytest.raises(PathError) as err:
             _segment_lengths(PSEUDO21, starts, deltas, 4)
         assert str(err.value) == str(ref.value)
+
+    @pytest.mark.parametrize("space", [REMARK, PSEUDO21, P3SPACE], ids=["max", "euclidean", "p3"])
+    def test_group_lengths_do_not_depend_on_the_batch(self, space):
+        # a Nelder-Mead step evaluates each candidate node as one group of a
+        # (G, 2, k) batch whose make-up changes from step to step, so a
+        # group's lengths must be those of the group alone at every position
+        rng = np.random.default_rng(48)
+        starts, deltas = rng.uniform(-1.5, 1.5, (48, 2, 2)), rng.uniform(-0.4, 0.4, (48, 2, 2))
+        groups = [(starts[5].copy(), deltas[5].copy())]
+        if space is REMARK:
+            # a far radial chord whose radicand sits just above its own
+            # space-like floor, and below every other group's
+            near = np.array([[56911.0, 0.0], [0.5, 0.2]]), np.array([[1667.0, 0.0], [0.1, -0.2]])
+            rad, speed2 = _reference_radicand(space, *near, 4)
+            assert -1e-11 * float(np.max(speed2)) < float(np.min(rad)) < -1e-11
+            groups.append(near)
+        for S, D in groups:
+            alone = _segment_lengths(space, S[None], D[None], 4)[0]
+            for at in range(48):
+                batch_s, batch_d = starts.copy(), deltas.copy()
+                batch_s[at], batch_d[at] = S, D
+                assert np.array_equal(_segment_lengths(space, batch_s, batch_d, 4)[at], alone)
 
 
 class TestSolverAssembly:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -12,13 +14,15 @@ from sipmink.norms import (
     norm,
     norm_batch,
     norm_first_derivative,
+    norm_rows,
     norm_second_derivative,
     product_axiom_report,
     sip,
     sip_axiom_report,
+    sip_rows,
     sip_second_arg_derivative,
 )
-from sipmink.numerics import Seed, central_diff, first_diff_step
+from sipmink.numerics import Seed, central_diff, first_diff_step, pow_rows, reduce_last
 
 E2 = SipSpace.euclidean(2)
 MAX2 = SipSpace.max_norm(2)
@@ -124,6 +128,60 @@ class TestSip:
                 fd = ny * norm_first_derivative(space, x, y)
                 bound = 1e-5 * max(1.0, norm(space, x) * ny)
                 assert abs(sip(space, x, y) - fd) <= bound
+
+
+P64 = NormSpec.pnorm(64.0, 2)
+
+
+def _scaled_closed_form_sip(x, y, p):
+    """[x, y] = m |y/m|^(2-p) sum_i x_i |y_i/m|^(p-1) sgn(y_i), m = max |y_i|."""
+    m = max(abs(v) for v in y)
+    yh = [v / m for v in y]
+    ny = math.pow(sum(math.pow(abs(v), p) for v in yh), 1.0 / p)
+    return m * math.pow(ny, 2.0 - p) * sum(a * math.pow(abs(v), p - 1.0) * math.copysign(1.0, v) for a, v in zip(x, yh) if v)
+
+
+class TestLargeExponent:
+    """At p = 64 the power sum of a small or large vector underflows or
+    overflows; those rows are recomputed on the row scaled by its largest
+    coordinate."""
+
+    @pytest.mark.parametrize("x", [1e-6, 1e-5, 1e5])
+    def test_one_coordinate_norm_is_exact(self, x):
+        assert norm(P64, [x, 0.0]) == x
+        assert norm_rows(P64, np.array([[x, 0.0]]))[0] == x
+        assert norm_batch(P64, np.array([[x, 0.0]]))[0] == x
+
+    def test_sip_against_small_vectors(self):
+        space = SipSpace.pnorm(64, 2)
+        assert sip(space, [1.0, 0.0], [1e-6, 0.0]) == 1e-6
+        got, ref = sip(space, [1.0, 0.0], [1e-5, 2e-6]), _scaled_closed_form_sip([1.0, 0.0], [1e-5, 2e-6], 64.0)
+        assert math.isfinite(got) and abs(got - ref) <= 1e-15 * abs(ref)
+
+    def test_rows_in_range_keep_their_bits(self, rng):
+        X = rng.uniform(-2.0, 2.0, (40, 2))
+        X[::7] *= 1e-6  # power sums below the normal range
+        X[3::7] *= 1e6  # and above it
+        X[5], X[6] = 0.0, [np.nan, 1.0]  # neither rescaled: no largest coordinate to scale by
+        A = np.abs(X)
+        with np.errstate(over="ignore"):
+            s = reduce_last(np.add, A**64.0)
+        unscaled = (s >= np.finfo(float).tiny) & (s <= np.finfo(float).max)
+        assert 10 < unscaled.sum() < 38
+        got_rows, got_batch = norm_rows(P64, X), norm_batch(P64, X[None])[0]
+        assert np.array_equal(got_rows[unscaled], pow_rows(s, 1.0 / 64.0)[unscaled])
+        assert np.array_equal(got_batch[unscaled], (s ** (1.0 / 64.0))[unscaled])
+        assert got_rows[5] == got_batch[5] == 0.0 and np.isnan(got_rows[6]) and np.isnan(got_batch[6])
+        rescaled = ~unscaled
+        rescaled[5:7] = False
+        m = A[rescaled].max(axis=1)
+        assert np.allclose(got_rows[rescaled], m * norm_rows(P64, A[rescaled] / m[:, None]), rtol=1e-15, atol=0.0)
+        Y = rng.uniform(-2.0, 2.0, X.shape)
+        products = sip_rows(P64, Y, X)
+        assert np.array_equal(products[unscaled], sip_rows(P64, Y[unscaled], X[unscaled]))
+        for y, x, got in zip(Y[rescaled], X[rescaled], products[rescaled]):
+            ref = _scaled_closed_form_sip(y, x, 64.0)
+            assert math.isfinite(got) and abs(got - ref) <= 1e-14 * abs(ref)
 
 
 class TestAxiomReport:

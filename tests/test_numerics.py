@@ -1,11 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sipmink.errors import ConvergenceError, DomainError, NumericalError
+from sipmink.errors import ConvergenceError, DomainError, NumericalError, PathError
 from sipmink.hyperboloid import _segment_lengths
 from sipmink.minkowski import max_norm_spacetime
 from sipmink.numerics import (
@@ -303,6 +304,127 @@ class TestMinimizeRows:
     def test_no_rows(self):
         P, V, converged = minimize_rows(_row_objective([]), np.zeros((0, 2)))
         assert P.shape == (0, 2) and V.shape == (0,) and converged.shape == (0,)
+
+
+def _reference_rows(problems, X0, opt_tol, max_iter):
+    """``reference_minimize`` on each problem: the points, values and
+    converged flags, and the set of points each problem was asked for."""
+    points, values, converged, asked = [], [], [], []
+    for f, x0 in zip(problems, X0):
+        seen = set()
+
+        def recorded(x, f=f, seen=seen):
+            seen.add(tuple(x.tolist()))
+            return f(x)
+
+        try:
+            pt, val = reference_minimize(recorded, np.array(x0, dtype=float), opt_tol=opt_tol, max_iter=max_iter)
+            converged.append(True)
+        except ConvergenceError as err:
+            pt, val = err.best_point, err.best_value
+            converged.append(False)
+        points.append(pt)
+        values.append(val)
+        asked.append(seen)
+    return np.array(points).reshape(len(problems), -1), np.array(values), np.array(converged), asked
+
+
+def _guarded_objective(problems, asked, elsewhere):
+    """The ``minimize_rows`` objective of the problems, which calls
+    ``elsewhere()`` for its value at any point the reference never asked
+    that problem for; counts those calls."""
+
+    def f(rows, P):
+        out = []
+        for i, p in zip(rows.tolist(), P):
+            if tuple(p.tolist()) in asked[i]:
+                out.append(problems[i](p))
+            else:
+                f.unasked += 1
+                out.append(elsewhere())
+        return np.array(out)
+
+    f.unasked = 0
+    return f
+
+
+def _raise_path_error():
+    raise PathError("curve velocity left the space-like regime")
+
+
+def _overflow():
+    return float(np.multiply(np.float64(1e308), 10.0) * 0.0)  # nan, after numpy warns of the overflow
+
+
+def _staircase(x):
+    """Plateaus: equal values send the contraction to either side, and a
+    contraction that does not improve shrinks the simplex."""
+    return float(np.sum(np.floor(np.abs(x + 0.5) * 8)))
+
+
+# one batch per simplex size n, each form of the trial points: n = 1 and 2
+# written out, 0 and 3 generic; every batch with a step shrinks
+DIM_PROBLEMS = {
+    0: ([lambda x: 2.5, lambda x: -1.0], [[], []]),
+    1: (ROW_PROBLEMS["1-d"][0] + [_staircase], ROW_PROBLEMS["1-d"][1] + [[1.0]]),
+    2: ROW_PROBLEMS["2-d"],
+    3: (
+        [_shifted_bowl(np.array([1.0, -2.0, 0.5])), _shifted_bowl(np.array([-3.0, 4.0, 10.0]), 0.3),
+         lambda x: float(np.max(np.abs(x - 0.25)) + 0.1 * x[0]), lambda x: float(x @ x), _staircase],
+        [[0.0, 0.0, 0.0], [1.0, -1.0, 2.0], [2.0, 0.0, -1.0], [0.5, 0.5, 0.5], [1.0, 1.0, 1.0]],
+    ),
+}
+
+
+class TestSpeculativeSteps:
+    """``minimize_rows`` evaluates every point a step may use in one call;
+    only the values the step's rules use may reach its result."""
+
+    @pytest.mark.parametrize("budget", [40, 500])
+    @pytest.mark.parametrize("n", sorted(DIM_PROBLEMS))
+    @pytest.mark.parametrize("elsewhere", [_raise_path_error, lambda: math.nan, _overflow], ids=["raise", "nan", "overflow"])
+    def test_unasked_points_do_not_matter(self, n, budget, elsewhere):
+        problems, X0 = DIM_PROBLEMS[n]
+        X0 = np.array(X0, dtype=float).reshape(len(problems), n)
+        ref_P, ref_V, ref_converged, asked = _reference_rows(problems, X0, 1e-8, budget)
+        f = _guarded_objective(problems, asked, elsewhere)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            P, V, converged = minimize_rows(f, X0, opt_tol=1e-8, max_iter=budget)
+        assert not caught  # no warning from a point the reference never asked for
+        assert np.array_equal(P, ref_P) and np.array_equal(V, ref_V)
+        assert np.array_equal(converged, ref_converged)
+        assert (f.unasked > 0) == (n > 0)  # a zero-length simplex converges before any step
+
+    @pytest.mark.parametrize("n", sorted(DIM_PROBLEMS))
+    def test_reference_problems(self, n):
+        problems, X0 = DIM_PROBLEMS[n]
+        X0 = np.array(X0, dtype=float).reshape(len(problems), n)
+        ref_P, ref_V, ref_converged, _ = _reference_rows(problems, X0, 1e-8, 500)
+        P, V, converged = minimize_rows(_row_objective(problems), X0, opt_tol=1e-8, max_iter=500)
+        assert ref_converged.all() and converged.all()
+        assert np.array_equal(P, ref_P) and np.array_equal(V, ref_V)
+
+    def test_a_used_non_finite_value_raises_the_reference_error(self):
+        # the bowl's reflections are finite; the second problem's first
+        # expansion point gives NaN, which its step uses
+        bowl, flat = lambda x: float(x @ x), lambda x: -float(x[0]) if x[0] < 1.25 else math.nan
+        with pytest.raises(NumericalError) as ref:
+            reference_minimize(flat, np.array([1.0, 1.0]))
+        with pytest.raises(NumericalError) as err:
+            minimize_rows(_row_objective([bowl, flat]), np.ones((2, 2)))
+        assert str(err.value) == str(ref.value) == "non-finite value in minimize: nan"
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_minimize_asks_for_the_reference_points_in_order(self, n):
+        # the whole descent, expansions, contractions and shrinks included
+        problems, X0 = DIM_PROBLEMS[n]
+        for f, x0 in zip(problems, X0):
+            got, ref = [], []
+            pt, val = minimize(lambda x: got.append(x.copy()) or f(x), np.array(x0, dtype=float), opt_tol=1e-8)
+            ref_pt, ref_val = reference_minimize(lambda x: ref.append(x.copy()) or f(x), np.array(x0, dtype=float), opt_tol=1e-8)
+            assert np.array_equal(pt, ref_pt) and val == ref_val
+            assert len(got) == len(ref) and all(np.array_equal(a, b) for a, b in zip(got, ref))
 
 
 class TestSampleVectors:

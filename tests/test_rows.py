@@ -56,6 +56,7 @@ from sipmink.numerics import (
     dot_rows,
     first_diff_step,
     matvec_rows,
+    minimize_rows,
     pow_rows,
     reduce_last,
     row_kernel,
@@ -1340,7 +1341,7 @@ def _full_sip_orthogonal_pair(space, tolerances, grid=720):
     return u, v
 
 
-def _loop_auerbach_basis_2d(spec, opt_tol=1e-7):
+def _loop_auerbach_basis_2d(spec, opt_tol=1e-7, max_iter=800):
     thetas = np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False)
     (i, j), _ = _full_argmax_pair(ortho._unit_vectors(spec, thetas))
     unit = lambda angle: ortho._unit_vectors(spec, np.array([angle]))[0]
@@ -1349,7 +1350,7 @@ def _loop_auerbach_basis_2d(spec, opt_tol=1e-7):
         u, v = unit(angles[0]), unit(angles[1])
         return -abs(u[0] * v[1] - u[1] * v[0])
 
-    best, _ = reference_minimize(objective, np.array([thetas[i], thetas[j]]), opt_tol=opt_tol, max_iter=800)
+    best, _ = reference_minimize(objective, np.array([thetas[i], thetas[j]]), opt_tol=opt_tol, max_iter=max_iter)
     u, v = unit(best[0]), unit(best[1])
     for a, b in ((u, v), (v, u)):
         if _loop_birkhoff_margin(spec, a, b, opt_tol)[0] < norm(spec, a) - 10.0 * opt_tol:
@@ -1580,6 +1581,18 @@ class TestOrthogonalityKernels:
         expected = _loop_auerbach_basis_2d(spec)
         got = ortho.auerbach_basis_2d(spec)
         assert all(np.array_equal(g, e) for g, e in zip(got, expected))
+
+    def test_auerbach_angle_search_out_of_budget_raises_the_reference_best(self, monkeypatch):
+        spec = self.SPACES["pnorm3"].norm
+        with pytest.raises(ConvergenceError) as ref:
+            _loop_auerbach_basis_2d(spec, max_iter=5)
+        capped = lambda f, X0, opt_tol, max_iter: minimize_rows(f, X0, opt_tol, 5)
+        monkeypatch.setattr(ortho, "minimize_rows", capped)
+        with pytest.raises(ConvergenceError) as err:
+            ortho.auerbach_pair_2d(spec)
+        assert str(err.value) == "simplex diameter did not reach 1e-07 in 800 iterations"
+        assert np.array_equal(err.value.best_point, ref.value.best_point)
+        assert err.value.best_value == ref.value.best_value
 
     @pytest.mark.parametrize("name", ["euclidean2", "pnorm3", "max2"])
     def test_auerbach_pair_margins_match_a_margin_call_on_the_block(self, name):
