@@ -24,7 +24,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError, UnsupportedError
 from .norms import EUCLIDEAN, NormSpec, SipSpace, sip_rows
-from .numerics import DEFAULT_TOLERANCES, Tolerances, as_seed, as_uniform, check_dim
+from .numerics import DEFAULT_TOLERANCES, DrawStream, Tolerances, as_seed, as_uniform, check_dim
 
 
 class VectorClass(enum.Enum):
@@ -231,63 +231,45 @@ def cone_convexity_check(
 
     A trial draws, in this order: candidates for a (n draws each) until one
     lies in T+, the same for b, the weight mu, the scale |lam|, its sign and
-    v (n draws).  The draws come in blocks of ``rng.random``, which continue
-    the stream bit for bit; the candidate at every offset of a block is
-    classified in one call, and only the rejection walk over offsets runs
-    per trial.
+    v (n draws).  The draws come from a :class:`~sipmink.numerics.DrawStream`
+    in rounds: a round peeks at the draws left over plus a fresh block,
+    classifies the candidate at every offset in one call, walks the
+    rejections of the whole trials that fit in plain Python, and takes what
+    those trials used.
     """
     if not space.is_spacetime_model:
         raise UnsupportedError("cone decomposition needs a one-dimensional T block")
     if trials < 1:
         raise DomainError("trials must be at least 1")
-    rng = as_seed(seed).rng()
+    stream = DrawStream(as_seed(seed).rng())
     tol = tolerances.class_tol
     n = space.n
     tail = 3 + n  # mu, |lam|, sign, v
     block = trials * (10 * n + tail)  # 1.4-1.7 times what the stock 2+1 spaces use
-    start = 0  # stream offset of draws[0]
-    draws = np.empty(0)
-    candidates = np.empty((0, n))
-    in_tplus: list = []
-    picked = ([], [], [])  # stream offsets of a, b and the tail of each trial
-    rows = []  # their rows, copied out before the draws behind the walk are dropped
-
-    def copy_out():
-        a, b, t = (np.asarray(offsets, dtype=np.intp) - start for offsets in picked)
-        rows.append((candidates[a], candidates[b], draws[t[:, None] + np.arange(tail)]))
-        for offsets in picked:
-            offsets.clear()
-
-    def extend(keep_from: int):
-        # keeps memory bounded however many candidates the sampler rejects
-        nonlocal start, draws, candidates, in_tplus
-        copy_out()
-        draws = np.concatenate([draws[keep_from - start :], rng.random(block)])
-        start = keep_from
-        candidates = as_uniform(sliding_window_view(draws, n), -1.0, 1.0)
-        candidates[:, -1] = np.abs(candidates[:, -1]) + 0.05
-        timelike = classify_rows(space, candidates, tol) == VectorClass.TIME_LIKE
-        in_tplus = (timelike & (candidates[:, -1] > 0)).tolist()
-
-    def sample_tplus(p: int) -> int:
-        while True:
-            if p - start >= len(in_tplus):
-                extend(p)
-            if in_tplus[p - start]:
-                return p
-            p += n
-
-    p = 0
-    for _ in range(trials):
-        picked[0].append(sample_tplus(p))
-        picked[1].append(sample_tplus(picked[0][-1] + n))
-        t = picked[1][-1] + n
-        if t + tail > start + len(draws):
-            extend(t)
-        picked[2].append(t)
-        p = t + tail
-    copy_out()
-    A, B, T = (np.concatenate(parts) for parts in zip(*rows))
+    size, left, parts = block, trials, []  # parts: the (a, b, tail) rows of each round
+    while left:
+        U = stream.peek(size)
+        C = as_uniform(sliding_window_view(U, n), -1.0, 1.0)  # the candidate at every offset
+        C[:, -1] = np.abs(C[:, -1]) + 0.05
+        ok = ((classify_rows(space, C, tol) == VectorClass.TIME_LIKE) & (C[:, -1] > 0)).tolist()
+        trial, p = [], 0  # stream offsets of a, b and the tail of each whole trial in U
+        while len(trial) < left:
+            a = p
+            while a < len(ok) and not ok[a]:
+                a += n
+            b = a + n
+            while b < len(ok) and not ok[b]:
+                b += n
+            if b + n + tail > len(U):  # the trial runs past U
+                break
+            trial.append((a, b, b + n))
+            p = b + n + tail
+        a, b, t = np.array(trial, dtype=np.intp).reshape(-1, 3).T
+        parts.append((C[a], C[b], U[t[:, None] + np.arange(tail)]))
+        stream.take(p)
+        left -= len(trial)
+        size += block - p
+    A, B, T = (np.concatenate(column) for column in zip(*parts))
     mu = as_uniform(T[:, 0], 0.0, 1.0)
     lam = as_uniform(T[:, 1], 0.1, 3.0) * np.where(T[:, 2] < 0.5, 1.0, -1.0)
     V = as_uniform(T[:, 3:], -1.5, 1.5)

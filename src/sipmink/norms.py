@@ -163,18 +163,36 @@ _TINY, _HUGE = float(np.finfo(float).tiny), float(np.finfo(float).max)
 
 def _power_sums(A, p: float):
     """The power sums sum_i A_i ** p over the last axis of A = |X|, and the
-    mask of the rows whose sum is not a normal float although their largest
-    entry is positive and finite (None when there are none): those lost bits
-    to underflow or overflow, and the p-norm kernels recompute them on the
-    row scaled by its largest entry.  Every other row keeps its bits.  An
-    overflow here is not warned of, since the recompute replaces it."""
+    :func:`_off_range` mask of their rows.  An overflow here is not warned
+    of, since the recompute replaces it."""
     with np.errstate(over="ignore"):
         s = reduce_last(np.add, A**p)
+    return s, _off_range(s, A)
+
+
+def _off_range(s, X):
+    """The mask of the rows of X whose sum ``s`` of powers is not a normal
+    float although their largest |entry| is positive and finite (None when
+    there are none): those lost bits to underflow or overflow, and the
+    kernels recompute them on the row scaled by its largest |entry|.  Every
+    other row keeps its bits."""
     if not np.size(s) or (_TINY <= s.min() and s.max() <= _HUGE):
-        return s, None
-    m = reduce_last(np.maximum, A)
+        return None
+    m = reduce_last(np.maximum, np.abs(X))
     off = ~((s >= _TINY) & (s <= _HUGE)) & (m > 0.0) & (m <= _HUGE)
-    return s, (off if off.any() else None)
+    return off if off.any() else None
+
+
+def _rescaled(kernel, spec: NormSpec, out, X, off):
+    """``out`` with its ``off`` rows recomputed by the norm ``kernel`` on the
+    rows of |X| divided by their largest entry."""
+    if off is None:
+        return out
+    A = np.abs(X[off])
+    m = A.max(axis=-1)
+    out = np.array(out)  # a single vector gives a scalar
+    out[off] = m * kernel(spec, A / m[:, None])
+    return out[()]
 
 
 def norm(space, x) -> float:
@@ -190,15 +208,12 @@ def norm_rows(space, X) -> np.ndarray:
     spec = _spec(space)
     X = check_dim(X, spec.dim, rows=True)
     if spec.kind == EUCLIDEAN:
-        return np.sqrt(dot_rows(X, X))
+        with np.errstate(over="ignore"):
+            s = dot_rows(X, X)
+        return _rescaled(norm_rows, spec, np.sqrt(s), X, _off_range(s, X))
     if spec.kind == PNORM:
-        A = np.abs(X)
-        s, off = _power_sums(A, spec.p)
-        out = pow_rows(s, 1.0 / spec.p)
-        if off is not None:
-            m = A[off].max(axis=1)
-            out[off] = m * norm_rows(spec, A[off] / m[:, None])
-        return out
+        s, off = _power_sums(np.abs(X), spec.p)
+        return _rescaled(norm_rows, spec, pow_rows(s, 1.0 / spec.p), X, off)
     if spec.kind == MAX:
         return reduce_last(np.maximum, np.abs(X))
     return row_kernel(spec.gauge)(X)
@@ -210,16 +225,12 @@ def norm_batch(space, X: np.ndarray) -> np.ndarray:
     spec = _spec(space)
     X = np.asarray(X, dtype=float)
     if spec.kind == EUCLIDEAN:
-        return np.sqrt(reduce_last(np.add, X * X))
+        with np.errstate(over="ignore"):
+            s = reduce_last(np.add, X * X)
+        return _rescaled(norm_batch, spec, np.sqrt(s), X, _off_range(s, X))
     if spec.kind == PNORM:
-        A = np.abs(X)
-        s, off = _power_sums(A, spec.p)
-        out = s ** (1.0 / spec.p)
-        if off is not None:
-            out, m = np.asarray(out), A[off].max(axis=-1)  # a single vector gives a scalar
-            out[off] = m * norm_batch(spec, A[off] / m[:, None])
-            out = out[()]
-        return out
+        s, off = _power_sums(np.abs(X), spec.p)
+        return _rescaled(norm_batch, spec, s ** (1.0 / spec.p), X, off)
     if spec.kind == MAX:
         return reduce_last(np.maximum, np.abs(X))
     return np.array([float(spec.gauge(row)) for row in X.reshape(-1, spec.dim)]).reshape(X.shape[:-1])

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConvergenceError, DimensionError, DomainError, NumericalError
 
@@ -66,6 +67,49 @@ class Seed:
 
 def as_seed(seed) -> Seed:
     return seed if isinstance(seed, Seed) else Seed(int(seed))
+
+
+class DrawStream:
+    """``rng.random`` draws handed out in stream order.  A trial loop that
+    skips or rejects draws peeks at a block its run could use, works out
+    how far the scalar loop would have drawn, and takes only that; the rest
+    stays for the next peek.  Any split into peeks and takes reproduces one
+    ``rng.random`` block bit for bit."""
+
+    def __init__(self, rng: np.random.Generator):
+        self._rng = rng
+        self._buffer = np.empty(0)
+
+    def peek(self, count: int) -> np.ndarray:
+        """The next ``count`` draws, left in the stream."""
+        if count > len(self._buffer):
+            self._buffer = np.concatenate((self._buffer, self._rng.random(count - len(self._buffer))))
+        return self._buffer[:count]
+
+    def take(self, count: int) -> np.ndarray:
+        """The next ``count`` draws, removed from the stream."""
+        draws = self.peek(count)
+        self._buffer = self._buffer[count:]
+        return draws
+
+    def kept_trials(self, trials: int, head: int, d: int, tail: int, low: float, high: float) -> np.ndarray:
+        """The draws of the trials a loop keeps, one row each.  Each of
+        ``trials`` trials draws ``head`` values, the last ``d`` of them a
+        vector uniform on [low, high); a zero vector skips the trial and its
+        ``tail`` further draws.  Takes the draws the loop used."""
+        draws = self.peek(trials * (head + tail))  # the longest possible run
+        nonzero = np.any(as_uniform(sliding_window_view(draws, d), low, high), axis=1).tolist()
+        starts = []
+        p = 0
+        for _ in range(trials):
+            if nonzero[p + head - d]:
+                starts.append(p)
+                p += head + tail
+            else:
+                p += head
+        kept = draws[np.array(starts, dtype=np.intp)[:, None] + np.arange(head + tail)]
+        self.take(p)
+        return kept
 
 
 def check_dim(x, dim: int, rows: bool = False) -> np.ndarray:
@@ -252,12 +296,7 @@ def minimize(
     points, values, converged = _nelder_mead(
         lambda rows, P: np.array([_finite(f(x), "minimize") for x in P]), x0[None], opt_tol, max_iter, speculate=False
     )
-    if not converged[0]:
-        raise ConvergenceError(
-            f"simplex diameter did not reach {opt_tol} in {max_iter} iterations",
-            best_point=points[0],
-            best_value=float(values[0]),
-        )
+    raise_unconverged(points, values, converged, opt_tol, max_iter)
     return points[0], float(values[0])
 
 
@@ -288,6 +327,21 @@ def minimize_rows(
     :class:`NumericalError` on a non-finite value the rules use.
     """
     return _nelder_mead(f, X0, opt_tol, max_iter, speculate=True)
+
+
+def raise_unconverged(points, values, converged, opt_tol: float, max_iter: int) -> None:
+    """Raise :class:`ConvergenceError` for the first row of a
+    :func:`minimize_rows` result that did not converge, carrying that row's
+    best vertex and value; the message names the row when there are several."""
+    if converged.all():
+        return
+    r = int(np.argmin(converged))
+    where = f" (row {r})" if len(converged) > 1 else ""
+    raise ConvergenceError(
+        f"simplex diameter did not reach {opt_tol} in {max_iter} iterations{where}",
+        best_point=points[r].copy(),
+        best_value=float(values[r]),
+    )
 
 
 _VALUE = operator.itemgetter(0)

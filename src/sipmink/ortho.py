@@ -26,7 +26,7 @@ from .errors import (
 )
 from .minkowski import GeneralizedMinkowskiSpace, embed, product_plus
 from .norms import MAX, NormSpec, SipSpace, norm_batch, norm_rows, sip, sip_rows
-from .numerics import DEFAULT_TOLERANCES, Tolerances, as_seed, dot_rows, minimize_rows, pow_rows, row_kernel
+from .numerics import DEFAULT_TOLERANCES, Tolerances, as_seed, dot_rows, minimize_rows, pow_rows, raise_unconverged, row_kernel
 
 
 class OrthoRelation(enum.Enum):
@@ -66,13 +66,7 @@ def birkhoff_margin_rows(space, X, Y, opt_tol: float = DEFAULT_TOLERANCES.opt_to
     pt, best_v, converged = minimize_rows(
         lambda rows, T: norm_rows(space, Xh[rows] + T * Yh[rows]), t0[:, None], opt_tol=opt_tol, max_iter=500
     )
-    if not converged.all():
-        r = int(np.argmin(converged))
-        raise ConvergenceError(
-            f"simplex diameter did not reach {opt_tol} in 500 iterations (row {r})",
-            best_point=pt[r].copy(),
-            best_value=float(best_v[r]),
-        )
+    raise_unconverged(pt, best_v, converged, opt_tol, 500)
     best_t = pt[:, 0]
     on_grid_better = v0 < best_v
     best_t, best_v = np.where(on_grid_better, t0, best_t), np.where(on_grid_better, v0, best_v)
@@ -307,12 +301,7 @@ def auerbach_pair_2d(norm_spec: NormSpec, grid: int = 720, tolerances: Tolerance
 
     start = np.array([[thetas[i], thetas[j]]])
     best, best_v, converged = minimize_rows(objective, start, opt_tol=tolerances.opt_tol, max_iter=800)
-    if not converged[0]:
-        raise ConvergenceError(
-            f"simplex diameter did not reach {tolerances.opt_tol} in 800 iterations",
-            best_point=best[0],
-            best_value=float(best_v[0]),
-        )
+    raise_unconverged(best, best_v, converged, tolerances.opt_tol, 800)
     pair = _unit_vectors(norm_spec, best[0])
     margins, _ = birkhoff_margin_rows(norm_spec, pair, pair[::-1], tolerances.opt_tol)
     if np.any(margins < norm_rows(norm_spec, pair) - 10.0 * tolerances.opt_tol):

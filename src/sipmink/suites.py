@@ -15,7 +15,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import hyperboloid as hyp
 from . import isometry as iso
@@ -35,6 +34,7 @@ from .norms import (
 )
 from .numerics import (
     DEFAULT_TOLERANCES,
+    DrawStream,
     ResidualTracker,
     Seed,
     Tolerances,
@@ -146,24 +146,6 @@ def suite_siip_axioms(cfg: RunConfig) -> list[CheckRow]:
     return [_tracked("siip-axioms", t, tol, pick=-1) for t in trackers]
 
 
-def _kept_trials(draws, trials: int, head: int, d: int, tail: int, low: float, high: float):
-    """The draws of the trials a loop keeps, one row each, and the number of
-    draws the loop used.  Each of ``trials`` trials draws ``head`` values, the
-    last ``d`` of them a vector uniform on [low, high); a zero vector skips
-    the trial and its ``tail`` further draws.  ``draws`` holds the longest
-    possible stream."""
-    nonzero = np.any(as_uniform(sliding_window_view(draws, d), low, high), axis=1).tolist()
-    starts = []
-    p = 0
-    for _ in range(trials):
-        if nonzero[p + head - d]:
-            starts.append(p)
-            p += head + tail
-        else:
-            p += head
-    return draws[np.array(starts, dtype=np.intp)[:, None] + np.arange(head + tail)], p
-
-
 def suite_theorem2(cfg: RunConfig) -> list[CheckRow]:
     """Nested-derivative identity of the s.i.p. on the smooth S block."""
     block = cfg.s_sip()
@@ -173,9 +155,9 @@ def suite_theorem2(cfg: RunConfig) -> list[CheckRow]:
     if not smooth_enough:
         return _not_applicable("theorem2", "norm not twice differentiable")
     # a trial draws x, z, y and, unless y = 0 (then it is skipped), the
-    # length of y; one block holds the longest possible stream
+    # length of y
     d = block.dim
-    T, _ = _kept_trials(as_seed(cfg.seed).rng().random(100 * (3 * d + 1)), 100, 3 * d, d, 1, -1.0, 1.0)
+    T = DrawStream(as_seed(cfg.seed).rng()).kept_trials(100, 3 * d, d, 1, -1.0, 1.0)
     X, Z, Y = (as_uniform(T[:, i * d : (i + 1) * d], -1.0, 1.0) for i in range(3))
     Y *= (as_uniform(T[:, 3 * d], 0.5, 2.0) / norm_rows(block, Y))[:, None]
     track = ResidualTracker("identity_residual")
@@ -384,26 +366,6 @@ def suite_isometry(cfg: RunConfig) -> list[CheckRow]:
     return rows
 
 
-class _DrawStream:
-    """``rng.random`` draws handed out in stream order.  A trial loop that
-    skips draws on some trials peeks at the block its longest run could use
-    and takes what it used; the rest stays for the next loop."""
-
-    def __init__(self, rng: np.random.Generator):
-        self._rng = rng
-        self._buffer = np.empty(0)
-
-    def peek(self, count: int) -> np.ndarray:
-        if count > len(self._buffer):
-            self._buffer = np.concatenate((self._buffer, self._rng.random(count - len(self._buffer))))
-        return self._buffer[:count]
-
-    def take(self, count: int) -> np.ndarray:
-        draws = self.peek(count)
-        self._buffer = self._buffer[count:]
-        return draws
-
-
 def _perpendicular(X):
     """(-x2, x1) for each row x of an (N, 2) array."""
     return np.stack([-X[:, 1], X[:, 0]], axis=1)
@@ -421,11 +383,10 @@ def suite_orthogonality(cfg: RunConfig) -> list[CheckRow]:
     rows = []
     tol = cfg.tolerances
     euclid = SipSpace.euclidean(2)
-    draws = _DrawStream(as_seed(cfg.seed).rng())
+    draws = DrawStream(as_seed(cfg.seed).rng())
     # on Euclidean planes every relation agrees with perpendicularity; a
     # trial draws x and, unless x = 0 (then it is skipped), the length of y
-    T, used = _kept_trials(draws.peek(30), 10, 2, 2, 1, -2.0, 2.0)
-    draws.take(used)
+    T = draws.kept_trials(10, 2, 2, 1, -2.0, 2.0)
     X = as_uniform(T[:, :2], -2.0, 2.0)
     Y = _perpendicular(X) * as_uniform(T[:, 2], 0.2, 2.0)[:, None]
     agree = all([np.all(ortho.relation_rows(euclid, rel, X, Y, tol.opt_tol)[0] <= 1e-6) for rel in ortho.OrthoRelation])
@@ -448,8 +409,7 @@ def suite_orthogonality(cfg: RunConfig) -> list[CheckRow]:
 
     # homogeneity of the unitary relations; a trial draws x and, unless
     # x = 0 (then it is skipped), lam and mu
-    T, used = _kept_trials(draws.peek(40), 10, 2, 2, 2, -1.5, 1.5)
-    draws.take(used)
+    T = draws.kept_trials(10, 2, 2, 2, -1.5, 1.5)
     X = as_uniform(T[:, :2], -1.5, 1.5)
     Y = _perpendicular(X)
     lam, mu = as_uniform(T[:, 2], 0.2, 3.0)[:, None], as_uniform(T[:, 3], -3.0, -0.2)[:, None]

@@ -22,7 +22,7 @@ from sipmink.norms import (
     sip_rows,
     sip_second_arg_derivative,
 )
-from sipmink.numerics import Seed, central_diff, first_diff_step, pow_rows, reduce_last
+from sipmink.numerics import Seed, central_diff, dot_rows, first_diff_step, pow_rows, reduce_last
 
 E2 = SipSpace.euclidean(2)
 MAX2 = SipSpace.max_norm(2)
@@ -182,6 +182,48 @@ class TestLargeExponent:
         for y, x, got in zip(Y[rescaled], X[rescaled], products[rescaled]):
             ref = _scaled_closed_form_sip(y, x, 64.0)
             assert math.isfinite(got) and abs(got - ref) <= 1e-14 * abs(ref)
+
+
+class TestEuclideanExtremeScales:
+    """A Euclidean sum of squares that leaves the normal range is recomputed
+    on the row scaled by its largest coordinate, as the p-norm power sums
+    are; every other row keeps the bits of the unscaled sum."""
+
+    @pytest.mark.parametrize("x", [1e-200, 1e-160, 5e-324, 1e160, 1e200, 1.7e308])
+    def test_one_coordinate_norm_is_exact(self, x):
+        with np.errstate(over="raise"):  # no overflow is warned of
+            assert norm(E2, [x, 0.0]) == x
+            assert norm(E2, [0.0, -x]) == x
+            assert norm_rows(E2, np.array([[x, 0.0]]))[0] == x
+            assert norm_batch(E2, np.array([[x, 0.0]]))[0] == x
+            assert norm_batch(E2, np.array([0.0, x])) == x  # a single vector gives a scalar
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_pythagorean_triple(self, scale):
+        X = np.array([[3.0, 4.0], [-4.0, 3.0]]) * scale
+        for got in (norm_rows(E2, X), norm_batch(E2, X[None])[0]):
+            assert np.allclose(got, 5.0 * scale, rtol=1e-15, atol=0.0)
+
+    def test_rows_in_range_keep_their_bits(self, rng):
+        X = rng.uniform(-2.0, 2.0, (40, 2))
+        X[::7] *= 1e-170  # sums of squares below the normal range
+        X[3::7] *= 1e160  # and above it
+        X[5], X[6], X[12] = 0.0, [np.nan, 1.0], [np.inf, 1.0]  # no finite largest coordinate to scale by
+        with np.errstate(over="ignore"):
+            s_rows, s_batch = dot_rows(X, X), reduce_last(np.add, X * X)
+        unscaled = (s_rows >= np.finfo(float).tiny) & (s_rows <= np.finfo(float).max)
+        assert 10 < unscaled.sum() < 36
+        got_rows, got_batch = norm_rows(E2, X), norm_batch(E2, X[None])[0]
+        assert np.array_equal(got_rows[unscaled], np.sqrt(s_rows)[unscaled])
+        assert np.array_equal(got_batch[unscaled], np.sqrt(s_batch)[unscaled])
+        assert got_rows[5] == got_batch[5] == 0.0 and np.isnan(got_rows[6]) and np.isnan(got_batch[6])
+        assert got_rows[12] == got_batch[12] == np.inf
+        rescaled = ~unscaled
+        rescaled[[5, 6, 12]] = False
+        ref = np.array([math.hypot(*x) for x in X[rescaled]])
+        assert np.all(ref > 0.0) and np.all(np.isfinite(ref))
+        assert np.allclose(got_rows[rescaled], ref, rtol=1e-15, atol=0.0)
+        assert np.allclose(got_batch[rescaled], ref, rtol=1e-15, atol=0.0)
 
 
 class TestAxiomReport:

@@ -10,12 +10,15 @@ from sipmink.errors import ConvergenceError, DomainError, NumericalError, PathEr
 from sipmink.hyperboloid import _segment_lengths
 from sipmink.minkowski import max_norm_spacetime
 from sipmink.numerics import (
+    DrawStream,
     Seed,
     Tolerances,
+    as_uniform,
     central_diff,
     integrate,
     minimize,
     minimize_rows,
+    raise_unconverged,
     sample_vectors,
     second_diff,
 )
@@ -277,6 +280,17 @@ class TestMinimizeRows:
                 pt, val = err.value.best_point, err.value.best_value
             assert np.array_equal(P[i], pt) and V[i] == val
 
+    def test_raise_unconverged_carries_the_first_failing_rows_best(self):
+        problems = [(lambda x, c=c: float((x[0] - c) ** 2)) for c in (1.0, 1e6, 3.0, 1e9)]
+        P, V, converged = minimize_rows(_row_objective(problems), np.zeros((4, 1)), max_iter=50)
+        raise_unconverged(P[::2], V[::2], converged[::2], 1e-7, 50)  # rows 0 and 2 converged
+        with pytest.raises(ConvergenceError, match=r"^simplex diameter did not reach 1e-07 in 50 iterations \(row 1\)$") as err:
+            raise_unconverged(P, V, converged, 1e-7, 50)
+        assert np.array_equal(err.value.best_point, P[1]) and err.value.best_value == V[1]
+        with pytest.raises(ConvergenceError, match=r"^simplex diameter did not reach 1e-07 in 50 iterations$") as err:
+            raise_unconverged(P[3:], V[3:], converged[3:], 1e-7, 50)  # one row: not named
+        assert np.array_equal(err.value.best_point, P[3]) and err.value.best_value == V[3]
+
     @pytest.mark.parametrize("budget", [70, 85])
     def test_mixed_batch_keeps_the_reference_best_of_the_row_out_of_budget(self, budget):
         # the node-wise geodesic objective needs 90 iterations, the bowl 64
@@ -425,6 +439,63 @@ class TestSpeculativeSteps:
             ref_pt, ref_val = reference_minimize(lambda x: ref.append(x.copy()) or f(x), np.array(x0, dtype=float), opt_tol=1e-8)
             assert np.array_equal(pt, ref_pt) and val == ref_val
             assert len(got) == len(ref) and all(np.array_equal(a, b) for a, b in zip(got, ref))
+
+
+class _FixedDraws:
+    """An ``rng.random`` stand-in that hands out a fixed sequence."""
+
+    def __init__(self, values):
+        self.values, self.used = np.asarray(values, dtype=float), 0
+
+    def random(self, count):
+        self.used += count
+        return self.values[self.used - count : self.used]
+
+
+def _loop_kept_trials(values, trials, head, d, tail, low, high):
+    """The scalar loop :meth:`DrawStream.kept_trials` replays: the draws of
+    each kept trial, and the first draw after the loop."""
+    draws, kept = iter(values), []
+    for _ in range(trials):
+        row = [next(draws) for _ in range(head)]
+        if np.any(as_uniform(np.array(row[-d:]), low, high)):
+            kept.append(row + [next(draws) for _ in range(tail)])
+    return kept, next(draws)
+
+
+class TestDrawStream:
+    @given(st.lists(st.tuples(st.booleans(), st.integers(0, 40)), max_size=12))
+    def test_any_split_reproduces_one_block(self, calls):
+        stream = DrawStream(Seed(5).rng())
+        block = Seed(5).rng().random(sum(count for take, count in calls) + 10)
+        at = 0
+        for take, count in calls:
+            got = stream.take(count) if take else stream.peek(count)
+            assert got.tobytes() == block[at : at + count].tobytes()
+            at += count if take else 0
+        assert stream.take(10).tobytes() == block[at : at + 10].tobytes()
+
+    def test_peek_consumes_nothing(self):
+        stream = DrawStream(Seed(5).rng())
+        first = stream.peek(7).copy()
+        assert stream.peek(3).tobytes() == first[:3].tobytes()
+        assert stream.peek(12)[:7].tobytes() == first.tobytes()
+        assert stream.take(7).tobytes() == first.tobytes()
+        assert stream.take(5).tobytes() == Seed(5).rng().random(12)[7:].tobytes()
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("head, d, tail", [(3, 2, 1), (2, 2, 2), (2, 1, 0), (4, 1, 3)])
+    def test_kept_trials_follow_the_scalar_loop(self, seed, head, d, tail):
+        # on [0, 1) a coordinate is 0 exactly where its draw is, so planted
+        # zeros make the loop skip trials
+        rng = Seed(seed).rng()
+        values = np.where(rng.random(200) < 0.6, 0.0, rng.random(200))
+        stream = DrawStream(_FixedDraws(values))
+        kept = stream.kept_trials(12, head, d, tail, 0.0, 1.0)
+        ref, following = _loop_kept_trials(values, 12, head, d, tail, 0.0, 1.0)
+        assert 0 < len(ref) < 12
+        assert kept.shape == (len(ref), head + tail) and kept.tobytes() == np.array(ref).tobytes()
+        assert stream.take(1)[0] == following
 
 
 class TestSampleVectors:

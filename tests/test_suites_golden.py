@@ -11,6 +11,10 @@ do not; their digests were recorded before the space-time suites
 (``lemma3``, ``lemma4``, ``tangent``, ``theorem10``, ``theorem2``) ran as
 row-wise array code.  A change that moves any residual or witness in the last printed
 digit changes a digest.
+
+The ``geodesic-cosh`` rows have digests of their own, on the stock three
+configs at seed 42 and 16 nodes; they pin the geodesic solvers' lengths
+through the arccosh-law residuals and witnesses.
 """
 
 import hashlib
@@ -60,3 +64,19 @@ def test_suite_csv_digest(seed, label):
     assert all(r.passed for r in results)
     digest = hashlib.sha256(suites.rows_to_csv(rows).encode()).hexdigest()
     assert digest == GOLDEN_SHA256[(seed, label)]
+
+
+GEODESIC_COSH_SHA256 = {
+    "euclidean": "1d07d13e06b4549321e957ef219adc1bd4e336150cc3995ea25751daadbe4d2a",
+    "pnorm3": "802e3c408a4e5965973045d7f6d17c1dd9a603acaf528f812db9624fd5e02ddb",
+    "max": "c4bcbac0649ceef3791a1f3d6fe35cc40c50866caf3a88d28b865d5909694748",
+}
+
+
+@pytest.mark.parametrize("label", sorted(GEODESIC_COSH_SHA256))
+def test_geodesic_cosh_csv_digest(label):
+    cfg = config_from_mapping(parse_config(STOCK_CONFIGS[label] + "seed = 42\nnodes = 16\n"))
+    results, rows = suites.run_suites(["geodesic-cosh"], cfg)
+    assert all(r.passed for r in results)
+    digest = hashlib.sha256(suites.rows_to_csv(rows).encode()).hexdigest()
+    assert digest == GEODESIC_COSH_SHA256[label]
