@@ -246,14 +246,14 @@ def cone_convexity_check(
     n = space.n
     tail = 3 + n  # mu, |lam|, sign, v
     block = trials * (10 * n + tail)  # 1.4-1.7 times what the stock 2+1 spaces use
-    size, left, parts = block, trials, []  # parts: the (a, b, tail) rows of each round
-    while left:
+    size, wanted, parts = block, trials, []  # parts: the (a, b, tail) rows of each round
+    while wanted:
         U = stream.peek(size)
         C = as_uniform(sliding_window_view(U, n), -1.0, 1.0)  # the candidate at every offset
         C[:, -1] = np.abs(C[:, -1]) + 0.05
         ok = ((classify_rows(space, C, tol) == VectorClass.TIME_LIKE) & (C[:, -1] > 0)).tolist()
-        trial, p = [], 0  # stream offsets of a, b and the tail of each whole trial in U
-        while len(trial) < left:
+        offsets, p = [], 0  # of a, b and the tail of each whole trial in U
+        while len(offsets) < wanted:
             a = p
             while a < len(ok) and not ok[a]:
                 a += n
@@ -262,12 +262,12 @@ def cone_convexity_check(
                 b += n
             if b + n + tail > len(U):  # the trial runs past U
                 break
-            trial.append((a, b, b + n))
+            offsets.append((a, b, b + n))
             p = b + n + tail
-        a, b, t = np.array(trial, dtype=np.intp).reshape(-1, 3).T
+        a, b, t = np.array(offsets, dtype=np.intp).reshape(-1, 3).T
         parts.append((C[a], C[b], U[t[:, None] + np.arange(tail)]))
         stream.take(p)
-        left -= len(trial)
+        wanted -= len(offsets)
         size += block - p
     A, B, T = (np.concatenate(column) for column in zip(*parts))
     mu = as_uniform(T[:, 0], 0.0, 1.0)
