@@ -246,34 +246,29 @@ def _segment_lengths(space, seg_starts: np.ndarray, seg_deltas: np.ndarray, quad
     tau follows the lift.  Velocities use a central difference of the lifted
     tau along the chord parameter; the S velocity is the constant delta.
     Simpson grid from _quadrature_grid; PathError if a velocity turns time-like.
-    The shifted points and the deltas share one norm_batch call and the steps
-    after it run on the stacked arrays: on the two-segment batches of the
-    node-wise relaxation, each numpy call costs more than its arithmetic.
+    The batch runs coordinate-major: the shifted points and the deltas fill
+    one (k, R) buffer for one norm_batch call, so each elementwise pass runs
+    over one long row per coordinate, not numpy's loop over a short last axis.
     A (G, S, k) batch is G groups of S segments, each group with its own
     space-like floor, and gives (G, S) lengths; an (n, k) batch is one group."""
-    shape, groups = seg_deltas.shape[:-1], len(seg_deltas) if seg_deltas.ndim == 3 else 1
-    seg_starts, seg_deltas = seg_starts.reshape(-1, seg_starts.shape[-1]), seg_deltas.reshape(-1, seg_deltas.shape[-1])
+    shape, groups, k = seg_deltas.shape[:-1], len(seg_deltas) if seg_deltas.ndim == 3 else 1, seg_deltas.shape[-1]
+    S, D = seg_starts.reshape(-1, k).T, seg_deltas.reshape(-1, k).T
     sig, weights = _quadrature_grid(quad_m)
-    n, nq = seg_deltas.shape[0], sig.size
-    P = seg_starts[:, None, :] + sig[None, :, None] * seg_deltas[:, None, :]
-    step = _EPS3
-    off = step * seg_deltas[:, None, :]
-    rows = np.empty((2 * n * nq + n, seg_deltas.shape[1]))
-    shifted = rows[: 2 * n * nq].reshape(2, *P.shape)
-    np.add(P, off, out=shifted[0])
-    np.subtract(P, off, out=shifted[1])
-    rows[2 * n * nq :] = seg_deltas
-    sq = norm_batch(space.s_space, rows) ** 2
-    tau = np.sqrt(1.0 + sq[: 2 * n * nq]).reshape(2, n, nq)  # the lift at P+off, then at P-off
-    dtau = (tau[0] - tau[1]) / (2.0 * step)
-    speed2 = sq[2 * n * nq :]
-    rad = speed2[:, None] - dtau**2
+    n, nq = D.shape[1], sig.size
+    P = S[:, None, :] + sig[:, None] * D[:, None, :]
+    off = (_EPS3 * D)[:, None, :]
+    rows = np.concatenate([P + off, P - off, D[:, None]], axis=1).reshape(k, -1).T
+    sq = norm_batch(space.s_space, rows if k < 8 else rows.copy()) ** 2  # numpy adds 8+ terms pairwise on a row-major row
+    tau = np.sqrt(1.0 + sq[: 2 * nq * n]).reshape(2, nq, n)  # the lift at P+off, then at P-off
+    dtau = (tau[0] - tau[1]) / (2.0 * _EPS3)
+    speed2 = sq[2 * nq * n :]
+    rad = speed2 - dtau**2
     if np.fmin.reduce(rad, axis=None, initial=0.0) < -1e-11:  # below the highest floor: check each group's
         floor = -1e-11 * np.fmax(1.0, np.maximum.reduce(speed2.reshape(groups, -1), axis=1, initial=0.0))
-        if (rad.reshape(groups, -1) < floor[:, None]).any():
+        if (rad.reshape(nq, groups, -1) < floor[:, None]).any():
             raise PathError("curve velocity left the space-like regime")
-    g = np.sqrt(np.maximum(rad, 0.0))
-    return (g @ weights).reshape(shape)
+    g = np.maximum(rad.T, 0.0, order="C")  # (n, nq), so the Simpson sum is one row-major matrix-vector product
+    return (np.sqrt(g, out=g) @ weights).reshape(shape)
 
 
 def path_length(space: GeneralizedMinkowskiSpace, path: Path, quad_m: int = 4) -> float:
@@ -289,30 +284,33 @@ def _path_energy(space, s_nodes: np.ndarray, quad_m: int) -> float:
     return float((s_nodes.shape[0] - 1) * np.sum(L * L))
 
 
+@lru_cache(maxsize=8)
+def _gradient_plan(m: int, k: int) -> np.ndarray:
+    """The (2, k, 4k(m-1) + m) indices of the starts and the ends of the
+    segments of an _energy_gradient call, coordinate-major, into the flat
+    nodes followed by the interior coordinates moved by +h, then by -h.
+    First every left segment of a moved node, then every right segment,
+    each ordered (node, coordinate, sign), then the m path segments."""
+    node = np.arange((m + 1) * k).reshape(m + 1, k)
+    moved = np.repeat(node[1:-1, None, :, None], k, axis=1).repeat(2, axis=3)  # [node - 1, c, coordinate, sign]
+    moved[:, np.arange(k), np.arange(k)] = node[:-2, :, None] + [(m + 1) * k, 2 * m * k]
+    moved, rep = moved.transpose(0, 1, 3, 2).reshape(-1, k), np.repeat(node, 2 * k, axis=0)
+    plan = np.stack([np.concatenate([rep[: -4 * k], moved, node[:-1]]).T, np.concatenate([moved, rep[4 * k :], node[1:]]).T])
+    plan.flags.writeable = False
+    return plan
+
+
 def _energy_gradient(space, s_nodes: np.ndarray, quad_m: int, h: float = 1e-6) -> tuple[np.ndarray, float]:
     """Central-difference gradient of the path energy w.r.t. interior nodes,
     and the energy itself (equal to _path_energy).  A moved node changes only
-    its two segments, so all 4k(m-1) perturbed ones, ordered (node,
-    coordinate, sign, left/right), and then the m path segments take one
-    length call."""
+    its two segments, so all 4k(m-1) perturbed ones and the m path segments
+    take one length call, gathered by _gradient_plan; only the moved
+    coordinate gets +h or -h, the others are copied."""
     m, k = s_nodes.shape[0] - 1, s_nodes.shape[1]
-    n = 4 * k * (m - 1)
-    starts, deltas = np.empty((2, n + m, k))
-    sp = starts[:n].reshape(m - 1, k, 2, 2, k)
-    sp[:, :, :, 0] = s_nodes[:-2, None, None, :]
-    p = sp[:, :, :, 1]  # a view; p[i, c, 0/1] is node i+1 moved by +h/-h along c
-    p[...] = s_nodes[1:-1, None, None, :]
-    diag = np.arange(k)
-    p[:, diag, 0, diag] += h
-    p[:, diag, 1, diag] -= h
-    dp = deltas[:n].reshape(sp.shape)
-    np.subtract(p, s_nodes[:-2, None, None, :], out=dp[:, :, :, 0])
-    np.subtract(s_nodes[2:, None, None, :], p, out=dp[:, :, :, 1])
-    starts[n:] = s_nodes[:-1]
-    np.subtract(s_nodes[1:], s_nodes[:-1], out=deltas[n:])
-    L = _segment_lengths(space, starts, deltas, quad_m)
-    pair = (m * (L[0:n:2] ** 2 + L[1:n:2] ** 2)).reshape(m - 1, k, 2)
-    path = L[n:]
+    x, q = s_nodes.ravel(), 2 * k * (m - 1)
+    starts, ends = np.concatenate([x, x[k:-k] + h, x[k:-k] - h]).take(_gradient_plan(m, k))
+    L = _segment_lengths(space, starts.T, (ends - starts).T, quad_m)
+    pair, path = (m * (L[:q] ** 2 + L[q : 2 * q] ** 2)).reshape(m - 1, k, 2), L[2 * q :]
     return (pair[:, :, 0] - pair[:, :, 1]) / (2.0 * h), float(m * np.sum(path * path))
 
 

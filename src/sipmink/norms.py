@@ -176,7 +176,7 @@ def _off_range(s, X):
     there are none): those lost bits to underflow or overflow, and the
     kernels recompute them on the row scaled by its largest |entry|.  Every
     other row keeps its bits."""
-    if not np.size(s) or (_TINY <= s.min() and s.max() <= _HUGE):
+    if not s.size or (_TINY <= np.minimum.reduce(s, axis=None) and np.maximum.reduce(s, axis=None) <= _HUGE):
         return None
     m = reduce_last(np.maximum, np.abs(X))
     off = ~((s >= _TINY) & (s <= _HUGE)) & (m > 0.0) & (m <= _HUGE)

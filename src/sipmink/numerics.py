@@ -315,11 +315,11 @@ def minimize_rows(
     not depend on the rest of the batch.  Each step makes one call, on
     4 + n points of every active row: the reflection, the expansion, the
     contractions towards the reflection and towards the worst vertex, and
-    the n shrink points; the step's rules then take the values they use.  A
-    step whose call raises, gives a non-finite value or trips a floating-
-    point overflow, division or invalid-operation flag is redone as the
-    sequential descent asks for its points (the reflections, then the
-    second points, then the shrinks), so it raises only what that descent
+    the n shrink points (for n = 1 the last contraction); the step's rules
+    take the values they use.  A step whose call raises, gives a non-finite
+    value or trips an overflow, division or invalid-operation flag is
+    redone as the sequential descent asks for its points (the reflections,
+    the second points, the shrinks), so it raises only what that descent
     raises, and a value at a point the rules do not use is ignored.  A row
     leaves the batch when its simplex converges.  Returns the best vertices
     (N, n), their values (N,) and whether each row converged; a row still
@@ -353,8 +353,9 @@ def _trial_points(verts, opt_tol):
     contractions towards the reflection and towards the worst vertex, and
     the shrinks of vertices 1..n towards the best.  None when the simplex
     diameter is below ``opt_tol``.  The centroid adds the kept vertices in
-    order and divides by n; _trial_points_1 and _trial_points_2 are this
-    function written out, term for term."""
+    order and divides by n; _trial_points_2 is this function written out,
+    term for term, and so is _trial_points_1 less the shrink point, which
+    for n = 1 is the contraction towards the worst vertex, bit for bit."""
     b, w = verts[0][1], verts[-1][1]
     if all(abs(v - bj) < opt_tol for _, p in verts[1:] for v, bj in zip(p, b)):
         return None
@@ -380,7 +381,7 @@ def _trial_points_1(verts, opt_tol):
     c = b  # b / 1
     a = c - w
     r = c + a
-    return [r, c + 2.0 * a, c + 0.5 * (r - c), c + 0.5 * (w - c), b + 0.5 * (w - b)]
+    return [r, c + 2.0 * a, c + 0.5 * (r - c), c + 0.5 * (w - c)]  # the shrink b + 0.5 * (w - b) is the last
 
 
 def _trial_points_2(verts, opt_tol):
@@ -424,12 +425,12 @@ def _outcome(vals, verts):
     return k
 
 
-def _sequential_values(f, rows, batch, n):
+def _sequential_values(f, rows, batch, n, s0):
     """One step's values, asked for as the sequential descent asks: one call
     for the reflections of all rows, one for the second points of the rows
-    that need one, one for the shrinks; each call's values are checked
-    before the next.  Unevaluated entries stay NaN and are never read."""
-    vals = [[math.nan] * (4 + n) for _ in batch]
+    that need one, one for the shrinks (points s0 on); each call's values
+    are checked before the next.  Unevaluated entries stay NaN, unread."""
+    vals = [[math.nan] * (s0 + n) for _ in batch]
     fr = _finite_rows(f(rows, np.array([pts[:n] for _, _, pts in batch])), "minimize")
     for v, x in zip(vals, fr.tolist()):
         v[0] = x
@@ -440,10 +441,10 @@ def _sequential_values(f, rows, batch, n):
             vals[i][k] = x
     shrink = [i for i, _ in second if _outcome(vals[i], batch[i][1]) is None]
     if shrink:
-        P = np.array([batch[i][2][4 * n :] for i in shrink]).reshape(-1, n)
+        P = np.array([batch[i][2][s0 * n :] for i in shrink]).reshape(-1, n)
         values = _finite_rows(f(np.repeat(rows[shrink], n), P), "minimize").reshape(-1, n)
         for i, row in zip(shrink, values.tolist()):
-            vals[i][4:] = row
+            vals[i][s0:] = row
     return vals
 
 
@@ -462,7 +463,8 @@ def _nelder_mead(f, X0, opt_tol, max_iter, speculate):
     live = [(r, [(v, tuple(p)) for v, p in zip(vs, ps)]) for r, (vs, ps) in enumerate(zip(fv, sim.tolist()))]
     best_x, best_f, converged = np.empty_like(X0), np.empty(count), np.ones(count, dtype=bool)
     trial = {1: _trial_points_1, 2: _trial_points_2}.get(n, _trial_points)
-    per, rows = 4 + n, np.arange(0)
+    s0 = 3 if n == 1 else 4  # the first shrink point; for n = 1 it is the contraction towards the worst vertex
+    per, rows = s0 + n, np.arange(0)
     caller = np.geterr()  # a speculative call raises where the caller's state would warn or raise
     quiet = {key: "ignore" if state == "ignore" else "raise" for key, state in caller.items()}
 
@@ -493,11 +495,11 @@ def _nelder_mead(f, X0, opt_tol, max_iter, speculate):
                     pass
             if vals is None:
                 with np.errstate(**caller):
-                    vals = _sequential_values(f, rows, batch, n)
+                    vals = _sequential_values(f, rows, batch, n, s0)
             for (_, verts, pts), v in zip(batch, vals):
                 k = _outcome(v, verts)
                 if k is None:
-                    verts[1:] = [(v[4 + i], tuple(pts[(4 + i) * n : (5 + i) * n])) for i in range(n)]
+                    verts[1:] = [(v[s0 + i], tuple(pts[(s0 + i) * n : (s0 + 1 + i) * n])) for i in range(n)]
                 else:
                     verts[-1] = (v[k], tuple(pts[k * n : (k + 1) * n]))
 

@@ -1,10 +1,13 @@
-"""Golden geodesic lengths: the exact ``repr`` of four relaxed distances.
+"""Golden geodesic lengths: the exact ``repr`` of eight relaxed distances.
 
-The pairs and lengths are copied from the benchmark's pool of reference
-pairs: two max-norm pairs at m=16 (node-wise simplex relaxation) and a
-Euclidean and a p=3 pair at m=32 (gradient relaxation).  A change to the
-solvers or the kernels under them that is meant to be bit-identical must
-keep every digit; one that is meant to move lengths must re-record them.
+The first four pairs and lengths are copied from the benchmark's pool of
+reference pairs: two max-norm pairs at m=16 (node-wise simplex
+relaxation) and a Euclidean and a p=3 pair at m=32 (gradient relaxation).
+The last four run the gradient relaxation on one- and three-dimensional
+S blocks (1+1 and 3+1 pseudo-Euclidean) at m=16 and 32, so the layout of
+the batched kernels is pinned at k != 2 too.  A change to the solvers or
+the kernels under them that is meant to be bit-identical must keep every
+digit; one that is meant to move lengths must re-record them.
 """
 
 import pytest
@@ -17,6 +20,8 @@ SPACES = {
     "max": max_norm_spacetime(),
     "euclidean": GeneralizedMinkowskiSpace.pseudo_euclidean(2),
     "pnorm3": GeneralizedMinkowskiSpace.from_norms(NormSpec.pnorm(3.0, 2), NormSpec.euclidean(1)),
+    "pseudo11": GeneralizedMinkowskiSpace.pseudo_euclidean(1),
+    "pseudo31": GeneralizedMinkowskiSpace.pseudo_euclidean(3),
 }
 
 # (space, m, a.s, b.s, repr of the length)
@@ -29,6 +34,10 @@ GOLDEN = [
      "0.9363104583096205"),
     ("pnorm3", 32, [0.03780182417959077, 0.5150240952394758], [0.416690047621352, 0.8985890370112879],
      "0.41439159506552126"),
+    ("pseudo11", 16, [0.35], [-1.2], "1.3591946881570656"),
+    ("pseudo11", 32, [0.35], [-1.2], "1.359194689181367"),
+    ("pseudo31", 16, [0.2, -0.4, 0.5], [-0.6, 0.5, 0.1], "1.1946968175749322"),
+    ("pseudo31", 32, [0.2, -0.4, 0.5], [-0.6, 0.5, 0.1], "1.1946811780576985"),
 ]
 
 

@@ -42,6 +42,8 @@ from references import reference_minimize
 
 PSEUDO21 = GeneralizedMinkowskiSpace.pseudo_euclidean(2)
 PSEUDO31 = GeneralizedMinkowskiSpace.pseudo_euclidean(3)
+PSEUDO11 = GeneralizedMinkowskiSpace.pseudo_euclidean(1)
+PSEUDO91 = GeneralizedMinkowskiSpace.pseudo_euclidean(9)
 REMARK = max_norm_spacetime()
 P3SPACE = GeneralizedMinkowskiSpace.from_norms(NormSpec.pnorm(3.0, 2), NormSpec.euclidean(1))
 GAUGE_SPACE = GeneralizedMinkowskiSpace.from_norms(
@@ -242,8 +244,9 @@ class TestPathLength:
             Path.from_s_nodes(PSEUDO21, np.zeros((2, 2)))
 
 
-def _loop_energy_gradient(space, s_nodes, quad_m, h=1e-6):
-    """Reference: the gradient assembly as one Python loop per perturbation."""
+def _loop_perturbed_segments(s_nodes, h=1e-6):
+    """Reference: the starts and deltas of the perturbed segments, one Python
+    loop per perturbation, ordered (node, coordinate, sign, left/right)."""
     m, k = s_nodes.shape[0] - 1, s_nodes.shape[1]
     starts, deltas = [], []
     for i in range(1, m):
@@ -255,9 +258,20 @@ def _loop_energy_gradient(space, s_nodes, quad_m, h=1e-6):
                 deltas.append(p - s_nodes[i - 1])
                 starts.append(p)
                 deltas.append(s_nodes[i + 1] - p)
-    L = _segment_lengths(space, np.array(starts), np.array(deltas), quad_m)
+    return np.array(starts), np.array(deltas)
+
+
+def _loop_energy_gradient(space, s_nodes, quad_m, h=1e-6):
+    """Reference: the gradient assembly as one Python loop per perturbation."""
+    m, k = s_nodes.shape[0] - 1, s_nodes.shape[1]
+    L = _segment_lengths(space, *_loop_perturbed_segments(s_nodes, h), quad_m)
     pair = (m * (L[0::2] ** 2 + L[1::2] ** 2)).reshape(m - 1, k, 2)
     return (pair[:, :, 0] - pair[:, :, 1]) / (2.0 * h)
+
+
+def _same_bits(got, expected):
+    """Equal values with equal signs of zero."""
+    return np.array_equal(got, expected) and np.array_equal(np.signbit(got), np.signbit(expected))
 
 
 def _vstack_relax_sweep(space, s_nodes, quad_m, opt_tol):
@@ -287,6 +301,17 @@ def _random_nodes(space, m):
     return np.random.default_rng(1000 * m + space.k).uniform(-1.5, 1.5, (m + 1, space.k))
 
 
+def _signed_zero_nodes(space, m, h=1e-6):
+    """_random_nodes with exact +0.0 and -0.0 coordinates, and coordinates
+    that a move of h takes to exact zeros."""
+    nodes = _random_nodes(space, m)
+    nodes[::3, 0] = -0.0
+    nodes[1::3, -1] = 0.0
+    nodes[2::4, 0] = h
+    nodes[3::4, -1] = -h
+    return nodes
+
+
 def _reference_radicand(space, seg_starts, seg_deltas, quad_m):
     """Reference: the radicands speed^2 - dtau^2 of the chord lifts at the
     Simpson nodes and the squared speeds, with one norm_batch call each for
@@ -314,18 +339,25 @@ def _three_call_segment_lengths(space, seg_starts, seg_deltas, quad_m):
 
 
 class TestSegmentLengths:
+    # k = 1, 2 and 3; at k = 9 numpy adds the squares pairwise, which follows the memory layout
     @pytest.mark.parametrize(
-        "space", [PSEUDO21, P3SPACE, REMARK, GAUGE_SPACE], ids=["euclidean", "p3", "max", "gauge"]
+        "space",
+        [PSEUDO21, P3SPACE, REMARK, GAUGE_SPACE, PSEUDO11, PSEUDO31, PSEUDO91],
+        ids=["euclidean", "p3", "max", "gauge", "pseudo11", "pseudo31", "pseudo91"],
     )
     # 1 and 2 segments (a node-wise local objective), 4k(m-1) at m=32 (an energy gradient)
     @pytest.mark.parametrize("segments", [1, 2, 4 * 2 * 31])
     @pytest.mark.parametrize("quad_m", [4, 8])
     def test_matches_three_call_reference_bitwise(self, space, segments, quad_m):
         rng = np.random.default_rng(7 * segments + quad_m)
-        starts = rng.uniform(-1.5, 1.5, (segments, 2))
-        deltas = rng.uniform(-0.4, 0.4, (segments, 2))
-        got = _segment_lengths(space, starts, deltas, quad_m)
-        assert np.array_equal(got, _three_call_segment_lengths(space, starts, deltas, quad_m))
+        starts = rng.uniform(-1.5, 1.5, (segments, space.k))
+        deltas = rng.uniform(-0.4, 0.4, (segments, space.k))
+        expected = _three_call_segment_lengths(space, starts, deltas, quad_m)
+        assert np.array_equal(_segment_lengths(space, starts, deltas, quad_m), expected)
+        # the same segments as a (G, S, k) batch of node-wise candidates
+        shape = (segments // 2, 2) if segments % 2 == 0 else (segments, 1)
+        grouped = _segment_lengths(space, starts.reshape(*shape, -1), deltas.reshape(*shape, -1), quad_m)
+        assert np.array_equal(grouped, expected.reshape(shape))
 
     @pytest.mark.parametrize("segments", [1, 3])
     def test_time_like_chord_raises_the_same_path_error(self, segments):
@@ -367,8 +399,31 @@ class TestSolverAssembly:
     @ASSEMBLY_SPACES
     @ASSEMBLY_NODES
     def test_gradient_matches_loop_reference_bitwise(self, space, m):
-        nodes = _random_nodes(space, m)
+        for nodes in (_random_nodes(space, m), _signed_zero_nodes(space, m)):
+            g, energy = _energy_gradient(space, nodes, 4)
+            assert np.array_equal(g, _loop_energy_gradient(space, nodes, 4))
+            assert energy == _path_energy(space, nodes, 4)
+
+    @pytest.mark.parametrize("space", [PSEUDO11, PSEUDO21, PSEUDO31], ids=["pseudo11", "pseudo21", "pseudo31"])
+    @ASSEMBLY_NODES
+    def test_plan_measures_the_loop_segments(self, space, m, monkeypatch):
+        # the plan's order: every left segment, every right segment, then the
+        # path; each coordinate the move leaves alone keeps its sign of zero
+        nodes = _signed_zero_nodes(space, m)
+        seen = []
+
+        def spy(space, seg_starts, seg_deltas, quad_m):
+            seen.append((seg_starts.copy(), seg_deltas.copy()))
+            return _segment_lengths(space, seg_starts, seg_deltas, quad_m)
+
+        monkeypatch.setattr(hyperboloid, "_segment_lengths", spy)
         g, energy = _energy_gradient(space, nodes, 4)
+        (starts, deltas), = seen
+        loop_starts, loop_deltas = _loop_perturbed_segments(nodes)
+        path_starts, path_deltas = nodes[:-1], nodes[1:] - nodes[:-1]
+        assert _same_bits(starts, np.concatenate([loop_starts[0::2], loop_starts[1::2], path_starts]))
+        assert _same_bits(deltas, np.concatenate([loop_deltas[0::2], loop_deltas[1::2], path_deltas]))
+        monkeypatch.undo()
         assert np.array_equal(g, _loop_energy_gradient(space, nodes, 4))
         assert energy == _path_energy(space, nodes, 4)
 
