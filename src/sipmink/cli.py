@@ -1,10 +1,11 @@
 """Command-line harness.
 
 Verbs: classify, product, ortho, auerbach, tangent, distance, verify,
-counterexample.  Spaces come from a flat key-value config file (see
-``config.py``); ``--seed``, ``--trials``, ``--nodes`` and ``--out``
-override it.  The environment variable SIPMINK_TOL_EQ overrides the
-equality tolerance.
+counterexample.  Spaces and tolerances come from a flat key-value config
+file (``--config``, see ``config.py``).  Each verb takes only the
+overrides it reads: classify ``--out``; auerbach and counterexample
+``--seed``; distance ``--nodes --out``; verify ``--seed --trials
+--nodes --out`` and ``--matrix``; product, ortho and tangent none.
 
 Exit codes: 0 all passed, 1 suite failure, 2 usage or config error,
 3 numerical non-convergence.
@@ -31,9 +32,7 @@ from .errors import (
 )
 from .isometry import isometry_report, load_matrix_csv
 from .numerics import Seed
-from .suites import SUITES, isometry_rows, rows_to_csv, run_suites, stock_counterexamples
-
-_FMT = "%.17g"
+from .suites import FMT, SUITES, fmt_vec, isometry_rows, rows_to_csv, run_suites, stock_counterexamples
 
 
 def _parse_vector(text: str) -> np.ndarray:
@@ -46,65 +45,65 @@ def _parse_vector(text: str) -> np.ndarray:
     return v
 
 
-def _add_common(sub: argparse.ArgumentParser):
-    sub.add_argument("--config", help="path to a key=value config file")
-    sub.add_argument("--seed", type=int, help="override the config seed")
-    sub.add_argument("--out", help="CSV output path")
-    sub.add_argument("--trials", type=int, help="override sampling trial count")
-    sub.add_argument("--nodes", type=int, help="override path node count")
+# override flag (named after the RunConfig field it sets) -> (type, help)
+_OVERRIDES = {
+    "seed": (int, "override the config seed"),
+    "trials": (int, "override sampling trial count"),
+    "nodes": (int, "override path node count"),
+    "out": (str, "CSV output path"),
+}
+
+
+def _verb(subs, name: str, help: str, *overrides: str) -> argparse.ArgumentParser:
+    """A verb's parser with ``--config`` and the overrides the verb reads."""
+    p = subs.add_parser(name, help=help)
+    p.add_argument("--config", help="path to a key=value config file")
+    for flag in overrides:
+        kind, text = _OVERRIDES[flag]
+        p.add_argument(f"--{flag}", type=kind, help=text)
+    p.set_defaults(overrides=overrides)
+    return p
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="sipmink", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("classify", help="classify vectors as space-/time-/light-like")
+    p = _verb(subs, "classify", "classify vectors as space-/time-/light-like", "out")
     p.add_argument("vectors", nargs="+", help="vectors as comma-separated reals")
-    _add_common(p)
 
-    p = subs.add_parser("product", help="evaluate both products of a vector pair")
+    p = _verb(subs, "product", "evaluate both products of a vector pair")
     p.add_argument("u")
     p.add_argument("v")
-    _add_common(p)
 
-    p = subs.add_parser("ortho", help="test an orthogonality relation")
+    p = _verb(subs, "ortho", "test an orthogonality relation")
     p.add_argument("relation", choices=sorted(r.value for r in ortho.OrthoRelation))
     p.add_argument("x")
     p.add_argument("y")
-    _add_common(p)
 
-    p = subs.add_parser("auerbach", help="Auerbach basis of the configured space")
-    _add_common(p)
+    _verb(subs, "auerbach", "Auerbach basis of the configured space", "seed")
 
-    p = subs.add_parser("tangent", help="tangent frame at a lifted point of H+")
+    p = _verb(subs, "tangent", "tangent frame at a lifted point of H+")
     p.add_argument("s", help="S-coordinates of the base point")
-    _add_common(p)
 
-    p = subs.add_parser("distance", help="geodesic distance between lifted points")
+    p = _verb(subs, "distance", "geodesic distance between lifted points", "nodes", "out")
     p.add_argument("a_s")
     p.add_argument("b_s")
-    _add_common(p)
 
-    p = subs.add_parser("verify", help="run named verification suites")
+    p = _verb(subs, "verify", "run named verification suites", "seed", "trials", "nodes", "out")
     p.add_argument("suite", choices=sorted(SUITES) + ["all"])
     p.add_argument("--matrix", help="CSV file with a linear map to check for the isometry law")
-    _add_common(p)
 
-    p = subs.add_parser("counterexample", help="reproduce the stock counterexamples")
-    _add_common(p)
+    _verb(subs, "counterexample", "reproduce the stock counterexamples", "seed")
     return parser
 
 
 def _config(args) -> RunConfig:
     cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    if args.trials is not None:
-        cfg = replace(cfg, trials=args.trials)
-    if args.nodes is not None:
-        cfg = replace(cfg, nodes=args.nodes)
-    if args.out is not None:
-        cfg = replace(cfg, out=args.out)
+    for flag in args.overrides:
+        value = getattr(args, flag)
+        if value is not None:
+            cfg = replace(cfg, **{flag: value})
     return cfg
 
 
@@ -124,10 +123,10 @@ def cmd_classify(args) -> int:
         rows.append((text, q, cls.value, cone))
     print("vector | [v,v]+ | class | cone")
     for text, q, cls, cone in rows:
-        print(f"{text} | {_FMT % q} | {cls} | {cone}")
+        print(f"{text} | {FMT % q} | {cls} | {cone}")
     if args.out:
         lines = ["vector,square,class,cone"]
-        lines += [f'"{t}",{_FMT % q},{c},{cp}' for t, q, c, cp in rows]
+        lines += [f'"{t}",{FMT % q},{c},{cp}' for t, q, c, cp in rows]
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
     return 0
@@ -138,8 +137,8 @@ def cmd_product(args) -> int:
     space = cfg.space()
     u = _parse_vector(args.u)
     v = _parse_vector(args.v)
-    print(f"[u,v]- = {_FMT % mink.product_minus(space, u, v)}")
-    print(f"[u,v]+ = {_FMT % mink.product_plus(space, u, v)}")
+    print(f"[u,v]- = {FMT % mink.product_minus(space, u, v)}")
+    print(f"[u,v]+ = {FMT % mink.product_plus(space, u, v)}")
     return 0
 
 
@@ -150,8 +149,8 @@ def cmd_ortho(args) -> int:
     x = _parse_vector(args.x)
     y = _parse_vector(args.y)
     result = ortho.relation_report(block, rel, x, y, cfg.tolerances.eq_tol, cfg.tolerances.opt_tol)
-    lam = "" if result.lam is None else f" lambda* = {_FMT % result.lam}"
-    print(f"{args.relation}: {str(result.related).lower()} residual = {_FMT % result.residual}{lam}")
+    lam = "" if result.lam is None else f" lambda* = {FMT % result.lam}"
+    print(f"{args.relation}: {str(result.related).lower()} residual = {FMT % result.residual}{lam}")
     return 0
 
 
@@ -161,7 +160,7 @@ def cmd_auerbach(args) -> int:
     basis = ortho.minkowski_auerbach(space, Seed(cfg.seed), cfg.tolerances)
     print("Auerbach basis (rows):")
     for b in basis:
-        print("  " + ",".join(_FMT % x for x in b))
+        print("  " + fmt_vec(b))
     return 0
 
 
@@ -170,11 +169,11 @@ def cmd_tangent(args) -> int:
     space = cfg.space()
     v = hyp.lift(space, _parse_vector(args.s))
     frame = hyp.tangent_frame(space, v)
-    print(f"base point: {','.join(_FMT % x for x in v.vector)}")
+    print(f"base point: {fmt_vec(v.vector)}")
     for u in frame.vectors:
         q = mink.product_plus(space, u, v.vector)
         cls = mink.classify(space, u, cfg.tolerances.class_tol)
-        print(f"  {','.join(_FMT % x for x in u)} | [u,v]+ = {_FMT % q} | {cls.value}")
+        print(f"  {fmt_vec(u)} | [u,v]+ = {FMT % q} | {cls.value}")
     return 0
 
 
@@ -187,10 +186,9 @@ def cmd_distance(args) -> int:
     mk = mink.product_plus(space, a.vector, b.vector)
     residual = abs(mk + float(np.cosh(d)))
     tag = "" if space.is_pseudo_euclidean else " (exploratory)"
-    print(f"distance = {_FMT % d}  nodes = {cfg.nodes}")
-    print(f"[a,b]+ = {_FMT % mk}")
-    print(f"cosh residual = {_FMT % residual}{tag}")
-    print("converged")
+    print(f"distance = {FMT % d}  nodes = {cfg.nodes}")
+    print(f"[a,b]+ = {FMT % mk}")
+    print(f"cosh residual = {FMT % residual}{tag}")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(hyp.path_to_csv(path))
@@ -208,13 +206,13 @@ def cmd_verify(args) -> int:
         rows += matrix_rows
         print(
             f"{'PASS' if all(r.passed for r in matrix_rows) else 'FAIL'} user matrix: "
-            f"product {_FMT % rep.product_residual}, adjoint {_FMT % rep.adjoint_residual}, "
+            f"product {FMT % rep.product_residual}, adjoint {FMT % rep.adjoint_residual}, "
             f"pole on upper sheet: {str(rep.pole_in_upper_sheet).lower()}"
         )
     for res in results:
         status = "PASS" if res.passed else "FAIL"
         print(
-            f"{status} {res.suite}: worst residual {_FMT % res.worst_residual}"
+            f"{status} {res.suite}: worst residual {FMT % res.worst_residual}"
             + (f" witness {res.witness}" if not res.passed else "")
             + f" ({res.duration:.2f}s)"
         )
@@ -229,20 +227,20 @@ def cmd_counterexample(args) -> int:
     found = stock_counterexamples(Seed(cfg.seed), cfg.tolerances)
     qu, qv = found.plane_squares
     print("Cauchy-Schwarz fails for the weighted plane product:")
-    print(f"  [(1,2),(1,1)] = {_FMT % found.plane_value} with [u,u][v,v] = {_FMT % (qu * qv)}")
-    print(f"  margin = {_FMT % found.plane_margin}")
+    print(f"  [(1,2),(1,1)] = {FMT % found.plane_value} with [u,u][v,v] = {FMT % (qu * qv)}")
+    print(f"  margin = {FMT % found.plane_margin}")
     if found.max_plane_witness is None:
         print("max-norm space-time plane: no violation sampled")
         return 1
     wu, wv, margin = found.max_plane_witness
     print("Cauchy-Schwarz fails on a positive subspace of the max-norm space-time:")
-    print(f"  u = {','.join(_FMT % x for x in wu)}")
-    print(f"  v = {','.join(_FMT % x for x in wv)}")
-    print(f"  margin = {_FMT % margin}")
+    print(f"  u = {fmt_vec(wu)}")
+    print(f"  v = {fmt_vec(wv)}")
+    print(f"  margin = {FMT % margin}")
     flat = found.flat_witness
     if flat is not None:
         print("max norm is not strictly convex; equality witness:")
-        print(f"  x = {','.join(_FMT % x for x in flat[0])}, y = {','.join(_FMT % x for x in flat[1])}")
+        print(f"  x = {fmt_vec(flat[0])}, y = {fmt_vec(flat[1])}")
     return 0
 
 

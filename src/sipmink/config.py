@@ -7,8 +7,7 @@ the line and column of the offending token.
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .errors import UsageError
 from .minkowski import GeneralizedMinkowskiSpace
@@ -34,9 +33,6 @@ KNOWN_KEYS = {
     "tol.opt": ("opt_tol", float),
     "tol.class": ("class_tol", float),
 }
-
-ENV_EQ_TOL = "SIPMINK_TOL_EQ"
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -129,9 +125,8 @@ def config_from_mapping(values: dict) -> RunConfig:
     return cfg
 
 
-def load_config(path: str | None, env: dict | None = None) -> RunConfig:
-    """Read a config file (or defaults) and apply environment overrides."""
-    env = os.environ if env is None else env
+def load_config(path: str | None) -> RunConfig:
+    """Read a config file, or the defaults when there is none."""
     values: dict = {}
     if path is not None:
         try:
@@ -139,11 +134,4 @@ def load_config(path: str | None, env: dict | None = None) -> RunConfig:
                 values = parse_config(fh.read())
         except OSError as err:
             raise UsageError(f"cannot read config {path!r}: {err}") from None
-    cfg = config_from_mapping(values)
-    if ENV_EQ_TOL in env:
-        try:
-            eq = float(env[ENV_EQ_TOL])
-        except ValueError:
-            raise UsageError(f"{ENV_EQ_TOL} must be a float") from None
-        cfg = replace(cfg, tolerances=replace(cfg.tolerances, eq_tol=eq))
-    return cfg
+    return config_from_mapping(values)

@@ -45,11 +45,12 @@ from .numerics import (
     matvec_rows,
 )
 
-_FMT = "%.17g"
+# every float the CSV and the CLI print: 17 significant digits, so values round-trip
+FMT = "%.17g"
 
 
-def _fmt_vec(v) -> str:
-    return ",".join(_FMT % x for x in np.atleast_1d(np.asarray(v, dtype=float)))
+def fmt_vec(v) -> str:
+    return ",".join(FMT % x for x in np.atleast_1d(np.asarray(v, dtype=float)))
 
 
 @dataclass(frozen=True)
@@ -81,7 +82,7 @@ def _row(suite: str, check: str, passed, residual=None, witness: str = "") -> Ch
 def _tracked(suite: str, tracker: ResidualTracker, tol: float, pick: int = 0, note: str = "") -> CheckRow:
     """The row of one tracked check: the tracker's name is the check name,
     and the witness is entry ``pick`` of the worst trial, then ``note``."""
-    witness = _fmt_vec(tracker.witness[pick]) if tracker.witness else ""
+    witness = fmt_vec(tracker.witness[pick]) if tracker.witness else ""
     return _row(suite, tracker.name, tracker.residual <= tol, tracker.residual, witness + note)
 
 
@@ -92,7 +93,7 @@ def _not_applicable(suite: str, why: str = "needs a space-time model", check: st
 def _rows_from_report(suite: str, prefix: str, report, tol: float) -> list[CheckRow]:
     rows = []
     for c in report.checks:
-        witness = ";".join(_fmt_vec(w) if np.ndim(w) else _FMT % w for w in c.witness)
+        witness = ";".join(fmt_vec(w) if np.ndim(w) else FMT % w for w in c.witness)
         rows.append(_row(suite, f"{prefix}{c.name}", c.residual <= tol, c.residual, witness))
     return rows
 
@@ -108,7 +109,7 @@ def isometry_rows(prefix: str, report: iso.IsometryReport, tol: float) -> list[C
             f"{prefix}.pole",
             report.pole_in_upper_sheet and report.pole_square_residual <= tol,
             report.pole_square_residual,
-            _fmt_vec(report.pole_image),
+            fmt_vec(report.pole_image),
         ),
     ]
 
@@ -181,7 +182,7 @@ def suite_cone(cfg: RunConfig) -> list[CheckRow]:
         return _not_applicable("cone")
     report = mink.cone_convexity_check(space, Seed(cfg.seed), min(cfg.trials, 500), cfg.tolerances)
     return [
-        _row("cone", check, not found, float(len(found)), _fmt_vec(found[0][0]) if found else "")
+        _row("cone", check, not found, float(len(found)), fmt_vec(found[0][0]) if found else "")
         for check, found in (
             ("tplus_convexity", report.convexity_violations),
             ("classification_scaling", report.scaling_violations),
@@ -268,7 +269,7 @@ def suite_theorem10(cfg: RunConfig) -> list[CheckRow]:
     min_square, witness = np.inf, ""
     if q.size and q.min() < np.inf:
         i = int(np.argmin(q))  # the first trial attaining the minimum
-        min_square, witness = q[i], _fmt_vec(S[i])
+        min_square, witness = q[i], fmt_vec(S[i])
     return [_row("theorem10", "tangent_positivity", min_square > 0.0, max(0.0, -min_square), witness)]
 
 
@@ -284,7 +285,7 @@ def suite_tangent(cfg: RunConfig) -> list[CheckRow]:
     frames = hyp.tangent_frame_rows(space, V)
     classes = mink.classify_rows(space, frames.reshape(-1, n), cfg.tolerances.class_tol)
     failing = np.flatnonzero(~np.all((classes == mink.VectorClass.SPACE_LIKE).reshape(-1, k), axis=1))
-    witness = _fmt_vec(S[failing[-1]]) if failing.size else ""  # the last failing trial
+    witness = fmt_vec(S[failing[-1]]) if failing.size else ""  # the last failing trial
     U1, U2 = frames[:, 0], frames[:, -1]
     lin = ResidualTracker("ds2_linearity")
     scaled = hyp.ds2_rows(space, V, alpha[:, None] * U1, U2, cfg.tolerances)
@@ -351,7 +352,7 @@ def suite_isometry(cfg: RunConfig) -> list[CheckRow]:
         R[-1, -1] = -1.0
         rep = iso.isometry_report(space, R, Seed(cfg.seed), cfg.trials, cfg.tolerances)
         rows.append(_row("isometry", "reflection_product", rep.product_residual <= cfg.tolerances.eq_tol, rep.product_residual))
-        rows.append(_row("isometry", "reflection_pole_fails", not rep.pole_in_upper_sheet, 0.0, _fmt_vec(rep.pole_image)))
+        rows.append(_row("isometry", "reflection_pole_fails", not rep.pole_in_upper_sheet, 0.0, fmt_vec(rep.pole_image)))
     else:
         rows.append(_row("isometry", "boosts_not_applicable", True, 0.0, "needs a pseudo-Euclidean space-time model"))
 
@@ -453,7 +454,7 @@ def suite_orthogonality(cfg: RunConfig) -> list[CheckRow]:
     if block.dim == 2:
         pair, mn = ortho.auerbach_pair_2d(block.norm, tolerances=tol)
         deficiency = max(0.0, *(norm_rows(block, pair) - mn).tolist())
-        rows.append(_row("orthogonality", "auerbach_mutual_birkhoff", deficiency <= 1e-5, deficiency, _fmt_vec(pair[0])))
+        rows.append(_row("orthogonality", "auerbach_mutual_birkhoff", deficiency <= 1e-5, deficiency, fmt_vec(pair[0])))
 
     # Pythagorean subspace scan: an inner-product exclusive
     found = ortho.pythagorean_subspace_scan(NormSpec.euclidean(2), 120)
@@ -513,17 +514,17 @@ def suite_counterexamples(cfg: RunConfig) -> list[CheckRow]:
             "plane_witness_found",
             cs is not None and cs[2] >= 10.0 / 9.0,
             cs[2] if cs else 0.0,
-            _fmt_vec(cs[0]) if cs else "no violation found",
+            fmt_vec(cs[0]) if cs else "no violation found",
         ),
         _row(
             "counterexamples",
             "max_plane_witness_found",
             max_cs is not None,
             max_cs[2] if max_cs else 0.0,
-            _fmt_vec(max_cs[0]) if max_cs else "no violation found",
+            fmt_vec(max_cs[0]) if max_cs else "no violation found",
         ),
-        _row("counterexamples", "max_norm_flat_witness", flat is not None, 0.0, _fmt_vec(flat[0]) if flat else "no witness"),
-        _row("counterexamples", "pnorm_strictly_convex", none_found is None, 0.0, _fmt_vec(none_found[0]) if none_found else ""),
+        _row("counterexamples", "max_norm_flat_witness", flat is not None, 0.0, fmt_vec(flat[0]) if flat else "no witness"),
+        _row("counterexamples", "pnorm_strictly_convex", none_found is None, 0.0, fmt_vec(none_found[0]) if none_found else ""),
     ]
 
 
@@ -582,5 +583,5 @@ def rows_to_csv(rows) -> str:
         witness = r.witness.replace('"', "'")
         if any(ch in witness for ch in ",\n"):
             witness = f'"{witness}"'
-        lines.append(f"{r.suite},{r.check},{str(r.passed).lower()},{_FMT % r.residual},{witness}")
+        lines.append(f"{r.suite},{r.check},{str(r.passed).lower()},{FMT % r.residual},{witness}")
     return "\n".join(lines) + "\n"

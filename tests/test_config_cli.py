@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ from sipmink.config import RunConfig, config_from_mapping, load_config, parse_co
 from sipmink.errors import UsageError
 from sipmink.isometry import lorentz_boost
 from sipmink.norms import SipSpace
+from sipmink.numerics import Tolerances
 from sipmink.ortho import birkhoff_margin
 
 PNORM_CFG = """
@@ -24,6 +26,18 @@ seed = 42
 trials = 50
 nodes = 8
 """
+
+# each verb with arguments it runs on -> the override flags it reads
+_VERB_OVERRIDES = {
+    "classify 0,0,1": ("--out",),
+    "product 1,0,0 0,0,1": (),
+    "ortho sip 1,0 1,1": (),
+    "auerbach": ("--seed",),
+    "tangent 0,0": (),
+    "distance 0,0 0.5,0": ("--nodes", "--out"),
+    "verify cone": ("--seed", "--trials", "--nodes", "--out"),
+    "counterexample": ("--seed",),
+}
 
 
 class TestConfigParsing:
@@ -67,10 +81,11 @@ class TestConfigParsing:
         with pytest.raises(UsageError):
             config_from_mapping({"space.s.norm": "pnorm"})
 
-    def test_env_override(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("SIPMINK_TOL_EQ", "1e-7")
-        cfg = load_config(None)
-        assert cfg.tolerances.eq_tol == 1e-7
+    @pytest.mark.parametrize("value", ["1e-7", ""])
+    def test_environment_sets_no_tolerance(self, monkeypatch, value):
+        # tol.eq in the config file is the one way to set the equality tolerance
+        monkeypatch.setenv("SIPMINK_TOL_EQ", value)
+        assert load_config(None).tolerances == Tolerances()
 
     def test_missing_file(self):
         with pytest.raises(UsageError):
@@ -126,7 +141,8 @@ class TestCliCommands:
         assert main(["distance", "0,0", b, "--nodes", "16"]) == 0
         out = capsys.readouterr().out
         assert "distance = 0.99999" in out or "distance = 1" in out
-        assert "cosh residual" in out and "converged" in out
+        # neither relaxation checks convergence, so the command claims none
+        assert "cosh residual" in out and "converged" not in out
 
     def test_distance_exploratory_tag_for_max_norm(self, capsys, tmp_path):
         cfg = tmp_path / "max.cfg"
@@ -181,6 +197,28 @@ class TestCliCommands:
 
     def test_unknown_suite_exits_2(self):
         assert main(["verify", "nonsense"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (argv, flag)
+            for argv, reads in _VERB_OVERRIDES.items()
+            for flag in ("--seed", "--trials", "--nodes", "--out")
+            if flag not in reads
+        ],
+    )
+    def test_an_override_the_verb_does_not_read_exits_2(self, capsys, argv, flag):
+        assert main([*argv.split(), flag, "1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "unrecognized arguments" in err
+
+    @pytest.mark.parametrize("argv", sorted(_VERB_OVERRIDES))
+    def test_help_lists_config_and_the_overrides_the_verb_reads(self, capsys, argv):
+        verb = argv.split()[0]
+        assert main([verb, "--help"]) == 0
+        listed = re.findall(r"^  (--[a-z]+)", capsys.readouterr().out, re.M)
+        extra = ("--matrix",) if verb == "verify" else ()
+        assert listed == ["--config", *_VERB_OVERRIDES[argv], *extra]
 
 
 class TestVerifyCommand:

@@ -823,7 +823,7 @@ class TestSpaceTimeTrialsMatchTheLoop:
         assert [r.check for r in rows] == [t.name for t in loop]
         for row, tracker in zip(rows, loop):
             assert row.residual == tracker.residual
-            assert row.witness == (suites._fmt_vec(tracker.witness[-1]) if tracker.witness else "")
+            assert row.witness == (suites.fmt_vec(tracker.witness[-1]) if tracker.witness else "")
 
 
 # The space-time suites and the sip-axioms mode agreement as trial loops,
@@ -998,7 +998,7 @@ def _loop_suite_theorem10(cfg):
             continue
         q = pp(w, w)
         if q < min_square:
-            min_square, witness = q, suites._fmt_vec(v.s)
+            min_square, witness = q, suites.fmt_vec(v.s)
     return min_square > 0.0, max(0.0, -min_square), witness
 
 
@@ -1012,7 +1012,7 @@ def _loop_suite_tangent(cfg):
         frame = _loop_tangent_frame(space, v)
         for u in frame:
             if mink.classify(space, u, cfg.tolerances.class_tol) is not VectorClass.SPACE_LIKE:
-                all_spacelike, witness = False, suites._fmt_vec(v.s)
+                all_spacelike, witness = False, suites.fmt_vec(v.s)
         alpha = float(rng.uniform(-2.0, 2.0))
         lin.update(_loop_ds2(space, v, alpha * frame[0], frame[-1]) - alpha * _loop_ds2(space, v, frame[0], frame[-1]), v.s)
     return all_spacelike, witness, lin
@@ -1031,7 +1031,7 @@ def _suite_cfg(label, seed):
 
 
 def _tracked_row(tracker, pick=0):
-    return tracker.residual, suites._fmt_vec(tracker.witness[pick]) if tracker.witness else ""
+    return tracker.residual, suites.fmt_vec(tracker.witness[pick]) if tracker.witness else ""
 
 
 class TestSpaceTimeSuitesMatchTheLoop:
@@ -1135,7 +1135,7 @@ class TestSpaceTimeSuiteEdges:
         for _ in range(8):
             s = rng.uniform(-1.2, 1.2, 2)  # no max-norm nudge, and no w = 0 on this config
             rng.uniform(-2.0, 2.0, 2)
-        assert (row.passed, row.residual, row.witness) == (False, math.inf, suites._fmt_vec(s))
+        assert (row.passed, row.residual, row.witness) == (False, math.inf, suites.fmt_vec(s))
 
     def test_one_dimensional_blocks(self):
         cfg = config_from_mapping({"space.s.dim": 1, "trials": 50})
@@ -1437,7 +1437,7 @@ def _loop_suite_orthogonality(cfg, rng=None):
         for a, b in ((u, v), (v, u)):
             mn, _ = _loop_birkhoff_margin(block, a, b, tol.opt_tol)
             deficiency = max(deficiency, norm(block, a) - mn)
-        rows.append(suites._row("orthogonality", "auerbach_mutual_birkhoff", deficiency <= 1e-5, deficiency, suites._fmt_vec(u)))
+        rows.append(suites._row("orthogonality", "auerbach_mutual_birkhoff", deficiency <= 1e-5, deficiency, suites.fmt_vec(u)))
 
     found = ortho.pythagorean_subspace_scan(NormSpec.euclidean(2), 120)
     rows.append(suites._row("orthogonality", "pythagorean_scan_euclidean", found is not None))
