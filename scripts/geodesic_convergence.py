@@ -12,7 +12,8 @@ import time
 
 import numpy as np
 
-from sipmink import GeneralizedMinkowskiSpace, geodesic_distance, lift, product_plus
+from sipmink import GeneralizedMinkowskiSpace, geodesic_distance, product_plus
+from sipmink.hyperboloid import sample_pairs
 from sipmink.numerics import Seed
 
 
@@ -25,14 +26,7 @@ def main():
     args = ap.parse_args()
 
     space = GeneralizedMinkowskiSpace.pseudo_euclidean(args.k)
-    rng = Seed(args.seed).rng()
-    pairs = []
-    while len(pairs) < args.pairs:
-        a = lift(space, rng.uniform(-1.4, 1.4, args.k))
-        b = lift(space, rng.uniform(-1.4, 1.4, args.k))
-        d = float(np.arccosh(-product_plus(space, a.vector, b.vector)))
-        if 0.3 <= d <= 3.0:
-            pairs.append((a, b, d))
+    pairs = sample_pairs(space, Seed(args.seed).rng(), args.pairs, window=(0.3, 3.0), radius=1.4)
 
     ms = []
     m = 8
@@ -42,7 +36,8 @@ def main():
 
     print(f"# {args.k}+1 pseudo-Euclidean space, {args.pairs} pairs, seed {args.seed}")
     print("pair  d_exact   " + "  ".join(f"err(m={m})" for m in ms) + "  time")
-    for i, (a, b, d) in enumerate(pairs):
+    for i, (a, b) in enumerate(pairs):
+        d = float(np.arccosh(-product_plus(space, a.vector, b.vector)))
         t0 = time.perf_counter()
         errs = [abs(geodesic_distance(space, a, b, m) - d) for m in ms]
         dt = time.perf_counter() - t0

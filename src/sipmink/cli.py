@@ -54,14 +54,20 @@ _OVERRIDES = {
 }
 
 
+class _Unread(argparse.Action):
+    def __call__(self, parser, namespace, values, option_string=None):
+        parser.error(f"unrecognized arguments: {option_string}")  # under the verb's own usage
+
+
 def _verb(subs, name: str, help: str, *overrides: str) -> argparse.ArgumentParser:
-    """A verb's parser with ``--config`` and the overrides the verb reads."""
+    """A verb's parser: ``--config``, the overrides it reads, the others hidden as errors."""
     p = subs.add_parser(name, help=help)
     p.add_argument("--config", help="path to a key=value config file")
-    for flag in overrides:
-        kind, text = _OVERRIDES[flag]
-        p.add_argument(f"--{flag}", type=kind, help=text)
-    p.set_defaults(overrides=overrides)
+    for flag, (kind, text) in _OVERRIDES.items():
+        if flag in overrides:
+            p.add_argument(f"--{flag}", type=kind, help=text)
+        else:
+            p.add_argument(f"--{flag}", nargs="?", action=_Unread, help=argparse.SUPPRESS)
     return p
 
 
@@ -99,12 +105,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config(args) -> RunConfig:
-    cfg = load_config(args.config)
-    for flag in args.overrides:
-        value = getattr(args, flag)
-        if value is not None:
-            cfg = replace(cfg, **{flag: value})
-    return cfg
+    """The config file with the override flags given (every verb has all four; unread ones stay None)."""
+    given = {flag: getattr(args, flag) for flag in _OVERRIDES}
+    return replace(load_config(args.config), **{flag: v for flag, v in given.items() if v is not None})
 
 
 def cmd_classify(args) -> int:
@@ -124,10 +127,10 @@ def cmd_classify(args) -> int:
     print("vector | [v,v]+ | class | cone")
     for text, q, cls, cone in rows:
         print(f"{text} | {FMT % q} | {cls} | {cone}")
-    if args.out:
+    if cfg.out:
         lines = ["vector,square,class,cone"]
         lines += [f'"{t}",{FMT % q},{c},{cp}' for t, q, c, cp in rows]
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with open(cfg.out, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
     return 0
 
@@ -189,10 +192,10 @@ def cmd_distance(args) -> int:
     print(f"distance = {FMT % d}  nodes = {cfg.nodes}")
     print(f"[a,b]+ = {FMT % mk}")
     print(f"cosh residual = {FMT % residual}{tag}")
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+    if cfg.out:
+        with open(cfg.out, "w", encoding="utf-8") as fh:
             fh.write(hyp.path_to_csv(path))
-        print(f"path: {args.out}")
+        print(f"path: {cfg.out}")
     return 0
 
 
@@ -216,9 +219,9 @@ def cmd_verify(args) -> int:
             + (f" witness {res.witness}" if not res.passed else "")
             + f" ({res.duration:.2f}s)"
         )
-    with open(cfg.out, "w", encoding="utf-8") as fh:
+    with open(cfg.out or "verify_report.csv", "w", encoding="utf-8") as fh:
         fh.write(rows_to_csv(rows))
-    print(f"report: {cfg.out}")
+    print(f"report: {fh.name}")
     return 0 if all(r.passed for r in rows) else 1
 
 

@@ -45,7 +45,7 @@ class RunConfig:
     seed: int = 42
     trials: int = 200
     nodes: int = 16
-    out: str = "verify_report.csv"
+    out: str | None = None  # classify and distance write no CSV without it; verify defaults to verify_report.csv
     tolerances: Tolerances = field(default_factory=Tolerances)
 
     def _norm(self, kind: str, p, dim: int) -> NormSpec:

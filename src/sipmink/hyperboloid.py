@@ -451,6 +451,21 @@ def path_to_csv(path: Path) -> str:
     return "\n".join(lines) + "\n"
 
 
+def sample_pairs(space: GeneralizedMinkowskiSpace, rng, count: int, window=(0.2, 2.5), radius=1.2, attempts=None) -> list:
+    """Seeded pairs (a, b) of H+ with arccosh(max(1, -[a, b]^+)) in the closed
+    ``window``.  Each attempt lifts ``rng.uniform(-radius, radius, k)`` for a,
+    then for b; sampling stops after ``count`` kept or ``attempts`` drawn pairs."""
+    low, high = window
+    pairs, drawn = [], 0
+    while len(pairs) < count and (attempts is None or drawn < attempts):
+        drawn += 1
+        a = lift(space, rng.uniform(-radius, radius, space.k))
+        b = lift(space, rng.uniform(-radius, radius, space.k))
+        if low <= float(np.arccosh(max(1.0, -product_plus(space, a.vector, b.vector)))) <= high:
+            pairs.append((a, b))
+    return pairs
+
+
 def cosh_residual(space: GeneralizedMinkowskiSpace, a: HPoint, b: HPoint, m: int) -> float:
     """| [a, b]^+ + cosh(distance(a, b)) | -- zero in spaces whose linear
     isometries act transitively on H+ (the pseudo-Euclidean case)."""

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SingularMapError, UnsupportedError
-from .hyperboloid import HPoint, as_hpoint, geodesic_distance, lift
+from .hyperboloid import as_hpoint, geodesic_distance, sample_pairs
 from .minkowski import (
     GeneralizedMinkowskiSpace,
     VectorClass,
@@ -165,27 +165,15 @@ def distance_preservation_check(
     report = isometry_report(space, F, seed, 64, tolerances)
     if not report.passes(max(tolerances.eq_tol, 1e-10)):
         raise DomainError("map fails the isometry report; distance check is meaningless")
-    rng = as_seed(seed).rng()
-    deviations = []
-    details = []
-    attempts = 0
-    while len(deviations) < pairs and attempts < 100 * pairs:
-        attempts += 1
-        a = lift(space, rng.uniform(-1.2, 1.2, space.k))
-        b = lift(space, rng.uniform(-1.2, 1.2, space.k))
-        mink = product_plus(space, a.vector, b.vector)
-        proxy = float(np.arccosh(max(1.0, -mink)))
-        if not 0.05 <= proxy <= max_distance:
-            continue
-        d_ab = geodesic_distance(space, a, b, m, tolerances=tolerances)
-        fa = as_hpoint(space, F @ a.vector)
-        fb = as_hpoint(space, F @ b.vector)
-        d_f = geodesic_distance(space, fa, fb, m, tolerances=tolerances)
-        deviations.append(abs(d_ab - d_f))
-        details.append((a.s, b.s, d_ab, d_f))
-    if not deviations:
+    found = sample_pairs(space, as_seed(seed).rng(), pairs, window=(0.05, max_distance), attempts=100 * pairs)
+    if not found:
         raise DomainError("could not sample point pairs in the distance window")
-    return DistancePreservationReport(float(max(deviations)), tuple(details))
+    details = []
+    for a, b in found:
+        d_ab = geodesic_distance(space, a, b, m, tolerances=tolerances)
+        fa, fb = (as_hpoint(space, F @ p.vector) for p in (a, b))
+        details.append((a.s, b.s, d_ab, geodesic_distance(space, fa, fb, m, tolerances=tolerances)))
+    return DistancePreservationReport(max(abs(d_ab - d_f) for _, _, d_ab, d_f in details), tuple(details))
 
 
 def sip_preservation_residual(space: SipSpace, F: np.ndarray, seed, trials: int):

@@ -184,8 +184,10 @@ def classify_rows(space: GeneralizedMinkowskiSpace, V, class_tol: float | None =
     if class_tol is None:
         class_tol = DEFAULT_TOLERANCES.class_tol
     V = check_dim(V, space.n, rows=True)
-    q = product_plus_rows(space, V, V)
-    scale = np.maximum(1.0, product_minus_rows(space, V, V))
+    S, T = V[:, : space.k], V[:, space.k :]
+    qs, qt = sip_rows(space.s_space, S, S), sip_rows(space.t_space, T, T)  # one square per block
+    q = qs - qt
+    scale = np.maximum(1.0, qs + qt)
     code = np.where(np.abs(q) <= class_tol * scale, 1, np.where(q > 0, 2, 0))
     return _CLASSES[code]
 

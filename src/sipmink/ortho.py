@@ -25,7 +25,7 @@ from .errors import (
     UnsupportedError,
 )
 from .minkowski import GeneralizedMinkowskiSpace, embed, product_plus
-from .norms import MAX, NormSpec, SipSpace, norm_batch, norm_rows, sip, sip_rows
+from .norms import NormSpec, SipSpace, norm_batch, norm_rows, sip, sip_rows
 from .numerics import DEFAULT_TOLERANCES, Tolerances, as_seed, dot_rows, minimize_rows, pow_rows, raise_unconverged, row_kernel
 
 

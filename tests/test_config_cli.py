@@ -212,6 +212,13 @@ class TestCliCommands:
         out, err = capsys.readouterr()
         assert out == "" and "unrecognized arguments" in err
 
+    def test_an_unread_override_is_named_under_the_verbs_usage(self, capsys):
+        assert main(["product", "--seed", "1", "--", "1,2,0.5", "0.3,-1,2"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage: sipmink product ")
+        assert err.rstrip().endswith("sipmink product: error: unrecognized arguments: --seed")
+
     @pytest.mark.parametrize("argv", sorted(_VERB_OVERRIDES))
     def test_help_lists_config_and_the_overrides_the_verb_reads(self, capsys, argv):
         verb = argv.split()[0]
@@ -219,6 +226,38 @@ class TestCliCommands:
         listed = re.findall(r"^  (--[a-z]+)", capsys.readouterr().out, re.M)
         extra = ("--matrix",) if verb == "verify" else ()
         assert listed == ["--config", *_VERB_OVERRIDES[argv], *extra]
+
+
+class TestOutFromConfig:
+    # verb and arguments -> the header line of the CSV it writes
+    WRITERS = {"classify 0,0,1 1,0,1": "vector,square,class,cone", "distance 0,0 0.5,0": "t,s1,s2,tau"}
+
+    @pytest.mark.parametrize("argv", sorted(WRITERS))
+    def test_the_config_out_key_is_written(self, capsys, tmp_path, argv):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f'out = "{tmp_path / "from_config.csv"}"\nnodes = 8\n')
+        assert main([*argv.split(), "--config", str(cfg)]) == 0
+        assert (tmp_path / "from_config.csv").read_text().splitlines()[0] == self.WRITERS[argv]
+
+    @pytest.mark.parametrize("argv", sorted(WRITERS))
+    def test_the_out_flag_overrides_the_config(self, capsys, tmp_path, argv):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f'out = "{tmp_path / "from_config.csv"}"\nnodes = 8\n')
+        assert main([*argv.split(), "--config", str(cfg), "--out", str(tmp_path / "from_flag.csv")]) == 0
+        assert (tmp_path / "from_flag.csv").read_text().splitlines()[0] == self.WRITERS[argv]
+        assert not (tmp_path / "from_config.csv").exists()
+
+    @pytest.mark.parametrize("argv", sorted(WRITERS))
+    def test_no_out_writes_no_file(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        assert main([*argv.split(), "--nodes", "8"] if argv.startswith("distance") else argv.split()) == 0
+        assert list(tmp_path.iterdir()) == []
+
+    def test_verify_defaults_to_verify_report_csv(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["verify", "counterexamples"]) == 0
+        assert [p.name for p in tmp_path.iterdir()] == ["verify_report.csv"]
+        assert "report: verify_report.csv" in capsys.readouterr().out
 
 
 class TestVerifyCommand:

@@ -24,6 +24,7 @@ from sipmink.hyperboloid import (
     lift,
     linear_path,
     path_length,
+    sample_pairs,
     tangent_frame,
 )
 from sipmink.minkowski import (
@@ -34,7 +35,7 @@ from sipmink.minkowski import (
     product_plus,
 )
 from sipmink.norms import NormSpec, norm, norm_batch, sip
-from sipmink.numerics import DEFAULT_TOLERANCES, central_diff, first_diff_step, integrate, minimize_rows
+from sipmink.numerics import DEFAULT_TOLERANCES, Seed, central_diff, first_diff_step, integrate, minimize_rows
 from sipmink.ortho import orthogonal_companion_basis
 from sipmink.suites import suite_geodesic_cosh
 
@@ -659,3 +660,68 @@ class TestCoshResidual:
         (row,) = suite_geodesic_cosh(cfg)
         assert (row.check, row.passed) == ("cosh_law_exploratory", True)
         assert row.witness.endswith(";exploratory: transitivity unknown")
+
+
+def _interleaved_pairs(space, rng, count, window, radius, attempts=math.inf):
+    """The draw loop that geodesic-cosh, the distance-preservation check and
+    the convergence script each wrote out around their distance solves."""
+    pairs, drawn = [], 0
+    while len(pairs) < count and drawn < attempts:
+        drawn += 1
+        a = lift(space, rng.uniform(-radius, radius, space.k))
+        b = lift(space, rng.uniform(-radius, radius, space.k))
+        mk = product_plus(space, a.vector, b.vector)
+        proxy = float(np.arccosh(max(1.0, -mk)))
+        if not window[0] <= proxy <= window[1]:
+            continue
+        pairs.append((a, b))
+    return pairs
+
+
+class TestSamplePairs:
+    SPACES = {"euclidean": PSEUDO21, "pnorm3": P3SPACE, "max": REMARK}
+    # geodesic-cosh, the distance-preservation check, the convergence script
+    DRAWS = {"cosh": ((0.2, 2.5), 1.2), "preservation": ((0.05, 3.0), 1.2), "convergence": ((0.3, 3.0), 1.4)}
+
+    @staticmethod
+    def _same(got, expected):
+        assert len(got) == len(expected)
+        for (a, b), (ea, eb) in zip(got, expected):
+            assert np.array_equal(a.s, ea.s) and np.array_equal(b.s, eb.s)
+            assert (a.tau, b.tau) == (ea.tau, eb.tau)
+
+    @pytest.mark.parametrize("seed", [42, 1, 7])
+    @pytest.mark.parametrize("draw", sorted(DRAWS))
+    @pytest.mark.parametrize("name", sorted(SPACES))
+    def test_matches_the_interleaved_loop(self, name, draw, seed):
+        space, (window, radius) = self.SPACES[name], self.DRAWS[draw]
+        rng, ref = Seed(seed).rng(), Seed(seed).rng()
+        got = sample_pairs(space, rng, 3, window=window, radius=radius)
+        self._same(got, _interleaved_pairs(space, ref, 3, window, radius))
+        assert len(got) == 3
+        assert rng.random() == ref.random()  # the same draws were taken
+
+    @pytest.mark.parametrize("draw", sorted(DRAWS))
+    @pytest.mark.parametrize("name", sorted(SPACES))
+    def test_an_attempt_cap_stops_short(self, name, draw):
+        space, (window, radius) = self.SPACES[name], self.DRAWS[draw]
+        rng, ref = Seed(3).rng(), Seed(3).rng()
+        got = sample_pairs(space, rng, 40, window=window, radius=radius, attempts=30)
+        self._same(got, _interleaved_pairs(space, ref, 40, window, radius, attempts=30))
+        assert 0 < len(got) <= 30  # short of the 40 asked for
+        assert rng.random() == ref.random()  # 30 pairs drawn, no more
+
+    def test_defaults_are_the_geodesic_cosh_draw(self):
+        got = sample_pairs(PSEUDO21, Seed(42).rng(), 3)
+        self._same(got, _interleaved_pairs(PSEUDO21, Seed(42).rng(), 3, (0.2, 2.5), 1.2))
+
+    def test_every_kept_pair_lies_in_the_window(self):
+        for a, b in sample_pairs(REMARK, Seed(5).rng(), 20, window=(0.3, 0.6), radius=1.4):
+            assert 0.3 <= math.acosh(max(1.0, -product_plus(REMARK, a.vector, b.vector))) <= 0.6
+
+    def test_an_empty_window_keeps_nothing(self):
+        rng = Seed(0).rng()
+        assert sample_pairs(PSEUDO21, rng, 2, window=(0.05, 0.01), attempts=200) == []
+        ref = Seed(0).rng()
+        ref.uniform(-1.2, 1.2, (200, 2, 2))
+        assert rng.random() == ref.random()

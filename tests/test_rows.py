@@ -255,6 +255,24 @@ class TestMinkowskiRows:
             assert got.shape == (1500,) and all(g is e for g, e in zip(got, expected))
             assert set(expected) == set(VectorClass)
 
+    @pytest.mark.parametrize("name", sorted(SPACES))
+    def test_classify_rows_takes_the_squares_of_the_two_products(self, rng, name):
+        # every band edge is set by one row's |[v,v]^+| / max(1, [v,v]^-), so a
+        # square one ulp off either product's moves that row across the edge
+        space = self.SPACES[name]
+        V = _rows(rng, 600, space.n)
+        V[::3] *= 0.2  # [v,v]^- below 1
+        V[1::3, space.k :] = 0.0  # light-like, up to rounding
+        V[1::3, space.k] = norm_rows(space.s_space, V[1::3, : space.k])
+        q = mink.product_plus_rows(space, V, V)
+        scale = np.maximum(1.0, mink.product_minus_rows(space, V, V))
+        edges = np.abs(q) / scale
+        for i in range(0, 600, 7):
+            for tol in (edges[i], np.nextafter(edges[i], 0.0), np.nextafter(edges[i], 1.0)):
+                code = np.where(np.abs(q) <= tol * scale, 1, np.where(q > 0, 2, 0))
+                expected = np.array([VectorClass.TIME_LIKE, VectorClass.LIGHT_LIKE, VectorClass.SPACE_LIKE])[code]
+                assert np.array_equal(mink.classify_rows(space, V, tol), expected)
+
     def test_bound_product_sign_validated(self):
         with pytest.raises(DomainError):
             BoundProduct(max_norm_spacetime(), "*")
