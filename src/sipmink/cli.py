@@ -62,6 +62,7 @@ class _Unread(argparse.Action):
 def _verb(subs, name: str, help: str, *overrides: str) -> argparse.ArgumentParser:
     """A verb's parser: ``--config``, the overrides it reads, the others hidden as errors."""
     p = subs.add_parser(name, help=help)
+    p.set_defaults(parser=p)  # leftover arguments are reported under this parser's usage
     p.add_argument("--config", help="path to a key=value config file")
     for flag, (kind, text) in _OVERRIDES.items():
         if flag in overrides:
@@ -262,7 +263,9 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, rest = parser.parse_known_args(argv)
+        if rest:
+            args.parser.error(f"unrecognized arguments: {' '.join(rest)}")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

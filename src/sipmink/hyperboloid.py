@@ -82,10 +82,14 @@ def as_hpoint(space: GeneralizedMinkowskiSpace, v, tol: float = 1e-8) -> HPoint:
 
 def lift_rows(space: GeneralizedMinkowskiSpace, S) -> np.ndarray:
     """Lift each row of an (N, k) array of S-coordinates onto H+: the (N, n)
-    array of vectors (s, tau), with tau = sqrt(1 + [s, s])."""
+    array of vectors (s, tau), with tau = sqrt(1 + [s, s]).  Raises
+    :class:`NumericalError` when a tau is not finite ([s, s] overflows)."""
     _require_spacetime(space)
     S = check_dim(S, space.k, rows=True)
-    tau = np.sqrt(1.0 + sip_rows(space.s_space, S, S))
+    with np.errstate(over="ignore"):  # an overflow raises below
+        tau = np.sqrt(1.0 + sip_rows(space.s_space, S, S))
+    if not np.isfinite(tau).all():
+        raise NumericalError("the lift sqrt(1 + [s, s]) is not finite: [s, s] overflows")
     return np.concatenate([S, tau[:, None]], axis=1)
 
 

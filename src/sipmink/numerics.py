@@ -198,6 +198,15 @@ def as_uniform(u, low: float, high: float) -> np.ndarray:
     return low + (high - low) * u
 
 
+def span_rows(basis, C) -> np.ndarray:
+    """The combinations sum_i C[t, i] * basis[i] of an (N, len(basis)) block
+    of coefficients, one row each.  Every row is summed from 0 in basis
+    order, as ``sum`` adds one vector's terms, so it is that scalar
+    combination bit for bit."""
+    C = np.asarray(C, dtype=float)
+    return sum(C[:, i, None] * np.asarray(b, dtype=float) for i, b in enumerate(basis))
+
+
 def first_diff_step(scale):
     """Step for first central differences: balances truncation and rounding.
     An array of scales gives one step each; a NaN scale counts as 1."""
@@ -224,12 +233,9 @@ def _finite_rows(values, what: str) -> np.ndarray:
 
 
 def central_diff(f: Callable[[float], float], t: float, h: float) -> float:
-    """Symmetric difference quotient (f(t+h) - f(t-h)) / (2h)."""
-    if not h > 0:
-        raise DomainError("step h must be positive")
-    fp = _finite(f(t + h), "central_diff")
-    fm = _finite(f(t - h), "central_diff")
-    return (fp - fm) / (2.0 * h)
+    """Symmetric difference quotient (f(t+h) - f(t-h)) / (2h): the one-row
+    call of :func:`central_diff_rows`, with ``f`` asked for f(t+h) first."""
+    return float(central_diff_rows(lambda d: [float(f(t + float(d[0])))], [h])[0])
 
 
 def central_diff_rows(f: Callable[[np.ndarray], np.ndarray], h: np.ndarray) -> np.ndarray:
@@ -594,9 +600,7 @@ class ResidualTracker:
             return
         r[np.isnan(r)] = np.inf
         i = int(np.argmax(r))  # the first row attaining the maximum
-        if r[i] > self.residual:
-            self.residual = float(r[i])
-            self.witness = tuple(w[i].copy() if np.ndim(w) > 1 else float(w[i]) for w in witness)
+        self.update(r[i], *(w[i].copy() if np.ndim(w) > 1 else float(w[i]) for w in witness))
 
     def check(self, tol: float) -> Check:
         return Check(self.name, self.residual, self.witness, self.residual <= tol)

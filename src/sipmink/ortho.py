@@ -24,9 +24,10 @@ from .errors import (
     NumericalError,
     UnsupportedError,
 )
-from .minkowski import GeneralizedMinkowskiSpace, embed, product_plus
-from .norms import NormSpec, SipSpace, norm_batch, norm_rows, sip, sip_rows
-from .numerics import DEFAULT_TOLERANCES, Tolerances, as_seed, dot_rows, minimize_rows, pow_rows, raise_unconverged, row_kernel
+from .minkowski import GeneralizedMinkowskiSpace, embed, product_plus_rows
+from .norms import NormSpec, SipSpace, norm_batch, norm_rows, sip_rows
+from .numerics import DEFAULT_TOLERANCES, Tolerances, as_seed, as_uniform, dot_rows, minimize_rows, pow_rows
+from .numerics import raise_unconverged, row_kernel, span_rows
 
 
 class OrthoRelation(enum.Enum):
@@ -309,27 +310,27 @@ def auerbach_pair_2d(norm_spec: NormSpec, grid: int = 720, tolerances: Tolerance
     return pair, margins
 
 
+def _pair_products(space: SipSpace, angles: np.ndarray):
+    """The unit vectors u, v at each row (th, ps) of an (m, 2) array of
+    angles, as an (m, 2, 2) array, and their products [u,v] and [v,u], as an
+    (m, 2) array, from one :func:`_unit_vectors` and one ``sip_rows`` call."""
+    units = _unit_vectors(space.norm, angles.reshape(-1)).reshape(-1, 2, 2)
+    U, V = units[:, 0], units[:, 1]
+    return units, sip_rows(space, np.concatenate([U, V]), np.concatenate([V, U])).reshape(2, -1).T
+
+
 def _refine_orthogonal_angles(space: SipSpace, angles: np.ndarray) -> np.ndarray:
     """Newton-polish angles (th, ps) so that [u,v] = [v,u] = 0 (smooth norms)."""
-
-    def fval(a):
-        u = _unit_vectors(space.norm, np.array([a[0]]))[0]
-        v = _unit_vectors(space.norm, np.array([a[1]]))[0]
-        return np.array([sip(space, u, v), sip(space, v, u)])
-
+    fval = lambda a: _pair_products(space, a[None])[1][0]
     a = angles.astype(float).copy()
     h = 1e-7
+    shifts = np.array([[h, 0.0], [-h, 0.0], [0.0, h], [0.0, -h]])  # a +- h along each angle
     f0 = fval(a)
     for _ in range(30):
         if np.max(np.abs(f0)) < 1e-13:
             break
-        J = np.empty((2, 2))
-        for c in range(2):
-            ap = a.copy()
-            ap[c] += h
-            am = a.copy()
-            am[c] -= h
-            J[:, c] = (fval(ap) - fval(am)) / (2 * h)
+        fp, fm, gp, gm = _pair_products(space, a + shifts)[1]
+        J = np.stack([fp - fm, gp - gm], axis=1) / (2 * h)
         try:
             step = np.linalg.solve(J, f0)
         except np.linalg.LinAlgError:
@@ -379,11 +380,10 @@ def _sip_orthogonal_pair(space: SipSpace, tolerances: Tolerances, grid: int = 72
         raise ConvergenceError("no product-orthogonal pair found on the angle grid")
     i, j = _max_det_pair(U, lambda U, r: -resid(*block(r)))  # the first least residual
     a = _refine_orthogonal_angles(space, np.array([thetas[i], thetas[j]]))
-    u = _unit_vectors(space.norm, np.array([a[0]]))[0]
-    v = _unit_vectors(space.norm, np.array([a[1]]))[0]
-    if max(abs(sip(space, u, v)), abs(sip(space, v, u))) > tolerances.eq_tol:
+    (units,), (products,) = _pair_products(space, a[None])
+    if not np.all(np.abs(products) <= tolerances.eq_tol):
         raise ConvergenceError("orthogonality refinement did not reach tolerance")
-    return u, v
+    return units[0], units[1]
 
 
 def minkowski_auerbach(
@@ -412,12 +412,12 @@ def minkowski_auerbach(
 
     rng = as_seed(seed).rng()
     for idx, e in enumerate(basis):
-        others = [b for jdx, b in enumerate(basis) if jdx != idx]
-        for _ in range(100):
-            c = rng.uniform(-2.0, 2.0, len(others))
-            w = sum(ci * bi for ci, bi in zip(c, others))
-            if abs(product_plus(space, w, e)) > tolerances.eq_tol * max(1.0, float(np.max(np.abs(c)))):
-                raise ConvergenceError("basis verification failed: span vector not orthogonal")
+        others = basis[:idx] + basis[idx + 1 :]
+        C = as_uniform(rng.random((100, len(others))), -2.0, 2.0)
+        W = span_rows(others, C)
+        bound = tolerances.eq_tol * np.maximum(1.0, np.max(np.abs(C), axis=1))
+        if np.any(np.abs(product_plus_rows(space, W, np.broadcast_to(e, W.shape))) > bound):
+            raise ConvergenceError("basis verification failed: span vector not orthogonal")
     return basis
 
 

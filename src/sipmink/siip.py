@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConstantSignError, DomainError, UnsupportedError
-from .norms import NormSpec, norm
+from .norms import NormSpec, norm, norm_rows
 from .numerics import (
     DEFAULT_TOLERANCES,
     ResidualTracker,
@@ -35,7 +35,7 @@ from .numerics import (
     as_seed,
     as_uniform,
     build_report,
-    central_diff,
+    central_diff_rows,
     check_dim,
     dot_rows,
     first_diff_step,
@@ -43,6 +43,7 @@ from .numerics import (
     reduce_last,
     row_kernel,
     second_diff_step,
+    span_rows,
 )
 from .ortho import gram_matrix
 
@@ -100,31 +101,21 @@ class SiipSpace:
 
 
 def _supporting_functional(norm_spec: NormSpec, unit_v: np.ndarray) -> np.ndarray:
-    # finite-difference gradient of the norm, rescaled so ell(v) = 1 exactly
-    h = first_diff_step(1.0)
-    grad = np.array(
-        [
-            central_diff(lambda t, i=i: norm(norm_spec, unit_v + t * _basis(norm_spec.dim, i)), 0.0, h)
-            for i in range(norm_spec.dim)
-        ]
-    )
+    # finite-difference gradient of the norm, one partial per row, rescaled so ell(v) = 1 exactly
+    E = np.eye(norm_spec.dim)
+    h = np.full(norm_spec.dim, first_diff_step(1.0))
+    grad = central_diff_rows(lambda t: norm_rows(norm_spec, unit_v + t[:, None] * E), h)
     return grad / float(grad @ unit_v)
-
-
-def _basis(dim: int, i: int) -> np.ndarray:
-    e = np.zeros(dim)
-    e[i] = 1.0
-    return e
 
 
 def _hessian(gfun: Callable, v: np.ndarray) -> np.ndarray:
     n = v.size
     h = second_diff_step(float(np.linalg.norm(v)))
     H = np.empty((n, n))
+    E = np.eye(n)
     for i in range(n):
-        ei = _basis(n, i)
         for j in range(i, n):
-            ej = _basis(n, j)
+            ei, ej = E[i], E[j]
             val = (
                 gfun(v + h * ei + h * ej)
                 - gfun(v + h * ei - h * ej)
@@ -306,8 +297,7 @@ def cauchy_schwarz_witness(
     nb = len(basis)
 
     def combine(draws):
-        C = as_uniform(draws, -radius, radius)
-        return sum(C[:, i, None] * b for i, b in enumerate(basis))  # summed from 0, as sum() did per vector
+        return span_rows(basis, as_uniform(draws, -radius, radius))
 
     V = combine(rng.random((min(trials, 200), nb)))
     V = V[np.any(V, axis=1)]
@@ -339,21 +329,20 @@ def normsquare_check(
     convexity of sqrt(G) along sampled segments where G stays nonnegative."""
     if trials < 1:
         raise DomainError("trials must be at least 1")
-    rng = as_seed(seed).rng()
+    G = row_kernel(gfun)
+    draws = as_seed(seed).rng().random((trials, 2 * dim + 1))  # x, y and lambda of each trial
+    X, Y = as_uniform(draws[:, :dim], -2.0, 2.0), as_uniform(draws[:, dim : 2 * dim], -2.0, 2.0)
+    lam = as_uniform(draws[:, 2 * dim], -3.0, 3.0)
     hom = ResidualTracker("homogeneity_degree2")
     conv = ResidualTracker("sqrt_convexity")
-    for _ in range(trials):
-        x = rng.uniform(-2.0, 2.0, dim)
-        y = rng.uniform(-2.0, 2.0, dim)
-        lam = float(rng.uniform(-3.0, 3.0))
-        hom.update(gfun(lam * x) - lam * lam * gfun(x), lam, x)
-        ts = np.linspace(0.0, 1.0, 5)
-        pts = [x + t * (y - x) for t in ts]
-        vals = [gfun(p) for p in pts]
-        if all(v >= 0.0 for v in vals):
-            roots = np.sqrt(vals)
-            for i in range(1, len(ts) - 1):
-                conv.update(max(0.0, roots[i] - 0.5 * (roots[i - 1] + roots[i + 1])), x, y, ts[i])
+    hom.update_rows(G(lam[:, None] * X) - lam * lam * G(X), lam, X)
+    ts = np.linspace(0.0, 1.0, 5)
+    vals = G((X[:, None, :] + ts[:, None] * (Y - X)[:, None, :]).reshape(-1, dim)).reshape(trials, 5)
+    ok = np.all(vals >= 0.0, axis=1)
+    roots = np.sqrt(vals[ok])
+    gap = roots[:, 1:-1] - 0.5 * (roots[:, :-2] + roots[:, 2:])  # at ts[1], ts[2], ts[3] of each trial
+    X, Y = (np.repeat(A[ok], 3, axis=0) for A in (X, Y))
+    conv.update_rows(np.where(gap > 0.0, gap, 0.0).reshape(-1), X, Y, np.tile(ts[1:-1], len(roots)))
     return build_report([hom, conv], tolerances.eq_tol)
 
 
@@ -371,12 +360,9 @@ def polarization_neutral_check(
     basis = [check_dim(b, space.dim) for b in basis]
     tol = tolerances.eq_tol
     pairwise = bool(np.all(np.abs(gram_matrix(space, basis)) <= tol))
-    rng = as_seed(seed).rng()
-    for _ in range(32):
-        c = rng.uniform(-2.0, 2.0, len(basis))
-        v = sum(ci * bi for ci, bi in zip(c, basis))
-        sampled_zero = abs(siip(space, v, v)) <= tol * max(1.0, float(v @ v))
-        if sampled_zero != pairwise:
-            # cannot happen for a bilinear product; guards misuse
-            raise DomainError("sampled squares disagree with the pairwise criterion")
+    V = span_rows(basis, as_uniform(as_seed(seed).rng().random((32, len(basis))), -2.0, 2.0))
+    sampled_zero = np.abs(siip_rows(space, V, V)) <= tol * np.maximum(1.0, dot_rows(V, V))
+    if np.any(sampled_zero != pairwise):
+        # cannot happen for a bilinear product; guards misuse
+        raise DomainError("sampled squares disagree with the pairwise criterion")
     return pairwise

@@ -166,6 +166,13 @@ class TestCliCommands:
         assert "3.3333333333333335" in out
         assert "margin" in out
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("argv", [["tangent", "--", "1e200,0"], ["distance", "--", "0,0", "0,-1e200"]])
+    def test_an_overflowing_lift_is_a_numerical_failure(self, capsys, argv):
+        assert main(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("numerical failure: ")
+
     def test_bad_vector_is_usage_error(self, capsys):
         assert main(["classify", "1,banana"]) == 2
 
@@ -218,6 +225,24 @@ class TestCliCommands:
         assert out == ""
         assert err.startswith("usage: sipmink product ")
         assert err.rstrip().endswith("sipmink product: error: unrecognized arguments: --seed")
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            ("product --frob 1 -- 1,2,0.5 0.3,-1,2", "--frob 0.3,-1,2"),  # argparse takes the 1 as u
+            ("product --frob=1 -- 1,2,0.5 0.3,-1,2", "--frob=1"),
+            ("product -- 1,2,0.5 0.3,-1,2 1,1,1", "1,1,1"),
+            ("distance --nodes 8 --frob -- 0,0 0.5,0", "--frob"),
+            ("verify cone --frob", "--frob"),
+        ],
+    )
+    def test_an_unknown_argument_is_named_under_the_verbs_usage(self, capsys, argv, named):
+        verb = argv.split()[0]
+        assert main(argv.split()) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"usage: sipmink {verb} ")
+        assert err.rstrip().endswith(f"sipmink {verb}: error: unrecognized arguments: {named}")
 
     @pytest.mark.parametrize("argv", sorted(_VERB_OVERRIDES))
     def test_help_lists_config_and_the_overrides_the_verb_reads(self, capsys, argv):

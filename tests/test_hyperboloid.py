@@ -94,6 +94,22 @@ class TestLift:
         q = as_hpoint(space, p.vector)
         assert np.array_equal(q.s, p.s) and q.tau == p.tau
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("space", [PSEUDO21, REMARK, P3SPACE], ids=["pseudo21", "max", "pnorm3"])
+    @pytest.mark.parametrize("s", [[1e200, 0.0], [0.0, -2e154], [1e300, 1e300]])
+    def test_an_overflowing_square_raises(self, space, s):
+        # [s, s] = inf gave tau = inf, a point off H+ that printed as ",inf"; the overflow is
+        # not warned of, since the error names it
+        with pytest.raises(NumericalError, match="not finite"):
+            lift(space, s)
+        with pytest.raises(NumericalError, match="not finite"):
+            hyperboloid.lift_rows(space, np.array([[0.3, -0.4], s]))
+
+    @pytest.mark.parametrize("space", [PSEUDO21, REMARK, P3SPACE], ids=["pseudo21", "max", "pnorm3"])
+    def test_a_large_finite_square_lifts(self, space):
+        p = lift(space, [1e150, -1e150])
+        assert math.isfinite(p.tau) and p.tau >= 1e150
+
     @pytest.mark.parametrize("space", [PSEUDO21, REMARK], ids=["pseudo21", "max"])
     @pytest.mark.parametrize("s", [[0.3, -0.4], [1e3, 700.0]])
     def test_as_hpoint_rejects_sphere_of_radius_sqrt2(self, space, s):
