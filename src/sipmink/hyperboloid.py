@@ -33,6 +33,7 @@ from .norms import norm_batch, norm_rows, sip_rows
 from .numerics import DEFAULT_TOLERANCES, Tolerances, check_dim, minimize_rows, reduce_last, simpson_weights
 
 _EPS3 = float(np.finfo(float).eps) ** (1.0 / 3.0)
+_GRADIENT_STEP = 1e-6  # the +-h of every central difference in _energy_gradient
 
 
 def _require_spacetime(space: GeneralizedMinkowskiSpace):
@@ -304,13 +305,13 @@ def _gradient_plan(m: int, k: int) -> np.ndarray:
     return plan
 
 
-def _energy_gradient(space, s_nodes: np.ndarray, quad_m: int, h: float = 1e-6) -> tuple[np.ndarray, float]:
+def _energy_gradient(space, s_nodes: np.ndarray, quad_m: int) -> tuple[np.ndarray, float]:
     """Central-difference gradient of the path energy w.r.t. interior nodes,
     and the energy itself (equal to _path_energy).  A moved node changes only
     its two segments, so all 4k(m-1) perturbed ones and the m path segments
     take one length call, gathered by _gradient_plan; only the moved
     coordinate gets +h or -h, the others are copied."""
-    m, k = s_nodes.shape[0] - 1, s_nodes.shape[1]
+    m, k, h = s_nodes.shape[0] - 1, s_nodes.shape[1], _GRADIENT_STEP
     x, q = s_nodes.ravel(), 2 * k * (m - 1)
     starts, ends = np.concatenate([x, x[k:-k] + h, x[k:-k] - h]).take(_gradient_plan(m, k))
     L = _segment_lengths(space, starts.T, (ends - starts).T, quad_m)

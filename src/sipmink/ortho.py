@@ -310,54 +310,17 @@ def auerbach_pair_2d(norm_spec: NormSpec, grid: int = 720, tolerances: Tolerance
     return pair, margins
 
 
-def _pair_products(space: SipSpace, angles: np.ndarray):
-    """The unit vectors u, v at each row (th, ps) of an (m, 2) array of
-    angles, as an (m, 2, 2) array, and their products [u,v] and [v,u], as an
-    (m, 2) array, from one :func:`_unit_vectors` and one ``sip_rows`` call."""
-    units = _unit_vectors(space.norm, angles.reshape(-1)).reshape(-1, 2, 2)
-    U, V = units[:, 0], units[:, 1]
-    return units, sip_rows(space, np.concatenate([U, V]), np.concatenate([V, U])).reshape(2, -1).T
-
-
-def _refine_orthogonal_angles(space: SipSpace, angles: np.ndarray) -> np.ndarray:
-    """Newton-polish angles (th, ps) so that [u,v] = [v,u] = 0 (smooth norms)."""
-    fval = lambda a: _pair_products(space, a[None])[1][0]
-    a = angles.astype(float).copy()
-    h = 1e-7
-    shifts = np.array([[h, 0.0], [-h, 0.0], [0.0, h], [0.0, -h]])  # a +- h along each angle
-    f0 = fval(a)
-    for _ in range(30):
-        if np.max(np.abs(f0)) < 1e-13:
-            break
-        fp, fm, gp, gm = _pair_products(space, a + shifts)[1]
-        J = np.stack([fp - fm, gp - gm], axis=1) / (2 * h)
-        try:
-            step = np.linalg.solve(J, f0)
-        except np.linalg.LinAlgError:
-            break
-        scale = 1.0
-        for _damp in range(20):
-            f1 = fval(a - scale * step)
-            if np.max(np.abs(f1)) < np.max(np.abs(f0)):
-                a = a - scale * step
-                f0 = f1
-                break
-            scale *= 0.5
-        else:
-            break
-    return a
-
-
-def _sip_orthogonal_pair(space: SipSpace, tolerances: Tolerances, grid: int = 720):
-    """Mutually sip-orthogonal unit pair of maximal |det| in a 2-d block.
+def _sip_orthogonal_pair(space: SipSpace, tolerances: Tolerances):
+    """Mutually sip-orthogonal unit pair of maximal |det| in a 2-d block,
+    from a grid of 720 angles (a multiple of 8: the axis and diagonal pairs
+    are on it); a block with no grid pair within ``eq_tol`` raises.
 
     The s.i.p. is linear in its first argument, so [U[i], U[j]] is
     U[i] . R[j] with the functional R[j, k] = [e_k, U[j]], found once with
     one :func:`~sipmink.norms.sip_rows` call per basis vector; the grid of
     pairs is searched a block of rows at a time (:func:`_max_det_pair`).
     """
-    thetas = np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)
-    U = _unit_vectors(space.norm, thetas)
+    U = _unit_vectors(space.norm, np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False))
     R = np.stack([sip_rows(space, np.broadcast_to(e, U.shape), U) for e in np.eye(2)], axis=1)
 
     def resid(rows, cols):  # max(|[U[i], U[j]]|, |[U[j], U[i]]|), symmetric bit for bit
@@ -365,25 +328,15 @@ def _sip_orthogonal_pair(space: SipSpace, tolerances: Tolerances, grid: int = 72
         ji = R[rows, 0][:, None] * U[cols, 0][None, :] + R[rows, 1][:, None] * U[cols, 1][None, :]
         return np.maximum(np.abs(ij), np.abs(ji))
 
-    def block(r):
-        return slice(r, r + _DET_BLOCK), slice(r, None)
-
     def orthogonal_dets(U, r):
-        return np.where(resid(*block(r)) <= tolerances.eq_tol, _abs_dets(U, r), -1.0)
+        return np.where(resid(slice(r, r + _DET_BLOCK), slice(r, None)) <= tolerances.eq_tol, _abs_dets(U, r), -1.0)
 
     # ties within 1e-9 resolve to the lowest index, keeping the selection
     # canonical (axis-aligned pairs come first on the grid)
     i, j = _max_det_pair(U, orthogonal_dets, 1e-9)
-    if resid([i], [j])[0, 0] <= tolerances.eq_tol:
-        return U[i], U[j]
-    if not space.norm.is_smooth:
+    if not resid([i], [j])[0, 0] <= tolerances.eq_tol:  # a NaN residual fails too
         raise ConvergenceError("no product-orthogonal pair found on the angle grid")
-    i, j = _max_det_pair(U, lambda U, r: -resid(*block(r)))  # the first least residual
-    a = _refine_orthogonal_angles(space, np.array([thetas[i], thetas[j]]))
-    (units,), (products,) = _pair_products(space, a[None])
-    if not np.all(np.abs(products) <= tolerances.eq_tol):
-        raise ConvergenceError("orthogonality refinement did not reach tolerance")
-    return units[0], units[1]
+    return U[i], U[j]
 
 
 def minkowski_auerbach(

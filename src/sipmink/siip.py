@@ -244,7 +244,9 @@ def siip_axiom_report(space: SiipSpace, seed, trials: int, tolerances: Tolerance
     squares.  [x, x] and [v, v] must share a sign; the symmetric bilinear
     variant then needs a positive Gram determinant, and the others a fixed
     circle of 36 combinations of x and v, all scanned in one call, on which
-    no square vanishes and the signs agree.
+    no square vanishes and the signs agree.  The residuals of the variants
+    built on finite differences (sign function, norm-square Hessian) are
+    held to ``fd_tol``, all others to ``eq_tol``.
     """
     tol = tolerances.eq_tol
     trackers, X, V = siip_axiom_trials(space, space.dim, seed, trials, tol)
@@ -268,7 +270,8 @@ def siip_axiom_report(space: SiipSpace, seed, trials: int, tolerances: Tolerance
     cs = ResidualTracker("cauchy_schwarz_definite")
     margin = pow_rows(gxv[definite], 2.0) - qx[definite] * qv[definite]
     cs.update_rows(np.where(margin > 0.0, margin, 0.0), X[definite], V[definite])
-    return build_report(trackers + [cs], tol)
+    finite_diff = space.kind in (SIGN_FUNCTION, NORMSQUARE_HESSIAN)
+    return build_report(trackers + [cs], tolerances.fd_tol if finite_diff else tol)
 
 
 def cauchy_schwarz_witness(

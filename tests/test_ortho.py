@@ -4,13 +4,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sipmink import ortho
 from sipmink.errors import ConvergenceError, DegenerateError, DomainError, NeutralPivotError, NumericalError
 from sipmink.minkowski import GeneralizedMinkowskiSpace, max_norm_spacetime, product_plus
 from sipmink.norms import NormSpec, SipSpace, norm, norm_batch, sip
 from sipmink.numerics import Seed, Tolerances
 from sipmink.ortho import (
     OrthoRelation,
+    _sip_orthogonal_pair,
     _unit_vectors,
     auerbach_basis_2d,
     birkhoff_margin,
@@ -248,24 +248,28 @@ class TestMinkowskiAuerbach:
         basis = minkowski_auerbach(space)
         assert np.array(basis) == pytest.approx(np.diag([1.0, 0.5, 1.0]), abs=1e-12)
 
-    def test_max_block_without_an_orthogonal_grid_pair_raises(self):
-        # on the grid [e_2, e_1] is cos(pi/2) = 6.1e-17, above this eq_tol
+    # on the grid [e_2, e_1] is cos(pi/2) = 6.1e-17, above this eq_tol, and
+    # no block, smooth or not, takes a pair from off the grid
+    @pytest.mark.parametrize("s_norm", [NormSpec.max_norm(2), NormSpec.pnorm(3.0, 2)], ids=["max", "p3"])
+    def test_block_without_an_orthogonal_grid_pair_raises(self, s_norm):
+        space = GeneralizedMinkowskiSpace.from_norms(s_norm, NormSpec.euclidean(1))
         with pytest.raises(ConvergenceError, match="no product-orthogonal pair found on the angle grid"):
-            minkowski_auerbach(max_norm_spacetime(), tolerances=Tolerances(eq_tol=1e-17))
-
-    def test_smooth_block_refinement_short_of_tolerance_raises(self, monkeypatch):
-        refined = []
-
-        def refine(space, angles):
-            refined.append(angles)
-            return _refine(space, angles)
-
-        _refine = ortho._refine_orthogonal_angles
-        monkeypatch.setattr(ortho, "_refine_orthogonal_angles", refine)
-        space = GeneralizedMinkowskiSpace.from_norms(NormSpec.pnorm(3.0, 2), NormSpec.euclidean(1))
-        with pytest.raises(ConvergenceError, match="orthogonality refinement did not reach tolerance"):
             minkowski_auerbach(space, tolerances=Tolerances(eq_tol=1e-17))
-        assert len(refined) == 1
+
+    # the grid of 720 angles holds the axis and diagonal pairs, so every
+    # Euclidean and p-norm block, on either s.i.p. route, finds its pair there
+    # down to eq_tol = 1e-15 and needs nothing off the grid
+    @pytest.mark.parametrize("mode", ["closed", "derivative"])
+    @pytest.mark.parametrize("p", [2.0, 1.001, 1.5, 3.0, 10.0, 200.0])
+    def test_smooth_block_finds_its_pair_on_the_grid(self, p, mode):
+        spec = NormSpec.euclidean(2) if p == 2.0 else NormSpec.pnorm(p, 2)
+        block = SipSpace(spec, mode)
+        for eq_tol in (1e-6, 1e-9, 1e-12, 1e-15):
+            u, v = _sip_orthogonal_pair(block, Tolerances(eq_tol=eq_tol))
+            assert max(abs(sip(block, u, v)), abs(sip(block, v, u))) <= eq_tol
+            assert norm(block, u) == pytest.approx(1.0, abs=1e-12)
+            assert norm(block, v) == pytest.approx(1.0, abs=1e-12)
+            assert abs(u[0] * v[1] - u[1] * v[0]) > 0.5
 
     def test_peak_memory(self):
         space = GeneralizedMinkowskiSpace.pseudo_euclidean(2)

@@ -2,11 +2,10 @@
 
 ``central_diff``, the supporting functional of the sign-function product,
 the two span checks (``polarization_neutral_check`` and the basis check of
-``minkowski_auerbach``), ``normsquare_check`` and the Newton polish of
-``_refine_orthogonal_angles`` once looped over scalar calls.  Each loop is
-kept here as written, and the row form must give its values and witnesses
-bit for bit (compared as bytes, so a -0.0 counts) and leave the generator
-at the same next draw.
+``minkowski_auerbach``) and ``normsquare_check`` once looped over scalar
+calls.  Each loop is kept here as written, and the row form must give its
+values and witnesses bit for bit (compared as bytes, so a -0.0 counts) and
+leave the generator at the same next draw.
 """
 
 import importlib
@@ -18,7 +17,7 @@ import pytest
 from sipmink import ortho
 from sipmink.errors import ConvergenceError, DomainError, NumericalError
 from sipmink.minkowski import GeneralizedMinkowskiSpace, embed, max_norm_spacetime, product_plus, product_plus_rows
-from sipmink.norms import NormSpec, SipSpace, norm, sip
+from sipmink.norms import NormSpec, SipSpace, norm
 from sipmink.numerics import Seed, Tolerances, as_uniform, central_diff, first_diff_step, span_rows
 from sipmink.siip import SiipSpace, normsquare_check, polarization_neutral_check, siip
 
@@ -334,71 +333,3 @@ class TestNormsquareCheck:
             assert check.passed == (residual <= 1e-9)
             assert [_bits(w) for w in check.witness] == [_bits(w) for w in witness]
         assert kept.generator.random() == ref.random()
-
-
-def _loop_pair_residual(space, a):
-    u = ortho._unit_vectors(space.norm, np.array([a[0]]))[0]
-    v = ortho._unit_vectors(space.norm, np.array([a[1]]))[0]
-    return np.array([sip(space, u, v), sip(space, v, u)])
-
-
-def _loop_jacobian(space, a, h=1e-7):
-    J = np.empty((2, 2))
-    for c in range(2):
-        ap = a.copy()
-        ap[c] += h
-        am = a.copy()
-        am[c] -= h
-        J[:, c] = (_loop_pair_residual(space, ap) - _loop_pair_residual(space, am)) / (2 * h)
-    return J
-
-
-def _loop_refine_orthogonal_angles(space, angles):
-    a = angles.astype(float).copy()
-    f0 = _loop_pair_residual(space, a)
-    for _ in range(30):
-        if np.max(np.abs(f0)) < 1e-13:
-            break
-        try:
-            step = np.linalg.solve(_loop_jacobian(space, a), f0)
-        except np.linalg.LinAlgError:
-            break
-        scale = 1.0
-        for _damp in range(20):
-            f1 = _loop_pair_residual(space, a - scale * step)
-            if np.max(np.abs(f1)) < np.max(np.abs(f0)):
-                a = a - scale * step
-                f0 = f1
-                break
-            scale *= 0.5
-        else:
-            break
-    return a
-
-
-class TestRefineOrthogonalAngles:
-    NORMS = {name: SMOOTH_NORMS[name] for name in ("euclidean2", "pnorm1.5", "pnorm3", "gauge")}
-
-    @staticmethod
-    def _starts(count):
-        rng = np.random.default_rng(17)
-        th = rng.uniform(0.0, 2.0 * np.pi, count)
-        return np.stack([th, th + np.pi / 2 + rng.uniform(-0.3, 0.3, count)], axis=1)
-
-    @pytest.mark.parametrize("name", sorted(NORMS))
-    def test_residual_and_jacobian_match_the_loop(self, name):
-        space = SipSpace(self.NORMS[name])
-        h = 1e-7
-        shifts = np.array([[h, 0.0], [-h, 0.0], [0.0, h], [0.0, -h]])
-        for a in self._starts(25):
-            units, products = ortho._pair_products(space, a[None])
-            assert _bits(products[0]) == _bits(_loop_pair_residual(space, a))
-            assert _bits(units[0]) == _bits([ortho._unit_vectors(space.norm, np.array([t]))[0] for t in a])
-            fp, fm, gp, gm = ortho._pair_products(space, a + shifts)[1]
-            assert _bits(np.stack([fp - fm, gp - gm], axis=1) / (2 * h)) == _bits(_loop_jacobian(space, a))
-
-    @pytest.mark.parametrize("name", sorted(NORMS))
-    def test_polished_angles_match_the_loop(self, name):
-        space = SipSpace(self.NORMS[name])
-        for a in self._starts(12):
-            assert _bits(ortho._refine_orthogonal_angles(space, a)) == _bits(_loop_refine_orthogonal_angles(space, a))

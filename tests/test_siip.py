@@ -143,6 +143,20 @@ class TestNormsquareHessian:
                 continue
             assert siip(space, v, v) == pytest.approx(g(v), abs=1e-5 * max(1.0, g(v)))
 
+    # the Hessian is a finite difference, so [x, lam v] and lam [x, v] differ
+    # by its rounding, about 1e-8, which the report holds to fd_tol
+    @pytest.mark.parametrize("g", [lambda x: float(x @ x), lambda x: float(x[0] ** 2 + x[1] ** 2 - x[2] ** 2)],
+                             ids=["square", "signature21"])
+    def test_axiom_report_passes_a_quadratic_normsquare(self, g):
+        report = siip_axiom_report(SiipSpace.normsquare_hessian(g, 3), Seed(1), 100)
+        assert [c.passed for c in report.checks] == [True] * 6
+        assert 1e-9 < report.residual("homogeneity_second") < 1e-7
+
+    def test_axiom_report_fails_a_normsquare_of_degree_three(self):
+        report = siip_axiom_report(SiipSpace.normsquare_hessian(lambda x: float(x @ x) ** 1.5, 3), Seed(1), 100)
+        assert not report.check("homogeneity_second").passed
+        assert report.residual("homogeneity_second") == pytest.approx(52.8, abs=0.05)
+
 
 class TestCauchySchwarzWitness:
     def test_euclidean_has_none(self):
