@@ -48,7 +48,9 @@ class RunConfig:
     out: str | None = None  # classify and distance write no CSV without it; verify defaults to verify_report.csv
     tolerances: Tolerances = field(default_factory=Tolerances)
 
-    def _norm(self, kind: str, p, dim: int) -> NormSpec:
+    def _norm(self, block: str, kind: str, p, dim: int) -> NormSpec:
+        if p is not None and kind != "pnorm":
+            raise UsageError(f"key space.{block}.p is read only with space.{block}.norm = \"pnorm\", not {kind!r}")
         if kind == "euclidean":
             return NormSpec.euclidean(dim)
         if kind == "pnorm":
@@ -60,10 +62,10 @@ class RunConfig:
         raise UsageError(f"unknown norm kind {kind!r}; expected one of {_NORM_KINDS}")
 
     def s_norm(self) -> NormSpec:
-        return self._norm(self.s_kind, self.s_p, self.s_dim)
+        return self._norm("s", self.s_kind, self.s_p, self.s_dim)
 
     def t_norm(self) -> NormSpec:
-        return self._norm(self.t_kind, self.t_p, self.t_dim)
+        return self._norm("t", self.t_kind, self.t_p, self.t_dim)
 
     def s_sip(self) -> SipSpace:
         return SipSpace(self.s_norm())

@@ -73,8 +73,8 @@ def as_hpoint(space: GeneralizedMinkowskiSpace, v, tol: float = 1e-8) -> HPoint:
     two terms of size tau^2, so tol is relative to max(1, tau^2)."""
     _require_spacetime(space)
     s, t = split(space, v)
-    if t[0] <= 0:
-        raise DomainError("vector lies on the lower sheet")
+    if not (np.isfinite(s).all() and 0.0 < t[0] < np.inf):  # a nan fails every comparison
+        raise DomainError("vector lies on the lower sheet" if t[0] <= 0 else "vector has a non-finite coordinate")
     q = product_plus(space, v, v)
     if abs(q + 1.0) > tol * max(1.0, float(t[0]) ** 2):
         raise DomainError(f"vector is not on the imaginary unit sphere: [v,v]+ = {q}")

@@ -233,7 +233,7 @@ def norm_batch(space, X: np.ndarray) -> np.ndarray:
         return _rescaled(norm_batch, spec, s ** (1.0 / spec.p), X, off)
     if spec.kind == MAX:
         return reduce_last(np.maximum, np.abs(X))
-    return np.array([float(spec.gauge(row)) for row in X.reshape(-1, spec.dim)]).reshape(X.shape[:-1])
+    return row_kernel(spec.gauge)(X.reshape(-1, spec.dim)).reshape(X.shape[:-1])
 
 
 def _sip_derivative_rows(spec: NormSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:

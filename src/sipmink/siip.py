@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConstantSignError, DomainError, UnsupportedError
-from .norms import NormSpec, norm, norm_rows
+from .norms import NormSpec, norm_rows
 from .numerics import (
     DEFAULT_TOLERANCES,
     ResidualTracker,
@@ -100,48 +100,32 @@ class SiipSpace:
         return siip_rows(self, U, V)
 
 
-def _supporting_functional(norm_spec: NormSpec, unit_v: np.ndarray) -> np.ndarray:
-    # finite-difference gradient of the norm, one partial per row, rescaled so ell(v) = 1 exactly
-    E = np.eye(norm_spec.dim)
-    h = np.full(norm_spec.dim, first_diff_step(1.0))
-    grad = central_diff_rows(lambda t: norm_rows(norm_spec, unit_v + t[:, None] * E), h)
-    return grad / float(grad @ unit_v)
+def _sign_function_rows(space: SiipSpace, U: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """eps(w) |v| ell(u) of each row, w = v / |v| and ell the supporting
+    functional at w: the norm's central-difference gradient at w, one partial
+    per row and coordinate, rescaled so ell(w) = 1 exactly."""
+    spec, n = space.norm_spec, space.dim
+    nv = norm_rows(spec, V)
+    W = V / nv[:, None]
+    eps = row_kernel(space.sign_fn)(W)
+    if not np.all((eps == 1.0) | (eps == -1.0)):
+        raise DomainError("sign function must return +/-1")
+    moved = lambda T: (W[:, None, :] + T[:, :, None] * np.eye(n)).reshape(-1, n)  # row i moved T[i, j] along e_j
+    grad = central_diff_rows(lambda T: norm_rows(spec, moved(T)).reshape(T.shape), np.full(W.shape, first_diff_step(1.0)))
+    return eps * nv * dot_rows(grad / dot_rows(grad, W)[:, None], U)
 
 
-def _hessian(gfun: Callable, v: np.ndarray) -> np.ndarray:
-    n = v.size
-    h = second_diff_step(float(np.linalg.norm(v)))
-    H = np.empty((n, n))
-    E = np.eye(n)
-    for i in range(n):
-        for j in range(i, n):
-            ei, ej = E[i], E[j]
-            val = (
-                gfun(v + h * ei + h * ej)
-                - gfun(v + h * ei - h * ej)
-                - gfun(v - h * ei + h * ej)
-                + gfun(v - h * ei - h * ej)
-            ) / (4.0 * h * h)
-            H[i, j] = H[j, i] = val
-    return H
-
-
-def _siip_vector(space: SiipSpace, u: np.ndarray, v: np.ndarray) -> float:
-    """[u, v] of the variants with no array form, one pair of vectors."""
-    if not np.any(v):
-        raise DomainError("this variant is undefined at v = 0")
-    if space.kind == SIGN_FUNCTION:
-        nv = norm(space.norm_spec, v)
-        unit_v = v / nv
-        eps = float(space.sign_fn(unit_v))
-        if eps not in (-1.0, 1.0):
-            raise DomainError("sign function must return +/-1")
-        ell = _supporting_functional(space.norm_spec, unit_v)
-        return float(eps * nv * (ell @ u))
-    if space.kind == NORMSQUARE_HESSIAN:
-        H = _hessian(space.gfun, v)
-        return float(0.5 * u @ H @ v)
-    raise DomainError(f"unknown variant {space.kind!r}")
+def _hessian_rows(gfun: Callable, U: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """1/2 u^T H(v) v of each row, H the finite-difference Hessian of G at v
+    with step second_diff_step(|v|): one row call of G per entry pair and sign."""
+    G, n = row_kernel(gfun), V.shape[1]
+    h = second_diff_step(np.sqrt(dot_rows(V, V)))
+    E = h[:, None, None] * np.eye(n)  # E[:, i] holds h e_i of each row
+    H = np.empty((len(V), n, n))
+    for i, j in zip(*np.triu_indices(n)):
+        ei, ej = E[:, i], E[:, j]
+        H[:, i, j] = H[:, j, i] = (G(V + ei + ej) - G(V + ei - ej) - G(V - ei + ej) + G(V - ei - ej)) / (4.0 * h * h)
+    return dot_rows(((0.5 * U)[:, None, :] @ H)[:, 0], V)
 
 
 def _cross_polytope_rows(U: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -170,8 +154,8 @@ def siip_rows(space: SiipSpace, U, V) -> np.ndarray:
     """Row-wise s.i.i.p. ``[U[i], V[i]]`` of the given variant, for two
     (N, dim) arrays.
 
-    The diagonal, weighted-plane and cross-polytope products run as array
-    code; the other variants loop over their rows.
+    Every variant runs as array code.  The sign-function and Hessian products
+    raise on a row with v = 0 before the sign function or G is called.
     """
     U = check_dim(U, space.dim, rows=True)
     V = check_dim(V, space.dim, rows=True)
@@ -185,7 +169,13 @@ def siip_rows(space: SiipSpace, U, V) -> np.ndarray:
         den = x2 * x2 + 2.0 * y2 * y2
         num = (x1 * x2 + 2.0 * y1 * y2) * (x2 * x2 + y2 * y2)
         return np.divide(num, den, out=np.zeros(len(V)), where=den != 0.0)  # v = 0; homogeneity forces 0
-    return row_kernel(lambda u, v: _siip_vector(space, u, v))(U, V)
+    if not np.all(np.any(V, axis=1)):
+        raise DomainError("this variant is undefined at v = 0")
+    if space.kind == SIGN_FUNCTION:
+        return _sign_function_rows(space, U, V)
+    if space.kind == NORMSQUARE_HESSIAN:
+        return _hessian_rows(space.gfun, U, V)
+    raise DomainError(f"unknown variant {space.kind!r}")
 
 
 def siip(space: SiipSpace, u, v) -> float:

@@ -81,6 +81,13 @@ class TestConfigParsing:
         with pytest.raises(UsageError):
             config_from_mapping({"space.s.norm": "pnorm"})
 
+    @pytest.mark.parametrize("block", ["s", "t"])
+    @pytest.mark.parametrize("kind", ["euclidean", "max"])
+    def test_p_without_pnorm_rejected(self, block, kind):
+        # p is read only by a pnorm block, so any other norm rejects it rather than ignore it
+        with pytest.raises(UsageError, match=f"key space\\.{block}\\.p is read only with"):
+            config_from_mapping({f"space.{block}.norm": kind, f"space.{block}.p": 3.0})
+
     @pytest.mark.parametrize("value", ["1e-7", ""])
     def test_environment_sets_no_tolerance(self, monkeypatch, value):
         # tol.eq in the config file is the one way to set the equality tolerance
@@ -172,6 +179,13 @@ class TestCliCommands:
         assert main(argv) == 3
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("numerical failure: ")
+
+    def test_p_on_a_euclidean_block_is_a_usage_error(self, capsys, tmp_path):
+        cfg = tmp_path / "euclidean_p.cfg"
+        cfg.write_text('space.s.norm = "euclidean"\nspace.s.p = 3\n')
+        assert main(["product", "--config", str(cfg), "--", "1,2,0.5", "0.3,-1,2"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "space.s.p" in err
 
     def test_bad_vector_is_usage_error(self, capsys):
         assert main(["classify", "1,banana"]) == 2

@@ -94,6 +94,13 @@ class TestLift:
         q = as_hpoint(space, p.vector)
         assert np.array_equal(q.s, p.s) and q.tau == p.tau
 
+    @pytest.mark.parametrize("space", [PSEUDO21, REMARK], ids=["pseudo21", "max"])
+    @pytest.mark.parametrize("v", [[math.nan, 0.0, 1.0], [0.0, 0.0, math.nan], [math.inf, 0.0, math.inf]])
+    def test_as_hpoint_rejects_a_non_finite_coordinate(self, space, v):
+        # no such vector is a point of H+; a distance from one could only fail later, in the solver
+        with pytest.raises(DomainError, match="^vector has a non-finite coordinate$"):
+            as_hpoint(space, v)
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("space", [PSEUDO21, REMARK, P3SPACE], ids=["pseudo21", "max", "pnorm3"])
     @pytest.mark.parametrize("s", [[1e200, 0.0], [0.0, -2e154], [1e300, 1e300]])

@@ -1,7 +1,7 @@
 """Row forms against copies of the scalar loops they replaced.
 
-``central_diff``, the supporting functional of the sign-function product,
-the two span checks (``polarization_neutral_check`` and the basis check of
+``central_diff``, the sign-function and norm-square Hessian products, the
+two span checks (``polarization_neutral_check`` and the basis check of
 ``minkowski_auerbach``) and ``normsquare_check`` once looped over scalar
 calls.  Each loop is kept here as written, and the row form must give its
 values and witnesses bit for bit (compared as bytes, so a -0.0 counts) and
@@ -18,8 +18,16 @@ from sipmink import ortho
 from sipmink.errors import ConvergenceError, DomainError, NumericalError
 from sipmink.minkowski import GeneralizedMinkowskiSpace, embed, max_norm_spacetime, product_plus, product_plus_rows
 from sipmink.norms import NormSpec, SipSpace, norm
-from sipmink.numerics import Seed, Tolerances, as_uniform, central_diff, first_diff_step, span_rows
-from sipmink.siip import SiipSpace, normsquare_check, polarization_neutral_check, siip
+from sipmink.numerics import (
+    Seed,
+    Tolerances,
+    as_uniform,
+    central_diff,
+    first_diff_step,
+    second_diff_step,
+    span_rows,
+)
+from sipmink.siip import SIGN_FUNCTION, SiipSpace, normsquare_check, polarization_neutral_check, siip, siip_rows
 
 siip_module = importlib.import_module("sipmink.siip")  # the package binds the name siip to the function
 
@@ -108,27 +116,101 @@ def _loop_supporting_functional(norm_spec, unit_v):
     return grad / float(grad @ unit_v)
 
 
+def _loop_hessian(gfun, v):
+    n = v.size
+    h = second_diff_step(float(np.linalg.norm(v)))
+    H = np.empty((n, n))
+    E = np.eye(n)
+    for i in range(n):
+        for j in range(i, n):
+            ei, ej = E[i], E[j]
+            val = (
+                gfun(v + h * ei + h * ej)
+                - gfun(v + h * ei - h * ej)
+                - gfun(v - h * ei + h * ej)
+                + gfun(v - h * ei - h * ej)
+            ) / (4.0 * h * h)
+            H[i, j] = H[j, i] = val
+    return H
+
+
+def _loop_siip_vector(space, u, v):
+    """[u, v] of the sign-function and norm-square Hessian variants, one
+    pair of vectors at a time."""
+    if not np.any(v):
+        raise DomainError("this variant is undefined at v = 0")
+    if space.kind == SIGN_FUNCTION:
+        nv = norm(space.norm_spec, v)
+        unit_v = v / nv
+        eps = float(space.sign_fn(unit_v))
+        if eps not in (-1.0, 1.0):
+            raise DomainError("sign function must return +/-1")
+        ell = _loop_supporting_functional(space.norm_spec, unit_v)
+        return float(eps * nv * (ell @ u))
+    H = _loop_hessian(space.gfun, v)
+    return float(0.5 * u @ H @ v)
+
+
+def _sign_space(name):
+    """A sign-function product over one of SMOOTH_NORMS; the gauge is not
+    smooth to the constructor, so its space is built directly."""
+    spec = SMOOTH_NORMS[name]
+    sign = lambda u: 1.0 if u[-1] >= 0 else -1.0
+    return SiipSpace(SIGN_FUNCTION, spec.dim, norm_spec=spec, sign_fn=sign)
+
+
 class TestSupportingFunctional:
     @pytest.mark.parametrize("name", sorted(SMOOTH_NORMS))
     def test_matches_the_per_coordinate_loop(self, name):
-        spec = SMOOTH_NORMS[name]
+        space = _sign_space(name)
+        spec = space.norm_spec
         rng = np.random.default_rng(5)
-        V = rng.uniform(-2.0, 2.0, (40, spec.dim))
+        U, V = rng.uniform(-2.0, 2.0, (2, 40, spec.dim))
         V[:4] = np.eye(spec.dim)[np.arange(4) % spec.dim] * np.array([1.0, -1.0, 3.0, -0.5])[:, None]
-        for v in V:
-            unit_v = v / norm(spec, v)
-            got = siip_module._supporting_functional(spec, unit_v)
-            assert _bits(got) == _bits(_loop_supporting_functional(spec, unit_v))
-
-    def test_the_product_matches_the_loop(self):
-        spec = SMOOTH_NORMS["pnorm3"]
-        space = SiipSpace.sign_function(spec, lambda u: 1.0 if u[1] >= 0 else -1.0)
-        rng = np.random.default_rng(9)
-        for u, v in rng.uniform(-2.0, 2.0, (30, 2, 2)):
+        got = siip_module._sign_function_rows(space, U, V)
+        for row, u, v in zip(got, U, V):
             nv = norm(spec, v)
-            eps = 1.0 if v[1] / nv >= 0 else -1.0
-            expected = float(eps * nv * (_loop_supporting_functional(spec, v / nv) @ u))
-            assert _bits(siip(space, u, v)) == _bits(expected)
+            eps = float(space.sign_fn(v / nv))
+            assert _bits(row) == _bits(eps * nv * (_loop_supporting_functional(spec, v / nv) @ u))
+
+    @pytest.mark.parametrize("name", sorted(SMOOTH_NORMS))
+    def test_the_product_matches_the_loop(self, name):
+        space = _sign_space(name)
+        rng = np.random.default_rng(9)
+        for u, v in rng.uniform(-2.0, 2.0, (30, 2, space.dim)):
+            assert _bits(siip(space, u, v)) == _bits(_loop_siip_vector(space, u, v))
+
+
+class TestSiipRows:
+    """The sign-function and Hessian rows against the per-row loop, on G = |x|^3,
+    G = x0^2 + x1^2 - x2^2, p = 3 with a sign flip and Euclidean with sign -1."""
+
+    SPACES = {
+        "cube": SiipSpace.normsquare_hessian(lambda x: float(x @ x) ** 1.5, 3),
+        "lorentz": SiipSpace.normsquare_hessian(lambda x: float(x[0] ** 2 + x[1] ** 2 - x[2] ** 2), 3),
+        "square4": SiipSpace.normsquare_hessian(lambda x: float(x @ x), 4),
+        "pnorm3_flip": SiipSpace.sign_function(SMOOTH_NORMS["pnorm3"], lambda u: 1.0 if u[1] >= 0 else -1.0),
+        "euclidean_minus": SiipSpace.sign_function(SMOOTH_NORMS["euclidean3"], lambda u: -1.0),
+        "gauge": _sign_space("gauge"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SPACES))
+    def test_matches_the_per_row_loop(self, name):
+        space = self.SPACES[name]
+        rng = np.random.default_rng(3)
+        U, V = rng.uniform(-2.0, 2.0, (2, 300, space.dim))
+        U[:10] = 0.0  # u = 0, then u = -0
+        U[10:20] = -0.0
+        V[20:30] *= 1e-6
+        V[30:40] *= 1e4
+        V[40:50] = np.eye(space.dim)[np.arange(10) % space.dim] * -2.0
+        expected = [_loop_siip_vector(space, u, v) for u, v in zip(U, V)]
+        assert _bits(siip_rows(space, U, V)) == _bits(expected)
+
+    @pytest.mark.parametrize("name", sorted(SPACES))
+    def test_an_empty_block_gives_no_rows(self, name):
+        space = self.SPACES[name]
+        assert siip_rows(space, np.empty((0, space.dim)), np.empty((0, space.dim))).shape == (0,)
 
 
 def _loop_span(basis, rng, count, radius):

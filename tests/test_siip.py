@@ -11,6 +11,7 @@ from sipmink.siip import (
     polarization_neutral_check,
     siip,
     siip_axiom_report,
+    siip_rows,
 )
 
 CP3 = SiipSpace.cross_polytope(3)
@@ -118,6 +119,52 @@ class TestSignFunction:
         space = SiipSpace.sign_function(NormSpec.euclidean(2), lambda v: 1.0)
         with pytest.raises(DomainError):
             siip(space, [1.0, 0.0], [0.0, 0.0])
+
+
+class TestFiniteDifferenceRows:
+    """The sign-function and norm-square Hessian variants, a block at a time."""
+
+    def test_one_zero_v_row_raises_before_any_call(self):
+        calls = []
+        counted = lambda x: calls.append(x) or 1.0
+        spaces = [SiipSpace.sign_function(NormSpec.euclidean(3), counted), SiipSpace.normsquare_hessian(counted, 3)]
+        V = np.ones((5, 3))
+        V[3] = 0.0
+        for space in spaces:
+            with pytest.raises(DomainError, match="^this variant is undefined at v = 0$"):
+                siip_rows(space, np.ones((5, 3)), V)
+        assert calls == []
+
+    @pytest.mark.parametrize("value", [0.5, 0.0, float("nan")])
+    def test_a_sign_other_than_plus_or_minus_one_raises(self, value):
+        space = SiipSpace.sign_function(NormSpec.pnorm(3.0, 2), lambda u: value if u[0] > 0 else 1.0)
+        V = np.array([[-1.0, 0.5], [1.0, 0.5]])
+        with pytest.raises(DomainError, match=r"sign function must return \+/-1"):
+            siip_rows(space, V, V)
+
+    def test_a_g_with_a_row_kernel_is_called_only_through_it(self):
+        blocks = []
+
+        def gfun(x):
+            raise AssertionError("the scalar G was called")
+
+        gfun.rows = lambda X: blocks.append(X.shape) or np.einsum("ij,ij->i", X, X)
+        U, V = np.random.default_rng(4).uniform(-2.0, 2.0, (2, 7, 3))
+        got = siip_rows(SiipSpace.normsquare_hessian(gfun, 3), U, V)
+        assert blocks == [(7, 3)] * 24  # four calls for each of the six entry pairs
+        assert got == pytest.approx(np.einsum("ij,ij->i", U, V), abs=1e-6)
+
+    def test_a_sign_function_with_a_row_kernel_is_called_only_through_it(self):
+        blocks = []
+
+        def sign(u):
+            raise AssertionError("the scalar sign function was called")
+
+        sign.rows = lambda X: blocks.append(X.shape) or np.where(X[:, 1] >= 0.0, 1.0, -1.0)
+        U, V = np.random.default_rng(4).uniform(-2.0, 2.0, (2, 7, 2))
+        got = siip_rows(SiipSpace.sign_function(NormSpec.euclidean(2), sign), U, V)
+        assert blocks == [(7, 2)]
+        assert got == pytest.approx(np.where(V[:, 1] >= 0.0, 1.0, -1.0) * np.einsum("ij,ij->i", U, V), abs=1e-6)
 
 
 class TestNormsquareHessian:
