@@ -83,10 +83,12 @@ def as_hpoint(space: GeneralizedMinkowskiSpace, v, tol: float = 1e-8) -> HPoint:
 
 def lift_rows(space: GeneralizedMinkowskiSpace, S) -> np.ndarray:
     """Lift each row of an (N, k) array of S-coordinates onto H+: the (N, n)
-    array of vectors (s, tau), with tau = sqrt(1 + [s, s]).  Raises
-    :class:`NumericalError` when a tau is not finite ([s, s] overflows)."""
+    array of vectors (s, tau), with tau = sqrt(1 + [s, s]).  Raises :class:`DomainError`
+    for a non-finite coordinate, :class:`NumericalError` when [s, s] overflows."""
     _require_spacetime(space)
     S = check_dim(S, space.k, rows=True)
+    if not np.isfinite(S).all():
+        raise DomainError("vector has a non-finite coordinate")
     with np.errstate(over="ignore"):  # an overflow raises below
         tau = np.sqrt(1.0 + sip_rows(space.s_space, S, S))
     if not np.isfinite(tau).all():
@@ -246,34 +248,43 @@ def _quadrature_grid(quad_m: int) -> tuple[np.ndarray, np.ndarray]:
     return grid
 
 
-def _segment_lengths(space, seg_starts: np.ndarray, seg_deltas: np.ndarray, quad_m: int) -> np.ndarray:
+def _segment_lengths(space, seg_starts: np.ndarray, seg_deltas: np.ndarray, quad_m: int, buf=None) -> np.ndarray:
     """Arc lengths of chord lifts: S runs straight from start to start+delta,
     tau follows the lift.  Velocities use a central difference of the lifted
     tau along the chord parameter; the S velocity is the constant delta.
     Simpson grid from _quadrature_grid; PathError if a velocity turns time-like.
-    The batch runs coordinate-major: the shifted points and the deltas fill
-    one (k, R) buffer for one norm_batch call, so each elementwise pass runs
-    over one long row per coordinate, not numpy's loop over a short last axis.
+    The batch runs coordinate-major: the forward- and backward-shifted points
+    and the deltas fill one (2 nq + 1, k, n) buffer for one norm_batch call,
+    so each elementwise pass runs over long rows, not numpy's loop over a
+    short last axis.  ``buf`` is that buffer and a (2 nq + 1, n) one for the norms.
     A (G, S, k) batch is G groups of S segments, each group with its own
     space-like floor, and gives (G, S) lengths; an (n, k) batch is one group."""
     shape, groups, k = seg_deltas.shape[:-1], len(seg_deltas) if seg_deltas.ndim == 3 else 1, seg_deltas.shape[-1]
     S, D = seg_starts.reshape(-1, k).T, seg_deltas.reshape(-1, k).T
     sig, weights = _quadrature_grid(quad_m)
     n, nq = D.shape[1], sig.size
-    P = S[:, None, :] + sig[:, None] * D[:, None, :]
-    off = (_EPS3 * D)[:, None, :]
-    rows = np.concatenate([P + off, P - off, D[:, None]], axis=1).reshape(k, -1).T
-    sq = norm_batch(space.s_space, rows if k < 8 else rows.copy()) ** 2  # numpy adds 8+ terms pairwise on a row-major row
-    tau = np.sqrt(1.0 + sq[: 2 * nq * n]).reshape(2, nq, n)  # the lift at P+off, then at P-off
-    dtau = (tau[0] - tau[1]) / (2.0 * _EPS3)
-    speed2 = sq[2 * nq * n :]
-    rad = speed2 - dtau**2
-    if np.fmin.reduce(rad, axis=None, initial=0.0) < -1e-11:  # below the highest floor: check each group's
+    B, sq = (np.empty((2 * nq + 1, k, n)), np.empty((2 * nq + 1, n))) if buf is None else buf
+    fwd, P, off = B[:nq], B[nq:-1], B[-1]
+    np.add(S, np.multiply(sig[:, None, None], D, out=P), out=P)  # P = S + sig D, then P + off, then P - off
+    np.add(P, np.multiply(_EPS3, D, out=off), out=fwd)
+    np.subtract(P, off, out=P)
+    off[...] = D
+    rows = B.transpose(0, 2, 1)
+    np.square(norm_batch(space.s_space, rows if k < 8 else rows.copy(), sq), out=sq)  # numpy adds 8+ terms pairwise on a row-major row
+    tau = sq[:-1]  # the lift at P+off, then at P-off
+    np.sqrt(np.add(tau, 1.0, out=tau), out=tau)
+    dtau = np.subtract(tau[:nq], tau[nq:], out=tau[:nq])
+    dtau /= 2.0 * _EPS3
+    speed2 = sq[-1]
+    rad = np.subtract(speed2, np.square(dtau, out=dtau), out=dtau)
+    low = rad.ravel()  # below the highest floor, or a nan: check each group's (argmin costs less than fmin.reduce)
+    if not low[low.argmin()] >= -1e-11:
         floor = -1e-11 * np.fmax(1.0, np.maximum.reduce(speed2.reshape(groups, -1), axis=1, initial=0.0))
         if (rad.reshape(nq, groups, -1) < floor[:, None]).any():
             raise PathError("curve velocity left the space-like regime")
-    g = np.maximum(rad.T, 0.0, order="C")  # (n, nq), so the Simpson sum is one row-major matrix-vector product
-    return (np.sqrt(g, out=g) @ weights).reshape(shape)
+    g = tau[nq:].reshape(n, nq)  # (n, nq), so the Simpson sum is one row-major matrix-vector product
+    np.maximum(rad, 0.0, out=g.T)
+    return np.sqrt(g, out=g).dot(weights).reshape(shape)
 
 
 def path_length(space: GeneralizedMinkowskiSpace, path: Path, quad_m: int = 4) -> float:
@@ -305,35 +316,56 @@ def _gradient_plan(m: int, k: int) -> np.ndarray:
     return plan
 
 
-def _energy_gradient(space, s_nodes: np.ndarray, quad_m: int) -> tuple[np.ndarray, float]:
-    """Central-difference gradient of the path energy w.r.t. interior nodes,
-    and the energy itself (equal to _path_energy).  A moved node changes only
-    its two segments, so all 4k(m-1) perturbed ones and the m path segments
-    take one length call, gathered by _gradient_plan; only the moved
-    coordinate gets +h or -h, the others are copied."""
+def _gradient_buffers(m: int, k: int, quad_m: int) -> tuple:
+    """Work arrays of an _energy_gradient call at m segments: the gathered [x, x+h, x-h],
+    the (2, k, R) starts and ends, and the chord-lift buffers of _segment_lengths."""
+    n, rows = 4 * k * (m - 1) + m, 2 * quad_m + 3
+    return np.empty((3 * m - 1) * k), np.empty((2, k, n)), (np.empty((rows, k, n)), np.empty((rows, n)))
+
+
+def _energy_gradient(space, s_nodes: np.ndarray, quad_m: int, bufs=None, out=None) -> tuple[np.ndarray, float]:
+    """Central-difference gradient of the path energy w.r.t. interior nodes
+    (in ``out`` when given), and the energy itself (equal to _path_energy).
+    A moved node changes only its two segments, so all 4k(m-1) perturbed ones
+    and the m path segments take one length call, gathered by _gradient_plan;
+    only the moved coordinate gets +h or -h, the others are copied.  ``bufs``: see _gradient_buffers."""
     m, k, h = s_nodes.shape[0] - 1, s_nodes.shape[1], _GRADIENT_STEP
     x, q = s_nodes.ravel(), 2 * k * (m - 1)
-    starts, ends = np.concatenate([x, x[k:-k] + h, x[k:-k] - h]).take(_gradient_plan(m, k))
-    L = _segment_lengths(space, starts.T, (ends - starts).T, quad_m)
-    pair, path = (m * (L[:q] ** 2 + L[q : 2 * q] ** 2)).reshape(m - 1, k, 2), L[2 * q :]
-    return (pair[:, :, 0] - pair[:, :, 1]) / (2.0 * h), float(m * np.sum(path * path))
+    gather, starts_ends, chord = _gradient_buffers(m, k, quad_m) if bufs is None else bufs
+    gather[: x.size] = x
+    np.add(x[k:-k], h, out=gather[x.size : x.size + q // 2])
+    np.subtract(x[k:-k], h, out=gather[x.size + q // 2 :])
+    starts, ends = gather.take(_gradient_plan(m, k), None, starts_ends, "clip")
+    L = _segment_lengths(space, starts.T, np.subtract(ends, starts, out=ends).T, quad_m, buf=chord)
+    L *= L
+    pair = np.add(L[:q], L[q : 2 * q], out=L[:q])  # (node, coordinate, sign), flat
+    np.multiply(m, pair, out=pair)
+    g = np.empty((m - 1, k)) if out is None else out
+    diff = np.subtract(pair[0::2], pair[1::2], out=g.reshape(-1))
+    diff /= 2.0 * h
+    return g, float(m * np.add.reduce(L[2 * q :]))
 
 
 def _relax_gradient(space, s_nodes: np.ndarray, quad_m: int, max_iter: int) -> np.ndarray:
-    """Barzilai-Borwein descent on the path energy (smooth S norms)."""
-    x = s_nodes[1:-1].copy()
-    g, e = _energy_gradient(space, s_nodes, quad_m)
-    alpha = 1e-3 / max(1e-12, float(np.max(np.abs(g))))
+    """Barzilai-Borwein descent on the path energy (smooth S norms).  The
+    level owns the work arrays of its _energy_gradient calls, the two live
+    gradients and the last point; each step writes the nodes in place."""
+    inner = s_nodes[1:-1]
+    bufs = _gradient_buffers(s_nodes.shape[0] - 1, s_nodes.shape[1], quad_m)
+    x, (work, g, g_new) = inner.copy(), (np.empty_like(inner) for _ in range(3))
+    s, w = x.ravel(), work.ravel()  # flat views: the step; the gradient change, then |g|
+    g, e = _energy_gradient(space, s_nodes, quad_m, bufs, g)
+    alpha = 1e-3 / max(1e-12, float(w[np.abs(g, out=work).argmax()]))  # argmax: cheaper than a reduction, nan wins
     for _ in range(max_iter):
-        x_new = x - alpha * g
-        s_nodes[1:-1] = x_new
-        g_new, e_new = _energy_gradient(space, s_nodes, quad_m)
-        s = (x_new - x).ravel()
-        y = (g_new - g).ravel()
-        sy = float(s @ y)
-        alpha = float(s @ s) / sy if sy > 0 else alpha * 0.5
-        x, g = x_new, g_new
-        if np.max(np.abs(g)) < 1e-11 or abs(e - e_new) < 1e-15 * max(1.0, e_new):
+        np.subtract(x, np.multiply(alpha, g, out=work), out=inner)  # the new point x - alpha g
+        g_new, e_new = _energy_gradient(space, s_nodes, quad_m, bufs, g_new)
+        np.subtract(inner, x, out=x)
+        np.subtract(g_new, g, out=work)
+        sy = float(s.dot(w))
+        alpha = float(s.dot(s)) / sy if sy > 0 else alpha * 0.5
+        x[...] = inner
+        g, g_new = g_new, g
+        if w[np.abs(g, out=work).argmax()] < 1e-11 or abs(e - e_new) < 1e-15 * max(1.0, e_new):
             break
         e = e_new
     return s_nodes
@@ -398,7 +430,8 @@ def geodesic_path(
     """Shortest discrete path from a to b with m segments, and its length.
 
     Starts from the linear S-interpolation and relaxes interior nodes
-    coarse-to-fine (halved node counts down to four segments).  Smooth S
+    coarse-to-fine, halving the segment count while it is even and above 4
+    (m = 32 runs 4, 8, 16, 32; m = 6 starts at 3; an odd m runs one level).  Smooth S
     norms use a vectorized gradient descent on the path energy; other
     norms fall back to node-wise simplex relaxation.  The search is
     local: the infimum is taken over the basin of the initial path.

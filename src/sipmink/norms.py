@@ -161,13 +161,13 @@ def _one_row(rows_fn, space, *vectors) -> float:
 _TINY, _HUGE = float(np.finfo(float).tiny), float(np.finfo(float).max)
 
 
-def _power_sums(A, p: float):
-    """The power sums sum_i A_i ** p over the last axis of A = |X|, and the
-    :func:`_off_range` mask of their rows.  An overflow here is not warned
-    of, since the recompute replaces it."""
-    with np.errstate(over="ignore"):
-        s = reduce_last(np.add, A**p)
-    return s, _off_range(s, A)
+@np.errstate(over="ignore")  # as a decorator it costs half of what a with block costs per call
+def _power_sums(X, p: float, out=None):
+    """The power sums sum_i |X_i| ** p over the last axis of X (in ``out``
+    when given; p = 2 squares X), and the :func:`_off_range` mask of their
+    rows.  An overflow here is not warned of, since the recompute replaces it."""
+    s = reduce_last(np.add, X * X if p == 2.0 else np.abs(X) ** p, out, nonnegative=True)  # no power is -0.0
+    return s, _off_range(s, X)
 
 
 def _off_range(s, X):
@@ -175,8 +175,10 @@ def _off_range(s, X):
     float although their largest |entry| is positive and finite (None when
     there are none): those lost bits to underflow or overflow, and the
     kernels recompute them on the row scaled by its largest |entry|.  Every
-    other row keeps its bits."""
-    if not s.size or (_TINY <= np.minimum.reduce(s, axis=None) and np.maximum.reduce(s, axis=None) <= _HUGE):
+    other row keeps its bits.  The range test reads the extremes through
+    argmin and argmax (a nan wins both), which cost less than ufunc reductions."""
+    flat = s.ravel()
+    if not flat.size or (_TINY <= flat[flat.argmin()] and flat[flat.argmax()] <= _HUGE):
         return None
     m = reduce_last(np.maximum, np.abs(X))
     off = ~((s >= _TINY) & (s <= _HUGE)) & (m > 0.0) & (m <= _HUGE)
@@ -190,7 +192,7 @@ def _rescaled(kernel, spec: NormSpec, out, X, off):
         return out
     A = np.abs(X[off])
     m = A.max(axis=-1)
-    out = np.array(out)  # a single vector gives a scalar
+    out = np.asarray(out)  # a single vector gives a scalar
     out[off] = m * kernel(spec, A / m[:, None])
     return out[()]
 
@@ -212,28 +214,31 @@ def norm_rows(space, X) -> np.ndarray:
             s = dot_rows(X, X)
         return _rescaled(norm_rows, spec, np.sqrt(s), X, _off_range(s, X))
     if spec.kind == PNORM:
-        s, off = _power_sums(np.abs(X), spec.p)
+        s, off = _power_sums(X, spec.p)
         return _rescaled(norm_rows, spec, pow_rows(s, 1.0 / spec.p), X, off)
     if spec.kind == MAX:
         return reduce_last(np.maximum, np.abs(X))
     return row_kernel(spec.gauge)(X)
 
 
-def norm_batch(space, X: np.ndarray) -> np.ndarray:
-    """Row-wise norms of an (N, dim) array (any leading shape).  The short
-    last axis is reduced column by column (see :func:`reduce_last`)."""
+def norm_batch(space, X: np.ndarray, out=None) -> np.ndarray:
+    """Row-wise norms of an (N, dim) array (any leading shape), written to
+    ``out`` when given.  The short last axis is reduced column by column (see
+    :func:`reduce_last`)."""
     spec = _spec(space)
     X = np.asarray(X, dtype=float)
-    if spec.kind == EUCLIDEAN:
-        with np.errstate(over="ignore"):
-            s = reduce_last(np.add, X * X)
-        return _rescaled(norm_batch, spec, np.sqrt(s), X, _off_range(s, X))
-    if spec.kind == PNORM:
-        s, off = _power_sums(np.abs(X), spec.p)
-        return _rescaled(norm_batch, spec, s ** (1.0 / spec.p), X, off)
     if spec.kind == MAX:
-        return reduce_last(np.maximum, np.abs(X))
-    return row_kernel(spec.gauge)(X.reshape(-1, spec.dim)).reshape(X.shape[:-1])
+        return reduce_last(np.maximum, np.abs(X), out)
+    if spec.kind == GAUGE:
+        out = np.empty(X.shape[:-1]) if out is None else out
+        out[...] = row_kernel(spec.gauge)(X.reshape(-1, spec.dim)).reshape(X.shape[:-1])
+        return out
+    s, off = _power_sums(X, 2.0 if spec.kind == EUCLIDEAN else spec.p, out)
+    if spec.kind == EUCLIDEAN:
+        s = np.sqrt(s, out=out)
+    else:
+        s **= 1.0 / spec.p  # in place, as s ** (1/p) rounds
+    return s if off is None else _rescaled(norm_batch, spec, s, X, off)
 
 
 def _sip_derivative_rows(spec: NormSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -268,7 +273,7 @@ def sip_rows(space, X, Y) -> np.ndarray:
         out = dot_rows(X, Y)
     elif spec.kind == PNORM:
         p = spec.p
-        s, off = _power_sums(np.abs(Y), p)
+        s, off = _power_sums(Y, p)
         if off is not None:  # [x, y] = m [x, y / m]; the other rows take this branch again, unchanged
             out, keep = np.empty(len(Y)), ~off
             out[keep] = sip_rows(space, X[keep], Y[keep])

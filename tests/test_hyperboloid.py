@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -110,6 +111,16 @@ class TestLift:
         with pytest.raises(NumericalError, match="not finite"):
             lift(space, s)
         with pytest.raises(NumericalError, match="not finite"):
+            hyperboloid.lift_rows(space, np.array([[0.3, -0.4], s]))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("space", [PSEUDO21, REMARK], ids=["pseudo21", "max"])
+    @pytest.mark.parametrize("s", [[math.nan, 0.0], [math.inf, 0.0], [0.0, -math.inf]])
+    def test_a_non_finite_coordinate_is_a_domain_error(self, space, s):
+        # not an overflow of [s, s]: the input is no point of S, as as_hpoint says of it
+        with pytest.raises(DomainError, match="^vector has a non-finite coordinate$"):
+            lift(space, s)
+        with pytest.raises(DomainError, match="^vector has a non-finite coordinate$"):
             hyperboloid.lift_rows(space, np.array([[0.3, -0.4], s]))
 
     @pytest.mark.parametrize("space", [PSEUDO21, REMARK, P3SPACE], ids=["pseudo21", "max", "pnorm3"])
@@ -396,6 +407,29 @@ class TestSegmentLengths:
             _segment_lengths(PSEUDO21, starts, deltas, 4)
         assert str(err.value) == str(ref.value)
 
+    @pytest.mark.parametrize("space", [PSEUDO21, P3SPACE, PSEUDO91], ids=["euclidean", "p3", "pseudo91"])
+    def test_overflowing_squares_warn_as_the_reference_does(self, space):
+        # near 1e155 a squared norm overflows, so each tau is inf and their difference nan;
+        # under -W error the first of these warnings is the failure, so the order must hold
+        rng = np.random.default_rng(155)
+        starts, deltas = rng.uniform(-1.5, 1.5, (6, space.k)), rng.uniform(-0.4, 0.4, (6, space.k))
+        starts[::2] *= 1e155
+        deltas[::3] *= 1e153
+        seen = []
+        for kernel in (_three_call_segment_lengths, _segment_lengths):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                outcome = _outcome(lambda: kernel(space, starts, deltas, 4))
+            seen.append((outcome, [(w.category, str(w.message)) for w in caught]))
+        (expected, expected_warnings), (got, got_warnings) = seen
+        if isinstance(expected, tuple):  # a time-like chord: the same PathError
+            assert got == expected
+        else:
+            assert np.array_equal(got, expected, equal_nan=True) and np.isnan(got[::2]).all()
+        assert got_warnings and all(category is RuntimeWarning for category, _ in got_warnings)
+        # the reference squares each of its three batches apart, so it may warn of one overflow twice
+        assert list(dict.fromkeys(got_warnings)) == list(dict.fromkeys(expected_warnings))
+
     @pytest.mark.parametrize("space", [REMARK, PSEUDO21, P3SPACE], ids=["max", "euclidean", "p3"])
     def test_group_lengths_do_not_depend_on_the_batch(self, space):
         # a Nelder-Mead step evaluates each candidate node as one group of a
@@ -420,7 +454,10 @@ class TestSegmentLengths:
 
 
 class TestSolverAssembly:
-    @ASSEMBLY_SPACES
+    # at k = 9 the chord-lift batch is copied row-major before norm_batch adds its squares
+    @pytest.mark.parametrize(
+        "space", [PSEUDO21, P3SPACE, PSEUDO31, PSEUDO91], ids=["pseudo21", "p3", "pseudo31", "pseudo91"]
+    )
     @ASSEMBLY_NODES
     def test_gradient_matches_loop_reference_bitwise(self, space, m):
         for nodes in (_random_nodes(space, m), _signed_zero_nodes(space, m)):
@@ -428,7 +465,9 @@ class TestSolverAssembly:
             assert np.array_equal(g, _loop_energy_gradient(space, nodes, 4))
             assert energy == _path_energy(space, nodes, 4)
 
-    @pytest.mark.parametrize("space", [PSEUDO11, PSEUDO21, PSEUDO31], ids=["pseudo11", "pseudo21", "pseudo31"])
+    @pytest.mark.parametrize(
+        "space", [PSEUDO11, PSEUDO21, PSEUDO31, PSEUDO91], ids=["pseudo11", "pseudo21", "pseudo31", "pseudo91"]
+    )
     @ASSEMBLY_NODES
     def test_plan_measures_the_loop_segments(self, space, m, monkeypatch):
         # the plan's order: every left segment, every right segment, then the
@@ -436,9 +475,9 @@ class TestSolverAssembly:
         nodes = _signed_zero_nodes(space, m)
         seen = []
 
-        def spy(space, seg_starts, seg_deltas, quad_m):
+        def spy(space, seg_starts, seg_deltas, quad_m, buf=None):
             seen.append((seg_starts.copy(), seg_deltas.copy()))
-            return _segment_lengths(space, seg_starts, seg_deltas, quad_m)
+            return _segment_lengths(space, seg_starts, seg_deltas, quad_m, buf)
 
         monkeypatch.setattr(hyperboloid, "_segment_lengths", spy)
         g, energy = _energy_gradient(space, nodes, 4)
