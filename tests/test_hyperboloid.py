@@ -465,6 +465,19 @@ class TestSolverAssembly:
             assert np.array_equal(g, _loop_energy_gradient(space, nodes, 4))
             assert energy == _path_energy(space, nodes, 4)
 
+    @pytest.mark.parametrize("space", [PSEUDO21, P3SPACE, PSEUDO91], ids=["pseudo21", "p3", "pseudo91"])
+    def test_gradient_lengths_match_the_three_call_reference(self, space):
+        # the loop reference above shares _segment_lengths; this one takes its lengths from
+        # the three-call reference, so the work arrays of a level are checked too
+        m, h = 7, 1e-6
+        nodes = _random_nodes(space, m)
+        L = _three_call_segment_lengths(space, *_loop_perturbed_segments(nodes, h), 4)
+        pair = (m * (L[0::2] ** 2 + L[1::2] ** 2)).reshape(m - 1, space.k, 2)
+        path = _three_call_segment_lengths(space, nodes[:-1], nodes[1:] - nodes[:-1], 4)
+        g, energy = _energy_gradient(space, nodes, 4)
+        assert np.array_equal(g, (pair[:, :, 0] - pair[:, :, 1]) / (2.0 * h))
+        assert energy == float(m * np.sum(path * path))
+
     @pytest.mark.parametrize(
         "space", [PSEUDO11, PSEUDO21, PSEUDO31, PSEUDO91], ids=["pseudo11", "pseudo21", "pseudo31", "pseudo91"]
     )
