@@ -59,10 +59,11 @@ class _Unread(argparse.Action):
         parser.error(f"unrecognized arguments: {option_string}")  # under the verb's own usage
 
 
-def _verb(subs, name: str, help: str, *overrides: str) -> argparse.ArgumentParser:
-    """A verb's parser: ``--config``, the overrides it reads, the others hidden as errors."""
+def _verb(subs, name: str, run, help: str, *overrides: str) -> argparse.ArgumentParser:
+    """A verb's parser, which carries its command ``run``: ``--config``, the
+    overrides it reads, the others hidden as errors."""
     p = subs.add_parser(name, help=help)
-    p.set_defaults(parser=p)  # leftover arguments are reported under this parser's usage
+    p.set_defaults(run=run, parser=p)  # leftover arguments are reported under this parser's usage
     p.add_argument("--config", help="path to a key=value config file")
     for flag, (kind, text) in _OVERRIDES.items():
         if flag in overrides:
@@ -76,32 +77,32 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="sipmink", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = _verb(subs, "classify", "classify vectors as space-/time-/light-like", "out")
+    p = _verb(subs, "classify", cmd_classify, "classify vectors as space-/time-/light-like", "out")
     p.add_argument("vectors", nargs="+", help="vectors as comma-separated reals")
 
-    p = _verb(subs, "product", "evaluate both products of a vector pair")
+    p = _verb(subs, "product", cmd_product, "evaluate both products of a vector pair")
     p.add_argument("u")
     p.add_argument("v")
 
-    p = _verb(subs, "ortho", "test an orthogonality relation")
+    p = _verb(subs, "ortho", cmd_ortho, "test an orthogonality relation")
     p.add_argument("relation", choices=sorted(r.value for r in ortho.OrthoRelation))
     p.add_argument("x")
     p.add_argument("y")
 
-    _verb(subs, "auerbach", "Auerbach basis of the configured space", "seed")
+    _verb(subs, "auerbach", cmd_auerbach, "Auerbach basis of the configured space", "seed")
 
-    p = _verb(subs, "tangent", "tangent frame at a lifted point of H+")
+    p = _verb(subs, "tangent", cmd_tangent, "tangent frame at a lifted point of H+")
     p.add_argument("s", help="S-coordinates of the base point")
 
-    p = _verb(subs, "distance", "geodesic distance between lifted points", "nodes", "out")
+    p = _verb(subs, "distance", cmd_distance, "geodesic distance between lifted points", "nodes", "out")
     p.add_argument("a_s")
     p.add_argument("b_s")
 
-    p = _verb(subs, "verify", "run named verification suites", "seed", "trials", "nodes", "out")
+    p = _verb(subs, "verify", cmd_verify, "run named verification suites", "seed", "trials", "nodes", "out")
     p.add_argument("suite", choices=sorted(SUITES) + ["all"])
     p.add_argument("--matrix", help="CSV file with a linear map to check for the isometry law")
 
-    _verb(subs, "counterexample", "reproduce the stock counterexamples", "seed")
+    _verb(subs, "counterexample", cmd_counterexample, "reproduce the stock counterexamples", "seed")
     return parser
 
 
@@ -202,17 +203,18 @@ def cmd_distance(args) -> int:
 
 def cmd_verify(args) -> int:
     cfg = _config(args)
-    results, rows = run_suites([args.suite], cfg)
-    if args.matrix:
+    matrix_rows = []
+    if args.matrix:  # read, checked and reported before the first suite runs
         F = load_matrix_csv(args.matrix)
         rep = isometry_report(cfg.space(), F, Seed(cfg.seed), cfg.trials, cfg.tolerances)
         matrix_rows = isometry_rows("user_matrix", rep, cfg.tolerances.eq_tol)
-        rows += matrix_rows
         print(
             f"{'PASS' if all(r.passed for r in matrix_rows) else 'FAIL'} user matrix: "
             f"product {FMT % rep.product_residual}, adjoint {FMT % rep.adjoint_residual}, "
             f"pole on upper sheet: {str(rep.pole_in_upper_sheet).lower()}"
         )
+    results, rows = run_suites([args.suite], cfg)
+    rows += matrix_rows
     for res in results:
         status = "PASS" if res.passed else "FAIL"
         print(
@@ -248,18 +250,6 @@ def cmd_counterexample(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "classify": cmd_classify,
-    "product": cmd_product,
-    "ortho": cmd_ortho,
-    "auerbach": cmd_auerbach,
-    "tangent": cmd_tangent,
-    "distance": cmd_distance,
-    "verify": cmd_verify,
-    "counterexample": cmd_counterexample,
-}
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -269,7 +259,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

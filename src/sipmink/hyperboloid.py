@@ -68,15 +68,15 @@ def lift(space: GeneralizedMinkowskiSpace, s) -> HPoint:
     return _hpoint(space, lift_rows(space, s[None])[0])
 
 
-def as_hpoint(space: GeneralizedMinkowskiSpace, v, tol: float = 1e-8) -> HPoint:
+def as_hpoint(space: GeneralizedMinkowskiSpace, v) -> HPoint:
     """Interpret a full vector as a point of H+ (checked).  [v, v]^+ cancels
-    two terms of size tau^2, so tol is relative to max(1, tau^2)."""
+    two terms of size tau^2, so |[v, v]^+ + 1| may be 1e-8 * max(1, tau^2)."""
     _require_spacetime(space)
     s, t = split(space, v)
     if not (np.isfinite(s).all() and 0.0 < t[0] < np.inf):  # a nan fails every comparison
         raise DomainError("vector lies on the lower sheet" if t[0] <= 0 else "vector has a non-finite coordinate")
     q = product_plus(space, v, v)
-    if abs(q + 1.0) > tol * max(1.0, float(t[0]) ** 2):
+    if abs(q + 1.0) > 1e-8 * max(1.0, float(t[0]) ** 2):
         raise DomainError(f"vector is not on the imaginary unit sphere: [v,v]+ = {q}")
     return HPoint(space, s, float(t[0]))
 

@@ -40,6 +40,8 @@ def load_matrix_csv(path: str) -> np.ndarray:
                 rows.append([float(cell) for cell in line.split(",")])
     except (OSError, ValueError) as err:
         raise DomainError(f"cannot read matrix from {path!r}: {err}") from None
+    if len({len(row) for row in rows}) > 1:
+        raise DomainError(f"matrix in {path!r} has rows of unequal length")
     F = np.array(rows, dtype=float)
     if F.ndim != 2 or F.shape[0] != F.shape[1]:
         raise DomainError(f"matrix in {path!r} is not square: shape {F.shape}")
@@ -158,14 +160,13 @@ def distance_preservation_check(
     pairs: int,
     m: int,
     tolerances: Tolerances = DEFAULT_TOLERANCES,
-    max_distance: float = 3.0,
 ) -> DistancePreservationReport:
     """Compare geodesic distances before and after applying F to sampled
-    point pairs on H+ (distance filtered to at most ``max_distance``)."""
+    point pairs on H+ (distance filtered to at most 3)."""
     report = isometry_report(space, F, seed, 64, tolerances)
     if not report.passes(max(tolerances.eq_tol, 1e-10)):
         raise DomainError("map fails the isometry report; distance check is meaningless")
-    found = sample_pairs(space, as_seed(seed).rng(), pairs, window=(0.05, max_distance), attempts=100 * pairs)
+    found = sample_pairs(space, as_seed(seed).rng(), pairs, window=(0.05, 3.0), attempts=100 * pairs)
     if not found:
         raise DomainError("could not sample point pairs in the distance window")
     details = []

@@ -62,17 +62,14 @@ def birkhoff_margin_rows(space, X, Y, opt_tol: float = DEFAULT_TOLERANCES.opt_to
     grid = np.linspace(-8.0, 8.0, 33)
     on_grid = Xh[:, None, :] + grid[None, :, None] * Yh[:, None, :]
     vals = norm_rows(space, on_grid.reshape(-1, X.shape[1])).reshape(-1, grid.size)  # f on every grid point
-    i0 = np.argmin(vals, axis=1)
-    t0, v0 = grid[i0], vals[np.arange(len(i0)), i0]
+    t0 = grid[np.argmin(vals, axis=1)]
+    # the descent's first vertex is t0, so its best value never exceeds the grid's least
     pt, best_v, converged = minimize_rows(
         lambda rows, T: norm_rows(space, Xh[rows] + T * Yh[rows]), t0[:, None], opt_tol=opt_tol, max_iter=500
     )
     raise_unconverged(pt, best_v, converged, opt_tol, 500)
-    best_t = pt[:, 0]
-    on_grid_better = v0 < best_v
-    best_t, best_v = np.where(on_grid_better, t0, best_t), np.where(on_grid_better, v0, best_v)
     margin[live] = nx * best_v
-    lam[live] = best_t * nx / ny
+    lam[live] = pt[:, 0] * nx / ny
     return margin, lam
 
 
@@ -240,6 +237,9 @@ def _unit_vectors(norm_spec: NormSpec, thetas: np.ndarray) -> np.ndarray:
     return dirs / norm_batch(norm_spec, dirs)[:, None]
 
 
+# the angle grid of both 2-d pair searches; 720 is a multiple of 8, so the
+# axis and diagonal pairs are on it
+_THETAS = np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False)
 _DET_BLOCK = 64  # grid rows per block of a pair search: 64 x 720 doubles is 369 kB
 
 
@@ -273,34 +273,29 @@ def _max_det_pair(U: np.ndarray, score=_abs_dets, slack: float = 0.0) -> tuple[i
     return r + k // hit.shape[1], r + k % hit.shape[1]
 
 
-def auerbach_basis_2d(
-    norm_spec: NormSpec,
-    grid: int = 720,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
-):
+def auerbach_basis_2d(norm_spec: NormSpec, tolerances: Tolerances = DEFAULT_TOLERANCES):
     """Unit pair of maximal |det|: the vertex pair of a maximal-volume
     cross-polytope inscribed in the unit disc of the norm.
 
     Grid search over both angles plus a simplex refinement; the returned
     pair is post-verified to be mutually Birkhoff orthogonal.
     """
-    pair, _ = auerbach_pair_2d(norm_spec, grid, tolerances)
+    pair, _ = auerbach_pair_2d(norm_spec, tolerances)
     return pair[0], pair[1]
 
 
-def auerbach_pair_2d(norm_spec: NormSpec, grid: int = 720, tolerances: Tolerances = DEFAULT_TOLERANCES):
+def auerbach_pair_2d(norm_spec: NormSpec, tolerances: Tolerances = DEFAULT_TOLERANCES):
     """The pair of :func:`auerbach_basis_2d` as a (2, 2) array, and the
     Birkhoff margins of u against v and of v against u that verified it."""
     if norm_spec.dim != 2:
         raise UnsupportedError("angle parametrization only covers two dimensions")
-    thetas = np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)
-    i, j = _max_det_pair(_unit_vectors(norm_spec, thetas))
+    i, j = _max_det_pair(_unit_vectors(norm_spec, _THETAS))
 
     def objective(rows, angles):  # -|det(u, v)| of every angle pair, from one _unit_vectors call
         u, v = _unit_vectors(norm_spec, angles.reshape(-1)).reshape(-1, 2, 2).transpose(1, 0, 2)
         return -np.abs(u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0])
 
-    start = np.array([[thetas[i], thetas[j]]])
+    start = np.array([[_THETAS[i], _THETAS[j]]])
     best, best_v, converged = minimize_rows(objective, start, opt_tol=tolerances.opt_tol, max_iter=800)
     raise_unconverged(best, best_v, converged, tolerances.opt_tol, 800)
     pair = _unit_vectors(norm_spec, best[0])
@@ -312,15 +307,14 @@ def auerbach_pair_2d(norm_spec: NormSpec, grid: int = 720, tolerances: Tolerance
 
 def _sip_orthogonal_pair(space: SipSpace, tolerances: Tolerances):
     """Mutually sip-orthogonal unit pair of maximal |det| in a 2-d block,
-    from a grid of 720 angles (a multiple of 8: the axis and diagonal pairs
-    are on it); a block with no grid pair within ``eq_tol`` raises.
+    from the angle grid; a block with no grid pair within ``eq_tol`` raises.
 
     The s.i.p. is linear in its first argument, so [U[i], U[j]] is
     U[i] . R[j] with the functional R[j, k] = [e_k, U[j]], found once with
     one :func:`~sipmink.norms.sip_rows` call per basis vector; the grid of
     pairs is searched a block of rows at a time (:func:`_max_det_pair`).
     """
-    U = _unit_vectors(space.norm, np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False))
+    U = _unit_vectors(space.norm, _THETAS)
     R = np.stack([sip_rows(space, np.broadcast_to(e, U.shape), U) for e in np.eye(2)], axis=1)
 
     def resid(rows, cols):  # max(|[U[i], U[j]]|, |[U[j], U[i]]|), symmetric bit for bit

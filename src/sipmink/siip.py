@@ -270,9 +270,9 @@ def cauchy_schwarz_witness(
     seed,
     trials: int,
     tolerances: Tolerances = DEFAULT_TOLERANCES,
-    radius: float = 2.0,
 ):
-    """Search span(basis) for the worst Cauchy-Schwarz violation.
+    """Search span(basis) for the worst Cauchy-Schwarz violation, over
+    coefficients uniform in [-2, 2].
 
     ``product`` is a function of two vectors or an object with a row
     kernel (a :class:`SiipSpace`, a bound Minkowski product).  The subspace
@@ -290,7 +290,7 @@ def cauchy_schwarz_witness(
     nb = len(basis)
 
     def combine(draws):
-        return span_rows(basis, as_uniform(draws, -radius, radius))
+        return span_rows(basis, as_uniform(draws, -2.0, 2.0))
 
     V = combine(rng.random((min(trials, 200), nb)))
     V = V[np.any(V, axis=1)]

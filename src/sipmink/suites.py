@@ -190,10 +190,10 @@ def suite_cone(cfg: RunConfig) -> list[CheckRow]:
     ]
 
 
-def _sample_s(space, draws, radius=1.2):
+def _sample_s(space, draws):
     """S-coordinates of one trial per row of a block of ``rng.random``
-    draws, as ``rng.uniform(-radius, radius, k)`` gives them."""
-    S = as_uniform(draws, -radius, radius)
+    draws, as ``rng.uniform(-1.2, 1.2, k)`` gives them."""
+    S = as_uniform(draws, -1.2, 1.2)
     if space.s_space.norm.kind == "max" and space.k >= 2:
         # keep away from max-norm ties, where the s.i.p. is discontinuous
         A = np.sort(np.abs(S), axis=1)

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sipmink import cli
 from sipmink.cli import main
 from sipmink.config import RunConfig, config_from_mapping, load_config, parse_config
 from sipmink.errors import UsageError
@@ -374,18 +375,60 @@ class TestVerifyCommand:
         assert flags["user_matrix.pole"] == "false"
         assert "FAIL user matrix:" in capsys.readouterr().out
 
-    def test_verify_all_on_a_one_dimensional_s_block(self, tmp_path):
-        # the s.i.p. companion of a vector of a one-dimensional block is {0}, so
-        # the Birkhoff check has no vector to test and reports itself not applicable
-        cfg = tmp_path / "dim1.cfg"
-        cfg.write_text("space.s.dim = 1\ntrials = 50\n")
-        out = tmp_path / "dim1.csv"
+    def test_a_ragged_matrix_is_a_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "ragged.csv"
+        path.write_text("1,0,0\n0,1\n0,0,1\n")
+        out = tmp_path / "iso.csv"
+        assert main(["verify", "isometry", "--matrix", str(path), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: matrix in {str(path)!r} has rows of unequal length\n"
+        assert not out.exists()
+
+    def test_a_matrix_of_the_wrong_size_exits_before_any_suite_runs(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "run_suites", lambda *a: pytest.fail("a suite ran before the matrix was checked"))
+        path = tmp_path / "F.csv"
+        path.write_text("1,0\n0,1\n")  # the stock space is 2+1
+        out = tmp_path / "iso.csv"
+        assert main(["verify", "all", "--matrix", str(path), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: matrix dimension does not match the space\n"
+        assert not out.exists()
+
+    @staticmethod
+    def _verify_all(tmp_path, cfg_text):
+        """``sipmink verify all`` run as a program on a config: the exit code and the CSV lines."""
+        cfg = tmp_path / "space.cfg"
+        cfg.write_text(cfg_text)
+        out = tmp_path / "all.csv"
         src = Path(__file__).resolve().parents[1] / "src"
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
         done = subprocess.run(
             [sys.executable, "-m", "sipmink.cli", "verify", "all", "--config", str(cfg), "--out", str(out)],
             capture_output=True, text=True, env=env,
         )
-        assert done.returncode == 0, done.stderr
         assert "Traceback" not in done.stdout + done.stderr
-        assert "orthogonality,sip_implies_birkhoff,true,0,needs an S block of dimension 2 or more" in out.read_text().splitlines()
+        return done.returncode, out.read_text().splitlines()
+
+    def test_verify_all_on_a_one_dimensional_s_block(self, tmp_path):
+        # the s.i.p. companion of a vector of a one-dimensional block is {0}, so
+        # the Birkhoff check has no vector to test and reports itself not applicable
+        code, lines = self._verify_all(tmp_path, "space.s.dim = 1\ntrials = 50\n")
+        assert code == 0
+        assert "orthogonality,sip_implies_birkhoff,true,0,needs an S block of dimension 2 or more" in lines
+
+    def test_verify_all_on_a_two_dimensional_t_block(self, tmp_path):
+        # a 2+2 space is no space-time model: the suites that need H+ or a boost
+        # each write one not-applicable row, and only those
+        code, lines = self._verify_all(tmp_path, "space.t.dim = 2\n")
+        assert code == 0
+        assert [line for line in lines if "not_applicable" in line] == [
+            "cone,not_applicable,true,0,needs a space-time model",
+            "geodesic-cosh,not_applicable,true,0,needs a space-time model",
+            "isometry,boosts_not_applicable,true,0,needs a pseudo-Euclidean space-time model",
+            "lemma3,not_applicable,true,0,needs a space-time model",
+            "lemma4,not_applicable,true,0,needs a space-time model",
+            "tangent,not_applicable,true,0,needs a space-time model",
+            "theorem10,not_applicable,true,0,needs a space-time model",
+        ]

@@ -320,6 +320,33 @@ class TestMinimizeRows:
         assert P.shape == (0, 2) and V.shape == (0,) and converged.shape == (0,)
 
 
+def _start_objective(n, kinked, C):
+    """A vectorized ``minimize_rows`` objective on R^n centred at the rows of
+    C: a smooth bowl plus a cosine, or a max-norm cone plus a staircase."""
+    if kinked:
+        return lambda rows, P: np.max(np.abs(P - C[rows]), axis=1) + np.floor(4.0 * np.abs(P[:, 0])) / 4.0
+    return lambda rows, P: sum((P[:, j] - C[rows, j]) ** 2 for j in range(n)) + np.cos(P[:, 0])
+
+
+class TestMinimizeRowsNeverRises:
+    """The start row is the first simplex vertex and a step never replaces
+    the best vertex, so no descent ends above its start value, converged or
+    not; ``ortho.birkhoff_margin_rows`` keeps the descent's value over the
+    grid point it starts from on this ground."""
+
+    @given(n=st.sampled_from([1, 2, 3]), kinked=st.booleans(), data=st.data())
+    def test_best_value_is_at_most_the_start_value(self, n, kinked, data):
+        count = data.draw(st.integers(1, 4))
+        coords = st.lists(st.floats(-20.0, 20.0), min_size=count * n, max_size=count * n)
+        X0 = np.array(data.draw(coords)).reshape(count, n)
+        C = X0.copy() if data.draw(st.booleans()) else np.array(data.draw(coords)).reshape(count, n)
+        f = _start_objective(n, kinked, C)
+        budget = data.draw(st.sampled_from([1, 7, 500]))
+        P, V, _ = minimize_rows(f, X0, opt_tol=1e-8, max_iter=budget)
+        assert np.all(V <= f(np.arange(count), X0))
+        assert np.array_equal(V, f(np.arange(count), P))  # the value is the returned vertex's
+
+
 def _reference_rows(problems, X0, opt_tol, max_iter):
     """``reference_minimize`` on each problem: the points, values and
     converged flags, and the set of points each problem was asked for."""
