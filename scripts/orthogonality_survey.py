@@ -12,12 +12,12 @@ import argparse
 
 import numpy as np
 
-from sipmink import NormSpec, SipSpace
+from sipmink import NormSpec
 from sipmink.numerics import Seed
 from sipmink.ortho import OrthoRelation, is_orthogonal
 
 
-def survey(space: SipSpace, seed: int, trials: int, tol: float):
+def survey(space: NormSpec, seed: int, trials: int, tol: float):
     rng = Seed(seed).rng()
     rels = list(OrthoRelation)
     hits = {rel: set() for rel in rels}
@@ -43,9 +43,9 @@ def main():
     args = ap.parse_args()
 
     spaces = [
-        ("euclidean", SipSpace.euclidean(2)),
-        ("max", SipSpace.max_norm(2)),
-        ("pnorm(3)", SipSpace.pnorm(3.0, 2)),
+        ("euclidean", NormSpec.euclidean(2)),
+        ("max", NormSpec.max_norm(2)),
+        ("pnorm(3)", NormSpec.pnorm(3.0, 2)),
     ]
     for name, space in spaces:
         rels, hits = survey(space, args.seed, args.trials, args.tol)

@@ -30,7 +30,6 @@ from .numerics import (
 )
 from .norms import (
     NormSpec,
-    SipSpace,
     derivative_identity_residual,
     nath_product,
     norm,

@@ -7,13 +7,14 @@ overrides it reads: classify ``--out``; auerbach and counterexample
 ``--seed``; distance ``--nodes --out``; verify ``--seed --trials
 --nodes --out`` and ``--matrix``; product, ortho and tangent none.
 
-Exit codes: 0 all passed, 1 suite failure, 2 usage or config error,
-3 numerical non-convergence.
+Exit codes: 0 all passed, 1 suite failure, 2 usage or config error (an
+unwritable output path too), 3 numerical non-convergence.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 
@@ -112,8 +113,28 @@ def _config(args) -> RunConfig:
     return replace(load_config(args.config), **{flag: v for flag, v in given.items() if v is not None})
 
 
+def _output(path: str) -> str:
+    """``path``, if a file can be written there, else a UsageError naming
+    it.  It creates nothing, so a verb checks its output before any work."""
+    folder = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        raise UsageError(f"cannot write {path!r}: it is a directory")
+    if not os.access(folder, os.W_OK) or (os.path.exists(path) and not os.access(path, os.W_OK)):
+        raise UsageError(f"cannot write {path!r}: no such directory, or no permission")
+    return path
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as err:  # a failure that _output could not foresee
+        raise UsageError(f"cannot write {path!r}: {err.strerror}") from None
+
+
 def cmd_classify(args) -> int:
     cfg = _config(args)
+    out = _output(cfg.out) if cfg.out else None
     space = cfg.space()
     rows = []  # every row before any output: a bad vector leaves stdout empty
     for text in args.vectors:
@@ -129,11 +150,10 @@ def cmd_classify(args) -> int:
     print("vector | [v,v]+ | class | cone")
     for text, q, cls, cone in rows:
         print(f"{text} | {FMT % q} | {cls} | {cone}")
-    if cfg.out:
+    if out:
         lines = ["vector,square,class,cone"]
         lines += [f'"{t}",{FMT % q},{c},{cp}' for t, q, c, cp in rows]
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        _write(out, "\n".join(lines) + "\n")
     return 0
 
 
@@ -149,7 +169,7 @@ def cmd_product(args) -> int:
 
 def cmd_ortho(args) -> int:
     cfg = _config(args)
-    block = cfg.s_sip()
+    block = cfg.s_norm()
     rel = ortho.OrthoRelation(args.relation)
     x = _parse_vector(args.x)
     y = _parse_vector(args.y)
@@ -184,6 +204,7 @@ def cmd_tangent(args) -> int:
 
 def cmd_distance(args) -> int:
     cfg = _config(args)
+    out = _output(cfg.out) if cfg.out else None
     space = cfg.space()
     a = hyp.lift(space, _parse_vector(args.a_s))
     b = hyp.lift(space, _parse_vector(args.b_s))
@@ -194,15 +215,15 @@ def cmd_distance(args) -> int:
     print(f"distance = {FMT % d}  nodes = {cfg.nodes}")
     print(f"[a,b]+ = {FMT % mk}")
     print(f"cosh residual = {FMT % residual}{tag}")
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write(hyp.path_to_csv(path))
-        print(f"path: {cfg.out}")
+    if out:
+        _write(out, hyp.path_to_csv(path))
+        print(f"path: {out}")
     return 0
 
 
 def cmd_verify(args) -> int:
     cfg = _config(args)
+    out = _output(cfg.out or "verify_report.csv")
     matrix_rows = []
     if args.matrix:  # read, checked and reported before the first suite runs
         F = load_matrix_csv(args.matrix)
@@ -222,9 +243,8 @@ def cmd_verify(args) -> int:
             + (f" witness {res.witness}" if not res.passed else "")
             + f" ({res.duration:.2f}s)"
         )
-    with open(cfg.out or "verify_report.csv", "w", encoding="utf-8") as fh:
-        fh.write(rows_to_csv(rows))
-    print(f"report: {fh.name}")
+    _write(out, rows_to_csv(rows))
+    print(f"report: {out}")
     return 0 if all(r.passed for r in rows) else 1
 
 

@@ -1,20 +1,22 @@
 """Flat key-value run configuration for the command-line harness.
 
-Grammar: one ``key = value`` pair per line, ``#`` comments, dotted keys.
-Strings may be quoted; numbers are bare.  Unknown keys are rejected with
-the line and column of the offending token.
+Grammar: one ``key = value`` pair per line, dotted keys, ``#`` comments
+(outside quotes).  Strings may be quoted; numbers are bare.  Unknown keys
+are rejected with the line and column of the offending token.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from .errors import UsageError
 from .minkowski import GeneralizedMinkowskiSpace
-from .norms import NormSpec, SipSpace
+from .norms import NormSpec
 from .numerics import Tolerances
 
 _NORM_KINDS = ("euclidean", "pnorm", "max")
+_UNCOMMENTED = re.compile(r"""(?:[^#"']|"[^"]*"|'[^']*'|["'])*""")  # a line up to its first # outside quotes
 
 # config key -> (field of RunConfig, or of Tolerances for "tol." keys; value type)
 KNOWN_KEYS = {
@@ -67,11 +69,8 @@ class RunConfig:
     def t_norm(self) -> NormSpec:
         return self._norm("t", self.t_kind, self.t_p, self.t_dim)
 
-    def s_sip(self) -> SipSpace:
-        return SipSpace(self.s_norm())
-
     def space(self) -> GeneralizedMinkowskiSpace:
-        return GeneralizedMinkowskiSpace(SipSpace(self.s_norm()), SipSpace(self.t_norm()))
+        return GeneralizedMinkowskiSpace(self.s_norm(), self.t_norm())
 
 
 def _parse_value(key: str, raw: str, lineno: int, col: int):
@@ -95,7 +94,7 @@ def parse_config(text: str) -> dict:
     """Parse config text to a {key: value} mapping, validating keys."""
     values: dict = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.split("#", 1)[0]
+        stripped = _UNCOMMENTED.match(line).group()
         if not stripped.strip():
             continue
         if "=" not in stripped:

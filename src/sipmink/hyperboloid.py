@@ -222,26 +222,27 @@ class Path:
 
 def linear_path(space: GeneralizedMinkowskiSpace, a: HPoint, b: HPoint, m: int) -> Path:
     """Path whose S-coordinates interpolate linearly between the endpoints."""
-    ts = np.linspace(0.0, 1.0, m + 1)
+    ts = np.linspace(0.0, 1.0, _check_count("m", m) + 1)
     return Path.from_s_nodes(space, a.s[None, :] + ts[:, None] * (b.s - a.s)[None, :])
 
 
-def _check_quad_m(quad_m) -> int:
-    """The Simpson subinterval count as an int: even and at least 2, else
-    DomainError.  Every public entry point checks it before any work."""
+def _check_count(name: str, value, even: bool = False) -> int:
+    """A segment count ``m`` or an (``even``) Simpson subinterval count
+    ``quad_m`` as an int of at least 2, else DomainError; a float is no
+    count.  Every public entry point checks its counts before any work."""
     try:
-        count = operator.index(quad_m)
+        count = operator.index(value)
     except TypeError:
-        raise DomainError(f"quad_m must be an integer, got {quad_m!r}") from None
-    if count < 2 or count % 2:
-        raise DomainError("quad_m must be even and at least 2")
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+    if count < 2 or (even and count % 2):
+        raise DomainError(f"{name} must be {'even and ' if even else ''}at least 2")
     return count
 
 
 @lru_cache(maxsize=8)
 def _quadrature_grid(quad_m: int) -> tuple[np.ndarray, np.ndarray]:
     """Chord parameters and Simpson weights for quad_m subintervals (an int,
-    see _check_quad_m), shared read-only by every segment-length call."""
+    see _check_count), shared read-only by every segment-length call."""
     grid = (np.linspace(0.0, 1.0, quad_m + 1), simpson_weights(quad_m))
     for arr in grid:
         arr.flags.writeable = False
@@ -290,7 +291,7 @@ def _segment_lengths(space, seg_starts: np.ndarray, seg_deltas: np.ndarray, quad
 def path_length(space: GeneralizedMinkowskiSpace, path: Path, quad_m: int = 4) -> float:
     """Sum of per-segment Simpson integrals of the tangential speed."""
     _require_spacetime(space)
-    quad_m = _check_quad_m(quad_m)
+    quad_m = _check_count("quad_m", quad_m, even=True)
     S = path.s_matrix
     return float(np.sum(_segment_lengths(space, S[:-1], S[1:] - S[:-1], quad_m)))
 
@@ -437,9 +438,7 @@ def geodesic_path(
     local: the infimum is taken over the basin of the initial path.
     """
     _require_spacetime(space)
-    quad_m = _check_quad_m(quad_m)
-    if m < 2:
-        raise DomainError("need at least two segments")
+    quad_m, m = _check_count("quad_m", quad_m, even=True), _check_count("m", m)
     if np.array_equal(a.s, b.s):
         return Path(space, tuple([a] * (m + 1))), 0.0
     levels = [m]
@@ -448,7 +447,7 @@ def geodesic_path(
     levels.reverse()
     ts = np.linspace(0.0, 1.0, levels[0] + 1)
     sn = a.s[None, :] + ts[:, None] * (b.s - a.s)[None, :]
-    smooth = space.s_space.norm.is_smooth
+    smooth = space.s_space.is_smooth
     for li, ml in enumerate(levels):
         if li > 0:
             doubled = np.empty((2 * (sn.shape[0] - 1) + 1, sn.shape[1]))

@@ -24,7 +24,7 @@ from .minkowski import (
     product_plus,
     product_plus_rows,
 )
-from .norms import MAX, SipSpace, norm_rows, sip_rows
+from .norms import MAX, NormSpec, norm_rows, sip_rows
 from .numerics import DEFAULT_TOLERANCES, ResidualTracker, Tolerances, as_seed, as_uniform, matvec_rows
 
 
@@ -177,7 +177,7 @@ def distance_preservation_check(
     return DistancePreservationReport(max(abs(d_ab - d_f) for _, _, d_ab, d_f in details), tuple(details))
 
 
-def sip_preservation_residual(space: SipSpace, F: np.ndarray, seed, trials: int):
+def sip_preservation_residual(space: NormSpec, F: np.ndarray, seed, trials: int):
     """(max |[Fx,Fy]-[x,y]|, max ||Fx|-|x||) over samples: a map preserving
     the (unique, smooth-norm) s.i.p. preserves the norm, and conversely."""
     if trials < 1:
@@ -195,7 +195,7 @@ def sip_preservation_residual(space: SipSpace, F: np.ndarray, seed, trials: int)
 
 
 def strict_convexity_witness(
-    space: SipSpace,
+    space: NormSpec,
     seed,
     trials: int,
     tolerances: Tolerances = DEFAULT_TOLERANCES,
@@ -219,7 +219,7 @@ def strict_convexity_witness(
             gap = np.max(np.abs(X / nx[:, None] - Y / ny[:, None]), axis=1)
         return ok & (gap > parallel_gap)
 
-    if space.norm.kind == MAX and space.dim >= 2:
+    if space.kind == MAX and space.dim >= 2:
         x = np.zeros(space.dim)
         y = np.zeros(space.dim)
         x[0] = y[0] = 1.0

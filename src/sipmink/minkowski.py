@@ -23,7 +23,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError, UnsupportedError
-from .norms import EUCLIDEAN, NormSpec, SipSpace, sip_rows
+from .norms import EUCLIDEAN, NormSpec, sip_rows
 from .numerics import DEFAULT_TOLERANCES, DrawStream, Tolerances, as_seed, as_uniform, check_dim
 
 
@@ -41,8 +41,8 @@ class ConePart(enum.Enum):
 
 @dataclass(frozen=True)
 class GeneralizedMinkowskiSpace:
-    s_space: SipSpace
-    t_space: SipSpace
+    s_space: NormSpec
+    t_space: NormSpec
 
     @property
     def k(self) -> int:
@@ -63,15 +63,15 @@ class GeneralizedMinkowskiSpace:
 
     @property
     def is_pseudo_euclidean(self) -> bool:
-        return self.s_space.norm.kind == EUCLIDEAN and self.t_space.norm.kind == EUCLIDEAN
+        return self.s_space.kind == EUCLIDEAN and self.t_space.kind == EUCLIDEAN
 
     @classmethod
     def pseudo_euclidean(cls, k: int, t_dim: int = 1) -> "GeneralizedMinkowskiSpace":
-        return cls(SipSpace.euclidean(k), SipSpace.euclidean(t_dim))
+        return cls(NormSpec.euclidean(k), NormSpec.euclidean(t_dim))
 
     @classmethod
     def from_norms(cls, s_norm: NormSpec, t_norm: NormSpec) -> "GeneralizedMinkowskiSpace":
-        return cls(SipSpace(s_norm), SipSpace(t_norm))
+        return cls(s_norm, t_norm)
 
 
 def max_norm_spacetime() -> GeneralizedMinkowskiSpace:
@@ -81,7 +81,7 @@ def max_norm_spacetime() -> GeneralizedMinkowskiSpace:
     it the stock counterexample for Cauchy-Schwarz on positive subspaces
     of the Minkowski product.
     """
-    return GeneralizedMinkowskiSpace(SipSpace.max_norm(2), SipSpace.euclidean(1))
+    return GeneralizedMinkowskiSpace(NormSpec.max_norm(2), NormSpec.euclidean(1))
 
 
 def split(space: GeneralizedMinkowskiSpace, v) -> tuple[np.ndarray, np.ndarray]:

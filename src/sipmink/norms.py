@@ -48,7 +48,8 @@ _SMOOTH_KINDS = (EUCLIDEAN, PNORM)
 
 @dataclass(frozen=True)
 class NormSpec:
-    """Descriptor of a norm family on R^dim."""
+    """A norm family on R^dim and the s.i.p. that represents it; with
+    :meth:`rows` it is also a product handle."""
 
     kind: str
     dim: int
@@ -96,66 +97,14 @@ class NormSpec:
         """Gateaux-differentiable away from the origin."""
         return self.kind in _SMOOTH_KINDS
 
-
-@dataclass(frozen=True)
-class SipSpace:
-    """A norm together with the evaluation route of its s.i.p.
-
-    ``sip_mode`` selects between the closed form ("closed") and the
-    norm-derivative construction ("derivative"); the two agree within
-    finite-difference tolerance for smooth norms.
-    """
-
-    norm: NormSpec
-    sip_mode: str = "closed"
-
-    def __post_init__(self):
-        if self.sip_mode not in ("closed", "derivative"):
-            raise DomainError(f"unknown sip_mode {self.sip_mode!r}")
-
-    @classmethod
-    def euclidean(cls, dim: int) -> "SipSpace":
-        return cls(NormSpec.euclidean(dim))
-
-    @classmethod
-    def pnorm(cls, p: float, dim: int) -> "SipSpace":
-        return cls(NormSpec.pnorm(p, dim))
-
-    @classmethod
-    def max_norm(cls, dim: int) -> "SipSpace":
-        return cls(NormSpec.max_norm(dim))
-
-    @property
-    def dim(self) -> int:
-        return self.norm.dim
-
     def rows(self, X, Y) -> np.ndarray:
-        """Row kernel of the product: ``[X[i], Y[i]]`` for (N, dim) arrays."""
+        """Row kernel of the s.i.p.: ``[X[i], Y[i]]`` for (N, dim) arrays."""
         return sip_rows(self, X, Y)
 
 
-@dataclass(frozen=True)
-class BoundNorm:
-    """The norm of one family as a handle: callable on a vector, ``rows`` on
-    an (N, dim) array."""
-
-    spec: NormSpec
-
-    def __call__(self, x) -> float:
-        return norm(self.spec, x)
-
-    def rows(self, X) -> np.ndarray:
-        return norm_rows(self.spec, X)
-
-
-def _spec(space) -> NormSpec:
-    return space.norm if isinstance(space, SipSpace) else space
-
-
-def _one_row(rows_fn, space, *vectors) -> float:
-    """A row kernel of ``space`` evaluated on single vectors."""
-    dim = _spec(space).dim
-    return float(rows_fn(space, *(check_dim(v, dim)[None] for v in vectors))[0])
+def _one_row(rows_fn, spec: NormSpec, *vectors) -> float:
+    """A row kernel of ``spec`` evaluated on single vectors."""
+    return float(rows_fn(spec, *(check_dim(v, spec.dim)[None] for v in vectors))[0])
 
 
 _TINY, _HUGE = float(np.finfo(float).tiny), float(np.finfo(float).max)
@@ -197,17 +146,15 @@ def _rescaled(kernel, spec: NormSpec, out, X, off):
     return out[()]
 
 
-def norm(space, x) -> float:
-    """Norm of x under the space's norm family: the one-row call of
-    :func:`norm_rows`."""
-    return _one_row(norm_rows, space, x)
+def norm(spec: NormSpec, x) -> float:
+    """Norm of x under the norm family: the one-row call of :func:`norm_rows`."""
+    return _one_row(norm_rows, spec, x)
 
 
-def norm_rows(space, X) -> np.ndarray:
+def norm_rows(spec: NormSpec, X) -> np.ndarray:
     """Row-wise norms of an (N, dim) array, with the p-norm root rounded as
     the scalar ``float`` power (:func:`norm_batch` trades that for speed on
     large batches)."""
-    spec = _spec(space)
     X = check_dim(X, spec.dim, rows=True)
     if spec.kind == EUCLIDEAN:
         with np.errstate(over="ignore"):
@@ -221,11 +168,10 @@ def norm_rows(space, X) -> np.ndarray:
     return row_kernel(spec.gauge)(X)
 
 
-def norm_batch(space, X: np.ndarray, out=None) -> np.ndarray:
+def norm_batch(spec: NormSpec, X: np.ndarray, out=None) -> np.ndarray:
     """Row-wise norms of an (N, dim) array (any leading shape), written to
     ``out`` when given.  The short last axis is reduced column by column (see
     :func:`reduce_last`)."""
-    spec = _spec(space)
     X = np.asarray(X, dtype=float)
     if spec.kind == MAX:
         return reduce_last(np.maximum, np.abs(X), out)
@@ -241,34 +187,37 @@ def norm_batch(space, X: np.ndarray, out=None) -> np.ndarray:
     return s if off is None else _rescaled(norm_batch, spec, s, X, off)
 
 
-def _sip_derivative_rows(spec: NormSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """The norm-derivative route [x, y] = |y| d/dt |y + t x| at t = 0, for
-    rows with y != 0."""
-    return norm_rows(spec, Y) * _norm_first_derivative_rows(spec, X, Y)
+def sip_derivative_rows(spec: NormSpec, X, Y) -> np.ndarray:
+    """Row-wise products ``[X[i], Y[i]]`` by the norm-derivative route
+    [x, y] = |y| d/dt |y + t x| at t = 0, which custom gauges take and which
+    a smooth norm's closed form must agree with; rows with y = 0 give +0.0."""
+    X = check_dim(X, spec.dim, rows=True)
+    Y = check_dim(Y, spec.dim, rows=True)
+    nonzero = np.any(Y, axis=1)
+    out = np.zeros(len(Y))
+    X, Y = X[nonzero], Y[nonzero]
+    out[nonzero] = norm_rows(spec, Y) * _norm_first_derivative_rows(spec, X, Y)
+    return out
 
 
-def sip(space, x, y) -> float:
+def sip(spec: NormSpec, x, y) -> float:
     """Semi-inner-product [x, y]; linear in x, |.|-homogeneous in y.  The
     one-row call of :func:`sip_rows`."""
-    return _one_row(sip_rows, space, x, y)
+    return _one_row(sip_rows, spec, x, y)
 
 
-def sip_rows(space, X, Y) -> np.ndarray:
+def sip_rows(spec: NormSpec, X, Y) -> np.ndarray:
     """Row-wise products ``[X[i], Y[i]]`` of two (N, dim) arrays.
 
     The Euclidean, p-norm and max closed forms and the derivative route
     (which custom gauges take) all run as array code.  Homogeneity forces
     [x, 0] = 0, so rows with y = 0 give +0.0 without being evaluated.
     """
-    spec = _spec(space)
+    if spec.kind == GAUGE:
+        return sip_derivative_rows(spec, X, Y)
     X = check_dim(X, spec.dim, rows=True)
     Y = check_dim(Y, spec.dim, rows=True)
-    mode = space.sip_mode if isinstance(space, SipSpace) else "closed"
     nonzero = np.any(Y, axis=1)
-    if mode != "closed" or spec.kind == GAUGE:
-        out = np.zeros(len(Y))
-        out[nonzero] = _sip_derivative_rows(spec, X[nonzero], Y[nonzero])
-        return out
     if spec.kind == EUCLIDEAN:
         out = dot_rows(X, Y)
     elif spec.kind == PNORM:
@@ -276,9 +225,9 @@ def sip_rows(space, X, Y) -> np.ndarray:
         s, off = _power_sums(Y, p)
         if off is not None:  # [x, y] = m [x, y / m]; the other rows take this branch again, unchanged
             out, keep = np.empty(len(Y)), ~off
-            out[keep] = sip_rows(space, X[keep], Y[keep])
+            out[keep] = sip_rows(spec, X[keep], Y[keep])
             m = np.abs(Y[off]).max(axis=1)
-            out[off] = m * sip_rows(space, X[off], Y[off] / m[:, None])
+            out[off] = m * sip_rows(spec, X[off], Y[off] / m[:, None])
             return out
         # norm_rows of Y; it is not 0 on a nonzero row, whose s is now in [tiny, huge] or not finite
         ny = pow_rows(s, 1.0 / p)
@@ -296,34 +245,32 @@ def _require_nonzero(Y, what: str):
         raise DomainError(f"{what} is undefined at the origin")
 
 
-def _norm_first_derivative_rows(space, X, Y) -> np.ndarray:
+def _norm_first_derivative_rows(spec: NormSpec, X, Y) -> np.ndarray:
     """Directional derivative of the norm at Y[i] in direction X[i]."""
-    spec = _spec(space)
     _require_nonzero(Y, "norm derivative")
     return central_diff_rows(lambda t: norm_rows(spec, Y + t[:, None] * X), first_diff_step(norm_rows(spec, Y)))
 
 
-def _norm_second_derivative_rows(space, X, Z, Y) -> np.ndarray:
+def _norm_second_derivative_rows(spec: NormSpec, X, Z, Y) -> np.ndarray:
     """Second directional derivative of the norm at Y[i], directions X[i]
     then Z[i]: the central difference of the first derivative along Z[i]."""
-    spec = _spec(space)
     _require_nonzero(Y, "norm derivative")
     h = second_diff_step(norm_rows(spec, Y))
     return central_diff_rows(lambda t: _norm_first_derivative_rows(spec, X, Y + t[:, None] * Z), h)
 
 
-def _sip_second_arg_derivative_rows(space, X, Y, Z) -> np.ndarray:
+def _sip_second_arg_derivative_rows(spec: NormSpec, X, Y, Z) -> np.ndarray:
     """Derivative of t -> [X[i], Y[i] + t Z[i]] at t = 0 (0.0 where Z[i] = 0)."""
     _require_nonzero(Y, "second-argument derivative")
     moving = np.any(Z, axis=1)
     X, Y, Z = X[moving], Y[moving], Z[moving]
     out = np.zeros(len(moving))
-    h = first_diff_step(norm_rows(space, Y))
-    out[moving] = central_diff_rows(lambda t: sip_rows(space, X, Y + t[:, None] * Z), h)
+    h = first_diff_step(norm_rows(spec, Y))
+    out[moving] = central_diff_rows(lambda t: sip_rows(spec, X, Y + t[:, None] * Z), h)
     return out
 
 
-def derivative_identity_residual_rows(space, X, Y, Z) -> np.ndarray:
+def derivative_identity_residual_rows(spec: NormSpec, X, Y, Z) -> np.ndarray:
     """Residual of the identity linking the two derivative notions, row by row:
 
         |y| * norm''_{x,z}(y)  =  d/dt [x, y + t z]|_0  -  [x,y][z,y] / |y|^2.
@@ -331,36 +278,35 @@ def derivative_identity_residual_rows(space, X, Y, Z) -> np.ndarray:
     Small residuals certify that the s.i.p. differentiates the way the
     twice-differentiable norm does.
     """
-    spec = _spec(space)
     X, Y, Z = (check_dim(A, spec.dim, rows=True) for A in (X, Y, Z))
     ny = norm_rows(spec, Y)
-    lhs = ny * _norm_second_derivative_rows(space, X, Z, Y)
-    cross = sip_rows(space, X, Y) * sip_rows(space, Z, Y) / (ny * ny)
-    rhs = _sip_second_arg_derivative_rows(space, X, Y, Z) - cross
+    lhs = ny * _norm_second_derivative_rows(spec, X, Z, Y)
+    cross = sip_rows(spec, X, Y) * sip_rows(spec, Z, Y) / (ny * ny)
+    rhs = _sip_second_arg_derivative_rows(spec, X, Y, Z) - cross
     return np.abs(lhs - rhs)
 
 
-def norm_first_derivative(space, x, y) -> float:
+def norm_first_derivative(spec: NormSpec, x, y) -> float:
     """Directional derivative of the norm at y in direction x."""
-    return _one_row(_norm_first_derivative_rows, space, x, y)
+    return _one_row(_norm_first_derivative_rows, spec, x, y)
 
 
-def norm_second_derivative(space, x, z, y) -> float:
+def norm_second_derivative(spec: NormSpec, x, z, y) -> float:
     """Second directional derivative of the norm at y, directions x then z."""
-    return _one_row(_norm_second_derivative_rows, space, x, z, y)
+    return _one_row(_norm_second_derivative_rows, spec, x, z, y)
 
 
-def sip_second_arg_derivative(space, x, y, z) -> float:
+def sip_second_arg_derivative(spec: NormSpec, x, y, z) -> float:
     """Derivative of t -> [x, y + t z] at t = 0."""
-    return _one_row(_sip_second_arg_derivative_rows, space, x, y, z)
+    return _one_row(_sip_second_arg_derivative_rows, spec, x, y, z)
 
 
-def derivative_identity_residual(space, x, y, z) -> float:
+def derivative_identity_residual(spec: NormSpec, x, y, z) -> float:
     """:func:`derivative_identity_residual_rows` of one (x, y, z)."""
-    return _one_row(derivative_identity_residual_rows, space, x, y, z)
+    return _one_row(derivative_identity_residual_rows, spec, x, y, z)
 
 
-def nath_product(space, p: float, x, y) -> float:
+def nath_product(spec: NormSpec, p: float, x, y) -> float:
     """p-homogeneous generalized product built from the s.i.p.
 
     Defined self-consistently by requiring |x| = [x,x]^(1/p), which gives
@@ -368,23 +314,20 @@ def nath_product(space, p: float, x, y) -> float:
     """
     if p < 1:
         raise DomainError("requires p >= 1")
-    spec = _spec(space)
     y = check_dim(y, spec.dim)
     if not np.any(y):
         return 0.0
-    return norm(spec, y) ** (p - 2.0) * sip(space, x, y)
+    return norm(spec, y) ** (p - 2.0) * sip(spec, x, y)
 
 
-def sip_axiom_report(space, seed, trials: int, tolerances: Tolerances = DEFAULT_TOLERANCES):
+def sip_axiom_report(spec: NormSpec, seed, trials: int, tolerances: Tolerances = DEFAULT_TOLERANCES):
     """Max residuals of the s.i.p. axioms over seeded samples.
 
     Checks additivity and homogeneity in the first argument, real
     homogeneity in the second, positivity and norm consistency of the
     square, and the Cauchy-Schwarz inequality.
     """
-    spec = _spec(space)
-    product = space if isinstance(space, SipSpace) else SipSpace(spec)
-    return product_axiom_report(product, spec.dim, seed, trials, tolerances, norm_fn=BoundNorm(spec))
+    return product_axiom_report(spec, spec.dim, seed, trials, tolerances, norm=spec)
 
 
 def product_axiom_report(
@@ -393,14 +336,14 @@ def product_axiom_report(
     seed,
     trials: int,
     tolerances: Tolerances = DEFAULT_TOLERANCES,
-    norm_fn: Callable[[np.ndarray], float] | None = None,
+    norm: NormSpec | None = None,
 ):
     """S.i.p. axiom residuals for an arbitrary product handle.
 
     ``product`` is a function of two vectors or an object with a row
-    kernel (a :class:`SipSpace`, a bound Minkowski product); ``norm_fn``
-    likewise.  When ``norm_fn`` is omitted the norm is taken as
-    sqrt([v, v]).  Trial t draws x, y, z and lambda in that order.
+    kernel (a :class:`NormSpec`, a bound Minkowski product).  The square is
+    checked against ``norm``, or against sqrt([v, v]) when it is omitted.
+    Trial t draws x, y, z and lambda in that order.
     """
     if trials < 1:
         raise DomainError("trials must be at least 1")
@@ -412,7 +355,7 @@ def product_axiom_report(
     lam_col = lam[:, None]
     qx = P(X, X)
     pxy = P(X, Y)
-    nx = np.sqrt(np.maximum(qx, 0.0)) if norm_fn is None else row_kernel(norm_fn)(X)
+    nx = np.sqrt(np.maximum(qx, 0.0)) if norm is None else norm_rows(norm, X)
     add = ResidualTracker("additivity_first")
     hom1 = ResidualTracker("homogeneity_first")
     hom2 = ResidualTracker("homogeneity_second")

@@ -25,7 +25,7 @@ from .errors import (
     UnsupportedError,
 )
 from .minkowski import GeneralizedMinkowskiSpace, embed, product_plus_rows
-from .norms import NormSpec, SipSpace, norm_batch, norm_rows, sip_rows
+from .norms import NormSpec, norm_batch, norm_rows, sip_rows
 from .numerics import DEFAULT_TOLERANCES, Tolerances, as_seed, as_uniform, dot_rows, minimize_rows, pow_rows
 from .numerics import raise_unconverged, row_kernel, span_rows
 
@@ -305,7 +305,7 @@ def auerbach_pair_2d(norm_spec: NormSpec, tolerances: Tolerances = DEFAULT_TOLER
     return pair, margins
 
 
-def _sip_orthogonal_pair(space: SipSpace, tolerances: Tolerances):
+def _sip_orthogonal_pair(spec: NormSpec, tolerances: Tolerances):
     """Mutually sip-orthogonal unit pair of maximal |det| in a 2-d block,
     from the angle grid; a block with no grid pair within ``eq_tol`` raises.
 
@@ -314,8 +314,8 @@ def _sip_orthogonal_pair(space: SipSpace, tolerances: Tolerances):
     one :func:`~sipmink.norms.sip_rows` call per basis vector; the grid of
     pairs is searched a block of rows at a time (:func:`_max_det_pair`).
     """
-    U = _unit_vectors(space.norm, _THETAS)
-    R = np.stack([sip_rows(space, np.broadcast_to(e, U.shape), U) for e in np.eye(2)], axis=1)
+    U = _unit_vectors(spec, _THETAS)
+    R = np.stack([sip_rows(spec, np.broadcast_to(e, U.shape), U) for e in np.eye(2)], axis=1)
 
     def resid(rows, cols):  # max(|[U[i], U[j]]|, |[U[j], U[i]]|), symmetric bit for bit
         ij = U[rows, 0][:, None] * R[cols, 0][None, :] + U[rows, 1][:, None] * R[cols, 1][None, :]
@@ -348,7 +348,7 @@ def minkowski_auerbach(
     if space.k > 2 or space.t_dim > 2:
         raise UnsupportedError("block Auerbach search limited to two-dimensional blocks")
 
-    def block_basis(block: SipSpace):
+    def block_basis(block: NormSpec):
         if block.dim == 1:
             return [np.array([1.0])]
         u, v = _sip_orthogonal_pair(block, tolerances)

@@ -25,11 +25,11 @@ from .config import RunConfig
 from .errors import NeutralPivotError
 from .norms import (
     NormSpec,
-    SipSpace,
     derivative_identity_residual_rows,
     norm_rows,
     product_axiom_report,
     sip_axiom_report,
+    sip_derivative_rows,
     sip_rows,
 )
 from .numerics import (
@@ -124,16 +124,15 @@ def suite_sip_axioms(cfg: RunConfig) -> list[CheckRow]:
     for name, block in _blocks(cfg):
         report = sip_axiom_report(block, Seed(cfg.seed), cfg.trials, cfg.tolerances)
         rows += _rows_from_report("sip-axioms", f"{name}.", report, cfg.tolerances.eq_tol)
-        if block.norm.is_smooth:
+        if block.is_smooth:
             # the closed form and the norm-derivative route must agree
             d = block.dim
             draws = as_seed(cfg.seed).rng().random((min(cfg.trials, 100), 2 * d))  # x, y per trial
             X, Y = as_uniform(draws[:, :d], -1.5, 1.5), as_uniform(draws[:, d:], -1.5, 1.5)
             keep = np.any(Y, axis=1)  # trials with y = 0 are skipped
             X, Y = X[keep], Y[keep]
-            deriv = SipSpace(block.norm, sip_mode="derivative")
             track = ResidualTracker(f"{name}.mode_agreement")
-            track.update_rows(sip_rows(block, X, Y) - sip_rows(deriv, X, Y), X, Y)
+            track.update_rows(sip_rows(block, X, Y) - sip_derivative_rows(block, X, Y), X, Y)
             rows.append(_tracked("sip-axioms", track, cfg.tolerances.fd_tol))
     return rows
 
@@ -149,10 +148,8 @@ def suite_siip_axioms(cfg: RunConfig) -> list[CheckRow]:
 
 def suite_theorem2(cfg: RunConfig) -> list[CheckRow]:
     """Nested-derivative identity of the s.i.p. on the smooth S block."""
-    block = cfg.s_sip()
-    smooth_enough = block.norm.kind == "euclidean" or (
-        block.norm.kind == "pnorm" and block.norm.p >= 2.0
-    )
+    block = cfg.s_norm()
+    smooth_enough = block.kind == "euclidean" or (block.kind == "pnorm" and block.p >= 2.0)
     if not smooth_enough:
         return _not_applicable("theorem2", "norm not twice differentiable")
     # a trial draws x, z, y and, unless y = 0 (then it is skipped), the
@@ -171,7 +168,7 @@ def suite_lemma2(cfg: RunConfig) -> list[CheckRow]:
     space = cfg.space()
     pm = mink.BoundProduct(space, "-")
     report = product_axiom_report(pm, space.n, Seed(cfg.seed), cfg.trials, cfg.tolerances)
-    closed = all(b.norm.kind in ("euclidean", "pnorm", "max") for _, b in _blocks(cfg))
+    closed = all(b.kind in ("euclidean", "pnorm", "max") for _, b in _blocks(cfg))
     tol = cfg.tolerances.eq_tol if closed else cfg.tolerances.fd_tol
     return _rows_from_report("lemma2", "minus.", report, tol)
 
@@ -194,7 +191,7 @@ def _sample_s(space, draws):
     """S-coordinates of one trial per row of a block of ``rng.random``
     draws, as ``rng.uniform(-1.2, 1.2, k)`` gives them."""
     S = as_uniform(draws, -1.2, 1.2)
-    if space.s_space.norm.kind == "max" and space.k >= 2:
+    if space.s_space.kind == "max" and space.k >= 2:
         # keep away from max-norm ties, where the s.i.p. is discontinuous
         A = np.sort(np.abs(S), axis=1)
         tied = np.flatnonzero(A[:, -1] - A[:, -2] < 1e-3)
@@ -219,7 +216,7 @@ def suite_lemma3(cfg: RunConfig) -> list[CheckRow]:
     fd = central_diff_rows(lift_tau, first_diff_step(norm_rows(space.s_space, S)))
     track = ResidualTracker("derivative_residual")
     track.update_rows(closed - fd, S, E)
-    note = ";tie-free sampling" if space.s_space.norm.kind == "max" else ""
+    note = ";tie-free sampling" if space.s_space.kind == "max" else ""
     return [_tracked("lemma3", track, cfg.tolerances.fd_tol, note=note)]
 
 
@@ -349,9 +346,9 @@ def suite_isometry(cfg: RunConfig) -> list[CheckRow]:
     # smooth-norm isometries preserve the s.i.p.; rotations certify both ways
     theta = 0.7
     R2 = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
-    sip_res, norm_res = iso.sip_preservation_residual(SipSpace.euclidean(2), R2, Seed(cfg.seed), min(cfg.trials, 200))
+    sip_res, norm_res = iso.sip_preservation_residual(NormSpec.euclidean(2), R2, Seed(cfg.seed), min(cfg.trials, 200))
     rows.append(_row("isometry", "rotation_preserves_euclidean_sip", max(sip_res, norm_res) <= 1e-9, max(sip_res, norm_res)))
-    sip_res, norm_res = iso.sip_preservation_residual(SipSpace.pnorm(3.0, 2), R2, Seed(cfg.seed), min(cfg.trials, 200))
+    sip_res, norm_res = iso.sip_preservation_residual(NormSpec.pnorm(3.0, 2), R2, Seed(cfg.seed), min(cfg.trials, 200))
     broken = sip_res > 1e-3 and norm_res > 1e-3
     rows.append(_row("isometry", "rotation_breaks_pnorm_sip", broken, sip_res, "rotations are not p-norm isometries"))
     return rows
@@ -373,7 +370,7 @@ def _leading_gram_determinants(space: _SiipSpace, V):
 def suite_orthogonality(cfg: RunConfig) -> list[CheckRow]:
     rows = []
     tol = cfg.tolerances
-    euclid = SipSpace.euclidean(2)
+    euclid = NormSpec.euclidean(2)
     draws = DrawStream(as_seed(cfg.seed).rng())
     # on Euclidean planes every relation agrees with perpendicularity; a
     # trial draws x and, unless x = 0 (then it is skipped), the length of y
@@ -384,7 +381,7 @@ def suite_orthogonality(cfg: RunConfig) -> list[CheckRow]:
     rows.append(_row("orthogonality", "euclidean_agreement", agree))
 
     # s.i.p. orthogonality implies Birkhoff on the configured S block
-    block = cfg.s_sip()
+    block = cfg.s_norm()
     if block.dim < 2:
         # the companion of a vector of a one-dimensional block is {0}
         rows += _not_applicable("orthogonality", "needs an S block of dimension 2 or more", "sip_implies_birkhoff")
@@ -442,7 +439,7 @@ def suite_orthogonality(cfg: RunConfig) -> list[CheckRow]:
 
     # Auerbach pair of the S block (two-dimensional blocks only)
     if block.dim == 2:
-        pair, mn = ortho.auerbach_pair_2d(block.norm, tolerances=tol)
+        pair, mn = ortho.auerbach_pair_2d(block, tolerances=tol)
         deficiency = max(0.0, *(norm_rows(block, pair) - mn).tolist())
         rows.append(_row("orthogonality", "auerbach_mutual_birkhoff", deficiency <= 1e-5, deficiency, fmt_vec(pair[0])))
 
@@ -484,8 +481,8 @@ def stock_counterexamples(seed, tolerances: Tolerances = DEFAULT_TOLERANCES) -> 
         plane_margin=value**2 - squares[0] * squares[1],
         plane_witness=_cs_witness(plane, plane_basis, Seed(3), 2000, tolerances),
         max_plane_witness=_cs_witness(max_plane, max_basis, seed, 2000, tolerances),
-        flat_witness=iso.strict_convexity_witness(SipSpace.max_norm(2), seed, 2000, tolerances),
-        pnorm_flat_witness=iso.strict_convexity_witness(SipSpace.pnorm(3.0, 2), seed, 2000, tolerances),
+        flat_witness=iso.strict_convexity_witness(NormSpec.max_norm(2), seed, 2000, tolerances),
+        pnorm_flat_witness=iso.strict_convexity_witness(NormSpec.pnorm(3.0, 2), seed, 2000, tolerances),
     )
 
 

@@ -48,7 +48,7 @@ def test_03_derivative_identity():
     start = time.perf_counter()
     worst_overall = 0.0
     for p in (2.0, 3.0, 4.0):
-        space = sk.SipSpace.pnorm(p, 3)
+        space = sk.NormSpec.pnorm(p, 3)
         gen = Seed(11).rng()
         for _ in range(100):
             x, z = gen.uniform(-1, 1, 3), gen.uniform(-1, 1, 3)
@@ -65,7 +65,7 @@ def test_03_derivative_identity():
 def test_04_sip_matches_norm_derivative():
     start = time.perf_counter()
     worst = 0.0
-    families = [sk.SipSpace.euclidean(2), sk.SipSpace.pnorm(2.5, 2), sk.SipSpace.pnorm(3.0, 2), sk.SipSpace.pnorm(4.0, 2)]
+    families = [sk.NormSpec.euclidean(2), sk.NormSpec.pnorm(2.5, 2), sk.NormSpec.pnorm(3.0, 2), sk.NormSpec.pnorm(4.0, 2)]
     for space in families:
         gen = Seed(7).rng()
         done = 0
@@ -230,7 +230,7 @@ def test_11_auerbach_bases():
             w = sum(ci * bi for ci, bi in zip(c, others))
             worst = max(worst, abs(sk.product_plus(REMARK, w, e)))
     u, v = sk.auerbach_basis_2d(sk.NormSpec.max_norm(2))
-    max2 = sk.SipSpace.max_norm(2)
+    max2 = sk.NormSpec.max_norm(2)
     birkhoff_ok = True
     for x, y in ((u, v), (v, u)):
         mn, _ = sk.birkhoff_margin(max2, x, y)

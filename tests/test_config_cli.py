@@ -12,7 +12,7 @@ from sipmink.cli import main
 from sipmink.config import RunConfig, config_from_mapping, load_config, parse_config
 from sipmink.errors import UsageError
 from sipmink.isometry import lorentz_boost
-from sipmink.norms import SipSpace
+from sipmink.norms import NormSpec
 from sipmink.numerics import Tolerances
 from sipmink.ortho import birkhoff_margin
 
@@ -78,6 +78,18 @@ class TestConfigParsing:
         values = parse_config("\n# comment\nseed = 7  # trailing\n\n")
         assert values == {"seed": 7}
 
+    @pytest.mark.parametrize(
+        "line, value",
+        [
+            ('out = "run#1.csv"  # trailing', "run#1.csv"),
+            ("out = 'run#1.csv'", "run#1.csv"),
+            ("""out = "it's#1.csv" # a quote of the other kind inside""", "it's#1.csv"),
+            ("out = run#1.csv", "run"),  # bare, the # starts a comment
+        ],
+    )
+    def test_a_hash_starts_a_comment_only_outside_quotes(self, line, value):
+        assert parse_config(line + "\n") == {"out": value}
+
     def test_pnorm_without_p_rejected(self):
         with pytest.raises(UsageError):
             config_from_mapping({"space.s.norm": "pnorm"})
@@ -135,7 +147,7 @@ class TestCliCommands:
         cfg = tmp_path / "pnorm3.cfg"
         cfg.write_text('space.s.norm = "pnorm"\nspace.s.p = 3\ntol.opt = 0.01\n')
         assert main(["ortho", "birkhoff", "1,0.3", "0.2,1", "--config", str(cfg)]) == 0
-        block, x, y = SipSpace.pnorm(3.0, 2), [1.0, 0.3], [0.2, 1.0]
+        block, x, y = NormSpec.pnorm(3.0, 2), [1.0, 0.3], [0.2, 1.0]
         coarse, fine = birkhoff_margin(block, x, y, 0.01)[1], birkhoff_margin(block, x, y)[1]
         assert coarse != fine
         assert f"lambda* = {'%.17g' % coarse}" in capsys.readouterr().out
@@ -293,11 +305,40 @@ class TestOutFromConfig:
         assert main([*argv.split(), "--nodes", "8"] if argv.startswith("distance") else argv.split()) == 0
         assert list(tmp_path.iterdir()) == []
 
+    def test_a_hash_in_the_config_out_is_kept(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f'out = "{tmp_path / "run#1.csv"}"  # the first run\n')
+        assert main(["classify", "0,0,1", "--config", str(cfg)]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run#1.csv", "run.cfg"]
+
     def test_verify_defaults_to_verify_report_csv(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert main(["verify", "counterexamples"]) == 0
         assert [p.name for p in tmp_path.iterdir()] == ["verify_report.csv"]
         assert "report: verify_report.csv" in capsys.readouterr().out
+
+
+class TestUnwritableOutput:
+    # each verb that writes a CSV, with the other arguments of one run
+    ARGV = {"classify": ["0,0,1"], "distance": ["--nodes", "8", "--", "0,0", "0.5,0"], "verify": ["sip-axioms"]}
+
+    @pytest.mark.parametrize("verb", sorted(ARGV))
+    @pytest.mark.parametrize("where", ["missing/x.csv", "a_directory"])
+    def test_is_a_usage_error_before_any_work(self, capsys, tmp_path, verb, where):
+        (tmp_path / "a_directory").mkdir()
+        target = str(tmp_path / where)
+        assert main([verb, "--out", target, *self.ARGV[verb]]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""  # no suite line, table or distance was printed
+        assert err.count("\n") == 1 and err.startswith(f"error: cannot write {target!r}: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a_directory"]
+        assert not any((tmp_path / "a_directory").iterdir())
+
+    def test_a_write_that_fails_after_the_check_is_a_usage_error(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_output", lambda path: path)  # as if the directory went away after the check
+        target = str(tmp_path / "missing" / "x.csv")
+        assert main(["classify", "0,0,1", "--out", target]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {target!r}: ")
 
 
 class TestVerifyCommand:

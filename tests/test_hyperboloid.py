@@ -665,6 +665,22 @@ class TestQuadratureGrid:
 
 
 class TestGeodesicDistance:
+    @pytest.mark.parametrize("m", [16.0, 2.5, "8", None, 1, 0])
+    def test_bad_node_count_rejected_up_front(self, m):
+        a, b = lift(PSEUDO21, [0.0, 0.5]), lift(PSEUDO21, [1.0, -0.3])
+        for call in (
+            lambda: geodesic_path(PSEUDO21, a, b, m),
+            lambda: geodesic_distance(PSEUDO21, a, b, m),
+            lambda: geodesic_distance(PSEUDO21, a, a, m),  # checked before the early return
+            lambda: linear_path(PSEUDO21, a, b, m),
+        ):
+            with pytest.raises(DomainError, match="^m must be"):
+                call()
+
+    def test_integer_like_node_count_accepted(self):
+        a, b = lift(PSEUDO21, [0.0, 0.5]), lift(PSEUDO21, [1.0, -0.3])
+        assert geodesic_distance(PSEUDO21, a, b, np.int64(8)) == geodesic_distance(PSEUDO21, a, b, 8)
+
     def test_identical_endpoints(self):
         a = lift(PSEUDO21, [0.3, 0.3])
         assert geodesic_distance(PSEUDO21, a, a, 8) == 0.0

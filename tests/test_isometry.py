@@ -17,7 +17,7 @@ from sipmink.minkowski import (
     j_matrix,
     max_norm_spacetime,
 )
-from sipmink.norms import SipSpace, norm, sip
+from sipmink.norms import NormSpec, norm, sip
 from sipmink.numerics import Seed
 
 PSEUDO11 = GeneralizedMinkowskiSpace.pseudo_euclidean(1)
@@ -112,36 +112,36 @@ class TestDistancePreservation:
 
 class TestSipPreservation:
     def test_rotation_preserves_euclidean_sip(self):
-        res_sip, res_norm = sip_preservation_residual(SipSpace.euclidean(2), rotation(0.7), Seed(7), 200)
+        res_sip, res_norm = sip_preservation_residual(NormSpec.euclidean(2), rotation(0.7), Seed(7), 200)
         assert res_sip <= 1e-12 and res_norm <= 1e-12
 
     def test_rotation_breaks_pnorm_sip(self):
-        res_sip, res_norm = sip_preservation_residual(SipSpace.pnorm(3.0, 2), rotation(0.7), Seed(7), 200)
+        res_sip, res_norm = sip_preservation_residual(NormSpec.pnorm(3.0, 2), rotation(0.7), Seed(7), 200)
         assert res_sip > 1e-3 and res_norm > 1e-3
 
     def test_axis_permutation_preserves_pnorm(self):
         P = np.array([[0.0, 1.0], [1.0, 0.0]])
-        res_sip, res_norm = sip_preservation_residual(SipSpace.pnorm(3.0, 2), P, Seed(7), 200)
+        res_sip, res_norm = sip_preservation_residual(NormSpec.pnorm(3.0, 2), P, Seed(7), 200)
         assert res_sip <= 1e-12 and res_norm <= 1e-12
 
     @pytest.mark.parametrize("trials", [0, -1])
     def test_needs_a_trial(self, trials):
         with pytest.raises(DomainError):
-            sip_preservation_residual(SipSpace.euclidean(2), rotation(0.7), Seed(7), trials)
+            sip_preservation_residual(NormSpec.euclidean(2), rotation(0.7), Seed(7), trials)
 
 
 class TestStrictConvexityWitness:
     def test_euclidean_none(self):
-        assert strict_convexity_witness(SipSpace.euclidean(2), Seed(8), 2000) is None
+        assert strict_convexity_witness(NormSpec.euclidean(2), Seed(8), 2000) is None
 
     def test_max_norm_witness(self):
-        found = strict_convexity_witness(SipSpace.max_norm(2), Seed(8), 2000)
+        found = strict_convexity_witness(NormSpec.max_norm(2), Seed(8), 2000)
         assert found is not None
         x, y = found
-        space = SipSpace.max_norm(2)
+        space = NormSpec.max_norm(2)
         assert sip(space, x, y) == pytest.approx(norm(space, x) * norm(space, y), abs=1e-9)
         # the witness pair is genuinely non-parallel
         assert np.max(np.abs(x / norm(space, x) - y / norm(space, y))) > 1e-3
 
     def test_pnorm_none(self):
-        assert strict_convexity_witness(SipSpace.pnorm(3.0, 2), Seed(8), 2000) is None
+        assert strict_convexity_witness(NormSpec.pnorm(3.0, 2), Seed(8), 2000) is None

@@ -172,5 +172,5 @@ class TestSpaceConstruction:
 
     def test_remark_space_shape(self):
         assert REMARK.k == 2 and REMARK.t_dim == 1 and REMARK.n == 3
-        assert REMARK.s_space.norm.kind == "max"
+        assert REMARK.s_space.kind == "max"
         assert not REMARK.is_pseudo_euclidean

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from sipmink.errors import DimensionError, DomainError
 from sipmink.norms import (
     NormSpec,
-    SipSpace,
     derivative_identity_residual,
     nath_product,
     norm,
@@ -19,15 +18,16 @@ from sipmink.norms import (
     product_axiom_report,
     sip,
     sip_axiom_report,
+    sip_derivative_rows,
     sip_rows,
     sip_second_arg_derivative,
 )
 from sipmink.numerics import Seed, central_diff, dot_rows, first_diff_step, pow_rows, reduce_last
 
-E2 = SipSpace.euclidean(2)
-MAX2 = SipSpace.max_norm(2)
-P3 = SipSpace.pnorm(3.0, 2)
-P4 = SipSpace.pnorm(4.0, 2)
+E2 = NormSpec.euclidean(2)
+MAX2 = NormSpec.max_norm(2)
+P3 = NormSpec.pnorm(3.0, 2)
+P4 = NormSpec.pnorm(4.0, 2)
 
 coords = st.floats(-3.0, 3.0)
 
@@ -89,12 +89,11 @@ class TestSip:
 
     def test_modes_agree_for_smooth_norms(self, rng):
         for space in (E2, P3, P4):
-            deriv = SipSpace(space.norm, sip_mode="derivative")
             for _ in range(50):
                 x, y = rng.uniform(-2, 2, 2), rng.uniform(-2, 2, 2)
                 if norm(space, y) < 0.1:
                     continue
-                assert sip(space, x, y) == pytest.approx(sip(deriv, x, y), abs=1e-5)
+                assert sip(space, x, y) == pytest.approx(sip_derivative_rows(space, x[None], y[None])[0], abs=1e-5)
 
     @given(lam=st.floats(-4, 4), mu=st.floats(-4, 4), x0=coords, x1=coords, y0=coords, y1=coords)
     def test_homogeneity_both_arguments(self, lam, mu, x0, x1, y0, y1):
@@ -112,14 +111,14 @@ class TestSip:
             assert lhs <= rhs + 1e-9 * max(1.0, rhs)
 
     def test_p_close_to_two_matches_euclidean(self, rng):
-        space = SipSpace.pnorm(2.0 + 1e-9, 2)
+        space = NormSpec.pnorm(2.0 + 1e-9, 2)
         for _ in range(100):
             x, y = rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2)
             assert sip(space, x, y) == pytest.approx(float(x @ y), abs=1e-6)
 
     def test_lemma1_norm_derivative_identity(self, rng):
         # [x, y] = |y| * d/dt |y + t x| for smooth norms
-        for space in (E2, P3, P4, SipSpace.pnorm(2.5, 2)):
+        for space in (E2, P3, P4, NormSpec.pnorm(2.5, 2)):
             for _ in range(50):
                 x, y = rng.uniform(-2, 2, 2), rng.uniform(-2, 2, 2)
                 ny = norm(space, y)
@@ -153,7 +152,7 @@ class TestLargeExponent:
         assert norm_batch(P64, np.array([[x, 0.0]]))[0] == x
 
     def test_sip_against_small_vectors(self):
-        space = SipSpace.pnorm(64, 2)
+        space = NormSpec.pnorm(64, 2)
         assert sip(space, [1.0, 0.0], [1e-6, 0.0]) == 1e-6
         got, ref = sip(space, [1.0, 0.0], [1e-5, 2e-6]), _scaled_closed_form_sip([1.0, 0.0], [1e-5, 2e-6], 64.0)
         assert math.isfinite(got) and abs(got - ref) <= 1e-15 * abs(ref)
@@ -241,6 +240,15 @@ class TestAxiomReport:
         for name in ("additivity_first", "homogeneity_first", "homogeneity_second", "cauchy_schwarz"):
             assert report.residual(name) <= 1e-12
 
+    @pytest.mark.parametrize("spec", [E2, P3, MAX2], ids=["euclidean", "p3", "max"])
+    def test_sip_report_is_the_product_report_of_the_spec(self, spec):
+        got = product_axiom_report(spec, spec.dim, Seed(4), 150, norm=spec)
+        want = sip_axiom_report(spec, Seed(4), 150)
+        assert [c.name for c in got.checks] == [c.name for c in want.checks] and got.tol == want.tol
+        for g, w in zip(got.checks, want.checks):
+            assert (g.residual, g.passed) == (w.residual, w.passed)
+            assert len(g.witness) == len(w.witness) and all(np.array_equal(a, b) for a, b in zip(g.witness, w.witness))
+
     def test_product_report_accepts_handles(self):
         dot = lambda u, v: float(np.dot(u, v))
         report = product_axiom_report(dot, 3, Seed(1), 100)
@@ -307,7 +315,7 @@ class TestDerivativeIdentity:
 
     @pytest.mark.parametrize("p", [2.0, 3.0, 4.0])
     def test_seeded_triples(self, p):
-        space = SipSpace.pnorm(p, 3)
+        space = NormSpec.pnorm(p, 3)
         gen = Seed(11).rng()
         worst = 0.0
         for _ in range(100):

@@ -6,7 +6,7 @@ import pytest
 
 from sipmink.errors import ConvergenceError, DegenerateError, DomainError, NeutralPivotError, NumericalError
 from sipmink.minkowski import GeneralizedMinkowskiSpace, max_norm_spacetime, product_plus
-from sipmink.norms import NormSpec, SipSpace, norm, norm_batch, sip
+from sipmink.norms import NormSpec, norm, norm_batch, sip
 from sipmink.numerics import Seed, Tolerances
 from sipmink.ortho import (
     OrthoRelation,
@@ -26,10 +26,10 @@ from sipmink.siip import SiipSpace, siip
 
 from references import reference_minimize, reference_pythagorean_scan
 
-E2 = SipSpace.euclidean(2)
-E3 = SipSpace.euclidean(3)
-MAX2 = SipSpace.max_norm(2)
-P3 = SipSpace.pnorm(3.0, 2)
+E2 = NormSpec.euclidean(2)
+E3 = NormSpec.euclidean(3)
+MAX2 = NormSpec.max_norm(2)
+P3 = NormSpec.pnorm(3.0, 2)
 
 DIAG11 = SiipSpace.diagonal((1, -1))
 DIAG21 = SiipSpace.diagonal((1, 1, -1))
@@ -257,13 +257,11 @@ class TestMinkowskiAuerbach:
             minkowski_auerbach(space, tolerances=Tolerances(eq_tol=1e-17))
 
     # the grid of 720 angles holds the axis and diagonal pairs, so every
-    # Euclidean and p-norm block, on either s.i.p. route, finds its pair there
-    # down to eq_tol = 1e-15 and needs nothing off the grid
-    @pytest.mark.parametrize("mode", ["closed", "derivative"])
+    # Euclidean and p-norm block finds its pair there down to eq_tol = 1e-15
+    # and needs nothing off the grid
     @pytest.mark.parametrize("p", [2.0, 1.001, 1.5, 3.0, 10.0, 200.0])
-    def test_smooth_block_finds_its_pair_on_the_grid(self, p, mode):
-        spec = NormSpec.euclidean(2) if p == 2.0 else NormSpec.pnorm(p, 2)
-        block = SipSpace(spec, mode)
+    def test_smooth_block_finds_its_pair_on_the_grid(self, p):
+        block = NormSpec.euclidean(2) if p == 2.0 else NormSpec.pnorm(p, 2)
         for eq_tol in (1e-6, 1e-9, 1e-12, 1e-15):
             u, v = _sip_orthogonal_pair(block, Tolerances(eq_tol=eq_tol))
             assert max(abs(sip(block, u, v)), abs(sip(block, v, u))) <= eq_tol

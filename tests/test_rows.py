@@ -34,9 +34,7 @@ from sipmink.hyperboloid import lift
 from sipmink.isometry import isometry_report, lorentz_boost, sip_preservation_residual, strict_convexity_witness
 from sipmink.minkowski import BoundProduct, GeneralizedMinkowskiSpace, VectorClass, max_norm_spacetime
 from sipmink.norms import (
-    BoundNorm,
     NormSpec,
-    SipSpace,
     derivative_identity_residual_rows,
     norm,
     norm_batch,
@@ -44,6 +42,7 @@ from sipmink.norms import (
     product_axiom_report,
     sip,
     sip_axiom_report,
+    sip_derivative_rows,
     sip_rows,
 )
 from sipmink.numerics import (
@@ -75,10 +74,10 @@ from sipmink.siip import (
 from references import reference_minimize
 
 SMOOTH_SPACES = {
-    "euclidean2": SipSpace.euclidean(2),
-    "euclidean3": SipSpace.euclidean(3),
-    "pnorm3": SipSpace.pnorm(3.0, 2),
-    "pnorm4": SipSpace.pnorm(4.0, 3),
+    "euclidean2": NormSpec.euclidean(2),
+    "euclidean3": NormSpec.euclidean(3),
+    "pnorm3": NormSpec.pnorm(3.0, 2),
+    "pnorm4": NormSpec.pnorm(4.0, 3),
 }
 
 
@@ -94,8 +93,7 @@ def _scalar(fn, *arrays):
 # points became one-row calls of the row kernels.
 
 
-def _reference_norm(space, x):
-    spec = space.norm if isinstance(space, SipSpace) else space
+def _reference_norm(spec, x):
     if spec.kind == "euclidean":
         return float(np.sqrt(x @ x))
     if spec.kind == "pnorm":
@@ -105,9 +103,8 @@ def _reference_norm(space, x):
     return float(spec.gauge(x))
 
 
-def _reference_sip(space, x, y):
+def _reference_sip(spec, x, y):
     """The Euclidean, p-norm and max closed forms."""
-    spec = space.norm if isinstance(space, SipSpace) else space
     if not np.any(y):
         return 0.0  # homogeneity forces [x, 0] = 0
     if spec.kind == "euclidean":
@@ -168,7 +165,7 @@ class TestSipRows:
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_max_rows_with_ties_and_zero_rows(self, rng, dim):
-        space = SipSpace.max_norm(dim)
+        space = NormSpec.max_norm(dim)
         X = _rows(rng, 600, dim)
         # small integers make exact ties of |y_i| common
         Y = rng.integers(-2, 3, (600, dim)).astype(float)
@@ -189,11 +186,11 @@ class TestSipRows:
         assert np.array_equal(got, np.zeros(50)) and not np.any(np.signbit(got))
 
     def test_derivative_mode_loops_over_sip(self, rng):
-        space = SipSpace(NormSpec.pnorm(3.0, 2), sip_mode="derivative")
+        spec = NormSpec.pnorm(3.0, 2)
         X, Y = _rows(rng, 20, 2), _rows(rng, 20, 2)
         Y[::5] = 0.0
-        expected = _scalar(lambda x, y: _loop_sip_derivative(space.norm, x, y), X, Y)
-        assert np.array_equal(sip_rows(space, X, Y), expected)
+        expected = _scalar(lambda x, y: _loop_sip_derivative(spec, x, y), X, Y)
+        assert np.array_equal(sip_derivative_rows(spec, X, Y), expected)
 
     def test_custom_gauge_loops(self, rng):
         spec = NormSpec.custom_gauge(lambda v: float(np.abs(v[0]) + 2.0 * np.abs(v[1])), 2)
@@ -202,14 +199,12 @@ class TestSipRows:
         assert np.array_equal(sip_rows(spec, X, Y), _scalar(lambda x, y: _loop_sip_derivative(spec, x, y), X, Y))
 
     def test_row_kernel_of_a_space_is_sip_rows(self, rng):
-        space = SipSpace.pnorm(3.0, 2)
+        space = NormSpec.pnorm(3.0, 2)
         X, Y = _rows(rng, 30, 2), _rows(rng, 30, 2)
         assert np.array_equal(row_kernel(space)(X, Y), sip_rows(space, X, Y))
-        assert np.array_equal(row_kernel(BoundNorm(space.norm))(X), norm_rows(space, X))
-        assert BoundNorm(space.norm)(X[0]) == norm(space, X[0])
 
     def test_rejects_single_vectors_and_wrong_width(self):
-        space = SipSpace.euclidean(2)
+        space = NormSpec.euclidean(2)
         with pytest.raises(DimensionError):
             sip_rows(space, np.zeros(2), np.zeros(2))
         with pytest.raises(DimensionError):
@@ -624,7 +619,7 @@ class TestTrialFunctionsMatchTheLoop:
     @pytest.mark.parametrize("seed", [0, 5])
     @pytest.mark.parametrize("name", sorted(SMOOTH_SPACES) + ["max2"])
     def test_sip_axiom_report(self, seed, name):
-        space = SMOOTH_SPACES.get(name) or SipSpace.max_norm(2)
+        space = SMOOTH_SPACES.get(name) or NormSpec.max_norm(2)
         report = sip_axiom_report(space, Seed(seed), 150)
         loop = _loop_product_axiom_report(lambda u, v: sip(space, u, v), space.dim, seed, 150, lambda v: norm(space, v))
         for check, tracker in zip(report.checks, loop):
@@ -666,7 +661,7 @@ class TestTrialFunctionsMatchTheLoop:
     def test_strict_convexity_witness_sampled_search(self, seed, name):
         # the max norm returns its fixed flat pair before sampling; the l1
         # gauge is not strictly convex either, so its sampled search finds one
-        l1 = SipSpace(NormSpec.custom_gauge(lambda v: float(np.sum(np.abs(v))), 2))
+        l1 = NormSpec.custom_gauge(lambda v: float(np.sum(np.abs(v))), 2)
         space = l1 if name == "l1_gauge" else SMOOTH_SPACES[name]
         expected = _loop_strict_convexity_witness(space, seed, 800)
         assert (expected is not None) == (name == "l1_gauge")
@@ -821,7 +816,7 @@ class TestSpaceTimeTrialsMatchTheLoop:
         if name == "non_isometry":
             assert prod.residual > 0.1 and adj.residual > 0.1
 
-    @pytest.mark.parametrize("space", [SipSpace.euclidean(2), SipSpace.pnorm(3.0, 2)], ids=["euclidean", "p3"])
+    @pytest.mark.parametrize("space", [NormSpec.euclidean(2), NormSpec.pnorm(3.0, 2)], ids=["euclidean", "p3"])
     @pytest.mark.parametrize("F", [np.array([[0.6, -0.8], [0.8, 0.6]]), np.array([[2.0, 0.5], [0.0, 1.0]])])
     def test_sip_preservation_residual(self, space, F):
         got = sip_preservation_residual(space, F, Seed(7), 200)
@@ -852,7 +847,7 @@ class TestSpaceTimeTrialsMatchTheLoop:
 
 def _loop_sample_s(rng, space, radius=1.2):
     s = rng.uniform(-radius, radius, space.k)
-    if space.s_space.norm.kind == "max" and space.k >= 2:
+    if space.s_space.kind == "max" and space.k >= 2:
         a = np.sort(np.abs(s))
         if a[-1] - a[-2] < 1e-3:
             s[int(np.argmax(np.abs(s)))] *= 1.1
@@ -925,7 +920,7 @@ def _loop_derivative_identity_residual(space, x, y, z):
     ny = norm(space, y)
     if not np.any(y):
         raise DomainError("norm derivative is undefined at the origin")
-    second = central_diff(lambda t: _loop_norm_first_derivative(space.norm, x, y + t * z), 0.0, second_diff_step(ny))
+    second = central_diff(lambda t: _loop_norm_first_derivative(space, x, y + t * z), 0.0, second_diff_step(ny))
     if np.any(z):
         dsip = central_diff(lambda t: sip(space, x, y + t * z), 0.0, first_diff_step(ny))
     else:
@@ -936,7 +931,7 @@ def _loop_derivative_identity_residual(space, x, y, z):
 def _loop_suite_sip_axioms_mode_agreement(cfg):
     trackers = []
     for name, block in (("s", cfg.space().s_space), ("t", cfg.space().t_space)):
-        if not block.norm.is_smooth:
+        if not block.is_smooth:
             continue
         rng = Seed(cfg.seed).rng()
         track = ResidualTracker(f"{name}.mode_agreement")
@@ -945,13 +940,13 @@ def _loop_suite_sip_axioms_mode_agreement(cfg):
             y = rng.uniform(-1.5, 1.5, block.dim)
             if not np.any(y):
                 continue
-            track.update(sip(block, x, y) - _loop_sip_derivative(block.norm, x, y), x, y)
+            track.update(sip(block, x, y) - _loop_sip_derivative(block, x, y), x, y)
         trackers.append(track)
     return trackers
 
 
 def _loop_suite_theorem2(cfg, rng=None):
-    block = cfg.s_sip()
+    block = cfg.s_norm()
     rng = Seed(cfg.seed).rng() if rng is None else rng
     track = ResidualTracker("identity_residual")
     skipped = 0
@@ -1245,12 +1240,12 @@ class TestSpaceTimeKernels:
 
     @pytest.mark.parametrize("name", sorted(SMOOTH_SPACES) + ["max2"])
     def test_derivative_route(self, rng, name):
-        spec = SMOOTH_SPACES.get(name, SipSpace.max_norm(2)).norm
+        spec = SMOOTH_SPACES.get(name, NormSpec.max_norm(2))
         X, Y = _rows(rng, 500, spec.dim), _rows(rng, 500, spec.dim)
         Y[::13] = 0.0
         X[::13] = np.nan  # rows with y = 0 are never evaluated
         expected = [_loop_sip_derivative(spec, x, y) for x, y in zip(X, Y)]
-        assert np.array_equal(sip_rows(SipSpace(spec, sip_mode="derivative"), X, Y), expected)
+        assert np.array_equal(sip_derivative_rows(spec, X, Y), expected)
 
     @pytest.mark.parametrize("name", sorted(SMOOTH_SPACES))
     def test_derivative_identity_residual(self, rng, name):
@@ -1338,7 +1333,7 @@ def _full_argmax_pair(U):
 def _full_sip_orthogonal_pair(space, tolerances):
     """The s.i.p.-orthogonal pair search on full grid matrices of the same
     products, [U[i], U[j]] = U[i] . R[j] with R[j, k] = [e_k, U[j]]."""
-    U = ortho._unit_vectors(space.norm, np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False))
+    U = ortho._unit_vectors(space, np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False))
     R = np.stack([sip_rows(space, np.broadcast_to(e, U.shape), U) for e in np.eye(2)], axis=1)
     S = U[:, 0][:, None] * R[:, 0][None, :] + U[:, 1][:, None] * R[:, 1][None, :]
     resid = np.maximum(np.abs(S), np.abs(S.T))
@@ -1372,7 +1367,7 @@ def _loop_suite_orthogonality(cfg, rng=None):
     """The suite's rows, and how many trials each loop skipped or rejected."""
     rows, skipped = [], {"agreement": 0, "homogeneity": 0, "gram": 0}
     tol = cfg.tolerances
-    euclid = SipSpace.euclidean(2)
+    euclid = NormSpec.euclidean(2)
     rng = Seed(cfg.seed).rng() if rng is None else rng
     agree = True
     for _ in range(10):
@@ -1386,7 +1381,7 @@ def _loop_suite_orthogonality(cfg, rng=None):
                 agree = False
     rows.append(suites._row("orthogonality", "euclidean_agreement", agree))
 
-    block = cfg.s_sip()
+    block = cfg.s_norm()
     if block.dim < 2:
         rows += suites._not_applicable("orthogonality", "needs an S block of dimension 2 or more", "sip_implies_birkhoff")
     else:
@@ -1442,7 +1437,7 @@ def _loop_suite_orthogonality(cfg, rng=None):
     rows.append(suites._row("orthogonality", "gs_neutral_start_raises", neutral_ok))
 
     if block.dim == 2:
-        u, v = _loop_auerbach_basis_2d(block.norm, tol.opt_tol)
+        u, v = _loop_auerbach_basis_2d(block, tol.opt_tol)
         deficiency = 0.0
         for a, b in ((u, v), (v, u)):
             mn, _ = _loop_birkhoff_margin(block, a, b, tol.opt_tol)
@@ -1496,7 +1491,7 @@ class TestOrthogonalityKernels:
     """The row kernels behind the orthogonality suite against the scalar
     helpers they replaced, bit for bit."""
 
-    SPACES = {**SMOOTH_SPACES, "max2": SipSpace.max_norm(2), "max3": SipSpace.max_norm(3)}
+    SPACES = {**SMOOTH_SPACES, "max2": NormSpec.max_norm(2), "max3": NormSpec.max_norm(3)}
 
     @pytest.mark.parametrize("name", sorted(SPACES))
     def test_relation_rows_and_birkhoff_margins(self, rng, name):
@@ -1525,7 +1520,7 @@ class TestOrthogonalityKernels:
 
     def test_relation_rows_reject_mismatched_shapes(self):
         with pytest.raises(DimensionError):
-            ortho.relation_rows(SipSpace.euclidean(2), ortho.OrthoRelation.SIP, np.zeros((3, 2)), np.zeros((2, 2)))
+            ortho.relation_rows(NormSpec.euclidean(2), ortho.OrthoRelation.SIP, np.zeros((3, 2)), np.zeros((2, 2)))
 
     @pytest.mark.parametrize("product", [SiipSpace.diagonal((1, 1, -1)), lambda a, b: float(a @ b)], ids=["diag", "dot"])
     def test_regular_orthogonalization(self, rng, product):
@@ -1574,7 +1569,7 @@ class TestOrthogonalityKernels:
                                            NormSpec.pnorm(4.0, 2), NormSpec.max_norm(2)],
                              ids=["euclidean", "p1.5", "p3", "p4", "max"])
     def test_sip_orthogonal_pair_matches_the_full_matrix_search(self, norm_spec, eq_tol):
-        space, tolerances = SipSpace(norm_spec), Tolerances(eq_tol=eq_tol)
+        space, tolerances = norm_spec, Tolerances(eq_tol=eq_tol)
         try:
             expected = _full_sip_orthogonal_pair(space, tolerances)
         except ConvergenceError as err:
@@ -1586,13 +1581,13 @@ class TestOrthogonalityKernels:
 
     @pytest.mark.parametrize("name", ["euclidean2", "pnorm3", "max2"])
     def test_auerbach_basis(self, name):
-        spec = self.SPACES[name].norm
+        spec = self.SPACES[name]
         expected = _loop_auerbach_basis_2d(spec)
         got = ortho.auerbach_basis_2d(spec)
         assert all(np.array_equal(g, e) for g, e in zip(got, expected))
 
     def test_auerbach_angle_search_out_of_budget_raises_the_reference_best(self, monkeypatch):
-        spec = self.SPACES["pnorm3"].norm
+        spec = self.SPACES["pnorm3"]
         with pytest.raises(ConvergenceError) as ref:
             _loop_auerbach_basis_2d(spec, max_iter=5)
         capped = lambda f, X0, opt_tol, max_iter: minimize_rows(f, X0, opt_tol, 5)
@@ -1607,8 +1602,8 @@ class TestOrthogonalityKernels:
     def test_auerbach_pair_margins_match_a_margin_call_on_the_block(self, name):
         # the orthogonality suite takes these margins in place of its own call
         block = self.SPACES[name]
-        pair, margins = ortho.auerbach_pair_2d(block.norm)
-        assert all(np.array_equal(p, e) for p, e in zip(pair, ortho.auerbach_basis_2d(block.norm)))
+        pair, margins = ortho.auerbach_pair_2d(block)
+        assert all(np.array_equal(p, e) for p, e in zip(pair, ortho.auerbach_basis_2d(block)))
         assert np.array_equal(margins, ortho.birkhoff_margin_rows(block, pair, pair[::-1])[0])
 
 
@@ -1630,7 +1625,7 @@ class TestGramMatrixRows:
         "product, scalar, dim",
         [
             (SiipSpace.diagonal((1, 1, -1)), lambda u, v: _reference_siip(SiipSpace.diagonal((1, 1, -1)), u, v), 3),
-            (SipSpace.pnorm(3.0, 2), lambda u, v: _reference_sip(SipSpace.pnorm(3.0, 2), u, v), 2),
+            (NormSpec.pnorm(3.0, 2), lambda u, v: _reference_sip(NormSpec.pnorm(3.0, 2), u, v), 2),
             (BoundProduct(max_norm_spacetime(), "+"), lambda u, v: _reference_product(max_norm_spacetime(), u, v, "+"), 3),
             (_twisted, _twisted, 2),
         ],
@@ -1754,10 +1749,11 @@ class TestOneRowEntryPoints:
     errors of its product."""
 
     CALLS = {
-        "norm": (lambda x: norm(SipSpace.pnorm(3.0, 2), x), 1, 2),
+        "norm": (lambda x: norm(NormSpec.pnorm(3.0, 2), x), 1, 2),
         "norm_gauge": (lambda x: norm(NormSpec.custom_gauge(lambda v: float(np.abs(v).sum()), 2), x), 1, 2),
-        "sip_max": (lambda x, y: sip(SipSpace.max_norm(3), x, y), 2, 3),
-        "sip_derivative": (lambda x, y: sip(SipSpace(NormSpec.pnorm(3.0, 2), sip_mode="derivative"), x, y), 2, 2),
+        "sip_max": (lambda x, y: sip(NormSpec.max_norm(3), x, y), 2, 3),
+        # a custom gauge takes the derivative route
+        "sip_derivative": (lambda x, y: sip(NormSpec.custom_gauge(lambda v: float(np.abs(v).sum()), 2), x, y), 2, 2),
         "product_plus": (lambda u, v: mink.product_plus(max_norm_spacetime(), u, v), 2, 3),
         "product_minus": (lambda u, v: mink.product_minus(max_norm_spacetime(), u, v), 2, 3),
         "siip_diagonal": (lambda u, v: siip(SiipSpace.diagonal((1, -1, 1)), u, v), 2, 3),

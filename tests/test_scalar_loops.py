@@ -17,7 +17,7 @@ import pytest
 from sipmink import ortho
 from sipmink.errors import ConvergenceError, DomainError, NumericalError
 from sipmink.minkowski import GeneralizedMinkowskiSpace, embed, max_norm_spacetime, product_plus, product_plus_rows
-from sipmink.norms import NormSpec, SipSpace, norm
+from sipmink.norms import NormSpec, norm
 from sipmink.numerics import (
     Seed,
     Tolerances,
@@ -305,7 +305,7 @@ class TestAuerbachBasisCheck:
         "pnorm3": GeneralizedMinkowskiSpace.from_norms(NormSpec.pnorm(3.0, 2), NormSpec.euclidean(1)),
         "max": max_norm_spacetime(),
         "dim1": GeneralizedMinkowskiSpace.pseudo_euclidean(1),
-        "two_by_two": GeneralizedMinkowskiSpace(SipSpace.pnorm(4.0, 2), SipSpace.euclidean(2)),
+        "two_by_two": GeneralizedMinkowskiSpace(NormSpec.pnorm(4.0, 2), NormSpec.euclidean(2)),
     }
     # an S pair 1e-8 off orthogonal makes the products small but nonzero
     TILTED = (np.array([1.0, 0.0]), np.array([math.sin(1e-8), math.cos(1e-8)]))
