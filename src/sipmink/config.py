@@ -1,8 +1,9 @@
 """Flat key-value run configuration for the command-line harness.
 
 Grammar: one ``key = value`` pair per line, dotted keys, ``#`` comments
-(outside quotes).  Strings may be quoted; numbers are bare.  Unknown keys
-are rejected with the line and column of the offending token.
+(outside quotes).  Strings may be quoted, and their quotes must pair up;
+numbers are bare.  Unknown keys and unpaired quotes are rejected with the
+line and column of the offending token.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from .norms import NormSpec
 from .numerics import Tolerances
 
 _NORM_KINDS = ("euclidean", "pnorm", "max")
-_UNCOMMENTED = re.compile(r"""(?:[^#"']|"[^"]*"|'[^']*'|["'])*""")  # a line up to its first # outside quotes
+# a line up to its first # outside quotes, or to its first quote that does not pair up
+_UNCOMMENTED = re.compile(r"""(?:[^#"']|"[^"]*"|'[^']*')*""")
 
 # config key -> (field of RunConfig, or of Tolerances for "tol." keys; value type)
 KNOWN_KEYS = {
@@ -94,8 +96,9 @@ def parse_config(text: str) -> dict:
     """Parse config text to a {key: value} mapping, validating keys."""
     values: dict = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = _UNCOMMENTED.match(line).group()
-        if not stripped.strip():
+        end = _UNCOMMENTED.match(line).end()
+        stripped, unpaired = line[:end], line[end : end + 1] in ("'", '"')
+        if not (stripped.strip() or unpaired):
             continue
         if "=" not in stripped:
             raise UsageError(
@@ -111,6 +114,12 @@ def parse_config(text: str) -> dict:
         if key in values:
             raise UsageError(
                 f"line {lineno}: duplicate key {key!r}", line=lineno, column=col
+            )
+        if unpaired:  # where the value ends is not guessed
+            raise UsageError(
+                f"line {lineno}, column {end + 1}: unpaired quote {line[end]!r} in the value of key {key!r}",
+                line=lineno,
+                column=end + 1,
             )
         vcol = line.find("=") + 2
         values[key] = _parse_value(key, value_part, lineno, vcol)

@@ -29,7 +29,7 @@ from .errors import (
     UnsupportedError,
 )
 from .minkowski import GeneralizedMinkowskiSpace, embed, product_plus, product_plus_rows, split
-from .norms import norm_batch, norm_rows, sip_rows
+from .norms import MAX, norm_batch, norm_rows, sip_rows
 from .numerics import DEFAULT_TOLERANCES, Tolerances, check_dim, minimize_rows, reduce_last, simpson_weights
 
 _EPS3 = float(np.finfo(float).eps) ** (1.0 / 3.0)
@@ -249,29 +249,41 @@ def _quadrature_grid(quad_m: int) -> tuple[np.ndarray, np.ndarray]:
     return grid
 
 
-def _segment_lengths(space, seg_starts: np.ndarray, seg_deltas: np.ndarray, quad_m: int, buf=None) -> np.ndarray:
-    """Arc lengths of chord lifts: S runs straight from start to start+delta,
-    tau follows the lift.  Velocities use a central difference of the lifted
-    tau along the chord parameter; the S velocity is the constant delta.
-    Simpson grid from _quadrature_grid; PathError if a velocity turns time-like.
-    The batch runs coordinate-major: the forward- and backward-shifted points
-    and the deltas fill one (2 nq + 1, k, n) buffer for one norm_batch call,
-    so each elementwise pass runs over long rows, not numpy's loop over a
-    short last axis.  ``buf`` is that buffer and a (2 nq + 1, n) one for the norms.
-    A (G, S, k) batch is G groups of S segments, each group with its own
-    space-like floor, and gives (G, S) lengths; an (n, k) batch is one group."""
-    shape, groups, k = seg_deltas.shape[:-1], len(seg_deltas) if seg_deltas.ndim == 3 else 1, seg_deltas.shape[-1]
-    S, D = seg_starts.reshape(-1, k).T, seg_deltas.reshape(-1, k).T
+def _segment_lengths(space, seg_starts: np.ndarray, seg_deltas: np.ndarray, quad_m: int, buf=None, groups: int = 1) -> np.ndarray:
+    """Arc lengths of the chord lifts of n segments, given as (n, k) starts
+    and deltas: S runs straight from start to start+delta, tau follows the
+    lift.  Velocities use a central difference of the lifted tau along the
+    chord parameter; the S velocity is the constant delta.  Simpson grid
+    from _quadrature_grid; PathError if a velocity turns time-like.
+
+    The kernel runs coordinate-major: it reads the starts and deltas as their
+    (k, n) transposes, so a caller that fills contiguous (k, n) buffers and
+    passes their ``.T`` pays no strided reads.  The forward- and
+    backward-shifted points and the deltas fill one (2 nq + 1, k, n) buffer.
+    A max norm is the np.maximum of its k coordinate planes, exact and so
+    norm_batch's bits; every other norm takes one norm_batch call on the row
+    view.  ``buf`` is that buffer and a (2 nq + 1, n) one for the norms.
+    Segment j belongs to group j % ``groups`` (a node-wise candidate), and
+    each group has its own space-like floor, so its lengths do not depend on
+    the rest of the batch."""
+    S, D = seg_starts.T, seg_deltas.T
     sig, weights = _quadrature_grid(quad_m)
-    n, nq = D.shape[1], sig.size
+    (k, n), nq = D.shape, sig.size
     B, sq = (np.empty((2 * nq + 1, k, n)), np.empty((2 * nq + 1, n))) if buf is None else buf
     fwd, P, off = B[:nq], B[nq:-1], B[-1]
     np.add(S, np.multiply(sig[:, None, None], D, out=P), out=P)  # P = S + sig D, then P + off, then P - off
     np.add(P, np.multiply(_EPS3, D, out=off), out=fwd)
     np.subtract(P, off, out=P)
     off[...] = D
-    rows = B.transpose(0, 2, 1)
-    np.square(norm_batch(space.s_space, rows if k < 8 else rows.copy(), sq), out=sq)  # numpy adds 8+ terms pairwise on a row-major row
+    if space.s_space.kind == MAX:  # the np.maximum of the coordinate planes of |B|; B is not read again
+        planes = np.abs(B, out=B)
+        norms = np.maximum(planes[:, 0], planes[:, -1], out=sq)  # at k = 1, max(x, x) = x
+        for j in range(1, k - 1):
+            np.maximum(norms, planes[:, j], out=norms)
+    else:
+        rows = B.transpose(0, 2, 1)
+        norms = norm_batch(space.s_space, rows if k < 8 else rows.copy(), sq)  # numpy adds 8+ terms pairwise on a row-major row
+    np.square(norms, out=sq)
     tau = sq[:-1]  # the lift at P+off, then at P-off
     np.sqrt(np.add(tau, 1.0, out=tau), out=tau)
     dtau = np.subtract(tau[:nq], tau[nq:], out=tau[:nq])
@@ -280,24 +292,28 @@ def _segment_lengths(space, seg_starts: np.ndarray, seg_deltas: np.ndarray, quad
     rad = np.subtract(speed2, np.square(dtau, out=dtau), out=dtau)
     low = rad.ravel()  # below the highest floor, or a nan: check each group's (argmin costs less than fmin.reduce)
     if not low[low.argmin()] >= -1e-11:
-        floor = -1e-11 * np.fmax(1.0, np.maximum.reduce(speed2.reshape(groups, -1), axis=1, initial=0.0))
-        if (rad.reshape(nq, groups, -1) < floor[:, None]).any():
+        floor = -1e-11 * np.fmax(1.0, np.maximum.reduce(speed2.reshape(-1, groups), axis=0, initial=0.0))
+        if (rad.reshape(nq, -1, groups) < floor).any():
             raise PathError("curve velocity left the space-like regime")
     g = tau[nq:].reshape(n, nq)  # (n, nq), so the Simpson sum is one row-major matrix-vector product
     np.maximum(rad, 0.0, out=g.T)
-    return np.sqrt(g, out=g).dot(weights).reshape(shape)
+    return np.sqrt(g, out=g).dot(weights)
+
+
+def _chord_lengths(space, s_nodes: np.ndarray, quad_m: int) -> np.ndarray:
+    """The _segment_lengths of the m segments of a path's (m + 1, k) nodes."""
+    return _segment_lengths(space, s_nodes[:-1], s_nodes[1:] - s_nodes[:-1], quad_m)
 
 
 def path_length(space: GeneralizedMinkowskiSpace, path: Path, quad_m: int = 4) -> float:
     """Sum of per-segment Simpson integrals of the tangential speed."""
     _require_spacetime(space)
     quad_m = _check_count("quad_m", quad_m, even=True)
-    S = path.s_matrix
-    return float(np.sum(_segment_lengths(space, S[:-1], S[1:] - S[:-1], quad_m)))
+    return float(np.sum(_chord_lengths(space, path.s_matrix, quad_m)))
 
 
 def _path_energy(space, s_nodes: np.ndarray, quad_m: int) -> float:
-    L = _segment_lengths(space, s_nodes[:-1], s_nodes[1:] - s_nodes[:-1], quad_m)
+    L = _chord_lengths(space, s_nodes, quad_m)
     return float((s_nodes.shape[0] - 1) * np.sum(L * L))
 
 
@@ -372,6 +388,39 @@ def _relax_gradient(space, s_nodes: np.ndarray, quad_m: int, max_iter: int) -> n
     return s_nodes
 
 
+class _NodeObjective:
+    """The objective of one _relax_simplex step for minimize_rows: at each
+    candidate P of problem r, the squared lengths of the segments lo[r] -> P
+    and P -> hi[r], summed.  It writes the starts and deltas coordinate-major,
+    every left segment then every right one, into (k, 2N) buffers it owns
+    with the chord-lift buffers.  minimize_rows passes one rows array until a
+    row leaves the batch, so the buffers and lo[rows], hi[rows] are built
+    once per rows array."""
+
+    def __init__(self, space, lo: np.ndarray, hi: np.ndarray, quad_m: int):
+        self.space, self.lo, self.hi, self.quad_m, self.rows = space, lo, hi, quad_m, None
+
+    def _build(self, rows: np.ndarray, k: int):
+        N, nq = len(rows), _quadrature_grid(self.quad_m)[0].size
+        S, D = np.empty((k, 2 * N)), np.empty((k, 2 * N))
+        S[:, :N] = self.lo[rows].T
+        self.rows, self.N, self.starts, self.deltas = rows, N, S.T, D.T  # (2N, k) views, as _segment_lengths takes them
+        self.lo_t, self.points, self.left, self.right = S[:, :N], S[:, N:], D[:, :N], D[:, N:]
+        self.hi_t = np.ascontiguousarray(self.hi[rows].T)
+        self.chord = np.empty((2 * nq + 1, k, 2 * N)), np.empty((2 * nq + 1, 2 * N))
+
+    def __call__(self, rows: np.ndarray, P: np.ndarray) -> np.ndarray:
+        if rows is not self.rows:
+            self._build(rows, P.shape[1])
+        Pt, N = P.T, self.N
+        self.points[...] = Pt
+        np.subtract(Pt, self.lo_t, out=self.left)
+        np.subtract(self.hi_t, Pt, out=self.right)
+        L = _segment_lengths(self.space, self.starts, self.deltas, self.quad_m, self.chord, N)
+        L *= L
+        return np.add(L[:N], L[N:], out=L[:N])  # as np.add.reduce sums two squares
+
+
 def _relax_simplex(space, s_nodes: np.ndarray, quad_m: int, sweeps: int, opt_tol: float) -> np.ndarray:
     """Node-wise simplex relaxation (works for non-smooth S norms too).
 
@@ -394,17 +443,7 @@ def _relax_simplex(space, s_nodes: np.ndarray, quad_m: int, sweeps: int, opt_tol
                 s = np.arange(sweeps)
                 s = s[(t - lag * s >= 1) & (t - lag * s < m)]
                 i = t - lag * s
-                x0, lo, hi = hist[s, i], hist[s + 1, i - 1], hist[s, i + 1]
-
-                def local(rows, P, lo=lo, hi=hi):
-                    seg = np.empty((2, len(P), 2, P.shape[1]))  # each candidate's starts, then deltas
-                    seg[0, :, 0], seg[0, :, 1] = lo[rows], P
-                    np.subtract(P, seg[0, :, 0], out=seg[1, :, 0])
-                    np.subtract(hi[rows], P, out=seg[1, :, 1])
-                    L = _segment_lengths(space, seg[0], seg[1], quad_m)
-                    L *= L
-                    return L[:, 0] + L[:, 1]  # as np.add.reduce sums two squares
-
+                x0, local = hist[s, i], _NodeObjective(space, hist[s + 1, i - 1], hist[s, i + 1], quad_m)
                 best, _, _ = minimize_rows(local, x0, opt_tol=max(opt_tol, 1e-8), max_iter=300)  # out of budget: the best point
                 hist[s + 1, i] = best
                 moved[s] = np.fmax(moved[s], np.max(np.abs(best - x0), axis=1))
@@ -458,7 +497,7 @@ def geodesic_path(
             sn = _relax_gradient(space, sn, quad_m, max_iter=300 if ml == m else 80)
         else:
             sn = _relax_simplex(space, sn, quad_m, sweeps=8 if ml == m else 3, opt_tol=tolerances.opt_tol)
-    length = float(np.sum(_segment_lengths(space, sn[:-1], sn[1:] - sn[:-1], quad_m)))
+    length = float(np.sum(_chord_lengths(space, sn, quad_m)))
     if not np.isfinite(length):
         raise ConvergenceError("path relaxation produced a non-finite length", best_value=length)
     return Path.from_s_nodes(space, sn), length

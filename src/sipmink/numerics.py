@@ -410,7 +410,9 @@ def _trial_points_2(verts, opt_tol):
 def _second_point(fr, verts) -> int:
     """The trial point a step evaluates after a reflection of value ``fr``:
     1 the expansion, 2 or 3 the contraction towards the reflection or
-    towards the worst vertex, 0 none."""
+    towards the worst vertex, 0 none.  A contraction replaces the worst
+    vertex if its value is below min(fr, worst value); otherwise the step
+    shrinks.  _nelder_mead's step loop applies this rule written out."""
     if fr < verts[0][0]:
         return 1
     if fr < verts[-2][0]:
@@ -418,39 +420,26 @@ def _second_point(fr, verts) -> int:
     return 3 if fr >= verts[-1][0] else 2
 
 
-def _outcome(vals, verts):
-    """The trial point that replaces the worst vertex (an index as in
-    :func:`_second_point`, 0 the reflection), or None for a shrink; reads
-    only the values of the points the step evaluates."""
-    fr = vals[0]
-    k = _second_point(fr, verts)
-    if k == 1:
-        return 1 if vals[1] < fr else 0
-    if k and not vals[k] < min(fr, verts[-1][0]):
-        return None
-    return k
-
-
-def _sequential_values(f, rows, batch, n, s0):
-    """One step's values, asked for as the sequential descent asks: one call
-    for the reflections of all rows, one for the second points of the rows
-    that need one, one for the shrinks (points s0 on); each call's values
-    are checked before the next.  Unevaluated entries stay NaN, unread."""
-    vals = [[math.nan] * (s0 + n) for _ in batch]
-    fr = _finite_rows(f(rows, np.array([pts[:n] for _, _, pts in batch])), "minimize")
-    for v, x in zip(vals, fr.tolist()):
-        v[0] = x
-    second = [(i, k) for i, ((_, verts, _), v) in enumerate(zip(batch, vals)) if (k := _second_point(v[0], verts))]
+def _sequential_values(f, rows, batch, n, per):
+    """One step's values, flat, ``per`` a row, asked for as the sequential
+    descent asks: one call for the reflections of all rows, one for the
+    second points of the rows that need one, one for the shrinks (the last n
+    points of a row); each call's values are checked before the next.
+    Unevaluated entries stay NaN, unread."""
+    vals = [math.nan] * (per * len(batch))
+    fr = _finite_rows(f(rows, np.array([pts[:n] for _, _, pts in batch])), "minimize").tolist()
+    vals[::per] = fr
+    second = [(i, k) for i, (_, verts, _) in enumerate(batch) if (k := _second_point(fr[i], verts))]
     if second:
         P = np.array([batch[i][2][k * n : (k + 1) * n] for i, k in second])
         for (i, k), x in zip(second, _finite_rows(f(rows[[i for i, _ in second]], P), "minimize").tolist()):
-            vals[i][k] = x
-    shrink = [i for i, _ in second if _outcome(vals[i], batch[i][1]) is None]
+            vals[i * per + k] = x
+    shrink = [i for i, k in second if k > 1 and not vals[i * per + k] < min(fr[i], batch[i][1][-1][0])]
     if shrink:
-        P = np.array([batch[i][2][s0 * n :] for i in shrink]).reshape(-1, n)
+        P = np.array([batch[i][2][(per - n) * n :] for i in shrink]).reshape(-1, n)
         values = _finite_rows(f(np.repeat(rows[shrink], n), P), "minimize").reshape(-1, n)
         for i, row in zip(shrink, values.tolist()):
-            vals[i][s0:] = row
+            vals[(i + 1) * per - n : (i + 1) * per] = row
     return vals
 
 
@@ -470,7 +459,8 @@ def _nelder_mead(f, X0, opt_tol, max_iter, speculate):
     best_x, best_f, converged = np.empty_like(X0), np.empty(count), np.ones(count, dtype=bool)
     trial = {1: _trial_points_1, 2: _trial_points_2}.get(n, _trial_points)
     s0 = 3 if n == 1 else 4  # the first shrink point; for n = 1 it is the contraction towards the worst vertex
-    per, rows = s0 + n, np.arange(0)
+    per, rows = s0 + n, np.arange(count)
+    spread = np.repeat(rows, per)
     caller = np.geterr()  # a speculative call raises where the caller's state would warn or raise
     quiet = {key: "ignore" if state == "ignore" else "raise" for key, state in caller.items()}
 
@@ -485,29 +475,35 @@ def _nelder_mead(f, X0, opt_tol, max_iter, speculate):
                 else:
                     batch.append((r, verts, pts))
                     coords += pts
-            live = [(r, verts) for r, verts, _ in batch]
-            if not batch:
-                break
-            if len(rows) != len(batch):  # rows only leave the batch
+            if len(batch) < len(live):  # rows only leave the batch
+                live = [(r, verts) for r, verts, _ in batch]
                 rows = np.array([r for r, _ in live])
                 spread = np.repeat(rows, per)
+            if not batch:
+                break
             vals = None
             if speculate:
                 try:
-                    spec = np.asarray(f(spread, np.array(coords).reshape(-1, n)), dtype=float).tolist()
-                    if math.isfinite(sum(spec)):  # a sum that overflows only costs the redo
-                        vals = [spec[i : i + per] for i in range(0, len(spec), per)]
+                    vals = np.asarray(f(spread, np.array(coords).reshape(-1, n)), dtype=float).tolist()
+                    if not math.isfinite(sum(vals)):  # a sum that overflows only costs the redo
+                        vals = None
                 except Exception:  # redone below in the sequential order, which raises what that order raises
                     pass
             if vals is None:
                 with np.errstate(**caller):
-                    vals = _sequential_values(f, rows, batch, n, s0)
-            for (_, verts, pts), v in zip(batch, vals):
-                k = _outcome(v, verts)
-                if k is None:
-                    verts[1:] = [(v[s0 + i], tuple(pts[(s0 + i) * n : (s0 + 1 + i) * n])) for i in range(n)]
+                    vals = _sequential_values(f, rows, batch, n, per)
+            for o, (_, verts, pts) in zip(range(0, len(vals), per), batch):  # the rule of _second_point, written out
+                fr = vals[o]
+                if fr < verts[0][0]:
+                    k = 1 if vals[o + 1] < fr else 0
+                elif fr < verts[-2][0]:
+                    k = 0
                 else:
-                    verts[-1] = (v[k], tuple(pts[k * n : (k + 1) * n]))
+                    k = 3 if fr >= verts[-1][0] else 2
+                    if not vals[o + k] < min(fr, verts[-1][0]):  # a shrink towards the best vertex
+                        verts[1:] = [(vals[o + s0 + i], tuple(pts[(s0 + i) * n : (s0 + 1 + i) * n])) for i in range(n)]
+                        continue
+                verts[-1] = (vals[o + k], tuple(pts[k * n : (k + 1) * n]))
 
     for r, verts in live:
         best_f[r], best_x[r] = min(verts, key=_VALUE)

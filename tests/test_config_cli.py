@@ -90,6 +90,22 @@ class TestConfigParsing:
     def test_a_hash_starts_a_comment_only_outside_quotes(self, line, value):
         assert parse_config(line + "\n") == {"out": value}
 
+    @pytest.mark.parametrize(
+        "line, column",
+        [
+            ('out = "open#x', 7),  # not the value "open, cut at the #
+            ("out = 'open", 7),
+            ('out =   open"', 13),
+            ("out = it's.csv", 9),
+            ('out = "a"b"', 11),
+            ('seed = 4"', 9),
+        ],
+    )
+    def test_a_quote_that_does_not_pair_up_is_rejected(self, line, column):
+        with pytest.raises(UsageError, match=f"^line 1, column {column}: unpaired quote .* of key '{line.split()[0]}'$") as err:
+            parse_config(line + "\n")
+        assert (err.value.line, err.value.column) == (1, column)
+
     def test_pnorm_without_p_rejected(self):
         with pytest.raises(UsageError):
             config_from_mapping({"space.s.norm": "pnorm"})
@@ -310,6 +326,14 @@ class TestOutFromConfig:
         cfg.write_text(f'out = "{tmp_path / "run#1.csv"}"  # the first run\n')
         assert main(["classify", "0,0,1", "--config", str(cfg)]) == 0
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run#1.csv", "run.cfg"]
+
+    def test_an_unpaired_quote_in_the_config_out_writes_nothing(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.cfg").write_text('out = "open#x\n')
+        assert main(["classify", "0,0,1", "--config", "run.cfg"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1 and err.startswith("error: ") and "'out'" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
 
     def test_verify_defaults_to_verify_report_csv(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -10,6 +10,7 @@ from sipmink.errors import ConvergenceError, DomainError, NumericalError, PathEr
 from sipmink.hyperboloid import (
     _EPS3,
     HPoint,
+    _NodeObjective,
     Path,
     _energy_gradient,
     _path_energy,
@@ -52,6 +53,8 @@ GAUGE_SPACE = GeneralizedMinkowskiSpace.from_norms(
     NormSpec.custom_gauge(lambda v: float(abs(v[0]) + 2.0 * abs(v[1])), 2), NormSpec.euclidean(1)
 )
 MAX31 = GeneralizedMinkowskiSpace.from_norms(NormSpec.max_norm(3), NormSpec.euclidean(1))
+MAX11 = GeneralizedMinkowskiSpace.from_norms(NormSpec.max_norm(1), NormSpec.euclidean(1))
+MAX91 = GeneralizedMinkowskiSpace.from_norms(NormSpec.max_norm(9), NormSpec.euclidean(1))
 
 
 def hyperbolic_distance(space, a, b):
@@ -374,11 +377,12 @@ def _three_call_segment_lengths(space, seg_starts, seg_deltas, quad_m):
 
 
 class TestSegmentLengths:
-    # k = 1, 2 and 3; at k = 9 numpy adds the squares pairwise, which follows the memory layout
+    # k = 1, 2 and 3; at k = 9 numpy adds the squares pairwise, which follows the memory layout;
+    # a max block takes the np.maximum of its k coordinate planes, at every k
     @pytest.mark.parametrize(
         "space",
-        [PSEUDO21, P3SPACE, REMARK, GAUGE_SPACE, PSEUDO11, PSEUDO31, PSEUDO91],
-        ids=["euclidean", "p3", "max", "gauge", "pseudo11", "pseudo31", "pseudo91"],
+        [PSEUDO21, P3SPACE, REMARK, GAUGE_SPACE, PSEUDO11, PSEUDO31, PSEUDO91, MAX11, MAX31, MAX91],
+        ids=["euclidean", "p3", "max", "gauge", "pseudo11", "pseudo31", "pseudo91", "max11", "max31", "max91"],
     )
     # 1 and 2 segments (a node-wise local objective), 4k(m-1) at m=32 (an energy gradient)
     @pytest.mark.parametrize("segments", [1, 2, 4 * 2 * 31])
@@ -389,10 +393,10 @@ class TestSegmentLengths:
         deltas = rng.uniform(-0.4, 0.4, (segments, space.k))
         expected = _three_call_segment_lengths(space, starts, deltas, quad_m)
         assert np.array_equal(_segment_lengths(space, starts, deltas, quad_m), expected)
-        # the same segments as a (G, S, k) batch of node-wise candidates
-        shape = (segments // 2, 2) if segments % 2 == 0 else (segments, 1)
-        grouped = _segment_lengths(space, starts.reshape(*shape, -1), deltas.reshape(*shape, -1), quad_m)
-        assert np.array_equal(grouped, expected.reshape(shape))
+        # the same segments read from coordinate-major buffers, as node-wise candidates with their own floors
+        groups = segments // 2 if segments % 2 == 0 else segments
+        by_coordinate = [np.ascontiguousarray(a.T).T for a in (starts, deltas)]
+        assert np.array_equal(_segment_lengths(space, *by_coordinate, quad_m, groups=groups), expected)
 
     @pytest.mark.parametrize("segments", [1, 3])
     def test_time_like_chord_raises_the_same_path_error(self, segments):
@@ -432,25 +436,44 @@ class TestSegmentLengths:
 
     @pytest.mark.parametrize("space", [REMARK, PSEUDO21, P3SPACE], ids=["max", "euclidean", "p3"])
     def test_group_lengths_do_not_depend_on_the_batch(self, space):
-        # a Nelder-Mead step evaluates each candidate node as one group of a
-        # (G, 2, k) batch whose make-up changes from step to step, so a
-        # group's lengths must be those of the group alone at every position
+        # a Nelder-Mead step evaluates each candidate node P of a problem
+        # (lo, hi) as the segments lo -> P and P -> hi of one _NodeObjective
+        # batch whose make-up changes from step to step, so a candidate's
+        # value must be that of its two lengths alone at every position
         rng = np.random.default_rng(48)
-        starts, deltas = rng.uniform(-1.5, 1.5, (48, 2, 2)), rng.uniform(-0.4, 0.4, (48, 2, 2))
-        groups = [(starts[5].copy(), deltas[5].copy())]
+        lo, mid, hi = rng.uniform(-1.5, 1.5, (3, 48, 2))
+        candidates = [(lo[5].copy(), mid[5].copy(), hi[5].copy())]
         if space is REMARK:
-            # a far radial chord whose radicand sits just above its own
-            # space-like floor, and below every other group's
-            near = np.array([[56911.0, 0.0], [0.5, 0.2]]), np.array([[1667.0, 0.0], [0.1, -0.2]])
-            rad, speed2 = _reference_radicand(space, *near, 4)
-            assert -1e-11 * float(np.max(speed2)) < float(np.min(rad)) < -1e-11
-            groups.append(near)
-        for S, D in groups:
-            alone = _segment_lengths(space, S[None], D[None], 4)[0]
+            # a short radial chord far out, then a far radial chord: both radicands sit
+            # below every other candidate's space-like floor, and above this candidate's,
+            # which the far chord sets for the short one too
+            far = np.array([56910.9, 0.0]), np.array([56911.0, 0.0]), np.array([58578.0, 0.0])
+            rad, speed2 = _reference_radicand(space, np.array(far[:2]), np.array([far[1] - far[0], far[2] - far[1]]), 4)
+            assert np.all((-1e-11 * float(np.max(speed2)) < rad.min(axis=1)) & (rad.min(axis=1) < -1e-11))
+            candidates.append(far)
+        for a, x, b in candidates:
+            left, right = _segment_lengths(space, np.array([a, x]), np.array([x - a, b - x]), 4)
+            alone = left * left + right * right
             for at in range(48):
-                batch_s, batch_d = starts.copy(), deltas.copy()
-                batch_s[at], batch_d[at] = S, D
-                assert np.array_equal(_segment_lengths(space, batch_s, batch_d, 4)[at], alone)
+                L, X, H = lo.copy(), mid.copy(), hi.copy()
+                L[at], X[at], H[at] = a, x, b
+                rows = np.arange(48)
+                assert _NodeObjective(space, L, H, 4)(rows, X)[at] == alone
+                # a second call on the same rows reuses the objective's buffers; a
+                # smaller rows array, as when a row leaves the batch, builds new ones
+                objective = _NodeObjective(space, L, H, 4)
+                objective(rows, np.roll(X, 1, axis=0))
+                assert objective(rows, X)[at] == alone
+                left_batch = rows[rows != (at + 1) % 48]
+                assert objective(left_batch, X[left_batch])[np.flatnonzero(left_batch == at)[0]] == alone
+        if space is REMARK:
+            # two short radial chords far out make a time-like candidate, alone and
+            # beside the far chord, whose floor is not its own
+            short = np.array([99999.9, 0.0]), np.array([1e5, 0.0]), np.array([100000.1, 0.0])
+            for batch in ([short], [far, short], [short, far]):
+                L, X, H = (np.array(column) for column in zip(*batch))
+                with pytest.raises(PathError):
+                    _NodeObjective(space, L, H, 4)(np.arange(len(batch)), X)
 
 
 class TestSolverAssembly:
@@ -605,6 +628,15 @@ class TestWavefrontRelaxation:
         monkeypatch.setattr(hyperboloid, "_relax_simplex", lambda *args, **kw: _reference_relax_simplex(*args, **kw, ran=ran))
         assert geodesic_distance(REMARK, a, b, 16) == got
         assert ran == [3, 3, 7]
+
+    def test_far_max_pair_makes_the_recorded_number_of_length_calls(self, monkeypatch):
+        # one _segment_lengths call per start simplex and per Nelder-Mead step of every
+        # level, and one for the final length: 3554, as counted before the node-wise
+        # objective owned its buffers, so a speed-up cannot come from skipping an evaluation
+        calls, real = [], hyperboloid._segment_lengths
+        monkeypatch.setattr(hyperboloid, "_segment_lengths", lambda *args, **kw: calls.append(1) or real(*args, **kw))
+        geodesic_distance(REMARK, lift(REMARK, [1000.0, 0.0]), lift(REMARK, [0.0, 1000.0]), 16)
+        assert len(calls) == 3554
 
     def test_nan_gauge_raises_what_the_loop_raises(self, monkeypatch):
         # a gauge that is NaN outside a ball, drawn after custom_gauge's spot checks
