@@ -34,6 +34,7 @@ from .numerics import DEFAULT_TOLERANCES, Tolerances, check_dim, minimize_rows, 
 
 _EPS3 = float(np.finfo(float).eps) ** (1.0 / 3.0)
 _GRADIENT_STEP = 1e-6  # the +-h of every central difference in _energy_gradient
+_PAIR_BUDGET = 1000  # drawn pairs per pair asked of sample_pairs without a cap; the stock spaces need 1 or 2
 
 
 def _require_spacetime(space: GeneralizedMinkowskiSpace):
@@ -249,6 +250,37 @@ def _quadrature_grid(quad_m: int) -> tuple[np.ndarray, np.ndarray]:
     return grid
 
 
+class _ChordPlan:
+    """The work arrays of _segment_lengths calls on n segments of k
+    coordinates at quad_m, and every view the kernel takes of them.
+
+    ``coef`` is the column [sigma..., eps, -eps] spread over (nq + 2, k, n),
+    so one contiguous multiply by the deltas D gives every sigma D and both
+    shifts in ``scaled``, whose first nq planes then take the Simpson points
+    P = S + sigma D.  ``B`` holds P + eps D and P - eps D, from one add, then
+    D itself: a caller that writes D into ``delta`` and passes ``deltas``
+    saves the copy.  ``sq`` holds the norms of B's planes, then the lifts at
+    the shifted points; the radicands go to its backward half, read as the
+    (n, nq) Simpson rows."""
+
+    def __init__(self, k: int, n: int, quad_m: int):
+        sig, self.weights = _quadrature_grid(quad_m)
+        nq = sig.size
+        self.coef = np.repeat(np.concatenate([sig, [_EPS3, -_EPS3]]), k * n).reshape(nq + 2, k, n)
+        self.scaled = np.empty((nq + 2, k, n))
+        self.points, self.shifts = self.scaled[:nq], self.scaled[nq:, None]
+        self.B = np.empty((2 * nq + 1, k, n))
+        self.shifted, self.delta = self.B[:-1].reshape(2, nq, k, n), self.B[-1]
+        self.deltas = self.delta.T
+        self.first, self.last, self.middle = self.B[:, 0], self.B[:, -1], [self.B[:, j] for j in range(1, k - 1)]
+        self.row_view = self.B.transpose(0, 2, 1)
+        self.copy_rows = k >= 8  # numpy adds 8+ terms pairwise on a row-major row
+        self.sq = np.empty((2 * nq + 1, n))
+        self.tau, self.fwd, self.bwd, self.speed2 = self.sq[:-1], self.sq[:nq], self.sq[nq:-1], self.sq[-1]
+        self.simpson = self.bwd.reshape(n, nq)  # so the Simpson sum is one row-major matrix-vector product
+        self.radicands, self.low = self.simpson.T, self.simpson.reshape(-1)  # (nq, n), and flat
+
+
 def _segment_lengths(space, seg_starts: np.ndarray, seg_deltas: np.ndarray, quad_m: int, buf=None, groups: int = 1) -> np.ndarray:
     """Arc lengths of the chord lifts of n segments, given as (n, k) starts
     and deltas: S runs straight from start to start+delta, tau follows the
@@ -258,46 +290,43 @@ def _segment_lengths(space, seg_starts: np.ndarray, seg_deltas: np.ndarray, quad
 
     The kernel runs coordinate-major: it reads the starts and deltas as their
     (k, n) transposes, so a caller that fills contiguous (k, n) buffers and
-    passes their ``.T`` pays no strided reads.  The forward- and
-    backward-shifted points and the deltas fill one (2 nq + 1, k, n) buffer.
-    A max norm is the np.maximum of its k coordinate planes, exact and so
-    norm_batch's bits; every other norm takes one norm_batch call on the row
-    view.  ``buf`` is that buffer and a (2 nq + 1, n) one for the norms.
-    Segment j belongs to group j % ``groups`` (a node-wise candidate), and
-    each group has its own space-like floor, so its lengths do not depend on
-    the rest of the batch."""
-    S, D = seg_starts.T, seg_deltas.T
-    sig, weights = _quadrature_grid(quad_m)
-    (k, n), nq = D.shape, sig.size
-    B, sq = (np.empty((2 * nq + 1, k, n)), np.empty((2 * nq + 1, n))) if buf is None else buf
-    fwd, P, off = B[:nq], B[nq:-1], B[-1]
-    np.add(S, np.multiply(sig[:, None, None], D, out=P), out=P)  # P = S + sig D, then P + off, then P - off
-    np.add(P, np.multiply(_EPS3, D, out=off), out=fwd)
-    np.subtract(P, off, out=P)
-    off[...] = D
+    passes their ``.T`` pays no strided reads.  ``buf`` is a _ChordPlan for
+    (k, n, quad_m): the work arrays and their views, built once by the level
+    that owns it (_relax_gradient's one per level, _relax_simplex's one per
+    batch size) and rewritten by every call; without one the call builds its
+    own.  A max norm is the np.maximum of its k coordinate planes, exact and
+    so norm_batch's bits; every other norm takes one norm_batch call on the
+    row view.  Segment j belongs to group j % ``groups`` (a node-wise
+    candidate), and each group has its own space-like floor, so its lengths
+    do not depend on the rest of the batch."""
+    plan = _ChordPlan(seg_starts.shape[1], len(seg_starts), quad_m) if buf is None else buf
+    if seg_deltas is not plan.deltas:
+        plan.delta[...] = seg_deltas.T
+    np.multiply(plan.coef, plan.delta, out=plan.scaled)  # sigma D, eps D, -eps D
+    P = np.add(seg_starts.T, plan.points, out=plan.points)
+    np.add(P, plan.shifts, out=plan.shifted)  # P + eps D, then P + -eps D, which is P - eps D bit for bit
+    sq = plan.sq
     if space.s_space.kind == MAX:  # the np.maximum of the coordinate planes of |B|; B is not read again
-        planes = np.abs(B, out=B)
-        norms = np.maximum(planes[:, 0], planes[:, -1], out=sq)  # at k = 1, max(x, x) = x
-        for j in range(1, k - 1):
-            np.maximum(norms, planes[:, j], out=norms)
+        np.abs(plan.B, out=plan.B)
+        norms = np.maximum(plan.first, plan.last, out=sq)  # at k = 1, max(x, x) = x
+        for plane in plan.middle:
+            np.maximum(norms, plane, out=norms)
     else:
-        rows = B.transpose(0, 2, 1)
-        norms = norm_batch(space.s_space, rows if k < 8 else rows.copy(), sq)  # numpy adds 8+ terms pairwise on a row-major row
+        norms = norm_batch(space.s_space, plan.row_view.copy() if plan.copy_rows else plan.row_view, sq)
     np.square(norms, out=sq)
-    tau = sq[:-1]  # the lift at P+off, then at P-off
+    tau = plan.tau  # the lift at P + eps D, then at P - eps D
     np.sqrt(np.add(tau, 1.0, out=tau), out=tau)
-    dtau = np.subtract(tau[:nq], tau[nq:], out=tau[:nq])
+    dtau = np.subtract(plan.fwd, plan.bwd, out=plan.fwd)
     dtau /= 2.0 * _EPS3
-    speed2 = sq[-1]
-    rad = np.subtract(speed2, np.square(dtau, out=dtau), out=dtau)
-    low = rad.ravel()  # below the highest floor, or a nan: check each group's (argmin costs less than fmin.reduce)
+    rad = np.subtract(plan.speed2, np.square(dtau, out=dtau), out=plan.radicands)
+    g = plan.simpson
+    low = plan.low  # below the highest floor, or a nan: check each group's (argmin costs less than fmin.reduce)
     if not low[low.argmin()] >= -1e-11:
-        floor = -1e-11 * np.fmax(1.0, np.maximum.reduce(speed2.reshape(-1, groups), axis=0, initial=0.0))
-        if (rad.reshape(nq, -1, groups) < floor).any():
+        floor = -1e-11 * np.fmax(1.0, np.maximum.reduce(plan.speed2.reshape(-1, groups), axis=0, initial=0.0))
+        if (rad.reshape(len(rad), -1, groups) < floor).any():
             raise PathError("curve velocity left the space-like regime")
-    g = tau[nq:].reshape(n, nq)  # (n, nq), so the Simpson sum is one row-major matrix-vector product
-    np.maximum(rad, 0.0, out=g.T)
-    return np.sqrt(g, out=g).dot(weights)
+    np.maximum(g, 0.0, out=g)
+    return np.sqrt(g, out=g).dot(plan.weights)
 
 
 def _chord_lengths(space, s_nodes: np.ndarray, quad_m: int) -> np.ndarray:
@@ -318,7 +347,7 @@ def _path_energy(space, s_nodes: np.ndarray, quad_m: int) -> float:
 
 
 @lru_cache(maxsize=8)
-def _gradient_plan(m: int, k: int) -> np.ndarray:
+def _gradient_indices(m: int, k: int) -> np.ndarray:
     """The (2, k, 4k(m-1) + m) indices of the starts and the ends of the
     segments of an _energy_gradient call, coordinate-major, into the flat
     nodes followed by the interior coordinates moved by +h, then by -h.
@@ -328,32 +357,42 @@ def _gradient_plan(m: int, k: int) -> np.ndarray:
     moved = np.repeat(node[1:-1, None, :, None], k, axis=1).repeat(2, axis=3)  # [node - 1, c, coordinate, sign]
     moved[:, np.arange(k), np.arange(k)] = node[:-2, :, None] + [(m + 1) * k, 2 * m * k]
     moved, rep = moved.transpose(0, 1, 3, 2).reshape(-1, k), np.repeat(node, 2 * k, axis=0)
-    plan = np.stack([np.concatenate([rep[: -4 * k], moved, node[:-1]]).T, np.concatenate([moved, rep[4 * k :], node[1:]]).T])
-    plan.flags.writeable = False
-    return plan
+    indices = np.stack([np.concatenate([rep[: -4 * k], moved, node[:-1]]).T, np.concatenate([moved, rep[4 * k :], node[1:]]).T])
+    indices.flags.writeable = False
+    return indices
 
 
-def _gradient_buffers(m: int, k: int, quad_m: int) -> tuple:
-    """Work arrays of an _energy_gradient call at m segments: the gathered [x, x+h, x-h],
-    the (2, k, R) starts and ends, and the chord-lift buffers of _segment_lengths."""
-    n, rows = 4 * k * (m - 1) + m, 2 * quad_m + 3
-    return np.empty((3 * m - 1) * k), np.empty((2, k, n)), (np.empty((rows, k, n)), np.empty((rows, n)))
+class _GradientPlan(_ChordPlan):
+    """The _ChordPlan of the _energy_gradient calls of one level at m
+    segments, with their gather arrays: the flat [x, x+h, x-h] (``nodes``,
+    ``up``, ``down``) and the (2, k, R) starts and ends it is gathered into."""
+
+    def __init__(self, m: int, k: int, quad_m: int):
+        size, q = (m + 1) * k, k * (m - 1)
+        super().__init__(k, 4 * q + m, quad_m)
+        self.indices = _gradient_indices(m, k)
+        self.gather = np.empty(size + 2 * q)
+        self.nodes, self.up, self.down = self.gather[:size], self.gather[size : size + q], self.gather[size + q :]
+        self.starts_ends = np.empty((2, k, 4 * q + m))
+        self.starts = self.starts_ends[0].T
 
 
-def _energy_gradient(space, s_nodes: np.ndarray, quad_m: int, bufs=None, out=None) -> tuple[np.ndarray, float]:
+def _energy_gradient(space, s_nodes: np.ndarray, quad_m: int, plan=None, out=None) -> tuple[np.ndarray, float]:
     """Central-difference gradient of the path energy w.r.t. interior nodes
     (in ``out`` when given), and the energy itself (equal to _path_energy).
     A moved node changes only its two segments, so all 4k(m-1) perturbed ones
-    and the m path segments take one length call, gathered by _gradient_plan;
-    only the moved coordinate gets +h or -h, the others are copied.  ``bufs``: see _gradient_buffers."""
+    and the m path segments take one length call, gathered by _gradient_indices;
+    only the moved coordinate gets +h or -h, the others are copied.  ``plan``:
+    the level's _GradientPlan."""
     m, k, h = s_nodes.shape[0] - 1, s_nodes.shape[1], _GRADIENT_STEP
     x, q = s_nodes.ravel(), 2 * k * (m - 1)
-    gather, starts_ends, chord = _gradient_buffers(m, k, quad_m) if bufs is None else bufs
-    gather[: x.size] = x
-    np.add(x[k:-k], h, out=gather[x.size : x.size + q // 2])
-    np.subtract(x[k:-k], h, out=gather[x.size + q // 2 :])
-    starts, ends = gather.take(_gradient_plan(m, k), None, starts_ends, "clip")
-    L = _segment_lengths(space, starts.T, np.subtract(ends, starts, out=ends).T, quad_m, buf=chord)
+    plan = _GradientPlan(m, k, quad_m) if plan is None else plan
+    plan.nodes[...] = x
+    np.add(x[k:-k], h, out=plan.up)
+    np.subtract(x[k:-k], h, out=plan.down)
+    starts, ends = plan.gather.take(plan.indices, None, plan.starts_ends, "clip")
+    np.subtract(ends, starts, out=plan.delta)
+    L = _segment_lengths(space, plan.starts, plan.deltas, quad_m, buf=plan)
     L *= L
     pair = np.add(L[:q], L[q : 2 * q], out=L[:q])  # (node, coordinate, sign), flat
     np.multiply(m, pair, out=pair)
@@ -365,17 +404,17 @@ def _energy_gradient(space, s_nodes: np.ndarray, quad_m: int, bufs=None, out=Non
 
 def _relax_gradient(space, s_nodes: np.ndarray, quad_m: int, max_iter: int) -> np.ndarray:
     """Barzilai-Borwein descent on the path energy (smooth S norms).  The
-    level owns the work arrays of its _energy_gradient calls, the two live
+    level owns the _GradientPlan of its _energy_gradient calls, the two live
     gradients and the last point; each step writes the nodes in place."""
     inner = s_nodes[1:-1]
-    bufs = _gradient_buffers(s_nodes.shape[0] - 1, s_nodes.shape[1], quad_m)
+    plan = _GradientPlan(s_nodes.shape[0] - 1, s_nodes.shape[1], quad_m)
     x, (work, g, g_new) = inner.copy(), (np.empty_like(inner) for _ in range(3))
     s, w = x.ravel(), work.ravel()  # flat views: the step; the gradient change, then |g|
-    g, e = _energy_gradient(space, s_nodes, quad_m, bufs, g)
+    g, e = _energy_gradient(space, s_nodes, quad_m, plan, g)
     alpha = 1e-3 / max(1e-12, float(w[np.abs(g, out=work).argmax()]))  # argmax: cheaper than a reduction, nan wins
     for _ in range(max_iter):
         np.subtract(x, np.multiply(alpha, g, out=work), out=inner)  # the new point x - alpha g
-        g_new, e_new = _energy_gradient(space, s_nodes, quad_m, bufs, g_new)
+        g_new, e_new = _energy_gradient(space, s_nodes, quad_m, plan, g_new)
         np.subtract(inner, x, out=x)
         np.subtract(g_new, g, out=work)
         sy = float(s.dot(w))
@@ -388,35 +427,48 @@ def _relax_gradient(space, s_nodes: np.ndarray, quad_m: int, max_iter: int) -> n
     return s_nodes
 
 
+class _NodePlan(_ChordPlan):
+    """The _ChordPlan of _NodeObjective calls on N candidates, with the
+    (k, 3N) block [lo | P | hi] of the candidates P and their problems'
+    neighbours: the starts [lo | P] and the ends [P | hi] of the 2N segments
+    are two views of it, so one subtract writes every delta."""
+
+    def __init__(self, k: int, N: int, quad_m: int):
+        super().__init__(k, 2 * N, quad_m)
+        block = np.empty((k, 3 * N))
+        self.lo, self.nodes, self.hi = block[:, :N], block[:, N : 2 * N], block[:, 2 * N :]
+        self.earlier, self.later = block[:, : 2 * N], block[:, N:]
+        self.starts = self.earlier.T
+
+
 class _NodeObjective:
     """The objective of one _relax_simplex step for minimize_rows: at each
     candidate P of problem r, the squared lengths of the segments lo[r] -> P
-    and P -> hi[r], summed.  It writes the starts and deltas coordinate-major,
-    every left segment then every right one, into (k, 2N) buffers it owns
-    with the chord-lift buffers.  minimize_rows passes one rows array until a
-    row leaves the batch, so the buffers and lo[rows], hi[rows] are built
-    once per rows array."""
+    and P -> hi[r], summed, every left segment then every right one.  The
+    _NodePlan of each batch size comes from ``plans``, which the level keeps
+    across its steps; minimize_rows passes one rows array until a row leaves
+    the batch, so lo[rows] and hi[rows] are gathered into the plan once per
+    rows array."""
 
-    def __init__(self, space, lo: np.ndarray, hi: np.ndarray, quad_m: int):
-        self.space, self.lo, self.hi, self.quad_m, self.rows = space, lo, hi, quad_m, None
+    def __init__(self, space, lo: np.ndarray, hi: np.ndarray, quad_m: int, plans: dict):
+        self.space, self.lo, self.hi, self.quad_m, self.plans, self.rows = space, lo.T, hi.T, quad_m, plans, None
 
-    def _build(self, rows: np.ndarray, k: int):
-        N, nq = len(rows), _quadrature_grid(self.quad_m)[0].size
-        S, D = np.empty((k, 2 * N)), np.empty((k, 2 * N))
-        S[:, :N] = self.lo[rows].T
-        self.rows, self.N, self.starts, self.deltas = rows, N, S.T, D.T  # (2N, k) views, as _segment_lengths takes them
-        self.lo_t, self.points, self.left, self.right = S[:, :N], S[:, N:], D[:, :N], D[:, N:]
-        self.hi_t = np.ascontiguousarray(self.hi[rows].T)
-        self.chord = np.empty((2 * nq + 1, k, 2 * N)), np.empty((2 * nq + 1, 2 * N))
+    def _gather(self, rows: np.ndarray, k: int):
+        N = len(rows)
+        plan = self.plans.get(N)
+        if plan is None:
+            plan = self.plans[N] = _NodePlan(k, N, self.quad_m)
+        self.lo.take(rows, 1, plan.lo, "clip")
+        self.hi.take(rows, 1, plan.hi, "clip")
+        self.rows, self.plan = rows, plan
 
     def __call__(self, rows: np.ndarray, P: np.ndarray) -> np.ndarray:
         if rows is not self.rows:
-            self._build(rows, P.shape[1])
-        Pt, N = P.T, self.N
-        self.points[...] = Pt
-        np.subtract(Pt, self.lo_t, out=self.left)
-        np.subtract(self.hi_t, Pt, out=self.right)
-        L = _segment_lengths(self.space, self.starts, self.deltas, self.quad_m, self.chord, N)
+            self._gather(rows, P.shape[1])
+        plan, N = self.plan, len(rows)
+        plan.nodes[...] = P.T
+        np.subtract(plan.later, plan.earlier, out=plan.delta)  # [P - lo | hi - P]
+        L = _segment_lengths(self.space, plan.starts, plan.deltas, self.quad_m, plan, N)
         L *= L
         return np.add(L[:N], L[N:], out=L[:N])  # as np.add.reduce sums two squares
 
@@ -434,7 +486,7 @@ def _relax_simplex(space, s_nodes: np.ndarray, quad_m: int, sweeps: int, opt_tol
     NumericalError the level reruns at lag m-1, one node per step in the
     loop's own order, so it raises what that loop raises.
     """
-    m = s_nodes.shape[0] - 1
+    m, plans = s_nodes.shape[0] - 1, {}  # the _NodePlan of each batch size
     for lag in (2, m - 1):
         hist = np.repeat(s_nodes[None], sweeps + 1, axis=0)  # hist[s]: the nodes after s sweeps
         moved, last = np.zeros(sweeps), sweeps
@@ -443,7 +495,7 @@ def _relax_simplex(space, s_nodes: np.ndarray, quad_m: int, sweeps: int, opt_tol
                 s = np.arange(sweeps)
                 s = s[(t - lag * s >= 1) & (t - lag * s < m)]
                 i = t - lag * s
-                x0, local = hist[s, i], _NodeObjective(space, hist[s + 1, i - 1], hist[s, i + 1], quad_m)
+                x0, local = hist[s, i], _NodeObjective(space, hist[s + 1, i - 1], hist[s, i + 1], quad_m, plans)
                 best, _, _ = minimize_rows(local, x0, opt_tol=max(opt_tol, 1e-8), max_iter=300)  # out of budget: the best point
                 hist[s + 1, i] = best
                 moved[s] = np.fmax(moved[s], np.max(np.abs(best - x0), axis=1))
@@ -530,15 +582,24 @@ def path_to_csv(path: Path) -> str:
 def sample_pairs(space: GeneralizedMinkowskiSpace, rng, count: int, window=(0.2, 2.5), radius=1.2, attempts=None) -> list:
     """Seeded pairs (a, b) of H+ with arccosh(max(1, -[a, b]^+)) in the closed
     ``window``.  Each attempt lifts ``rng.uniform(-radius, radius, k)`` for a,
-    then for b; sampling stops after ``count`` kept or ``attempts`` drawn pairs."""
+    then for b; sampling stops after ``count`` kept or ``attempts`` drawn pairs.
+    Without ``attempts``, ConvergenceError once 1000 * ``count`` drawn pairs
+    kept fewer than ``count``: a drawn pair's distance grows with k, so the
+    chance that it falls in the window drops exponentially."""
     low, high = window
+    cap = _PAIR_BUDGET * count if attempts is None else attempts
     pairs, drawn = [], 0
-    while len(pairs) < count and (attempts is None or drawn < attempts):
+    while len(pairs) < count and drawn < cap:
         drawn += 1
         a = lift(space, rng.uniform(-radius, radius, space.k))
         b = lift(space, rng.uniform(-radius, radius, space.k))
         if low <= float(np.arccosh(max(1.0, -product_plus(space, a.vector, b.vector)))) <= high:
             pairs.append((a, b))
+    if attempts is None and len(pairs) < count:
+        raise ConvergenceError(
+            f"sample_pairs: {len(pairs)} of {count} pairs in the window [{low}, {high}] "
+            f"within its budget of {cap} drawn pairs"
+        )
     return pairs
 
 

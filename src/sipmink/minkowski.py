@@ -22,9 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DomainError, UnsupportedError
+from .errors import ConvergenceError, DomainError, UnsupportedError
 from .norms import EUCLIDEAN, NormSpec, sip_rows
 from .numerics import DEFAULT_TOLERANCES, DrawStream, Tolerances, as_seed, as_uniform, check_dim
+
+
+_CONE_BUDGET = 1000  # blocks of draws cone_convexity_check may take; the stock 2+1 spaces take under one
 
 
 class VectorClass(enum.Enum):
@@ -234,10 +237,12 @@ def cone_convexity_check(
     A trial draws, in this order: candidates for a (n draws each) until one
     lies in T+, the same for b, the weight mu, the scale |lam|, its sign and
     v (n draws).  The draws come from a :class:`~sipmink.numerics.DrawStream`
-    in rounds: a round peeks at the draws left over plus a fresh block,
-    classifies the candidate at every offset in one call, walks the
-    rejections of the whole trials that fit in plain Python, and takes what
-    those trials used.
+    in rounds of one block: a round classifies the candidate at every offset
+    of the next block in one call, walks the rejections in plain Python and
+    takes what it walked, carrying a trial that runs past the block into the
+    next round.  After 1000 blocks of draws short of ``trials`` it raises
+    :class:`ConvergenceError`: T+ fills a share of the candidates' cube that
+    shrinks exponentially with the dimension.
     """
     if not space.is_spacetime_model:
         raise UnsupportedError("cone decomposition needs a one-dimensional T block")
@@ -248,30 +253,39 @@ def cone_convexity_check(
     n = space.n
     tail = 3 + n  # mu, |lam|, sign, v
     block = trials * (10 * n + tail)  # 1.4-1.7 times what the stock 2+1 spaces use
-    size, wanted, parts = block, trials, []  # parts: the (a, b, tail) rows of each round
-    while wanted:
-        U = stream.peek(size)
+    budget = _CONE_BUDGET * block
+    pairs, tails, carry, done, drawn = [], [], np.empty((0, n)), 0, 0  # carry: the a (and b) of a trial in progress
+    while done < trials:
+        if drawn >= budget:
+            raise ConvergenceError(
+                f"cone_convexity_check: {done} of {trials} trials found a time-like pair within its budget of {budget} draws"
+            )
+        U = stream.peek(block)
         C = as_uniform(sliding_window_view(U, n), -1.0, 1.0)  # the candidate at every offset
         C[:, -1] = np.abs(C[:, -1]) + 0.05
         ok = ((classify_rows(space, C, tol) == VectorClass.TIME_LIKE) & (C[:, -1] > 0)).tolist()
-        offsets, p = [], 0  # of a, b and the tail of each whole trial in U
-        while len(offsets) < wanted:
-            a = p
-            while a < len(ok) and not ok[a]:
-                a += n
-            b = a + n
-            while b < len(ok) and not ok[b]:
-                b += n
-            if b + n + tail > len(U):  # the trial runs past U
+        found, ends, p = [], [], 0  # offsets in U of the a's and b's, and of the tails
+        while done + len(ends) < trials:
+            if len(carry) + len(found) < 2 * (len(ends) + 1):
+                while p < len(ok) and not ok[p]:
+                    p += n
+                if p >= len(ok):  # the next candidate runs past U
+                    break
+                found.append(p)
+                p += n
+            elif p + tail <= len(U):
+                ends.append(p)
+                p += tail
+            else:
                 break
-            offsets.append((a, b, b + n))
-            p = b + n + tail
-        a, b, t = np.array(offsets, dtype=np.intp).reshape(-1, 3).T
-        parts.append((C[a], C[b], U[t[:, None] + np.arange(tail)]))
         stream.take(p)
-        wanted -= len(offsets)
-        size += block - p
-    A, B, T = (np.concatenate(column) for column in zip(*parts))
+        drawn += p
+        rows = np.concatenate([carry, C[np.array(found, dtype=np.intp)]])  # a, b of each trial in turn
+        pairs.append(rows[: 2 * len(ends)])
+        tails.append(U[np.array(ends, dtype=np.intp)[:, None] + np.arange(tail)])
+        carry, done = rows[2 * len(ends) :], done + len(ends)
+    AB, T = np.concatenate(pairs), np.concatenate(tails)
+    A, B = AB[0::2], AB[1::2]
     mu = as_uniform(T[:, 0], 0.0, 1.0)
     lam = as_uniform(T[:, 1], 0.1, 3.0) * np.where(T[:, 2] < 0.5, 1.0, -1.0)
     V = as_uniform(T[:, 3:], -1.5, 1.5)

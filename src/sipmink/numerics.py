@@ -455,7 +455,7 @@ def _nelder_mead(f, X0, opt_tol, max_iter, speculate):
     sim[:, np.arange(1, n + 1), np.arange(n)] += edge[:, None]
     fv = _finite_rows(f(np.repeat(np.arange(count), n + 1), sim.reshape(count * (n + 1), n)), "minimize")
     fv = fv.reshape(count, n + 1).tolist()
-    live = [(r, [(v, tuple(p)) for v, p in zip(vs, ps)]) for r, (vs, ps) in enumerate(zip(fv, sim.tolist()))]
+    live = [(r, list(zip(vs, ps))) for r, (vs, ps) in enumerate(zip(fv, sim.tolist()))]
     best_x, best_f, converged = np.empty_like(X0), np.empty(count), np.ones(count, dtype=bool)
     trial = {1: _trial_points_1, 2: _trial_points_2}.get(n, _trial_points)
     s0 = 3 if n == 1 else 4  # the first shrink point; for n = 1 it is the contraction towards the worst vertex
@@ -484,7 +484,7 @@ def _nelder_mead(f, X0, opt_tol, max_iter, speculate):
             vals = None
             if speculate:
                 try:
-                    vals = np.asarray(f(spread, np.array(coords).reshape(-1, n)), dtype=float).tolist()
+                    vals = np.asarray(f(spread, np.array(coords, dtype=float).reshape(-1, n)), dtype=float).tolist()
                     if not math.isfinite(sum(vals)):  # a sum that overflows only costs the redo
                         vals = None
                 except Exception:  # redone below in the sequential order, which raises what that order raises
@@ -501,9 +501,9 @@ def _nelder_mead(f, X0, opt_tol, max_iter, speculate):
                 else:
                     k = 3 if fr >= verts[-1][0] else 2
                     if not vals[o + k] < min(fr, verts[-1][0]):  # a shrink towards the best vertex
-                        verts[1:] = [(vals[o + s0 + i], tuple(pts[(s0 + i) * n : (s0 + 1 + i) * n])) for i in range(n)]
+                        verts[1:] = [(vals[o + s0 + i], pts[(s0 + i) * n : (s0 + 1 + i) * n]) for i in range(n)]
                         continue
-                verts[-1] = (vals[o + k], tuple(pts[k * n : (k + 1) * n]))
+                verts[-1] = (vals[o + k], pts[k * n : (k + 1) * n])
 
     for r, verts in live:
         best_f[r], best_x[r] = min(verts, key=_VALUE)

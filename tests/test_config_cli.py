@@ -209,6 +209,17 @@ class TestCliCommands:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("numerical failure: ")
 
+    # in a 40-dimensional S block neither rejection sampler finds what it draws for: T+ fills
+    # too little of the cone check's cube, and no drawn pair falls in the geodesic-cosh window
+    @pytest.mark.parametrize("suite, sampler", [("cone", "cone_convexity_check"), ("geodesic-cosh", "sample_pairs")])
+    def test_a_sampler_out_of_budget_is_a_numerical_failure(self, capsys, tmp_path, suite, sampler):
+        cfg = tmp_path / "dim40.cfg"
+        cfg.write_text("space.s.dim = 40\ntrials = 2\n")
+        assert main(["verify", suite, "--config", str(cfg), "--out", str(tmp_path / "report.csv")]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and not (tmp_path / "report.csv").exists()
+        assert err.count("\n") == 1 and err.startswith(f"numerical failure: {sampler}: ") and "budget of" in err
+
     def test_p_on_a_euclidean_block_is_a_usage_error(self, capsys, tmp_path):
         cfg = tmp_path / "euclidean_p.cfg"
         cfg.write_text('space.s.norm = "euclidean"\nspace.s.p = 3\n')

@@ -411,7 +411,7 @@ class TestSegmentLengths:
             _segment_lengths(PSEUDO21, starts, deltas, 4)
         assert str(err.value) == str(ref.value)
 
-    @pytest.mark.parametrize("space", [PSEUDO21, P3SPACE, PSEUDO91], ids=["euclidean", "p3", "pseudo91"])
+    @pytest.mark.parametrize("space", [PSEUDO21, P3SPACE, PSEUDO91, REMARK], ids=["euclidean", "p3", "pseudo91", "max"])
     def test_overflowing_squares_warn_as_the_reference_does(self, space):
         # near 1e155 a squared norm overflows, so each tau is inf and their difference nan;
         # under -W error the first of these warnings is the failure, so the order must hold
@@ -451,6 +451,7 @@ class TestSegmentLengths:
             rad, speed2 = _reference_radicand(space, np.array(far[:2]), np.array([far[1] - far[0], far[2] - far[1]]), 4)
             assert np.all((-1e-11 * float(np.max(speed2)) < rad.min(axis=1)) & (rad.min(axis=1) < -1e-11))
             candidates.append(far)
+        plans = {}  # one level's plans: every objective below takes the plan of its batch size from them
         for a, x, b in candidates:
             left, right = _segment_lengths(space, np.array([a, x]), np.array([x - a, b - x]), 4)
             alone = left * left + right * right
@@ -458,14 +459,17 @@ class TestSegmentLengths:
                 L, X, H = lo.copy(), mid.copy(), hi.copy()
                 L[at], X[at], H[at] = a, x, b
                 rows = np.arange(48)
-                assert _NodeObjective(space, L, H, 4)(rows, X)[at] == alone
-                # a second call on the same rows reuses the objective's buffers; a
-                # smaller rows array, as when a row leaves the batch, builds new ones
-                objective = _NodeObjective(space, L, H, 4)
+                assert _NodeObjective(space, L, H, 4, {})(rows, X)[at] == alone
+                # a second call on the same rows reuses the plan's gathered lo and hi; a
+                # smaller rows array, as when a row leaves the batch, takes the plan of its
+                # size, which the objectives of earlier positions left holding their rows
+                objective = _NodeObjective(space, L, H, 4, plans)
                 objective(rows, np.roll(X, 1, axis=0))
                 assert objective(rows, X)[at] == alone
                 left_batch = rows[rows != (at + 1) % 48]
                 assert objective(left_batch, X[left_batch])[np.flatnonzero(left_batch == at)[0]] == alone
+                assert objective(rows, X)[at] == alone
+        assert sorted(plans) == [47, 48]
         if space is REMARK:
             # two short radial chords far out make a time-like candidate, alone and
             # beside the far chord, whose floor is not its own
@@ -473,7 +477,7 @@ class TestSegmentLengths:
             for batch in ([short], [far, short], [short, far]):
                 L, X, H = (np.array(column) for column in zip(*batch))
                 with pytest.raises(PathError):
-                    _NodeObjective(space, L, H, 4)(np.arange(len(batch)), X)
+                    _NodeObjective(space, L, H, 4, {})(np.arange(len(batch)), X)
 
 
 class TestSolverAssembly:
@@ -637,6 +641,51 @@ class TestWavefrontRelaxation:
         monkeypatch.setattr(hyperboloid, "_segment_lengths", lambda *args, **kw: calls.append(1) or real(*args, **kw))
         geodesic_distance(REMARK, lift(REMARK, [1000.0, 0.0]), lift(REMARK, [0.0, 1000.0]), 16)
         assert len(calls) == 3554
+
+    @SPACES
+    def test_reused_plans_give_the_lengths_of_fresh_calls(self, space, monkeypatch):
+        # each batch size's plan serves every wavefront step of the level, and the
+        # batches of one minimize_rows call shrink as rows leave it: every call on a
+        # reused plan gives the bits of a call that builds its own
+        calls, real = [], hyperboloid._segment_lengths
+        step = [0]
+
+        def spy(space, seg_starts, seg_deltas, quad_m, buf=None, groups=1):
+            fresh = real(space, seg_starts.copy(), seg_deltas.copy(), quad_m, groups=groups)
+            got = real(space, seg_starts, seg_deltas, quad_m, buf, groups)
+            calls.append((step[0], id(buf), len(seg_starts), _same_bits(got, fresh)))
+            return got
+
+        def counted(*args, **kwargs):
+            step[0] += 1
+            return minimize_rows(*args, **kwargs)
+
+        monkeypatch.setattr(hyperboloid, "_segment_lengths", spy)
+        monkeypatch.setattr(hyperboloid, "minimize_rows", counted)
+        nodes = _random_nodes(space, 16)
+        _relax_simplex(space, nodes, 4, 3, DEFAULT_TOLERANCES.opt_tol)
+        assert calls and all(same for *_, same in calls)
+        steps_of, sizes_in = {}, {}
+        for s, plan, n, _ in calls:
+            steps_of.setdefault(plan, set()).add(s)
+            sizes_in.setdefault(s, set()).add(n)
+        assert max(map(len, steps_of.values())) > 1  # a plan served several steps
+        assert max(map(len, sizes_in.values())) > 2  # the start simplex, then shrinking batches
+        assert len(steps_of) == len({n for _, _, n, _ in calls})  # one plan per batch size
+
+    @pytest.mark.parametrize("space", [PSEUDO21, P3SPACE, PSEUDO91], ids=["pseudo21", "p3", "pseudo91"])
+    def test_the_gradient_levels_plan_gives_the_lengths_of_fresh_calls(self, space, monkeypatch):
+        calls, real = [], hyperboloid._segment_lengths
+
+        def spy(space, seg_starts, seg_deltas, quad_m, buf=None, groups=1):
+            fresh = real(space, seg_starts.copy(), seg_deltas.copy(), quad_m)
+            got = real(space, seg_starts, seg_deltas, quad_m, buf, groups)
+            calls.append((id(buf), _same_bits(got, fresh)))
+            return got
+
+        monkeypatch.setattr(hyperboloid, "_segment_lengths", spy)
+        hyperboloid._relax_gradient(space, _random_nodes(space, 8), 4, max_iter=20)
+        assert len(calls) > 2 and len({plan for plan, _ in calls}) == 1 and all(same for _, same in calls)
 
     def test_nan_gauge_raises_what_the_loop_raises(self, monkeypatch):
         # a gauge that is NaN outside a ball, drawn after custom_gauge's spot checks
@@ -883,6 +932,24 @@ class TestSamplePairs:
     def test_defaults_are_the_geodesic_cosh_draw(self):
         got = sample_pairs(PSEUDO21, Seed(42).rng(), 3)
         self._same(got, _interleaved_pairs(PSEUDO21, Seed(42).rng(), 3, (0.2, 2.5), 1.2))
+
+    @pytest.mark.parametrize("budget", [1, 1000])
+    def test_without_a_cap_the_budget_raises(self, monkeypatch, budget):
+        # no pair falls in an empty window: the sampler draws its budget, then raises
+        monkeypatch.setattr(hyperboloid, "_PAIR_BUDGET", budget)
+        rng = Seed(0).rng()
+        with pytest.raises(ConvergenceError, match=f"^sample_pairs: 0 of 2 pairs .* budget of {2 * budget} drawn pairs$"):
+            sample_pairs(PSEUDO21, rng, 2, window=(0.05, 0.01))
+        ref = Seed(0).rng()
+        _interleaved_pairs(PSEUDO21, ref, 2, (0.05, 0.01), 1.2, attempts=2 * budget)
+        assert rng.random() == ref.random()
+
+    def test_the_stock_draws_fit_a_budget_of_two_attempts_a_pair(self, monkeypatch):
+        monkeypatch.setattr(hyperboloid, "_PAIR_BUDGET", 2)
+        for name, space in self.SPACES.items():
+            for seed in (42, 1, 7):
+                got = sample_pairs(space, Seed(seed).rng(), 3)
+                self._same(got, _interleaved_pairs(space, Seed(seed).rng(), 3, (0.2, 2.5), 1.2))
 
     def test_every_kept_pair_lies_in_the_window(self):
         for a, b in sample_pairs(REMARK, Seed(5).rng(), 20, window=(0.3, 0.6), radius=1.4):

@@ -797,6 +797,33 @@ class TestSpaceTimeTrialsMatchTheLoop:
         assert _same_witnesses(report.convexity_violations, convexity)
         assert _same_witnesses(report.scaling_violations, scaling)
 
+    def test_cone_convexity_check_carries_a_trial_across_blocks(self):
+        # in a 6+1 space a trial draws far more than the block of 3 trials, so its
+        # rejection walk and its a and b run over several rounds of draws
+        space = GeneralizedMinkowskiSpace.pseudo_euclidean(6)
+        report = mink.cone_convexity_check(space, Seed(4), 3)
+        convexity, scaling = _loop_cone_convexity_check(space, 4, 3, Tolerances())
+        assert report.trials == 3
+        assert _same_witnesses(report.convexity_violations, convexity)
+        assert _same_witnesses(report.scaling_violations, scaling)
+
+    @pytest.mark.parametrize("budget", [1, 5])
+    def test_cone_convexity_check_raises_when_its_budget_runs_out(self, monkeypatch, budget):
+        monkeypatch.setattr(mink, "_CONE_BUDGET", budget)
+        space = GeneralizedMinkowskiSpace.pseudo_euclidean(6)
+        block = 3 * (10 * space.n + 3 + space.n)
+        with pytest.raises(ConvergenceError, match=f"^cone_convexity_check: . of 3 trials .* budget of {budget * block} draws$"):
+            mink.cone_convexity_check(space, Seed(4), 3)
+
+    @pytest.mark.parametrize("name", sorted(MINKOWSKI_SPACES))
+    def test_cone_convexity_check_stock_draws_fit_one_block(self, monkeypatch, name):
+        monkeypatch.setattr(mink, "_CONE_BUDGET", 1)
+        for seed in (42, 1, 7):
+            report = mink.cone_convexity_check(MINKOWSKI_SPACES[name], Seed(seed), 200)
+            convexity, scaling = _loop_cone_convexity_check(MINKOWSKI_SPACES[name], seed, 200, Tolerances())
+            assert _same_witnesses(report.convexity_violations, convexity)
+            assert _same_witnesses(report.scaling_violations, scaling)
+
     @pytest.mark.parametrize(
         "name, F",
         [
