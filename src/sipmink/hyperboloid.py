@@ -259,9 +259,9 @@ class _ChordPlan:
     shifts in ``scaled``, whose first nq planes then take the Simpson points
     P = S + sigma D.  ``B`` holds P + eps D and P - eps D, from one add, then
     D itself: a caller that writes D into ``delta`` and passes ``deltas``
-    saves the copy.  ``sq`` holds the norms of B's planes, then the lifts at
-    the shifted points; the radicands go to its backward half, read as the
-    (n, nq) Simpson rows."""
+    saves the copy.  ``sq`` holds the squared norms of B's planes, then the
+    lifts at the shifted points; the radicands go to its backward half, read
+    as the (n, nq) Simpson rows."""
 
     def __init__(self, k: int, n: int, quad_m: int):
         sig, self.weights = _quadrature_grid(quad_m)
@@ -274,7 +274,6 @@ class _ChordPlan:
         self.deltas = self.delta.T
         self.first, self.last, self.middle = self.B[:, 0], self.B[:, -1], [self.B[:, j] for j in range(1, k - 1)]
         self.row_view = self.B.transpose(0, 2, 1)
-        self.copy_rows = k >= 8  # numpy adds 8+ terms pairwise on a row-major row
         self.sq = np.empty((2 * nq + 1, n))
         self.tau, self.fwd, self.bwd, self.speed2 = self.sq[:-1], self.sq[:nq], self.sq[nq:-1], self.sq[-1]
         self.simpson = self.bwd.reshape(n, nq)  # so the Simpson sum is one row-major matrix-vector product
@@ -294,11 +293,11 @@ def _segment_lengths(space, seg_starts: np.ndarray, seg_deltas: np.ndarray, quad
     (k, n, quad_m): the work arrays and their views, built once by the level
     that owns it (_relax_gradient's one per level, _relax_simplex's one per
     batch size) and rewritten by every call; without one the call builds its
-    own.  A max norm is the np.maximum of its k coordinate planes, exact and
-    so norm_batch's bits; every other norm takes one norm_batch call on the
-    row view.  Segment j belongs to group j % ``groups`` (a node-wise
-    candidate), and each group has its own space-like floor, so its lengths
-    do not depend on the rest of the batch."""
+    own.  A max norm squares B and takes the np.maximum of its k coordinate
+    planes, exact and so norm_batch's bits squared; any other norm takes one
+    norm_batch call on the row view.  Segment j belongs to group j % ``groups``
+    (a node-wise candidate), and each group has its own space-like floor, so
+    its lengths do not depend on the rest of the batch."""
     plan = _ChordPlan(seg_starts.shape[1], len(seg_starts), quad_m) if buf is None else buf
     if seg_deltas is not plan.deltas:
         plan.delta[...] = seg_deltas.T
@@ -306,14 +305,13 @@ def _segment_lengths(space, seg_starts: np.ndarray, seg_deltas: np.ndarray, quad
     P = np.add(seg_starts.T, plan.points, out=plan.points)
     np.add(P, plan.shifts, out=plan.shifted)  # P + eps D, then P + -eps D, which is P - eps D bit for bit
     sq = plan.sq
-    if space.s_space.kind == MAX:  # the np.maximum of the coordinate planes of |B|; B is not read again
-        np.abs(plan.B, out=plan.B)
-        norms = np.maximum(plan.first, plan.last, out=sq)  # at k = 1, max(x, x) = x
+    if space.s_space.kind == MAX:  # the np.maximum of the coordinate planes of B squared; B is not read again
+        np.square(plan.B, out=plan.B)  # rounding is monotone, so the largest square is the square of the largest |entry|
+        np.maximum(plan.first, plan.last, out=sq)  # at k = 1, max(x, x) = x
         for plane in plan.middle:
-            np.maximum(norms, plane, out=norms)
+            np.maximum(sq, plane, out=sq)
     else:
-        norms = norm_batch(space.s_space, plan.row_view.copy() if plan.copy_rows else plan.row_view, sq)
-    np.square(norms, out=sq)
+        np.square(norm_batch(space.s_space, plan.row_view, sq), out=sq)
     tau = plan.tau  # the lift at P + eps D, then at P - eps D
     np.sqrt(np.add(tau, 1.0, out=tau), out=tau)
     dtau = np.subtract(plan.fwd, plan.bwd, out=plan.fwd)

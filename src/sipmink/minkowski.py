@@ -20,7 +20,6 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConvergenceError, DomainError, UnsupportedError
 from .norms import EUCLIDEAN, NormSpec, sip_rows
@@ -237,12 +236,14 @@ def cone_convexity_check(
     A trial draws, in this order: candidates for a (n draws each) until one
     lies in T+, the same for b, the weight mu, the scale |lam|, its sign and
     v (n draws).  The draws come from a :class:`~sipmink.numerics.DrawStream`
-    in rounds of one block: a round classifies the candidate at every offset
-    of the next block in one call, walks the rejections in plain Python and
-    takes what it walked, carrying a trial that runs past the block into the
-    next round.  After 1000 blocks of draws short of ``trials`` it raises
-    :class:`ConvergenceError`: T+ fills a share of the candidates' cube that
-    shrinks exponentially with the dimension.
+    in rounds of one block: a round walks the rejections of the next block
+    in plain Python and takes what it walked, carrying a trial that runs past
+    the block into the next round.  A rejection moves the walk by n draws and
+    a trial's tail by 3 + n, so it reads one residue class of offsets mod n
+    until a tail shifts it; the round classifies the candidates of a class in
+    one call when the walk first enters it.  After 1000 blocks of draws short
+    of ``trials`` it raises :class:`ConvergenceError`: T+ fills a share of the
+    candidates' cube that shrinks exponentially with the dimension.
     """
     if not space.is_spacetime_model:
         raise UnsupportedError("cone decomposition needs a one-dimensional T block")
@@ -261,17 +262,23 @@ def cone_convexity_check(
                 f"cone_convexity_check: {done} of {trials} trials found a time-like pair within its budget of {budget} draws"
             )
         U = stream.peek(block)
-        C = as_uniform(sliding_window_view(U, n), -1.0, 1.0)  # the candidate at every offset
-        C[:, -1] = np.abs(C[:, -1]) + 0.05
-        ok = ((classify_rows(space, C, tol) == VectorClass.TIME_LIKE) & (C[:, -1] > 0)).tolist()
-        found, ends, p = [], [], 0  # offsets in U of the a's and b's, and of the tails
+        classes = {}  # residue r mod n: the candidates at offsets r, r + n, ... of U, and which lie in T+
+        found, ends, p = [], [], 0  # the a's and b's, and the offsets in U of the tails
         while done + len(ends) < trials:
             if len(carry) + len(found) < 2 * (len(ends) + 1):
-                while p < len(ok) and not ok[p]:
-                    p += n
-                if p >= len(ok):  # the next candidate runs past U
+                r = p % n  # a rejection moves p by n, so the walk stays in its residue class
+                if r not in classes:
+                    C = as_uniform(U[r : r + (len(U) - r) // n * n].reshape(-1, n), -1.0, 1.0)
+                    C[:, -1] = np.abs(C[:, -1]) + 0.05
+                    classes[r] = C, ((classify_rows(space, C, tol) == VectorClass.TIME_LIKE) & (C[:, -1] > 0)).tolist()
+                C, ok = classes[r]
+                i = p // n
+                while i < len(ok) and not ok[i]:
+                    i += 1
+                p = i * n + r
+                if i >= len(ok):  # the next candidate runs past U
                     break
-                found.append(p)
+                found.append(C[i])
                 p += n
             elif p + tail <= len(U):
                 ends.append(p)
@@ -280,7 +287,7 @@ def cone_convexity_check(
                 break
         stream.take(p)
         drawn += p
-        rows = np.concatenate([carry, C[np.array(found, dtype=np.intp)]])  # a, b of each trial in turn
+        rows = np.concatenate([carry, np.reshape(found, (-1, n))])  # a, b of each trial in turn
         pairs.append(rows[: 2 * len(ends)])
         tails.append(U[np.array(ends, dtype=np.intp)[:, None] + np.arange(tail)])
         carry, done = rows[2 * len(ends) :], done + len(ends)

@@ -183,7 +183,7 @@ def norm_batch(spec: NormSpec, X: np.ndarray, out=None) -> np.ndarray:
     if spec.kind == EUCLIDEAN:
         s = np.sqrt(s, out=out)
     else:
-        s **= 1.0 / spec.p  # in place, as s ** (1/p) rounds
+        s = np.power(s, 1.0 / spec.p, out=out)  # a scalar's ** (one row) would round as libm pow
     return s if off is None else _rescaled(norm_batch, spec, s, X, off)
 
 

@@ -143,26 +143,26 @@ def matvec_rows(F: np.ndarray, V: np.ndarray) -> np.ndarray:
 
 def reduce_last(ufunc: np.ufunc, A, out=None, nonnegative: bool = False) -> np.ndarray:
     """``ufunc.reduce(A, axis=-1)`` for ``np.add``, ``np.maximum`` or
-    ``np.minimum``, bit for bit, with one ufunc call per column when the last
-    axis is short; written to ``out`` when given.
+    ``np.minimum`` by one ufunc call per column, so in index order; written
+    to ``out`` when given.
 
     numpy reduces a short contiguous last axis one row at a time, which on a
-    batch of two-vectors costs far more than the arithmetic.  Below 8 terms
-    numpy's pairwise add is sequential, so adding the columns in order gives
-    the same sums; numpy starts from the identity, so a row of -0.0 sums to
-    +0.0, and adding the identity last does the same (skipped when no entry
-    is -0.0: ``nonnegative``).  A 1-D input is one row and goes straight to
-    ``ufunc.reduce``, as does a last axis of fewer than 2 or more than 7 entries.
+    batch of two-vectors costs far more than the arithmetic, and adds 8 or
+    more terms of a row-major row pairwise.  Index order is numpy's below 8
+    terms and gives one value per row whatever its layout.  numpy starts
+    from the identity, so a row of -0.0 sums to +0.0, and adding it last
+    does the same (skipped when no entry is -0.0: ``nonnegative``).  A 1-D
+    input is one row; a last axis of fewer than 2 goes to ``ufunc.reduce``.
     """
     A = np.asarray(A)
-    if A.ndim < 2 or not 2 <= A.shape[-1] < 8:
+    if A.shape[-1] < 2:
         return ufunc.reduce(A, axis=-1, out=out)
-    out = ufunc(A[..., 0], A[..., 1], out=out)
+    out = np.asarray(ufunc(A[..., 0], A[..., 1], out=out))  # one row gives a scalar here
     for j in range(2, A.shape[-1]):
         ufunc(out, A[..., j], out=out)
     if ufunc.identity is not None and not nonnegative:
         ufunc(out, ufunc.identity, out=out)
-    return out
+    return out if out.ndim else out[()]
 
 
 def pow_rows(base, exponent: float) -> np.ndarray:

@@ -134,8 +134,8 @@ def _cross_polytope_rows(U: np.ndarray, V: np.ndarray) -> np.ndarray:
     ``_SUPPORT_TOL`` times max |v_i|); 0 where S is empty.
 
     Each row's support goes first, in coordinate order, and the rows with
-    one support size are summed together, so every sum rounds as the sum
-    over its support alone.
+    one support size are summed together, so every sum rounds as the
+    index-order sum over its support alone.
     """
     A = np.abs(V)
     supp = A > _SUPPORT_TOL * reduce_last(np.maximum, A)[:, None]
@@ -145,7 +145,7 @@ def _cross_polytope_rows(U: np.ndarray, V: np.ndarray) -> np.ndarray:
     out = np.zeros(len(V))
     for k in np.unique(count[count > 0]):
         rows = count == k
-        one_norm, signed = np.add.reduce(np.ascontiguousarray(terms[:, rows, :k]), axis=2)
+        one_norm, signed = reduce_last(np.add, terms[:, rows, :k])
         out[rows] = (-1.0) ** (k - 1) * one_norm * signed
     return out
 

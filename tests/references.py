@@ -6,9 +6,12 @@ code with itself.
 """
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
+from sipmink import minkowski as mink
 from sipmink.errors import ConvergenceError, NumericalError
 from sipmink.norms import norm_batch
+from sipmink.numerics import DrawStream, as_seed, as_uniform
 
 
 def reference_minimize(f, x0, opt_tol=1e-7, max_iter=2000):
@@ -78,3 +81,56 @@ def reference_pythagorean_scan(norm_spec, resolution):
     worst = np.maximum(worst, worst.T)
     i, j = np.unravel_index(int(np.argmin(worst)), worst.shape)
     return (U[i], U[j]) if worst[i, j] <= 1e-6 else None
+
+
+def reference_cone_convexity_check(space, seed, trials, tolerances):
+    """Reference: the cone sampler's block walk that classifies the candidate
+    at every offset of each block of draws, and raises on the same budget
+    (``minkowski._CONE_BUDGET`` blocks) with the same message."""
+    stream = DrawStream(as_seed(seed).rng())
+    tol = tolerances.class_tol
+    n = space.n
+    tail = 3 + n
+    block = trials * (10 * n + tail)
+    budget = mink._CONE_BUDGET * block
+    pairs, tails, carry, done, drawn = [], [], np.empty((0, n)), 0, 0
+    while done < trials:
+        if drawn >= budget:
+            raise ConvergenceError(
+                f"cone_convexity_check: {done} of {trials} trials found a time-like pair within its budget of {budget} draws"
+            )
+        U = stream.peek(block)
+        C = as_uniform(sliding_window_view(U, n), -1.0, 1.0)
+        C[:, -1] = np.abs(C[:, -1]) + 0.05
+        ok = ((mink.classify_rows(space, C, tol) == mink.VectorClass.TIME_LIKE) & (C[:, -1] > 0)).tolist()
+        found, ends, p = [], [], 0
+        while done + len(ends) < trials:
+            if len(carry) + len(found) < 2 * (len(ends) + 1):
+                while p < len(ok) and not ok[p]:
+                    p += n
+                if p >= len(ok):
+                    break
+                found.append(p)
+                p += n
+            elif p + tail <= len(U):
+                ends.append(p)
+                p += tail
+            else:
+                break
+        stream.take(p)
+        drawn += p
+        rows = np.concatenate([carry, C[np.array(found, dtype=np.intp)]])
+        pairs.append(rows[: 2 * len(ends)])
+        tails.append(U[np.array(ends, dtype=np.intp)[:, None] + np.arange(tail)])
+        carry, done = rows[2 * len(ends) :], done + len(ends)
+    AB, T = np.concatenate(pairs), np.concatenate(tails)
+    A, B = AB[0::2], AB[1::2]
+    mu = as_uniform(T[:, 0], 0.0, 1.0)
+    lam = as_uniform(T[:, 1], 0.1, 3.0) * np.where(T[:, 2] < 0.5, 1.0, -1.0)
+    V = as_uniform(T[:, 3:], -1.5, 1.5)
+    mix = mu[:, None] * A + (1.0 - mu)[:, None] * B
+    left = (mink.classify_rows(space, mix, tol) != mink.VectorClass.TIME_LIKE) | ~(mix[:, -1] > 0)
+    rescaled = mink.classify_rows(space, lam[:, None] * V, tol) != mink.classify_rows(space, V, tol)
+    convexity = tuple((A[i].copy(), B[i].copy(), float(mu[i])) for i in np.flatnonzero(left))
+    scaling = tuple((V[i].copy(), float(lam[i])) for i in np.flatnonzero(rescaled))
+    return mink.ConeReport(trials, convexity, scaling)

@@ -377,8 +377,8 @@ def _three_call_segment_lengths(space, seg_starts, seg_deltas, quad_m):
 
 
 class TestSegmentLengths:
-    # k = 1, 2 and 3; at k = 9 numpy adds the squares pairwise, which follows the memory layout;
-    # a max block takes the np.maximum of its k coordinate planes, at every k
+    # k = 1, 2, 3 and 9, every row summed in index order whatever its layout;
+    # a max block takes the np.maximum of its k squared coordinate planes, at every k
     @pytest.mark.parametrize(
         "space",
         [PSEUDO21, P3SPACE, REMARK, GAUGE_SPACE, PSEUDO11, PSEUDO31, PSEUDO91, MAX11, MAX31, MAX91],
@@ -433,6 +433,32 @@ class TestSegmentLengths:
         assert got_warnings and all(category is RuntimeWarning for category, _ in got_warnings)
         # the reference squares each of its three batches apart, so it may warn of one overflow twice
         assert list(dict.fromkeys(got_warnings)) == list(dict.fromkeys(expected_warnings))
+
+    @pytest.mark.parametrize("space", [MAX11, REMARK, MAX31, MAX91], ids=["max11", "max", "max31", "max91"])
+    @pytest.mark.parametrize("special", [0.0, -0.0, 5e-324, -1e-310, math.inf, -math.inf, math.nan, 1e155, -3e170])
+    def test_max_planes_square_before_their_maximum(self, space, special):
+        # a max block squares every coordinate plane and takes their maximum, which is the
+        # square of the largest |entry| because rounding is monotone: the same lengths,
+        # nan or PathError as squaring the norms, and the same first warning, which is the
+        # failure under -W error (past an infinite coordinate the reference forms P - eps D
+        # by a subtract where the kernel adds -eps D, so a later warning may name another ufunc)
+        rng = np.random.default_rng(17)
+        starts, deltas = rng.uniform(-1.5, 1.5, (6, space.k)), rng.uniform(-0.4, 0.4, (6, space.k))
+        starts[0, 0] = deltas[1, -1] = starts[2] = deltas[3] = special
+        seen = []
+        for kernel in (_three_call_segment_lengths, _segment_lengths):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                outcome = _outcome(lambda: kernel(space, starts, deltas, 4))
+            seen.append((outcome, [(w.category, str(w.message)) for w in caught]))
+        (expected, expected_warnings), (got, got_warnings) = seen
+        if isinstance(expected, tuple):
+            assert got == expected
+        else:
+            assert np.array_equal(got, expected, equal_nan=True)
+        assert got_warnings[:1] == expected_warnings[:1]
+        if abs(special) > 1e154 and math.isfinite(special):
+            assert got_warnings[0] == (RuntimeWarning, "overflow encountered in square")
 
     @pytest.mark.parametrize("space", [REMARK, PSEUDO21, P3SPACE], ids=["max", "euclidean", "p3"])
     def test_group_lengths_do_not_depend_on_the_batch(self, space):

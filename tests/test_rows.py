@@ -11,6 +11,7 @@ never a tolerance.
 
 import math
 import sys
+from functools import reduce
 from types import SimpleNamespace
 
 import numpy as np
@@ -46,6 +47,7 @@ from sipmink.norms import (
     sip_rows,
 )
 from sipmink.numerics import (
+    DrawStream,
     ResidualTracker,
     Seed,
     Tolerances,
@@ -71,7 +73,7 @@ from sipmink.siip import (
     siip_rows,
 )
 
-from references import reference_minimize
+from references import reference_cone_convexity_check, reference_minimize
 
 SMOOTH_SPACES = {
     "euclidean2": NormSpec.euclidean(2),
@@ -87,6 +89,21 @@ def _rows(rng, n, dim, radius=2.0):
 
 def _scalar(fn, *arrays):
     return np.array([fn(*args) for args in zip(*arrays)])
+
+
+def _fold(ufunc, values) -> float:
+    """Reference: ``ufunc`` over ``values`` in index order, from the
+    identity where ``ufunc`` has one, as numpy starts its reductions."""
+    values = np.asarray(values, dtype=float).tolist()
+    if ufunc.identity is None:
+        return reduce(lambda a, b: float(ufunc(a, b)), values[1:], values[0])
+    return reduce(lambda a, b: float(ufunc(a, b)), values, float(ufunc.identity))
+
+
+def _fold_last(ufunc, A) -> np.ndarray:
+    """:func:`_fold` of every row of A along its last axis."""
+    A = np.asarray(A)
+    return np.array([_fold(ufunc, row) for row in A.reshape(-1, A.shape[-1])]).reshape(A.shape[:-1])
 
 
 # The scalar closed forms of the products, as they ran before the entry
@@ -142,10 +159,10 @@ def _reference_siip(space, u, v):
         if not np.any(supp):
             return 0.0
         k = int(np.sum(supp)) - 1
-        one_norm = float(np.sum(np.abs(v[supp])))
-        return float((-1.0) ** k * one_norm * np.sum(np.sign(v[supp]) * u[supp]))
+        one_norm = _fold(np.add, np.abs(v[supp]))
+        return float((-1.0) ** k * one_norm * _fold(np.add, np.sign(v[supp]) * u[supp]))
     if space.kind == "diagonal":
-        return float(np.sum(np.array(space.signature) * u * v))
+        return _fold(np.add, np.array(space.signature) * u * v)
     assert space.kind == "weighted_plane"
     x1, y1 = u
     x2, y2 = v
@@ -294,7 +311,7 @@ class TestSiipRows:
         assert np.array_equal(got, expected) and np.array_equal(np.signbit(got), np.signbit(expected))
         assert not np.any(np.signbit(got[::7]))  # a -0.0 sum gives +0.0, as np.sum does
 
-    # 8 and more support entries are summed pairwise by numpy, fewer in order
+    # every support is summed in index order, also at 8 entries and more where numpy adds pairwise
     @pytest.mark.parametrize("dim", [1, 2, 3, 8, 9, 17])
     def test_cross_polytope_closed_form(self, rng, dim):
         space = SiipSpace.cross_polytope(dim)
@@ -436,7 +453,10 @@ class TestReduceLast:
         else:
             A = np.asfortranarray(_with_specials(rng, (600, k)))  # the transpose of a C-ordered array
         with np.errstate(invalid="ignore"):  # inf - inf
-            assert _same_bits(reduce_last(ufunc, A), ufunc.reduce(A, axis=-1))
+            expected = _fold_last(ufunc, A)
+            if k < 8:  # below 8 terms numpy's order is index order; from 8 on its add is pairwise
+                assert _same_bits(ufunc.reduce(A, axis=-1), expected)
+            assert _same_bits(reduce_last(ufunc, A), expected)
 
     @pytest.mark.parametrize("k", range(1, 10))
     def test_norm_batch_matches_the_old_formulas(self, rng, k):
@@ -445,7 +465,7 @@ class TestReduceLast:
             euclid = np.sqrt(np.einsum("...i,...i->...", X, X))
             assert np.array_equal(norm_batch(NormSpec.euclidean(k), X), euclid)
         p = 3.0
-        old_p = np.sum(np.abs(X) ** p, axis=-1) ** (1.0 / p)
+        old_p = _fold_last(np.add, np.abs(X) ** p) ** (1.0 / p)  # np.sum's bits below 8 terms
         assert np.array_equal(norm_batch(NormSpec.pnorm(p, k), X), old_p)
         assert np.array_equal(norm_batch(NormSpec.max_norm(k), X), np.maximum.reduce(np.abs(X), axis=-1))
 
@@ -455,6 +475,43 @@ class TestReduceLast:
         X = rng.uniform(-3.0, 3.0, (500, k))
         euclid = np.sqrt(np.einsum("...i,...i->...", X, X))
         assert np.allclose(norm_batch(NormSpec.euclidean(k), X), euclid, rtol=4 * np.finfo(float).eps, atol=0.0)
+
+
+def _layout_kernels(k):
+    """Every kernel that reduces rows through reduce_last, at width k: its
+    row call on an X and a Y block (the norms read only X) and its
+    one-vector form."""
+    kernels = {}
+    for ufunc in (np.add, np.maximum):
+        f = lambda X, Y, ufunc=ufunc: reduce_last(ufunc, X)
+        kernels[f"reduce_last-{ufunc.__name__}"] = (f, f)
+    l1 = NormSpec.custom_gauge(lambda v: float(np.sum(np.abs(v))), k)
+    for spec in (NormSpec.euclidean(k), NormSpec.pnorm(3.0, k), NormSpec.max_norm(k), l1):
+        f = lambda X, Y, spec=spec: norm_batch(spec, X)
+        kernels[f"norm_batch-{spec.kind}"] = (f, f)
+    for spec in (NormSpec.pnorm(3.0, k), NormSpec.max_norm(k)):
+        kernels[f"norm_rows-{spec.kind}"] = (lambda X, Y, spec=spec: norm_rows(spec, X), lambda x, y, spec=spec: norm(spec, x))
+        kernels[f"sip_rows-{spec.kind}"] = (lambda X, Y, spec=spec: sip_rows(spec, X, Y), lambda x, y, spec=spec: sip(spec, x, y))
+    for space in (SiipSpace.diagonal([(-1) ** i for i in range(k)]), SiipSpace.cross_polytope(k)):
+        kernels[f"siip_rows-{space.kind}"] = (lambda X, Y, sp=space: siip_rows(sp, X, Y), lambda x, y, sp=space: siip(sp, x, y))
+    return kernels
+
+
+class TestLayouts:
+    @pytest.mark.parametrize("kernel", sorted(_layout_kernels(2)))
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_one_row_gives_one_value_in_every_layout(self, rng, kernel, k):
+        # magnitudes over twelve decades, so that a pairwise and an index-order
+        # sum part in the last bits; and zero rows, which the products set apart
+        X, Y = rng.uniform(-3.0, 3.0, (2, 64, k)) * 10.0 ** rng.integers(-6, 7, (2, 64, k))
+        X[::9], Y[1::9] = 0.0, 0.0
+        rows, one = _layout_kernels(k)[kernel]
+        expected = rows(X, Y)  # C-ordered
+        wide = np.zeros((2, 128, 2 * k))
+        wide[:, ::2, ::2] = X, Y
+        for layout, (XL, YL) in {"F": (np.asfortranarray(X), np.asfortranarray(Y)), "strided": wide[:, ::2, ::2]}.items():
+            assert _same_bits(rows(XL, YL), expected), layout
+        assert _same_bits(np.array([one(x, y) for x, y in zip(X, Y)]), expected), "1-D"
 
 
 def _sequential(name, residuals, *witness):
@@ -823,6 +880,40 @@ class TestSpaceTimeTrialsMatchTheLoop:
             convexity, scaling = _loop_cone_convexity_check(MINKOWSKI_SPACES[name], seed, 200, Tolerances())
             assert _same_witnesses(report.convexity_violations, convexity)
             assert _same_witnesses(report.scaling_violations, scaling)
+
+    # a max block with k = 3 draws tails of 7 = 3 mod 4, so each trial moves the walk to another
+    # residue class; the 4+1 and 6+1 spaces run past their first block
+    WALK_SPACES = dict(
+        MINKOWSKI_SPACES,
+        max3=GeneralizedMinkowskiSpace.from_norms(NormSpec.max_norm(3), NormSpec.euclidean(1)),
+        pseudo4=GeneralizedMinkowskiSpace.pseudo_euclidean(4),
+        pseudo6=GeneralizedMinkowskiSpace.pseudo_euclidean(6),
+    )
+
+    @pytest.mark.parametrize("seed, trials", [(42, 200), (1, 3), (7, 40)])
+    @pytest.mark.parametrize("name", sorted(WALK_SPACES))
+    def test_cone_convexity_check_takes_what_the_full_block_walk_takes(self, monkeypatch, name, seed, trials):
+        takes = []
+        take = DrawStream.take
+        monkeypatch.setattr(DrawStream, "take", lambda stream, count: takes.append(count) or take(stream, count))
+        space = self.WALK_SPACES[name]
+        report = mink.cone_convexity_check(space, Seed(seed), trials)
+        walked, takes[:] = takes[:], []
+        expected = reference_cone_convexity_check(space, seed, trials, Tolerances())
+        assert walked == takes
+        assert report.trials == expected.trials == trials
+        assert _same_witnesses(report.convexity_violations, expected.convexity_violations)
+        assert _same_witnesses(report.scaling_violations, expected.scaling_violations)
+
+    @pytest.mark.parametrize("budget", [1, 2])
+    def test_cone_convexity_check_budget_message_is_the_full_block_walks(self, monkeypatch, budget):
+        monkeypatch.setattr(mink, "_CONE_BUDGET", budget)
+        space = self.WALK_SPACES["pseudo6"]
+        with pytest.raises(ConvergenceError) as expected:
+            reference_cone_convexity_check(space, 4, 3, Tolerances())
+        with pytest.raises(ConvergenceError) as got:
+            mink.cone_convexity_check(space, Seed(4), 3)
+        assert str(got.value) == str(expected.value)
 
     @pytest.mark.parametrize(
         "name, F",
