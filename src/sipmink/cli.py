@@ -33,7 +33,7 @@ from .errors import (
 )
 from .isometry import isometry_report, load_matrix_csv
 from .numerics import Seed
-from .suites import FMT, SUITES, fmt_vec, isometry_rows, rows_to_csv, run_suites, stock_counterexamples
+from .suites import FMT, SUITES, fmt_vec, isometry_rows, iter_suites, rows_to_csv, stock_counterexamples
 
 
 def _parse_vector(text: str) -> np.ndarray:
@@ -234,15 +234,17 @@ def cmd_verify(args) -> int:
             f"product {FMT % rep.product_residual}, adjoint {FMT % rep.adjoint_residual}, "
             f"pole on upper sheet: {str(rep.pole_in_upper_sheet).lower()}"
         )
-    results, rows = run_suites([args.suite], cfg)
-    rows += matrix_rows
-    for res in results:
+    rows = []
+    for res, suite_rows in iter_suites([args.suite], cfg):  # each line as its suite finishes
         status = "PASS" if res.passed else "FAIL"
         print(
             f"{status} {res.suite}: worst residual {FMT % res.worst_residual}"
             + (f" witness {res.witness}" if not res.passed else "")
-            + f" ({res.duration:.2f}s)"
+            + f" ({res.duration:.2f}s)",
+            flush=True,
         )
+        rows += suite_rows
+    rows += matrix_rows
     _write(out, rows_to_csv(rows))
     print(f"report: {out}")
     return 0 if all(r.passed for r in rows) else 1

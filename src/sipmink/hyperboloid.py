@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -240,14 +239,10 @@ def _check_count(name: str, value, even: bool = False) -> int:
     return count
 
 
-@lru_cache(maxsize=8)
 def _quadrature_grid(quad_m: int) -> tuple[np.ndarray, np.ndarray]:
     """Chord parameters and Simpson weights for quad_m subintervals (an int,
-    see _check_count), shared read-only by every segment-length call."""
-    grid = (np.linspace(0.0, 1.0, quad_m + 1), simpson_weights(quad_m))
-    for arr in grid:
-        arr.flags.writeable = False
-    return grid
+    see _check_count), built once per _ChordPlan."""
+    return np.linspace(0.0, 1.0, quad_m + 1), simpson_weights(quad_m)
 
 
 class _ChordPlan:
@@ -344,7 +339,6 @@ def _path_energy(space, s_nodes: np.ndarray, quad_m: int) -> float:
     return float((s_nodes.shape[0] - 1) * np.sum(L * L))
 
 
-@lru_cache(maxsize=8)
 def _gradient_indices(m: int, k: int) -> np.ndarray:
     """The (2, k, 4k(m-1) + m) indices of the starts and the ends of the
     segments of an _energy_gradient call, coordinate-major, into the flat
@@ -355,9 +349,7 @@ def _gradient_indices(m: int, k: int) -> np.ndarray:
     moved = np.repeat(node[1:-1, None, :, None], k, axis=1).repeat(2, axis=3)  # [node - 1, c, coordinate, sign]
     moved[:, np.arange(k), np.arange(k)] = node[:-2, :, None] + [(m + 1) * k, 2 * m * k]
     moved, rep = moved.transpose(0, 1, 3, 2).reshape(-1, k), np.repeat(node, 2 * k, axis=0)
-    indices = np.stack([np.concatenate([rep[: -4 * k], moved, node[:-1]]).T, np.concatenate([moved, rep[4 * k :], node[1:]]).T])
-    indices.flags.writeable = False
-    return indices
+    return np.stack([np.concatenate([rep[: -4 * k], moved, node[:-1]]).T, np.concatenate([moved, rep[4 * k :], node[1:]]).T])
 
 
 class _GradientPlan(_ChordPlan):
@@ -601,8 +593,10 @@ def sample_pairs(space: GeneralizedMinkowskiSpace, rng, count: int, window=(0.2,
     return pairs
 
 
-def cosh_residual(space: GeneralizedMinkowskiSpace, a: HPoint, b: HPoint, m: int) -> float:
+def cosh_residual(
+    space: GeneralizedMinkowskiSpace, a: HPoint, b: HPoint, m: int, tolerances: Tolerances = DEFAULT_TOLERANCES
+) -> float:
     """| [a, b]^+ + cosh(distance(a, b)) | -- zero in spaces whose linear
     isometries act transitively on H+ (the pseudo-Euclidean case)."""
-    d = geodesic_distance(space, a, b, m)
+    d = geodesic_distance(space, a, b, m, tolerances=tolerances)
     return abs(product_plus(space, a.vector, b.vector) + float(np.cosh(d)))

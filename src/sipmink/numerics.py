@@ -123,22 +123,31 @@ def check_dim(x, dim: int, rows: bool = False) -> np.ndarray:
     return x
 
 
+def _unit_stride(X: np.ndarray) -> np.ndarray:
+    """X, or its row-major copy when its last axis is not unit-stride."""
+    return X if X.strides[-1] == X.itemsize else np.ascontiguousarray(X)
+
+
 def dot_rows(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Row-wise dot products ``X[i] @ Y[i]`` of two (N, dim) arrays.
 
     One stacked 1x1 matmul per row rounds exactly as the scalar ``x @ y``;
-    ``einsum`` and ``sum(X * Y)`` can accumulate in a different order.
+    ``einsum`` and ``sum(X * Y)`` can accumulate in a different order.  From
+    4 columns on, matmul rounds rows whose entries are not adjacent in memory
+    in another order, so such operands are copied row-major first.
     """
-    return (X[:, None, :] @ Y[:, :, None])[:, 0, 0]
+    return (_unit_stride(X)[:, None, :] @ _unit_stride(Y)[:, :, None])[:, 0, 0]
 
 
 def matvec_rows(F: np.ndarray, V: np.ndarray) -> np.ndarray:
     """Row-wise products ``F @ V[i]`` of a square matrix and an (N, dim) array.
 
     One stacked matrix-vector product per row rounds exactly as the single
-    ``F @ v``; ``V @ F.T`` can accumulate in a different order.
+    ``F @ v`` of a C-ordered F; ``V @ F.T`` can accumulate in a different
+    order, and so can a matmul on any other layout of F, which is therefore
+    copied C-ordered first.
     """
-    return (F[None] @ V[:, :, None])[:, :, 0]
+    return (np.ascontiguousarray(F)[None] @ _unit_stride(V)[:, :, None])[:, :, 0]
 
 
 def reduce_last(ufunc: np.ufunc, A, out=None, nonnegative: bool = False) -> np.ndarray:

@@ -133,21 +133,15 @@ def _cross_polytope_rows(U: np.ndarray, V: np.ndarray) -> np.ndarray:
     of each row, over the support S of v (the k entries above
     ``_SUPPORT_TOL`` times max |v_i|); 0 where S is empty.
 
-    Each row's support goes first, in coordinate order, and the rows with
-    one support size are summed together, so every sum rounds as the
-    index-order sum over its support alone.
+    Both sums run over every coordinate in index order with +0.0 off the
+    support, which leaves each nonzero partial sum as the sum over the
+    support alone gives it; a zero sum is +0.0 either way.
     """
     A = np.abs(V)
     supp = A > _SUPPORT_TOL * reduce_last(np.maximum, A)[:, None]
     count = np.count_nonzero(supp, axis=1)
-    first = np.argsort(~supp, axis=1, kind="stable")[None]
-    terms = np.take_along_axis(np.stack([A, np.sign(V) * U]), first, axis=2)
-    out = np.zeros(len(V))
-    for k in np.unique(count[count > 0]):
-        rows = count == k
-        one_norm, signed = reduce_last(np.add, terms[:, rows, :k])
-        out[rows] = (-1.0) ** (k - 1) * one_norm * signed
-    return out
+    one_norm, signed = reduce_last(np.add, np.where(supp, np.stack([A, np.sign(V) * U]), 0.0))
+    return np.where(count > 0, np.where(count % 2, 1.0, -1.0) * one_norm * signed, 0.0)
 
 
 def siip_rows(space: SiipSpace, U, V) -> np.ndarray:

@@ -22,7 +22,7 @@ from . import minkowski as mink
 from . import ortho
 from .siip import SiipSpace as _SiipSpace, cauchy_schwarz_witness as _cs_witness, siip as _siip, siip_axiom_trials
 from .config import RunConfig
-from .errors import NeutralPivotError
+from .errors import NeutralPivotError, UsageError
 from .norms import (
     NormSpec,
     derivative_identity_residual_rows,
@@ -175,8 +175,6 @@ def suite_lemma2(cfg: RunConfig) -> list[CheckRow]:
 
 def suite_cone(cfg: RunConfig) -> list[CheckRow]:
     space = cfg.space()
-    if not space.is_spacetime_model:
-        return _not_applicable("cone")
     report = mink.cone_convexity_check(space, Seed(cfg.seed), min(cfg.trials, 500), cfg.tolerances)
     return [
         _row("cone", check, not found, float(len(found)), fmt_vec(found[0][0]) if found else "")
@@ -202,8 +200,6 @@ def _sample_s(space, draws):
 def suite_lemma3(cfg: RunConfig) -> list[CheckRow]:
     """Closed-form directional derivative of the lift against finite differences."""
     space = cfg.space()
-    if not space.is_spacetime_model:
-        return _not_applicable("lemma3")
     k = space.k
     draws = as_seed(cfg.seed).rng().random((100, 2 * k))  # s, e per trial
     S = _sample_s(space, draws[:, :k])
@@ -230,8 +226,6 @@ def suite_lemma4(cfg: RunConfig) -> list[CheckRow]:
     """Tangent vectors are the orthogonal companion: frames are orthogonal
     to the base point, and companion vectors lie in the frame span."""
     space = cfg.space()
-    if not space.is_spacetime_model:
-        return _not_applicable("lemma4")
     k, n = space.k, space.n
     V, S = _sample_h(space, as_seed(cfg.seed).rng().random((25, k)))
     frames = hyp.tangent_frame_rows(space, V)
@@ -251,8 +245,6 @@ def suite_theorem10(cfg: RunConfig) -> list[CheckRow]:
     """Positivity of the Minkowski square on tangent spaces of H+.  A NaN
     square fails with residual inf, as a NaN residual does."""
     space = cfg.space()
-    if not space.is_spacetime_model:
-        return _not_applicable("theorem10")
     k = space.k
     draws = as_seed(cfg.seed).rng().random((100, 2 * k))  # s, then one coefficient per companion vector
     V, S = _sample_h(space, draws)
@@ -273,8 +265,6 @@ def suite_theorem10(cfg: RunConfig) -> list[CheckRow]:
 def suite_tangent(cfg: RunConfig) -> list[CheckRow]:
     """Tangent frames: space-like vectors, consistent and linear semi-metric."""
     space = cfg.space()
-    if not space.is_spacetime_model:
-        return _not_applicable("tangent")
     k, n = space.k, space.n
     draws = as_seed(cfg.seed).rng().random((25, k + 1))  # s, alpha per trial
     V, S = _sample_h(space, draws)
@@ -297,8 +287,6 @@ def suite_geodesic_cosh(cfg: RunConfig) -> list[CheckRow]:
     """Distance vs the arccosh law.  Asserted only where the law is proved
     (pseudo-Euclidean space-time models); exploratory elsewhere."""
     space = cfg.space()
-    if not space.is_spacetime_model:
-        return _not_applicable("geodesic-cosh")
     pairs = hyp.sample_pairs(space, as_seed(cfg.seed).rng(), 3)
     asserted = space.is_pseudo_euclidean
     rows = []
@@ -309,7 +297,7 @@ def suite_geodesic_cosh(cfg: RunConfig) -> list[CheckRow]:
         rows.append(_row("geodesic-cosh", "unit_distance", abs(d - 1.0) <= 1e-3, abs(d - 1.0), "pole to sinh(1)"))
     worst = ResidualTracker("cosh_law" if asserted else "cosh_law_exploratory")
     for a, b in pairs:
-        worst.update(hyp.cosh_residual(space, a, b, cfg.nodes), a.s, b.s)
+        worst.update(hyp.cosh_residual(space, a, b, cfg.nodes, cfg.tolerances), a.s, b.s)
     tol, note = (5e-3, "") if asserted else (np.inf, ";exploratory: transitivity unknown")
     rows.append(_tracked("geodesic-cosh", worst, tol, note=note))
     return rows
@@ -532,33 +520,43 @@ SUITES = {
 }
 
 
-def run_suites(names, cfg: RunConfig):
-    """Run suites in deterministic (name-sorted for 'all') order.
+# the suites that read H+ or the time cone, which exist only for a one-dimensional T block
+SPACETIME_SUITES = frozenset({"cone", "tangent", "lemma3", "lemma4", "theorem10", "geodesic-cosh"})
 
-    Returns (results, rows)."""
+
+def iter_suites(names, cfg: RunConfig):
+    """Run suites one at a time in deterministic (name-sorted for 'all')
+    order, yielding (result, rows) as each finishes.  Off a space-time
+    model a suite of SPACETIME_SUITES is not called: its one row reads
+    not applicable."""
     if names == ["all"] or names == "all":
         names = sorted(SUITES)
-    results = []
-    all_rows = []
     for name in names:
         if name not in SUITES:
-            from .errors import UsageError
-
             raise UsageError(f"unknown suite {name!r}; choose from {', '.join(sorted(SUITES))} or 'all'")
+    spacetime = cfg.space().is_spacetime_model
+    for name in names:
         start = time.perf_counter()
-        rows = SUITES[name](cfg)
+        rows = SUITES[name](cfg) if spacetime or name not in SPACETIME_SUITES else _not_applicable(name)
         duration = time.perf_counter() - start
         worst = max(rows, key=lambda r: r.residual, default=None)
         failed = [r for r in rows if not r.passed]
-        results.append(
-            SuiteResult(
-                suite=name,
-                passed=not failed,
-                worst_residual=worst.residual if worst else 0.0,
-                witness=(failed[0].witness or failed[0].check) if failed else "",
-                duration=duration,
-            )
-        )
+        yield SuiteResult(
+            suite=name,
+            passed=not failed,
+            worst_residual=worst.residual if worst else 0.0,
+            witness=(failed[0].witness or failed[0].check) if failed else "",
+            duration=duration,
+        ), rows
+
+
+def run_suites(names, cfg: RunConfig):
+    """Every suite of :func:`iter_suites`, run to the end.
+
+    Returns (results, rows)."""
+    results, all_rows = [], []
+    for result, rows in iter_suites(names, cfg):
+        results.append(result)
         all_rows.extend(rows)
     return results, all_rows
 

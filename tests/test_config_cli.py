@@ -7,10 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sipmink import cli
+from sipmink import cli, suites
 from sipmink.cli import main
 from sipmink.config import RunConfig, config_from_mapping, load_config, parse_config
-from sipmink.errors import UsageError
+from sipmink.errors import PathError, UnsupportedError, UsageError
 from sipmink.isometry import lorentz_boost
 from sipmink.norms import NormSpec
 from sipmink.numerics import Tolerances
@@ -419,6 +419,22 @@ class TestVerifyCommand:
         assert "class_tol must be below 1" in capsys.readouterr().err
         assert main(["classify", "0,0,1", "--config", str(cfg)]) == 2
 
+    def test_a_numerical_failure_keeps_the_lines_of_the_finished_suites(self, capsys, tmp_path, monkeypatch):
+        # verify all runs cone, counterexamples, then geodesic-cosh: the first two print
+        # their lines as they finish, the third raises, and nothing after it runs
+        def fails(cfg):
+            raise PathError("curve velocity left the space-like regime")
+
+        monkeypatch.setitem(suites.SUITES, "geodesic-cosh", fails)
+        for name in sorted(suites.SUITES)[3:]:
+            monkeypatch.setitem(suites.SUITES, name, lambda cfg: pytest.fail("a suite ran after the failure"))
+        out = tmp_path / "all.csv"
+        assert main(["verify", "all", "--trials", "50", "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert [line.split(":")[0] for line in captured.out.splitlines()] == ["PASS cone", "PASS counterexamples"]
+        assert captured.err == "numerical failure: curve velocity left the space-like regime\n"
+        assert not out.exists()
+
     def test_seed_flag_overrides(self, tmp_path):
         out1 = tmp_path / "a.csv"
         out2 = tmp_path / "b.csv"
@@ -462,7 +478,7 @@ class TestVerifyCommand:
         assert not out.exists()
 
     def test_a_matrix_of_the_wrong_size_exits_before_any_suite_runs(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "run_suites", lambda *a: pytest.fail("a suite ran before the matrix was checked"))
+        monkeypatch.setattr(cli, "iter_suites", lambda *a: pytest.fail("a suite ran before the matrix was checked"))
         path = tmp_path / "F.csv"
         path.write_text("1,0\n0,1\n")  # the stock space is 2+1
         out = tmp_path / "iso.csv"
@@ -493,6 +509,12 @@ class TestVerifyCommand:
         code, lines = self._verify_all(tmp_path, "space.s.dim = 1\ntrials = 50\n")
         assert code == 0
         assert "orthogonality,sip_implies_birkhoff,true,0,needs an S block of dimension 2 or more" in lines
+
+    @pytest.mark.parametrize("name", sorted(suites.SPACETIME_SUITES))
+    def test_a_spacetime_suite_called_off_a_spacetime_model_raises(self, name):
+        # run_suites writes their not-applicable rows without calling them
+        with pytest.raises(UnsupportedError):
+            suites.SUITES[name](config_from_mapping({"space.t.dim": 2}))
 
     def test_verify_all_on_a_two_dimensional_t_block(self, tmp_path):
         # a 2+2 space is no space-time model: the suites that need H+ or a boost

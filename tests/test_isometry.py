@@ -57,6 +57,13 @@ class TestIsometryReport:
         with pytest.raises(DomainError):
             isometry_report(PSEUDO21, 2.0 * np.eye(3), Seed(1), trials)
 
+    def test_one_report_whatever_the_layout_of_the_map(self):
+        # a column-major F is multiplied as its C-ordered copy, so every row rounds as F @ v
+        space = GeneralizedMinkowskiSpace.pseudo_euclidean(3)
+        F = lorentz_boost(space, 0, 1.2)
+        c_order, f_order = (isometry_report(space, G, Seed(42), 200) for G in (F, np.asfortranarray(F)))
+        assert (f_order.product_residual, f_order.adjoint_residual) == (c_order.product_residual, c_order.adjoint_residual)
+
     def test_singular_map_rejected(self):
         with pytest.raises(SingularMapError):
             isometry_report(PSEUDO21, np.zeros((3, 3)), Seed(1), 10)

@@ -478,9 +478,11 @@ class TestReduceLast:
 
 
 def _layout_kernels(k):
-    """Every kernel that reduces rows through reduce_last, at width k: its
-    row call on an X and a Y block (the norms read only X) and its
-    one-vector form."""
+    """Every kernel that reduces rows through reduce_last or a stacked
+    matmul, at width k: its row call on an X and a Y block (the norms read
+    only X) and its one-vector form.  matvec_rows takes its matrix from Y's
+    first k rows, in Y's layout, and has no one-vector form here (see
+    TestRowHelpers)."""
     kernels = {}
     for ufunc in (np.add, np.maximum):
         f = lambda X, Y, ufunc=ufunc: reduce_last(ufunc, X)
@@ -489,11 +491,13 @@ def _layout_kernels(k):
     for spec in (NormSpec.euclidean(k), NormSpec.pnorm(3.0, k), NormSpec.max_norm(k), l1):
         f = lambda X, Y, spec=spec: norm_batch(spec, X)
         kernels[f"norm_batch-{spec.kind}"] = (f, f)
-    for spec in (NormSpec.pnorm(3.0, k), NormSpec.max_norm(k)):
+    for spec in (NormSpec.euclidean(k), NormSpec.pnorm(3.0, k), NormSpec.max_norm(k)):
         kernels[f"norm_rows-{spec.kind}"] = (lambda X, Y, spec=spec: norm_rows(spec, X), lambda x, y, spec=spec: norm(spec, x))
         kernels[f"sip_rows-{spec.kind}"] = (lambda X, Y, spec=spec: sip_rows(spec, X, Y), lambda x, y, spec=spec: sip(spec, x, y))
     for space in (SiipSpace.diagonal([(-1) ** i for i in range(k)]), SiipSpace.cross_polytope(k)):
         kernels[f"siip_rows-{space.kind}"] = (lambda X, Y, sp=space: siip_rows(sp, X, Y), lambda x, y, sp=space: siip(sp, x, y))
+    kernels["dot_rows"] = (dot_rows, lambda x, y: x @ y)
+    kernels["matvec_rows"] = (lambda X, Y: matvec_rows(Y[:k], X), None)
     return kernels
 
 
@@ -511,7 +515,8 @@ class TestLayouts:
         wide[:, ::2, ::2] = X, Y
         for layout, (XL, YL) in {"F": (np.asfortranarray(X), np.asfortranarray(Y)), "strided": wide[:, ::2, ::2]}.items():
             assert _same_bits(rows(XL, YL), expected), layout
-        assert _same_bits(np.array([one(x, y) for x, y in zip(X, Y)]), expected), "1-D"
+        if one is not None:
+            assert _same_bits(np.array([one(x, y) for x, y in zip(X, Y)]), expected), "1-D"
 
 
 def _sequential(name, residuals, *witness):
