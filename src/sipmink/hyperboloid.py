@@ -33,6 +33,7 @@ from .numerics import DEFAULT_TOLERANCES, Tolerances, check_dim, minimize_rows, 
 
 _EPS3 = float(np.finfo(float).eps) ** (1.0 / 3.0)
 _GRADIENT_STEP = 1e-6  # the +-h of every central difference in _energy_gradient
+_QUAD_M = 4  # the Simpson subintervals of every chord-lift length the geodesic solver takes
 _PAIR_BUDGET = 1000  # drawn pairs per pair asked of sample_pairs without a cap; the stock spaces need 1 or 2
 
 
@@ -327,7 +328,7 @@ def _chord_lengths(space, s_nodes: np.ndarray, quad_m: int) -> np.ndarray:
     return _segment_lengths(space, s_nodes[:-1], s_nodes[1:] - s_nodes[:-1], quad_m)
 
 
-def path_length(space: GeneralizedMinkowskiSpace, path: Path, quad_m: int = 4) -> float:
+def path_length(space: GeneralizedMinkowskiSpace, path: Path, quad_m: int = _QUAD_M) -> float:
     """Sum of per-segment Simpson integrals of the tangential speed."""
     _require_spacetime(space)
     quad_m = _check_count("quad_m", quad_m, even=True)
@@ -357,9 +358,9 @@ class _GradientPlan(_ChordPlan):
     segments, with their gather arrays: the flat [x, x+h, x-h] (``nodes``,
     ``up``, ``down``) and the (2, k, R) starts and ends it is gathered into."""
 
-    def __init__(self, m: int, k: int, quad_m: int):
+    def __init__(self, m: int, k: int):
         size, q = (m + 1) * k, k * (m - 1)
-        super().__init__(k, 4 * q + m, quad_m)
+        super().__init__(k, 4 * q + m, _QUAD_M)
         self.indices = _gradient_indices(m, k)
         self.gather = np.empty(size + 2 * q)
         self.nodes, self.up, self.down = self.gather[:size], self.gather[size : size + q], self.gather[size + q :]
@@ -367,7 +368,7 @@ class _GradientPlan(_ChordPlan):
         self.starts = self.starts_ends[0].T
 
 
-def _energy_gradient(space, s_nodes: np.ndarray, quad_m: int, plan=None, out=None) -> tuple[np.ndarray, float]:
+def _energy_gradient(space, s_nodes: np.ndarray, plan=None, out=None) -> tuple[np.ndarray, float]:
     """Central-difference gradient of the path energy w.r.t. interior nodes
     (in ``out`` when given), and the energy itself (equal to _path_energy).
     A moved node changes only its two segments, so all 4k(m-1) perturbed ones
@@ -376,13 +377,13 @@ def _energy_gradient(space, s_nodes: np.ndarray, quad_m: int, plan=None, out=Non
     the level's _GradientPlan."""
     m, k, h = s_nodes.shape[0] - 1, s_nodes.shape[1], _GRADIENT_STEP
     x, q = s_nodes.ravel(), 2 * k * (m - 1)
-    plan = _GradientPlan(m, k, quad_m) if plan is None else plan
+    plan = _GradientPlan(m, k) if plan is None else plan
     plan.nodes[...] = x
     np.add(x[k:-k], h, out=plan.up)
     np.subtract(x[k:-k], h, out=plan.down)
     starts, ends = plan.gather.take(plan.indices, None, plan.starts_ends, "clip")
     np.subtract(ends, starts, out=plan.delta)
-    L = _segment_lengths(space, plan.starts, plan.deltas, quad_m, buf=plan)
+    L = _segment_lengths(space, plan.starts, plan.deltas, _QUAD_M, buf=plan)
     L *= L
     pair = np.add(L[:q], L[q : 2 * q], out=L[:q])  # (node, coordinate, sign), flat
     np.multiply(m, pair, out=pair)
@@ -392,19 +393,19 @@ def _energy_gradient(space, s_nodes: np.ndarray, quad_m: int, plan=None, out=Non
     return g, float(m * np.add.reduce(L[2 * q :]))
 
 
-def _relax_gradient(space, s_nodes: np.ndarray, quad_m: int, max_iter: int) -> np.ndarray:
+def _relax_gradient(space, s_nodes: np.ndarray, max_iter: int) -> np.ndarray:
     """Barzilai-Borwein descent on the path energy (smooth S norms).  The
     level owns the _GradientPlan of its _energy_gradient calls, the two live
     gradients and the last point; each step writes the nodes in place."""
     inner = s_nodes[1:-1]
-    plan = _GradientPlan(s_nodes.shape[0] - 1, s_nodes.shape[1], quad_m)
+    plan = _GradientPlan(s_nodes.shape[0] - 1, s_nodes.shape[1])
     x, (work, g, g_new) = inner.copy(), (np.empty_like(inner) for _ in range(3))
     s, w = x.ravel(), work.ravel()  # flat views: the step; the gradient change, then |g|
-    g, e = _energy_gradient(space, s_nodes, quad_m, plan, g)
+    g, e = _energy_gradient(space, s_nodes, plan, g)
     alpha = 1e-3 / max(1e-12, float(w[np.abs(g, out=work).argmax()]))  # argmax: cheaper than a reduction, nan wins
     for _ in range(max_iter):
         np.subtract(x, np.multiply(alpha, g, out=work), out=inner)  # the new point x - alpha g
-        g_new, e_new = _energy_gradient(space, s_nodes, quad_m, plan, g_new)
+        g_new, e_new = _energy_gradient(space, s_nodes, plan, g_new)
         np.subtract(inner, x, out=x)
         np.subtract(g_new, g, out=work)
         sy = float(s.dot(w))
@@ -423,8 +424,8 @@ class _NodePlan(_ChordPlan):
     neighbours: the starts [lo | P] and the ends [P | hi] of the 2N segments
     are two views of it, so one subtract writes every delta."""
 
-    def __init__(self, k: int, N: int, quad_m: int):
-        super().__init__(k, 2 * N, quad_m)
+    def __init__(self, k: int, N: int):
+        super().__init__(k, 2 * N, _QUAD_M)
         block = np.empty((k, 3 * N))
         self.lo, self.nodes, self.hi = block[:, :N], block[:, N : 2 * N], block[:, 2 * N :]
         self.earlier, self.later = block[:, : 2 * N], block[:, N:]
@@ -440,14 +441,14 @@ class _NodeObjective:
     the batch, so lo[rows] and hi[rows] are gathered into the plan once per
     rows array."""
 
-    def __init__(self, space, lo: np.ndarray, hi: np.ndarray, quad_m: int, plans: dict):
-        self.space, self.lo, self.hi, self.quad_m, self.plans, self.rows = space, lo.T, hi.T, quad_m, plans, None
+    def __init__(self, space, lo: np.ndarray, hi: np.ndarray, plans: dict):
+        self.space, self.lo, self.hi, self.plans, self.rows = space, lo.T, hi.T, plans, None
 
     def _gather(self, rows: np.ndarray, k: int):
         N = len(rows)
         plan = self.plans.get(N)
         if plan is None:
-            plan = self.plans[N] = _NodePlan(k, N, self.quad_m)
+            plan = self.plans[N] = _NodePlan(k, N)
         self.lo.take(rows, 1, plan.lo, "clip")
         self.hi.take(rows, 1, plan.hi, "clip")
         self.rows, self.plan = rows, plan
@@ -458,12 +459,12 @@ class _NodeObjective:
         plan, N = self.plan, len(rows)
         plan.nodes[...] = P.T
         np.subtract(plan.later, plan.earlier, out=plan.delta)  # [P - lo | hi - P]
-        L = _segment_lengths(self.space, plan.starts, plan.deltas, self.quad_m, plan, N)
+        L = _segment_lengths(self.space, plan.starts, plan.deltas, _QUAD_M, plan, N)
         L *= L
         return np.add(L[:N], L[N:], out=L[:N])  # as np.add.reduce sums two squares
 
 
-def _relax_simplex(space, s_nodes: np.ndarray, quad_m: int, sweeps: int, opt_tol: float) -> np.ndarray:
+def _relax_simplex(space, s_nodes: np.ndarray, sweeps: int, opt_tol: float) -> np.ndarray:
     """Node-wise simplex relaxation (works for non-smooth S norms too).
 
     Gauss-Seidel sweeps: in sweep s, node i starts from its sweep s-1 value
@@ -485,7 +486,7 @@ def _relax_simplex(space, s_nodes: np.ndarray, quad_m: int, sweeps: int, opt_tol
                 s = np.arange(sweeps)
                 s = s[(t - lag * s >= 1) & (t - lag * s < m)]
                 i = t - lag * s
-                x0, local = hist[s, i], _NodeObjective(space, hist[s + 1, i - 1], hist[s, i + 1], quad_m, plans)
+                x0, local = hist[s, i], _NodeObjective(space, hist[s + 1, i - 1], hist[s, i + 1], plans)
                 best, _, _ = minimize_rows(local, x0, opt_tol=max(opt_tol, 1e-8), max_iter=300)  # out of budget: the best point
                 hist[s + 1, i] = best
                 moved[s] = np.fmax(moved[s], np.max(np.abs(best - x0), axis=1))
@@ -506,7 +507,6 @@ def geodesic_path(
     a: HPoint,
     b: HPoint,
     m: int,
-    quad_m: int = 4,
     tolerances: Tolerances = DEFAULT_TOLERANCES,
 ) -> tuple[Path, float]:
     """Shortest discrete path from a to b with m segments, and its length.
@@ -515,11 +515,12 @@ def geodesic_path(
     coarse-to-fine, halving the segment count while it is even and above 4
     (m = 32 runs 4, 8, 16, 32; m = 6 starts at 3; an odd m runs one level).  Smooth S
     norms use a vectorized gradient descent on the path energy; other
-    norms fall back to node-wise simplex relaxation.  The search is
-    local: the infimum is taken over the basin of the initial path.
+    norms fall back to node-wise simplex relaxation.  Every length is
+    path_length's at its default Simpson rule of 4 subintervals.  The search
+    is local: the infimum is taken over the basin of the initial path.
     """
     _require_spacetime(space)
-    quad_m, m = _check_count("quad_m", quad_m, even=True), _check_count("m", m)
+    m = _check_count("m", m)
     if np.array_equal(a.s, b.s):
         return Path(space, tuple([a] * (m + 1))), 0.0
     levels = [m]
@@ -536,10 +537,10 @@ def geodesic_path(
             doubled[1::2] = 0.5 * (sn[:-1] + sn[1:])
             sn = doubled
         if smooth:
-            sn = _relax_gradient(space, sn, quad_m, max_iter=300 if ml == m else 80)
+            sn = _relax_gradient(space, sn, max_iter=300 if ml == m else 80)
         else:
-            sn = _relax_simplex(space, sn, quad_m, sweeps=8 if ml == m else 3, opt_tol=tolerances.opt_tol)
-    length = float(np.sum(_chord_lengths(space, sn, quad_m)))
+            sn = _relax_simplex(space, sn, sweeps=8 if ml == m else 3, opt_tol=tolerances.opt_tol)
+    length = float(np.sum(_chord_lengths(space, sn, _QUAD_M)))
     if not np.isfinite(length):
         raise ConvergenceError("path relaxation produced a non-finite length", best_value=length)
     return Path.from_s_nodes(space, sn), length
@@ -550,11 +551,10 @@ def geodesic_distance(
     a: HPoint,
     b: HPoint,
     m: int,
-    quad_m: int = 4,
     tolerances: Tolerances = DEFAULT_TOLERANCES,
 ) -> float:
     """Length of the shortest discrete path from a to b (see geodesic_path)."""
-    return geodesic_path(space, a, b, m, quad_m, tolerances)[1]
+    return geodesic_path(space, a, b, m, tolerances)[1]
 
 
 def path_to_csv(path: Path) -> str:

@@ -107,20 +107,26 @@ def _as_rows(space: GeneralizedMinkowskiSpace, *vectors):
     return (check_dim(v, space.n)[None] for v in vectors)
 
 
-def product_minus_rows(space: GeneralizedMinkowskiSpace, U, V) -> np.ndarray:
-    """Row-wise ``[U[i], V[i]]^-`` of two (N, n) arrays."""
+def _block_products(space: GeneralizedMinkowskiSpace, U, V) -> tuple[np.ndarray, np.ndarray]:
+    """The block products ``[s1, s2]_S`` and ``[t1, t2]_T`` of the rows
+    u = s1 (+) t1 and v = s2 (+) t2 of two (N, n) arrays, which every
+    product of the direct sum combines."""
     U = check_dim(U, space.n, rows=True)
     V = check_dim(V, space.n, rows=True)
     k = space.k
-    return sip_rows(space.s_space, U[:, :k], V[:, :k]) + sip_rows(space.t_space, U[:, k:], V[:, k:])
+    return sip_rows(space.s_space, U[:, :k], V[:, :k]), sip_rows(space.t_space, U[:, k:], V[:, k:])
+
+
+def product_minus_rows(space: GeneralizedMinkowskiSpace, U, V) -> np.ndarray:
+    """Row-wise ``[U[i], V[i]]^-`` of two (N, n) arrays."""
+    s, t = _block_products(space, U, V)
+    return s + t
 
 
 def product_plus_rows(space: GeneralizedMinkowskiSpace, U, V) -> np.ndarray:
     """Row-wise ``[U[i], V[i]]^+`` of two (N, n) arrays."""
-    U = check_dim(U, space.n, rows=True)
-    V = check_dim(V, space.n, rows=True)
-    k = space.k
-    return sip_rows(space.s_space, U[:, :k], V[:, :k]) - sip_rows(space.t_space, U[:, k:], V[:, k:])
+    s, t = _block_products(space, U, V)
+    return s - t
 
 
 def product_minus(space: GeneralizedMinkowskiSpace, u, v) -> float:
@@ -148,9 +154,7 @@ class BoundProduct:
             raise DomainError(f"product sign must be '+' or '-', got {self.sign!r}")
 
     def __call__(self, u, v) -> float:
-        if self.sign == "+":
-            return product_plus(self.space, u, v)
-        return product_minus(self.space, u, v)
+        return float(self.rows(*_as_rows(self.space, u, v))[0])
 
     def rows(self, U, V) -> np.ndarray:
         if self.sign == "+":
@@ -185,9 +189,7 @@ def classify_rows(space: GeneralizedMinkowskiSpace, V, class_tol: float | None =
     """
     if class_tol is None:
         class_tol = DEFAULT_TOLERANCES.class_tol
-    V = check_dim(V, space.n, rows=True)
-    S, T = V[:, : space.k], V[:, space.k :]
-    qs, qt = sip_rows(space.s_space, S, S), sip_rows(space.t_space, T, T)  # one square per block
+    qs, qt = _block_products(space, V, V)  # one square per block
     q = qs - qt
     scale = np.maximum(1.0, qs + qt)
     code = np.where(np.abs(q) <= class_tol * scale, 1, np.where(q > 0, 2, 0))

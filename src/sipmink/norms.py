@@ -119,6 +119,14 @@ def _power_sums(X, p: float, out=None):
     return s, _off_range(s, X)
 
 
+@np.errstate(over="ignore")
+def _square_sums(X):
+    """The sums of squares dot_rows(X, X) of the rows of X and their
+    :func:`_off_range` mask; an overflow is not warned of, as in :func:`_power_sums`."""
+    s = dot_rows(X, X)
+    return s, _off_range(s, X)
+
+
 def _off_range(s, X):
     """The mask of the rows of X whose sum ``s`` of powers is not a normal
     float although their largest |entry| is positive and finite (None when
@@ -157,15 +165,12 @@ def norm_rows(spec: NormSpec, X) -> np.ndarray:
     large batches)."""
     X = check_dim(X, spec.dim, rows=True)
     if spec.kind == EUCLIDEAN:
-        with np.errstate(over="ignore"):
-            s = dot_rows(X, X)
-        return _rescaled(norm_rows, spec, np.sqrt(s), X, _off_range(s, X))
+        s, off = _square_sums(X)
+        return _rescaled(norm_rows, spec, np.sqrt(s), X, off)
     if spec.kind == PNORM:
         s, off = _power_sums(X, spec.p)
         return _rescaled(norm_rows, spec, pow_rows(s, 1.0 / spec.p), X, off)
-    if spec.kind == MAX:
-        return reduce_last(np.maximum, np.abs(X))
-    return row_kernel(spec.gauge)(X)
+    return norm_batch(spec, X)  # the max and gauge rows have no root to round
 
 
 def norm_batch(spec: NormSpec, X: np.ndarray, out=None) -> np.ndarray:

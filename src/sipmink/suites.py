@@ -377,10 +377,8 @@ def suite_orthogonality(cfg: RunConfig) -> list[CheckRow]:
         X = as_uniform(draws.take(10 * block.dim).reshape(10, block.dim), -1.5, 1.5)
         X = X[~(norm_rows(block, X) < 0.3)]  # short x are skipped
         Y = ortho.orthogonal_companion_basis_rows(block, X, tol)[:, 0]
-        mn, _ = ortho.birkhoff_margin_rows(block, X, Y, tol.opt_tol)
-        deficit = norm_rows(block, X) - mn
         worst = ResidualTracker("sip_implies_birkhoff")
-        worst.update_rows(np.where(deficit > 0.0, deficit, 0.0), X)
+        worst.update_rows(ortho.relation_rows(block, ortho.OrthoRelation.BIRKHOFF, X, Y, tol.opt_tol)[0], X)
         rows.append(_tracked("orthogonality", worst, 1e-6))
 
     # homogeneity of the unitary relations; a trial draws x and, unless
@@ -443,8 +441,7 @@ def suite_orthogonality(cfg: RunConfig) -> list[CheckRow]:
 @dataclass(frozen=True)
 class Counterexamples:
     """The stock negative results, each computed once for the
-    ``counterexamples`` suite, the ``counterexample`` command and
-    ``scripts/reproduce_counterexamples.py``."""
+    ``counterexamples`` suite and the ``counterexample`` command."""
 
     plane_value: float  # [(1,2), (1,1)] of the weighted plane: 10/3
     plane_squares: tuple  # [u,u] and [v,v] of that pair

@@ -201,6 +201,14 @@ class TestCliCommands:
         out = capsys.readouterr().out
         assert "3.3333333333333335" in out
         assert "margin" in out
+        # the weighted-plane, max-plane and flatness blocks, each a header line
+        lines = out.splitlines()
+        for header in (
+            "Cauchy-Schwarz fails for the weighted plane product:",
+            "Cauchy-Schwarz fails on a positive subspace of the max-norm space-time:",
+            "max norm is not strictly convex; equality witness:",
+        ):
+            assert header in lines
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("argv", [["tangent", "--", "1e200,0"], ["distance", "--", "0,0", "0,-1e200"]])

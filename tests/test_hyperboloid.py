@@ -485,11 +485,11 @@ class TestSegmentLengths:
                 L, X, H = lo.copy(), mid.copy(), hi.copy()
                 L[at], X[at], H[at] = a, x, b
                 rows = np.arange(48)
-                assert _NodeObjective(space, L, H, 4, {})(rows, X)[at] == alone
+                assert _NodeObjective(space, L, H, {})(rows, X)[at] == alone
                 # a second call on the same rows reuses the plan's gathered lo and hi; a
                 # smaller rows array, as when a row leaves the batch, takes the plan of its
                 # size, which the objectives of earlier positions left holding their rows
-                objective = _NodeObjective(space, L, H, 4, plans)
+                objective = _NodeObjective(space, L, H, plans)
                 objective(rows, np.roll(X, 1, axis=0))
                 assert objective(rows, X)[at] == alone
                 left_batch = rows[rows != (at + 1) % 48]
@@ -503,7 +503,7 @@ class TestSegmentLengths:
             for batch in ([short], [far, short], [short, far]):
                 L, X, H = (np.array(column) for column in zip(*batch))
                 with pytest.raises(PathError):
-                    _NodeObjective(space, L, H, 4, {})(np.arange(len(batch)), X)
+                    _NodeObjective(space, L, H, {})(np.arange(len(batch)), X)
 
 
 class TestSolverAssembly:
@@ -514,7 +514,7 @@ class TestSolverAssembly:
     @ASSEMBLY_NODES
     def test_gradient_matches_loop_reference_bitwise(self, space, m):
         for nodes in (_random_nodes(space, m), _signed_zero_nodes(space, m)):
-            g, energy = _energy_gradient(space, nodes, 4)
+            g, energy = _energy_gradient(space, nodes)
             assert np.array_equal(g, _loop_energy_gradient(space, nodes, 4))
             assert energy == _path_energy(space, nodes, 4)
 
@@ -527,7 +527,7 @@ class TestSolverAssembly:
         L = _three_call_segment_lengths(space, *_loop_perturbed_segments(nodes, h), 4)
         pair = (m * (L[0::2] ** 2 + L[1::2] ** 2)).reshape(m - 1, space.k, 2)
         path = _three_call_segment_lengths(space, nodes[:-1], nodes[1:] - nodes[:-1], 4)
-        g, energy = _energy_gradient(space, nodes, 4)
+        g, energy = _energy_gradient(space, nodes)
         assert np.array_equal(g, (pair[:, :, 0] - pair[:, :, 1]) / (2.0 * h))
         assert energy == float(m * np.sum(path * path))
 
@@ -546,7 +546,7 @@ class TestSolverAssembly:
             return _segment_lengths(space, seg_starts, seg_deltas, quad_m, buf)
 
         monkeypatch.setattr(hyperboloid, "_segment_lengths", spy)
-        g, energy = _energy_gradient(space, nodes, 4)
+        g, energy = _energy_gradient(space, nodes)
         (starts, deltas), = seen
         loop_starts, loop_deltas = _loop_perturbed_segments(nodes)
         path_starts, path_deltas = nodes[:-1], nodes[1:] - nodes[:-1]
@@ -563,7 +563,7 @@ class TestSolverAssembly:
     def test_simplex_sweep_matches_vstack_reference_bitwise(self, space, m):
         nodes = _random_nodes(space, m)
         opt_tol = DEFAULT_TOLERANCES.opt_tol
-        got = _relax_simplex(space, nodes.copy(), 4, sweeps=1, opt_tol=opt_tol)
+        got = _relax_simplex(space, nodes.copy(), sweeps=1, opt_tol=opt_tol)
         assert np.array_equal(got, _vstack_relax_sweep(space, nodes.copy(), 4, opt_tol))
 
     @ASSEMBLY_SPACES
@@ -571,7 +571,7 @@ class TestSolverAssembly:
     def test_gradient_against_energy_central_difference(self, space, m):
         # independent oracle: perturb the whole path, re-evaluate the energy
         nodes = _random_nodes(space, m)
-        g, energy = _energy_gradient(space, nodes, 4)
+        g, energy = _energy_gradient(space, nodes)
         assert energy == _path_energy(space, nodes, 4)
         h = 1e-6
         fd = np.empty_like(g)
@@ -584,10 +584,10 @@ class TestSolverAssembly:
         assert np.max(np.abs(g - fd)) <= 1e-7 * max(1.0, float(np.max(np.abs(g))))
 
 
-def _reference_relax_simplex(space, s_nodes, quad_m, sweeps, opt_tol, ran=None):
+def _reference_relax_simplex(space, s_nodes, sweeps, opt_tol, ran=None):
     """Reference: the node-wise relaxation as one sequential Gauss-Seidel
-    loop, one Nelder-Mead descent per node and sweep; appends the number of sweeps
-    it ran to ``ran``."""
+    loop, one Nelder-Mead descent per node and sweep, on 4 Simpson subintervals;
+    appends the number of sweeps it ran to ``ran``."""
     m = s_nodes.shape[0] - 1
     for sweep in range(sweeps):
         moved = 0.0
@@ -599,7 +599,7 @@ def _reference_relax_simplex(space, s_nodes, quad_m, sweeps, opt_tol, ran=None):
                 starts[1] = sv
                 np.subtract(sv, starts[0], out=deltas[0])
                 np.subtract(hi, sv, out=deltas[1])
-                L = _segment_lengths(space, starts, deltas, quad_m)
+                L = _segment_lengths(space, starts, deltas, 4)
                 return float(np.add.reduce(L * L))
 
             try:
@@ -634,8 +634,8 @@ class TestWavefrontRelaxation:
     def test_matches_the_sequential_loop_bitwise(self, space, m, sweeps):
         nodes = _random_nodes(space, m)
         opt_tol = DEFAULT_TOLERANCES.opt_tol
-        got = _relax_simplex(space, nodes.copy(), 4, sweeps, opt_tol)
-        assert np.array_equal(got, _reference_relax_simplex(space, nodes.copy(), 4, sweeps, opt_tol))
+        got = _relax_simplex(space, nodes.copy(), sweeps, opt_tol)
+        assert np.array_equal(got, _reference_relax_simplex(space, nodes.copy(), sweeps, opt_tol))
 
     # from the straight chord between (100, 0, ...) and (0, 100, ...), the loop
     # stops after 4 (gauge, m=16) or 7 (max 3+1, m=7) of 8 sweeps, when the
@@ -646,9 +646,9 @@ class TestWavefrontRelaxation:
         a[0] = b[1] = 100.0
         nodes = a + np.linspace(0.0, 1.0, m + 1)[:, None] * (b - a)
         opt_tol, ran = DEFAULT_TOLERANCES.opt_tol, []
-        expected = _reference_relax_simplex(space, nodes.copy(), 4, 8, opt_tol, ran)
+        expected = _reference_relax_simplex(space, nodes.copy(), 8, opt_tol, ran)
         assert ran == [stop]
-        assert np.array_equal(_relax_simplex(space, nodes.copy(), 4, 8, opt_tol), expected)
+        assert np.array_equal(_relax_simplex(space, nodes.copy(), 8, opt_tol), expected)
 
     def test_far_max_pair_stops_early_at_the_same_length(self, monkeypatch):
         # the r=1000 pair of the max-norm benchmark pool: its m=16 level stops after 7 of 8 sweeps
@@ -689,7 +689,7 @@ class TestWavefrontRelaxation:
         monkeypatch.setattr(hyperboloid, "_segment_lengths", spy)
         monkeypatch.setattr(hyperboloid, "minimize_rows", counted)
         nodes = _random_nodes(space, 16)
-        _relax_simplex(space, nodes, 4, 3, DEFAULT_TOLERANCES.opt_tol)
+        _relax_simplex(space, nodes, 3, DEFAULT_TOLERANCES.opt_tol)
         assert calls and all(same for *_, same in calls)
         steps_of, sizes_in = {}, {}
         for s, plan, n, _ in calls:
@@ -710,7 +710,7 @@ class TestWavefrontRelaxation:
             return got
 
         monkeypatch.setattr(hyperboloid, "_segment_lengths", spy)
-        hyperboloid._relax_gradient(space, _random_nodes(space, 8), 4, max_iter=20)
+        hyperboloid._relax_gradient(space, _random_nodes(space, 8), max_iter=20)
         assert len(calls) > 2 and len({plan for plan, _ in calls}) == 1 and all(same for _, same in calls)
 
     def test_nan_gauge_raises_what_the_loop_raises(self, monkeypatch):
@@ -742,26 +742,17 @@ class TestQuadratureGrid:
         a, b = lift(PSEUDO21, [0.0, 0.5]), lift(PSEUDO21, [1.0, -0.3])
         with pytest.raises(DomainError):
             path_length(PSEUDO21, linear_path(PSEUDO21, a, b, 4), quad_m=3)
-        with pytest.raises(DomainError):
-            geodesic_distance(PSEUDO21, a, b, 8, quad_m=3)
 
     @pytest.mark.parametrize("quad_m", [3, 0, -2, 4.0, 5.0, "4", None, True])
     def test_bad_quadrature_rejected_up_front(self, quad_m):
         a, b = lift(PSEUDO21, [0.0, 0.5]), lift(PSEUDO21, [1.0, -0.3])
-        path = linear_path(PSEUDO21, a, b, 4)
-        for call in (
-            lambda: path_length(PSEUDO21, path, quad_m=quad_m),
-            lambda: geodesic_path(PSEUDO21, a, b, 8, quad_m=quad_m),
-            lambda: geodesic_distance(PSEUDO21, a, b, 8, quad_m=quad_m),
-            lambda: geodesic_distance(PSEUDO21, a, a, 8, quad_m=quad_m),  # checked before the early return
-        ):
-            with pytest.raises(DomainError, match="^quad_m must be"):
-                call()
+        with pytest.raises(DomainError, match="^quad_m must be"):
+            path_length(PSEUDO21, linear_path(PSEUDO21, a, b, 4), quad_m=quad_m)
 
     def test_integer_like_quadrature_accepted(self):
         a, b = lift(PSEUDO21, [0.0, 0.5]), lift(PSEUDO21, [1.0, -0.3])
-        expected = geodesic_distance(PSEUDO21, a, b, 8, quad_m=6)
-        assert geodesic_distance(PSEUDO21, a, b, 8, quad_m=np.int64(6)) == expected
+        path = linear_path(PSEUDO21, a, b, 8)
+        assert path_length(PSEUDO21, path, quad_m=np.int64(6)) == path_length(PSEUDO21, path, quad_m=6)
 
 
 class TestGeodesicDistance:
