@@ -8,7 +8,8 @@ overrides it reads: classify ``--out``; auerbach and counterexample
 --nodes --out`` and ``--matrix``; product, ortho and tangent none.
 
 Exit codes: 0 all passed, 1 suite failure, 2 usage or config error (an
-unwritable output path too), 3 numerical non-convergence.
+unwritable output path or a failed allocation too), 3 numerical
+non-convergence.
 """
 
 from __future__ import annotations
@@ -290,6 +291,9 @@ def main(argv=None) -> int:
         return 3
     except SipminkError as err:
         print(f"error: {err}", file=sys.stderr)
+        return 2
+    except MemoryError as err:  # numpy's allocation failures subclass it, with the request in the message
+        print("error: out of memory" + (f": {err}" if str(err) else ""), file=sys.stderr)
         return 2
 
 

@@ -52,6 +52,12 @@ class RunConfig:
     out: str | None = None  # classify and distance write no CSV without it; verify defaults to verify_report.csv
     tolerances: Tolerances = field(default_factory=Tolerances)
 
+    def __post_init__(self):  # a config file and the override flags both pass through here
+        for key, low in (("trials", 1), ("nodes", 2)):
+            value = getattr(self, key)
+            if value < low:
+                raise UsageError(f"{key} must be at least {low}, got {value} (key {key!r}, flag --{key})")
+
     def _norm(self, block: str, kind: str, p, dim: int) -> NormSpec:
         if p is not None and kind != "pnorm":
             raise UsageError(f"key space.{block}.p is read only with space.{block}.norm = \"pnorm\", not {kind!r}")

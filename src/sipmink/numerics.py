@@ -330,16 +330,16 @@ def minimize_rows(
     not depend on the rest of the batch.  Each step makes one call, on
     4 + n points of every active row: the reflection, the expansion, the
     contractions towards the reflection and towards the worst vertex, and
-    the n shrink points (for n = 1 the last contraction); the step's rules
-    take the values they use.  A step whose call raises, gives a non-finite
-    value or trips an overflow, division or invalid-operation flag is
-    redone as the sequential descent asks for its points (the reflections,
-    the second points, the shrinks), so it raises only what that descent
-    raises, and a value at a point the rules do not use is ignored.  A row
-    leaves the batch when its simplex converges.  Returns the best vertices
-    (N, n), their values (N,) and whether each row converged; a row still
-    active after ``max_iter`` iterations keeps its best vertex.  Raises
-    :class:`NumericalError` on a non-finite value the rules use.
+    the n shrink points; the step rule takes the values it uses.  A step
+    whose call raises, gives a non-finite value or trips an overflow,
+    division or invalid-operation flag is redone as the sequential descent
+    asks for its points (the reflections, the second points, the shrinks),
+    so it raises only what that descent raises, and a value at a point the
+    rule does not use is ignored.  A row leaves the batch when its simplex
+    converges.  Returns the best vertices (N, n), their values (N,) and
+    whether each row converged; a row still active after ``max_iter``
+    iterations keeps its best vertex.  Raises :class:`NumericalError` on a
+    non-finite value the rule uses.
     """
     return _nelder_mead(f, X0, opt_tol, max_iter, speculate=True)
 
@@ -368,9 +368,8 @@ def _trial_points(verts, opt_tol):
     contractions towards the reflection and towards the worst vertex, and
     the shrinks of vertices 1..n towards the best.  None when the simplex
     diameter is below ``opt_tol``.  The centroid adds the kept vertices in
-    order and divides by n; _trial_points_2 is this function written out,
-    term for term, and so is _trial_points_1 less the shrink point, which
-    for n = 1 is the contraction towards the worst vertex, bit for bit."""
+    order and divides by n; _trial_points_1 and _trial_points_2 are this
+    function written out, term for term."""
     b, w = verts[0][1], verts[-1][1]
     if all(abs(v - bj) < opt_tol for _, p in verts[1:] for v, bj in zip(p, b)):
         return None
@@ -396,7 +395,7 @@ def _trial_points_1(verts, opt_tol):
     c = b  # b / 1
     a = c - w
     r = c + a
-    return [r, c + 2.0 * a, c + 0.5 * (r - c), c + 0.5 * (w - c)]  # the shrink b + 0.5 * (w - b) is the last
+    return [r, c + 2.0 * a, c + 0.5 * (r - c), c + 0.5 * (w - c), b + 0.5 * (w - b)]
 
 
 def _trial_points_2(verts, opt_tol):
@@ -416,39 +415,41 @@ def _trial_points_2(verts, opt_tol):
     ]  # fmt: skip
 
 
-def _second_point(fr, verts) -> int:
-    """The trial point a step evaluates after a reflection of value ``fr``:
-    1 the expansion, 2 or 3 the contraction towards the reflection or
-    towards the worst vertex, 0 none.  A contraction replaces the worst
-    vertex if its value is below min(fr, worst value); otherwise the step
-    shrinks.  _nelder_mead's step loop applies this rule written out."""
+def _step(verts, vals, o) -> int:
+    """The Nelder-Mead step rule: the trial point a step keeps, from the
+    values ``vals[o:o + 4 + n]`` of its trial points: 0 the reflection, 1
+    the expansion, 2 or 3 the contraction towards the reflection or towards
+    the worst vertex, or -1 for a shrink towards the best vertex.  It reads
+    the reflection's value and at most one other; with every other value
+    -inf, it returns the one it reads (0 for none)."""
+    fr = vals[o]
     if fr < verts[0][0]:
-        return 1
+        return 1 if vals[o + 1] < fr else 0
     if fr < verts[-2][0]:
         return 0
-    return 3 if fr >= verts[-1][0] else 2
+    k = 3 if fr >= verts[-1][0] else 2
+    return k if vals[o + k] < min(fr, verts[-1][0]) else -1
 
 
 def _sequential_values(f, rows, batch, n, per):
     """One step's values, flat, ``per`` a row, asked for as the sequential
     descent asks: one call for the reflections of all rows, one for the
-    second points of the rows that need one, one for the shrinks (the last n
-    points of a row); each call's values are checked before the next.
-    Unevaluated entries stay NaN, unread."""
-    vals = [math.nan] * (per * len(batch))
-    fr = _finite_rows(f(rows, np.array([pts[:n] for _, _, pts in batch])), "minimize").tolist()
-    vals[::per] = fr
-    second = [(i, k) for i, (_, verts, _) in enumerate(batch) if (k := _second_point(fr[i], verts))]
+    second points _step reads, one for the shrinks (the last n points of a
+    row); each call's values are checked before the next.  Unevaluated
+    entries stay -inf, unread."""
+    vals = [-math.inf] * (per * len(batch))
+    vals[::per] = _finite_rows(f(rows, np.array([pts[:n] for _, _, pts in batch])), "minimize").tolist()
+    second = [(i, k) for i, (_, verts, _) in enumerate(batch) if (k := _step(verts, vals, i * per)) > 0]
     if second:
         P = np.array([batch[i][2][k * n : (k + 1) * n] for i, k in second])
         for (i, k), x in zip(second, _finite_rows(f(rows[[i for i, _ in second]], P), "minimize").tolist()):
             vals[i * per + k] = x
-    shrink = [i for i, k in second if k > 1 and not vals[i * per + k] < min(fr[i], batch[i][1][-1][0])]
+    shrink = [i for i, _ in second if _step(batch[i][1], vals, i * per) < 0]
     if shrink:
-        P = np.array([batch[i][2][(per - n) * n :] for i in shrink]).reshape(-1, n)
+        P = np.array([batch[i][2][4 * n :] for i in shrink]).reshape(-1, n)
         values = _finite_rows(f(np.repeat(rows[shrink], n), P), "minimize").reshape(-1, n)
         for i, row in zip(shrink, values.tolist()):
-            vals[(i + 1) * per - n : (i + 1) * per] = row
+            vals[i * per + 4 : (i + 1) * per] = row
     return vals
 
 
@@ -467,8 +468,7 @@ def _nelder_mead(f, X0, opt_tol, max_iter, speculate):
     live = [(r, list(zip(vs, ps))) for r, (vs, ps) in enumerate(zip(fv, sim.tolist()))]
     best_x, best_f, converged = np.empty_like(X0), np.empty(count), np.ones(count, dtype=bool)
     trial = {1: _trial_points_1, 2: _trial_points_2}.get(n, _trial_points)
-    s0 = 3 if n == 1 else 4  # the first shrink point; for n = 1 it is the contraction towards the worst vertex
-    per, rows = s0 + n, np.arange(count)
+    per, rows = 4 + n, np.arange(count)
     spread = np.repeat(rows, per)
     caller = np.geterr()  # a speculative call raises where the caller's state would warn or raise
     quiet = {key: "ignore" if state == "ignore" else "raise" for key, state in caller.items()}
@@ -501,18 +501,12 @@ def _nelder_mead(f, X0, opt_tol, max_iter, speculate):
             if vals is None:
                 with np.errstate(**caller):
                     vals = _sequential_values(f, rows, batch, n, per)
-            for o, (_, verts, pts) in zip(range(0, len(vals), per), batch):  # the rule of _second_point, written out
-                fr = vals[o]
-                if fr < verts[0][0]:
-                    k = 1 if vals[o + 1] < fr else 0
-                elif fr < verts[-2][0]:
-                    k = 0
+            for o, (_, verts, pts) in zip(range(0, len(vals), per), batch):
+                k = _step(verts, vals, o)
+                if k < 0:  # a shrink towards the best vertex
+                    verts[1:] = [(vals[o + 4 + i], pts[(4 + i) * n : (5 + i) * n]) for i in range(n)]
                 else:
-                    k = 3 if fr >= verts[-1][0] else 2
-                    if not vals[o + k] < min(fr, verts[-1][0]):  # a shrink towards the best vertex
-                        verts[1:] = [(vals[o + s0 + i], pts[(s0 + i) * n : (s0 + 1 + i) * n]) for i in range(n)]
-                        continue
-                verts[-1] = (vals[o + k], pts[k * n : (k + 1) * n])
+                    verts[-1] = (vals[o + k], pts[k * n : (k + 1) * n])
 
     for r, verts in live:
         best_f[r], best_x[r] = min(verts, key=_VALUE)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from sipmink import cli, suites
+from sipmink import hyperboloid as hyp
 from sipmink.cli import main
 from sipmink.config import RunConfig, config_from_mapping, load_config, parse_config
 from sipmink.errors import PathError, UnsupportedError, UsageError
@@ -127,6 +128,12 @@ class TestConfigParsing:
         with pytest.raises(UsageError):
             load_config("/nonexistent/path.cfg")
 
+    @pytest.mark.parametrize("key, value", [("nodes", 1), ("nodes", 0), ("trials", 0), ("trials", -3)])
+    def test_too_few_nodes_or_trials_rejected(self, key, value):
+        with pytest.raises(UsageError, match=f"^{key} must be at least .* \\(key '{key}', flag --{key}\\)$"):
+            config_from_mapping(parse_config(f"{key} = {value}\n"))
+        config_from_mapping(parse_config(f"{key} = {2 if key == 'nodes' else 1}\n"))  # the least value passes
+
 
 class TestCliCommands:
     def test_classify(self, capsys):
@@ -227,6 +234,18 @@ class TestCliCommands:
         out, err = capsys.readouterr()
         assert out == "" and not (tmp_path / "report.csv").exists()
         assert err.count("\n") == 1 and err.startswith(f"numerical failure: {sampler}: ") and "budget of" in err
+
+    def test_an_allocation_failure_is_a_one_line_usage_error(self, capsys, monkeypatch):
+        # as numpy raises it for distance --nodes 100000000000; nothing is allocated here
+        message = "Unable to allocate 45.8 GiB for an array with shape (6152343638,) and data type float64"
+
+        def no_memory(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(hyp, "geodesic_path", no_memory)
+        assert main(["distance", "--nodes", "16", "--", "0.1,0", "0,0.1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: out of memory: {message}\n"
 
     def test_p_on_a_euclidean_block_is_a_usage_error(self, capsys, tmp_path):
         cfg = tmp_path / "euclidean_p.cfg"
@@ -417,6 +436,24 @@ class TestVerifyCommand:
         assert main(["verify", suite, f"--trials={trials}", "--out", str(out)]) == 2
         assert "trials must be at least 1" in capsys.readouterr().err
         assert not out.exists()
+
+    # nodes and trials are checked as the config is built, so no suite runs and none prints a line
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            ("verify all --nodes 1", "nodes"),
+            ("verify orthogonality --trials 0", "trials"),
+            ("verify theorem2 --trials -3", "trials"),
+            ("distance --nodes 1 -- 0,0 0.5,0", "nodes"),
+        ],
+    )
+    def test_too_few_nodes_or_trials_exit_before_any_suite(self, capsys, tmp_path, monkeypatch, argv, key):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv.split()) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1 and err.startswith(f"error: {key} must be at least ")
+        assert f"(key '{key}', flag --{key})" in err
+        assert not (tmp_path / "verify_report.csv").exists()
 
     def test_class_band_of_one_is_a_config_error(self, capsys, tmp_path):
         # with tol.class = 1 every vector is light-like and T+ sampling never ends

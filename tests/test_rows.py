@@ -30,6 +30,7 @@ from sipmink.errors import (
     NeutralPivotError,
     NumericalError,
     TangentError,
+    UsageError,
 )
 from sipmink.hyperboloid import lift
 from sipmink.isometry import isometry_report, lorentz_boost, sip_preservation_residual, strict_convexity_witness
@@ -947,8 +948,12 @@ class TestSpaceTimeTrialsMatchTheLoop:
 
     @pytest.mark.parametrize("trials", [0, -1])
     def test_suite_siip_axioms_needs_a_trial(self, trials):
-        with pytest.raises(DomainError):
-            suites.suite_siip_axioms(config_from_mapping({"trials": trials}))
+        # no config holds fewer than one trial, and the sampler the suite runs rejects one too
+        with pytest.raises(UsageError, match="^trials must be at least 1"):
+            config_from_mapping({"trials": trials})
+        space = config_from_mapping({}).space()
+        with pytest.raises(DomainError, match="trials must be at least 1"):
+            siip_axiom_trials(BoundProduct(space, "+"), space.n, 42, trials, 1e-9)
 
     @pytest.mark.parametrize("seed", [1, 7, 42])
     @pytest.mark.parametrize("label", sorted(STOCK_CONFIGS))
